@@ -28,7 +28,7 @@ from .implicit import (
 from .metrics import ApNorm, ExcludedQuery, mean_over_queries
 from .pir import CATEGORIES, DEFAULT_THRESHOLDS, breakdown_series, pir_sweep
 from .scales import DiscountFunction, DiscountKind, RelevanceScale, load_click_weights
-from .scoring import consensus_lists, metric_score
+from .scoring import MissingJudgment, consensus_lists, metric_score
 from .synth import SynthSpec, generate_synthetic
 
 EXIT_OK = 0
@@ -520,6 +520,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVALID
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MissingJudgment as exc:
+        print(f"missing judgment: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

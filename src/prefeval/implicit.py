@@ -16,7 +16,7 @@ from statistics import mean
 from typing import Mapping, Optional, Sequence
 
 from .dataset import EvaluationDataset, Session, Variant, Verdict
-from .pir import PirCell, pir
+from .pir import PirCell, pir_cells
 from .scales import grade_to_unit
 
 NO_CLICK_RANK = 21
@@ -208,7 +208,7 @@ def implicit_pir(
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLD_GRIDS[measure]
     pairs, excluded = implicit_pairs(dataset, measure, endpoint, direction, band)
-    cells = tuple(pir(pairs, t) for t in thresholds)
+    cells = pir_cells(pairs, thresholds)
     return ImplicitSeries(
         measure=measure,
         direction=direction,

@@ -5,9 +5,10 @@ relevance in [0, 1] by rank (index 0 = rank 1) and ``c`` is the cut-off,
 i.e. how many top results take part.  Entries beyond ``c`` are ignored,
 so a list may be passed at full length for any cut-off.
 
-Normalization against an ideal ordering (NDCG) takes the query's judged
-pool: the unit relevances of all distinct judged results available for
-the query, from which the best achievable ranking is formed.
+Normalization against an ideal ordering (NDCG) takes a judged pool, from
+which the best achievable ranking is formed.  The scoring layer passes
+the unit relevances of the distinct results in the top ``c`` of either
+variant of the query, not every result judged for it.
 """
 
 from __future__ import annotations
@@ -60,13 +61,14 @@ def precision_at(
     above it count 1, the rest 0.
     """
     _check_cutoff(rels, c)
+    weights = discount.weights(c) if discount is not None else None
     terms = []
     for i in range(c):
         rel = rels[i]
         if relevant_threshold is not None:
             rel = 1.0 if rel > relevant_threshold else 0.0
-        if discount is not None:
-            rel *= discount.weight(i + 1)
+        if weights is not None:
+            rel *= weights[i]
         terms.append(rel)
     return math.fsum(terms) / c
 
@@ -84,7 +86,8 @@ def cumulated_gain(rels: Sequence[float], c: int) -> float:
 def dcg(rels: Sequence[float], c: int, discount: DiscountFunction) -> float:
     """Discounted cumulated gain: sum of rel(r) * weight(r) for r 1..c."""
     _check_cutoff(rels, c)
-    return math.fsum(rels[i] * discount.weight(i + 1) for i in range(c))
+    weights = discount.weights(c)
+    return math.fsum(rels[i] * weights[i] for i in range(c))
 
 
 def ideal_ranking(pool: Iterable[float], c: int) -> list[float]:
@@ -137,10 +140,13 @@ def average_precision(
         divisor = float(c)
     total = 0.0
     cumulated = 0.0
+    weights: Sequence[float] = ()  # fetched only as deep as a relevant rank needs
     for i in range(c):
         cumulated += rels[i]
         if rels[i]:
-            total += rels[i] * cumulated * discount.weight(i + 1)
+            if i >= len(weights):
+                weights = discount.weights(i + 1)
+            total += rels[i] * cumulated * weights[i]
     return total / divisor
 
 
@@ -152,12 +158,13 @@ def err(rels: Sequence[float], c: int, discount: DiscountFunction) -> float:
     (2^g - 1) / 2^gmax with g = gmax * rel and gmax = 5.
     """
     _check_cutoff(rels, c)
+    weights = discount.weights(c)
     total = 0.0
     continue_p = 1.0
     denom = 2.0 ** ERR_GRADE_MAX
     for i in range(c):
         satisfied = (2.0 ** (ERR_GRADE_MAX * rels[i]) - 1.0) / denom
-        total += discount.weight(i + 1) * continue_p * satisfied
+        total += weights[i] * continue_p * satisfied
         continue_p *= 1.0 - satisfied
     return total
 
@@ -176,7 +183,7 @@ def reciprocal_rank(
     _check_cutoff(rels, c)
     for i in range(c):
         if rels[i] > relevant_threshold:
-            return discount.weight(i + 1)
+            return discount.weights(i + 1)[i]
     return 0.0
 
 
@@ -198,7 +205,8 @@ def esl(rels: Sequence[float], c: int, discount: DiscountFunction, n: float) -> 
         if cumulated >= n:
             reach = i + 1
             break
-    gained = math.fsum(rels[i] * discount.weight(i + 1) for i in range(reach))
+    weights = discount.weights(reach)
+    gained = math.fsum(rels[i] * weights[i] for i in range(reach))
     return 1.0 - (reach - gained) / c
 
 

@@ -15,6 +15,7 @@ either way) but are tracked in the five-category breakdown.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,8 +23,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .config import MetricConfig
 from .dataset import EvaluationDataset, Verdict
-from .metrics import ExcludedQuery
-from .scoring import score_pair
+from .scoring import ScoredPair, resolve_preferences, score_resolved
 
 DEFAULT_THRESHOLDS: tuple[float, ...] = tuple(i / 100 for i in range(31))
 DEFAULT_CUTOFFS: tuple[int, ...] = tuple(range(1, 11))
@@ -36,13 +36,15 @@ CATEGORIES = (
     "reversed_pref",
 )
 
-ScoredPair = tuple[float, float, Verdict]
+
+def _check_threshold(t: float) -> None:
+    if t < 0:
+        raise ValueError(f"threshold must be >= 0, got {t}")
 
 
 def pref(x: float, t: float) -> int:
     """Thresholded sign: +1 if x > t, -1 if x < -t, otherwise 0."""
-    if t < 0:
-        raise ValueError(f"threshold must be >= 0, got {t}")
+    _check_threshold(t)
     if x > t:
         return 1
     if x < -t:
@@ -98,7 +100,9 @@ def pir(pairs: Sequence[ScoredPair], t: float = 0.0) -> PirCell:
 
     Each pair is (score_a, score_b, verdict).  With no preferring pairs
     the PIR is the 0.5 baseline and the cell flags the empty denominator.
+    This is the one-threshold reference; sweeps use :func:`pir_cells`.
     """
+    _check_threshold(t)
     counts = dict.fromkeys(CATEGORIES, 0)
     agreement = 0
     n_pref = 0
@@ -121,6 +125,57 @@ def pir(pairs: Sequence[ScoredPair], t: float = 0.0) -> PirCell:
     return PirCell(threshold=t, pir=value, **counts)
 
 
+def pir_cells(pairs: Sequence[ScoredPair], thresholds: Sequence[float]) -> tuple[PirCell, ...]:
+    """``pir(pairs, t)`` for every t in ``thresholds``, from one sort per outcome.
+
+    With u = +1 for verdict A and -1 for B, a preferring pair's x =
+    (score_a - score_b) * u is a correct preference at t iff x > t and a
+    reversed one iff x < -t, and an equal verdict is a false preference
+    iff |score_a - score_b| > t: the strict comparisons of :func:`pref`.
+    So the nonzero |x| of agreeing, of reversed and of equal-verdict pairs
+    go into three sorted lists, and each count is one ``bisect_right``.
+    """
+    for t in thresholds:
+        _check_threshold(t)
+    agreeing: list[float] = []
+    reversed_: list[float] = []
+    equal: list[float] = []
+    n_pref = n_equal = 0
+    for score_a, score_b, verdict in pairs:
+        x = score_a - score_b
+        if verdict is Verdict.EQUAL:
+            n_equal += 1
+            if abs(x) > 0:
+                equal.append(abs(x))
+            continue
+        n_pref += 1
+        if verdict is Verdict.B:
+            x = -x
+        if x > 0:
+            agreeing.append(x)
+        elif x < 0:
+            reversed_.append(-x)
+    agreeing.sort()
+    reversed_.sort()
+    equal.sort()
+    cells = []
+    for t in thresholds:
+        correct = len(agreeing) - bisect_right(agreeing, t)
+        reversed_pref = len(reversed_) - bisect_right(reversed_, t)
+        false_pref = len(equal) - bisect_right(equal, t)
+        value = 0.5 + (correct - reversed_pref) / (2 * n_pref) if n_pref else 0.5
+        cells.append(PirCell(
+            threshold=t,
+            pir=value,
+            correct_pref=correct,
+            correct_equal=n_equal - false_pref,
+            false_pref=false_pref,
+            missed_pref=n_pref - correct - reversed_pref,
+            reversed_pref=reversed_pref,
+        ))
+    return tuple(cells)
+
+
 def score_pairs(
     dataset: EvaluationDataset,
     config: MetricConfig,
@@ -133,20 +188,8 @@ def score_pairs(
     Queries outside the config's query_filter are skipped silently; they
     are out of scope, not excluded.
     """
-    pairs: list[ScoredPair] = []
-    excluded = 0
-    for p in dataset.preferences:
-        if config.query_filter is not None:
-            query = dataset.query_by_id[p.query_id]
-            if query.query_type not in config.query_filter:
-                continue
-        try:
-            score_a, score_b = score_pair(dataset, config, p.query_id, p.rater_id, lenient)
-        except ExcludedQuery:
-            excluded += 1
-            continue
-        pairs.append((score_a, score_b, p.verdict))
-    return pairs, excluded
+    resolved = resolve_preferences(dataset, config, (config.cutoff,), lenient)
+    return score_resolved(resolved, config)
 
 
 @dataclass(frozen=True)
@@ -205,36 +248,54 @@ def pir_sweep(
 ) -> PirGrid:
     """Evaluate every configuration over the full (cut-off, threshold) grid.
 
+    No work repeats across configs, cut-offs or thresholds:
+
+    - configs that share a scale, rating source and query filter share
+      one table from :func:`~prefeval.scoring.resolve_preferences`, built
+      before any row runs: each verdict's judged lists, resolved once
+      down to ``max(cutoffs)`` with one grade lookup per distinct result,
+      and the pool of each cut-off taken from the deepest one by position;
+    - a row (config, cut-off) scores each verdict of its table once;
+    - :func:`pir_cells` sorts the row's score differences once and counts
+      each threshold cell by bisection.
+
     Rows are independent; with ``jobs`` > 1 they are computed in a thread
     pool.  Aggregation is exact integer counting, so the output does not
     depend on evaluation order.
     """
     _check_thresholds(thresholds)
     configs = tuple(configs)
+    cutoffs = tuple(cutoffs)
     seen: set[str] = set()
     for config in configs:
         if config.label() in seen:
             raise ValueError(f"duplicate configuration {config.label()!r}")
         seen.add(config.label())
-    tasks = [(config, cutoff) for config in configs for cutoff in cutoffs]
+    rows = [(config, config.at_cutoff(cutoff)) for config in configs for cutoff in cutoffs]
 
-    def run(task: tuple[MetricConfig, int]) -> tuple[tuple[str, int], PirRow]:
-        config, cutoff = task
-        at = config.at_cutoff(cutoff)
-        pairs, excluded = score_pairs(dataset, at, lenient)
-        cells = tuple(pir(pairs, t) for t in thresholds)
-        row = PirRow(config=at, thresholds=tuple(thresholds), cells=cells,
-                     excluded_pairs=excluded)
-        return (config.label(), cutoff), row
+    def scope(config: MetricConfig) -> tuple:
+        return config.scale, config.rating_source, config.query_filter
+
+    tables = {}
+    for config, _ in rows:
+        if scope(config) not in tables:
+            tables[scope(config)] = resolve_preferences(dataset, config, cutoffs, lenient)
+
+    def run(row: tuple[MetricConfig, MetricConfig]) -> tuple[tuple[str, int], PirRow]:
+        config, at = row
+        pairs, excluded = score_resolved(tables[scope(config)], at)
+        pir_row = PirRow(config=at, thresholds=tuple(thresholds),
+                         cells=pir_cells(pairs, thresholds), excluded_pairs=excluded)
+        return (config.label(), at.cutoff), pir_row
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, tasks))
+            results = list(pool.map(run, rows))
     else:
-        results = [run(task) for task in tasks]
+        results = [run(row) for row in rows]
     return PirGrid(
         configs=configs,
-        cutoffs=tuple(cutoffs),
+        cutoffs=cutoffs,
         thresholds=tuple(thresholds),
         rows=dict(results),
     )
@@ -267,4 +328,4 @@ def breakdown_series(
     """Outcome cells across a threshold grid (category evolution by threshold)."""
     _check_thresholds(thresholds)
     pairs, excluded = score_pairs(dataset, config, lenient)
-    return [pir(pairs, t) for t in thresholds], excluded
+    return list(pir_cells(pairs, thresholds)), excluded

@@ -58,6 +58,17 @@ def grade_to_unit(grade: int) -> float:
     return (GRADE_WORST - grade) / 5
 
 
+# Unit relevance of grades 1..6 under each scale.
+_CONFLATION: Mapping[RelevanceScale, tuple[float, ...]] = {
+    RelevanceScale.SIX_POINT: tuple(grade_to_unit(g) for g in range(GRADE_BEST, GRADE_WORST + 1)),
+    RelevanceScale.R2_1: (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    RelevanceScale.R2_3: (1.0, 1.0, 1.0, 0.0, 0.0, 0.0),
+    RelevanceScale.R2_5: (1.0, 1.0, 1.0, 1.0, 1.0, 0.0),
+    RelevanceScale.R3_2: (1.0, 1.0, 0.5, 0.5, 0.0, 0.0),
+    RelevanceScale.R3_1: (1.0, 0.5, 0.5, 0.5, 0.5, 0.0),
+}
+
+
 def conflate(grade: int, scale: RelevanceScale) -> float:
     """Unit relevance of ``grade`` under the given scale.
 
@@ -65,23 +76,10 @@ def conflate(grade: int, scale: RelevanceScale) -> float:
     formed downstream from already-conflated per-rater values.
     """
     _check_grade(grade)
-    if scale is RelevanceScale.SIX_POINT:
-        return grade_to_unit(grade)
-    if scale is RelevanceScale.R2_1:
-        return 1.0 if grade <= 1 else 0.0
-    if scale is RelevanceScale.R2_3:
-        return 1.0 if grade <= 3 else 0.0
-    if scale is RelevanceScale.R2_5:
-        return 1.0 if grade <= 5 else 0.0
-    if scale is RelevanceScale.R3_2:
-        if grade <= 2:
-            return 1.0
-        return 0.5 if grade <= 4 else 0.0
-    if scale is RelevanceScale.R3_1:
-        if grade == 1:
-            return 1.0
-        return 0.5 if grade <= 5 else 0.0
-    raise ValueError(f"unknown scale {scale!r}")
+    table = _CONFLATION.get(scale) if isinstance(scale, RelevanceScale) else None
+    if table is None:
+        raise ValueError(f"unknown scale {scale!r}")
+    return table[grade - GRADE_BEST]
 
 
 # Illustrative click-through weights, normalized so rank 1 has weight 1.
@@ -154,6 +152,19 @@ class DiscountFunction:
             return self.click_weights[rank]
         except KeyError:
             raise ValueError(f"click table has no weight for rank {rank}") from None
+
+    def weights(self, c: int) -> tuple[float, ...]:
+        """Weights of ranks 1..``c`` (at least), computed once per instance.
+
+        Entry ``i`` is ``weight(i + 1)``; the table may be longer than
+        ``c``.  Threads that extend it at once may each store their own
+        table, which costs a recomputation, never a wrong weight.
+        """
+        table = self.__dict__.get("_weights", ())
+        if len(table) < c:
+            table = tuple(self.weight(rank) for rank in range(1, c + 1))
+            object.__setattr__(self, "_weights", table)
+        return table
 
     def label(self) -> str:
         return self.kind.value

@@ -3,18 +3,22 @@
 This is the substrate both the sweep engine and the reference oracle
 build on: per-result unit relevance under a scale and rating source, the
 two judged lists of a query truncated to the cut-off, the judged pool for
-normalization, and the single-list metric dispatch.
+normalization, and the single-list metric dispatch.  The sweep engine
+resolves each verdict's lists once for all cut-offs
+(:func:`resolve_preferences`) and scores every row from that table.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import metrics
 from .config import Metric, MetricConfig, RatingSource
-from .dataset import EvaluationDataset
-from .metrics import ApNorm
+from .dataset import EvaluationDataset, RankedListPair, Verdict
+from .metrics import ApNorm, ExcludedQuery
 from .scales import RelevanceScale, conflate
+
+ScoredPair = tuple[float, float, Verdict]
 
 
 class MissingJudgment(Exception):
@@ -69,23 +73,33 @@ def judged_lists(
     """Relevance lists of both variants at the configured cut-off, plus the pool.
 
     The pool holds the unit relevance of every distinct result visible in
-    either variant's top ``config.cutoff``; it feeds NDCG normalization
-    and the known-relevant count of classical AP.
+    either variant's top ``config.cutoff``, in first-occurrence order; it
+    feeds NDCG normalization and the known-relevant count of classical
+    AP.  Each distinct result is looked up once.
     """
     pair = dataset.pair_by_query[query_id]
     top_a = pair.variant_a[: config.cutoff]
     top_b = pair.variant_b[: config.cutoff]
+    values = {
+        rid: unit_relevance(dataset, query_id, rid, config.scale, config.rating_source,
+                            rater_id, lenient)
+        for rid in dict.fromkeys((*top_a, *top_b))
+    }
+    return [values[rid] for rid in top_a], [values[rid] for rid in top_b], list(values.values())
 
-    def rel(result_id: str) -> float:
-        return unit_relevance(
-            dataset, query_id, result_id, config.scale, config.rating_source,
-            rater_id, lenient,
-        )
 
-    rels_a = [rel(rid) for rid in top_a]
-    rels_b = [rel(rid) for rid in top_b]
-    pool = [rel(rid) for rid in dict.fromkeys((*top_a, *top_b))]
-    return rels_a, rels_b, pool
+def pool_ranks(pair: RankedListPair, depth: int) -> list[int]:
+    """First rank of each result in the pool :func:`judged_lists` forms at ``depth``.
+
+    Entry i is the rank at which the i-th pooled result first shows in
+    either variant, so the pool at a cut-off c <= ``depth`` holds exactly
+    the results whose first rank is at most c.
+    """
+    first: dict[str, int] = {}
+    for ranking in (pair.variant_a[:depth], pair.variant_b[:depth]):
+        for rank, rid in enumerate(ranking, start=1):
+            first[rid] = min(first.get(rid, rank), rank)
+    return list(first.values())
 
 
 def metric_score(
@@ -134,6 +148,82 @@ def score_pair(
     """
     rels_a, rels_b, pool = judged_lists(dataset, query_id, rater_id, config, lenient)
     return metric_score(rels_a, pool, config), metric_score(rels_b, pool, config)
+
+
+class ResolvedPreference(NamedTuple):
+    """One preference verdict with its judged lists resolved down to a depth.
+
+    ``pool`` is the judged pool at that depth ordered by first rank, so
+    ``pool[:pool_ends[c]]`` holds the pool of cut-off c.  Only its order
+    differs from the pool :func:`judged_lists` forms at c, and the metrics
+    use a pool as a multiset (sorted, or counted).
+    """
+
+    verdict: Verdict
+    rels_a: list[float]
+    rels_b: list[float]
+    pool: list[float]
+    pool_ends: dict[int, int]
+
+
+def resolve_preferences(
+    dataset: EvaluationDataset,
+    config: MetricConfig,
+    cutoffs: Sequence[int],
+    lenient: bool = False,
+) -> list[ResolvedPreference]:
+    """Judged lists of every verdict in the config's query scope, resolved once.
+
+    Only the config's scale, rating source and query filter matter, so
+    every config sharing them can score from the same table.  Each
+    verdict's lists are resolved once, down to ``max(cutoffs)``, with one
+    :func:`unit_relevance` lookup per distinct result.  The lists stay at
+    that depth, since metrics ignore entries beyond their cut-off, and a
+    per-query table of first ranks turns each cut-off's pool into a
+    prefix of the deepest one.  Queries outside the query filter are
+    skipped.
+    """
+    deepest = config.at_cutoff(max(cutoffs))
+    layouts: dict[str, tuple[list[int], dict[int, int]]] = {}
+    resolved = []
+    for p in dataset.preferences:
+        if config.query_filter is not None:
+            if dataset.query_by_id[p.query_id].query_type not in config.query_filter:
+                continue
+        rels_a, rels_b, pool = judged_lists(dataset, p.query_id, p.rater_id, deepest, lenient)
+        layout = layouts.get(p.query_id)
+        if layout is None:
+            ranks = pool_ranks(dataset.pair_by_query[p.query_id], deepest.cutoff)
+            order = sorted(range(len(ranks)), key=ranks.__getitem__)
+            ends = {c: sum(1 for r in ranks if r <= c) for c in cutoffs}
+            layout = layouts[p.query_id] = order, ends
+        order, ends = layout
+        resolved.append(
+            ResolvedPreference(p.verdict, rels_a, rels_b, [pool[i] for i in order], ends)
+        )
+    return resolved
+
+
+def score_resolved(
+    resolved: Sequence[ResolvedPreference], config: MetricConfig
+) -> tuple[list[ScoredPair], int]:
+    """(score_a, score_b, verdict) of each resolved verdict at the config's cut-off.
+
+    Returns the pairs in order and the number of verdicts the config had
+    to exclude (ExcludedQuery, e.g. zero ideal gain).
+    """
+    pairs: list[ScoredPair] = []
+    excluded = 0
+    c = config.cutoff
+    for verdict, rels_a, rels_b, deepest_pool, pool_ends in resolved:
+        pool = deepest_pool[: pool_ends[c]]
+        try:
+            pairs.append(
+                (metric_score(rels_a, pool, config), metric_score(rels_b, pool, config), verdict)
+            )
+        except ExcludedQuery:
+            excluded += 1
+    return pairs, excluded
 
 
 def consensus_lists(

@@ -1,7 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import prefeval
 from conftest import make_session
 from prefeval.cli import main
 from prefeval.config import Metric, MetricConfig
@@ -10,6 +15,7 @@ from prefeval.dataset import Variant
 from prefeval.metrics import esl
 from prefeval.scales import DiscountFunction
 from prefeval.scoring import consensus_lists
+from prefeval.synth import SynthSpec, generate_synthetic
 
 
 @pytest.fixture
@@ -176,6 +182,39 @@ class TestSweepCommand:
                      "--discounts", "click", "--click-weights", str(weights),
                      "--cutoffs", "1-3"]) == 0
         assert (out / "grid_ndcg_click_six_same-user.tsv").exists()
+
+    def test_other_users_with_one_rater_exits_one_without_traceback(self, tmp_path):
+        # validates clean, but no result has a second rater to average over
+        data = tmp_path / "one_rater"
+        assert main(["synth", "--out", str(data), "--queries", "4", "--raters", "1",
+                     "--seed", "3"]) == 0
+        assert main(["validate", str(data)]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(prefeval.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "prefeval.cli", "sweep", str(data),
+             "--rating-source", "other-users", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stderr.startswith("missing judgment: no rater besides 'u01' judged")
+        assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("source", ["same-user", "other-users"])
+    def test_judgments_to_rank_five_sweep_to_cutoff_five(self, tmp_path, source):
+        # a sweep resolves its lists only as deep as its deepest cut-off
+        ds = generate_synthetic(SynthSpec(n_queries=6, n_raters=3, seed=11, n_preferences=12))
+        top5 = {p.query_id: {*p.variant_a[:5], *p.variant_b[:5]} for p in ds.list_pairs}
+        shallow = dataclasses.replace(ds, judgments=tuple(
+            j for j in ds.judgments if j.result_id in top5[j.query_id]))
+        assert len(shallow.judgments) < len(ds.judgments)
+        data = tmp_path / "data"
+        write_dataset(shallow, data)
+        assert main(["validate", str(data)]) == 1
+        assert main(["validate", str(data), "--max-cutoff", "5"]) == 0
+        assert main(["sweep", str(data), "--rating-source", source, "--cutoffs", "1-5",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / f"grid_ndcg_log2_six_{source}.tsv").exists()
 
 
 class TestBreakdownCommand:

@@ -1,7 +1,10 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import binary_pair_dataset
 from prefeval.config import Metric, MetricConfig, RatingSource
@@ -15,6 +18,7 @@ from prefeval.pir import (
     breakdown_series,
     detailed_breakdown,
     pir,
+    pir_cells,
     pir_sweep,
     pref,
     score_pairs,
@@ -84,6 +88,72 @@ class TestPirAggregation:
         assert cell.empty_denominator
         with pytest.raises(ValueError):
             cell.shares()
+
+    def test_negative_threshold_rejected_without_pairs(self):
+        with pytest.raises(ValueError):
+            pir([], -0.1)
+
+
+def _on_and_beside(t: float) -> list[float]:
+    return [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
+
+
+# Score differences on a threshold and on its float neighbours, e.g.
+# 0.19999999999999996 (grades 1 vs 2), 0.2 and 0.20000000000000007
+# (grades 2 vs 3) at t = 0.2.
+EDGE_THRESHOLDS = (0.0, 0.01, 0.1, 0.15, 0.2, 0.29, 0.3)
+EDGE_DIFFS = sorted({d for t in EDGE_THRESHOLDS for d in _on_and_beside(t)}
+                    | {1.0 - 0.8, 0.8 - 0.6, 0.6 - 0.4})
+VERDICTS = st.sampled_from(list(Verdict))
+
+
+def _signed_diff_pair(diff: float, negate: bool, verdict: Verdict):
+    # (diff, 0.0) and (0.0, diff) subtract to exactly +diff and -diff
+    return (0.0, diff, verdict) if negate else (diff, 0.0, verdict)
+
+
+SCORED_PAIRS = st.one_of(
+    st.tuples(st.sampled_from(EDGE_DIFFS), st.booleans(), VERDICTS).map(
+        lambda args: _signed_diff_pair(*args)),
+    st.tuples(st.floats(-1, 1), st.floats(-1, 1), VERDICTS),
+    st.tuples(st.sampled_from([0.0, 0.25, 0.5]), st.just(0.25), VERDICTS),
+)
+THRESHOLD_GRIDS = st.one_of(
+    st.just(DEFAULT_THRESHOLDS),
+    st.lists(st.sampled_from([d for d in EDGE_DIFFS if d >= 0]) | st.floats(0, 1.5),
+             max_size=8).map(sorted),
+)
+
+
+class TestPirCells:
+    """The bisect aggregator against the one-threshold reference loop."""
+
+    @given(st.lists(SCORED_PAIRS, max_size=30), THRESHOLD_GRIDS)
+    def test_equals_pir_cell_for_cell(self, pairs, thresholds):
+        assert pir_cells(pairs, thresholds) == tuple(pir(pairs, t) for t in thresholds)
+
+    @given(st.lists(SCORED_PAIRS.map(lambda p: (p[0], p[1], Verdict.EQUAL)), max_size=20),
+           THRESHOLD_GRIDS)
+    def test_all_equal_verdicts(self, pairs, thresholds):
+        cells = pir_cells(pairs, thresholds)
+        assert cells == tuple(pir(pairs, t) for t in thresholds)
+        assert all(cell.empty_denominator and cell.pir == 0.5 for cell in cells)
+
+    def test_edge_diffs_at_point_two(self):
+        t = 0.2
+        pairs = [_signed_diff_pair(d, False, Verdict.A) for d in _on_and_beside(t)]
+        (cell,) = pir_cells(pairs, [t])
+        assert (cell.correct_pref, cell.missed_pref) == (1, 2)
+        assert cell == pir(pairs, t)
+
+    def test_no_pairs(self):
+        assert pir_cells([], DEFAULT_THRESHOLDS) == tuple(
+            pir([], t) for t in DEFAULT_THRESHOLDS)
+        assert pir_cells([], []) == ()
+
+    def test_negative_threshold_rejected_without_pairs(self):
+        with pytest.raises(ValueError):
+            pir_cells([], [0.0, -0.1])
 
 
 class TestDetailedBreakdown:

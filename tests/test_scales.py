@@ -72,6 +72,16 @@ class TestConflate:
         with pytest.raises(ValueError):
             conflate(0, RelevanceScale.R2_3)
 
+    @pytest.mark.parametrize("scale", list(RelevanceScale))
+    @pytest.mark.parametrize("bad", [0, 7, -1, 2.5, "3", True])
+    def test_rejects_bad_grade_on_every_scale(self, scale, bad):
+        with pytest.raises(ValueError):
+            conflate(bad, scale)
+
+    def test_rejects_unknown_scale(self):
+        with pytest.raises(ValueError):
+            conflate(3, "six")
+
 
 class TestDiscounts:
     def test_log2_at_1024_is_one_tenth(self):
@@ -128,6 +138,18 @@ class TestDiscounts:
     def test_rank_below_one_rejected(self):
         with pytest.raises(ValueError):
             DiscountFunction.rank().weight(0)
+
+    @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.label())
+    def test_weight_table_matches_weight(self, f):
+        assert f.weights(3) == tuple(f.weight(r) for r in range(1, 4))
+        assert f.weights(10) == tuple(f.weight(r) for r in range(1, 11))
+        assert f.weights(2)[:2] == (f.weight(1), f.weight(2))
+
+    def test_weight_table_stops_at_missing_click_rank(self):
+        f = DiscountFunction.click_based({1: 1.0, 2: 0.5})
+        assert f.weights(2) == (1.0, 0.5)
+        with pytest.raises(ValueError):
+            f.weights(3)
 
     def test_functional_form(self):
         assert discount_weight(DiscountFunction.rank(), 4) == 0.25

@@ -10,16 +10,21 @@ from prefeval.dataset import (
     RankedListPair,
     Verdict,
 )
+from prefeval import scoring
 from prefeval.metrics import ApNorm
+from prefeval.pir import pir_sweep
 from prefeval.scales import DiscountFunction, RelevanceScale
 from prefeval.scoring import (
     MissingJudgment,
     consensus_lists,
     judged_lists,
     metric_score,
+    pool_ranks,
+    resolve_preferences,
     score_pair,
     unit_relevance,
 )
+from prefeval.synth import SynthSpec, generate_synthetic
 
 
 def multi_rater_dataset(grades_by_rater):
@@ -118,6 +123,53 @@ class TestJudgedLists:
         assert rels_a == [1.0]
         assert rels_b == [0.4]
         assert len(pool) == 2
+
+
+class TestResolvePreferences:
+    @pytest.fixture
+    def overlapping(self):
+        return generate_synthetic(SynthSpec(n_queries=6, n_raters=3, seed=4,
+                                            n_preferences=12, overlap=0.6))
+
+    def test_pools_match_judged_lists_at_every_cutoff(self, overlapping):
+        cfg = config(metric=Metric.NDCG, source=RatingSource.OTHER_USERS)
+        cutoffs = (1, 3, 4, 7)
+        resolved = resolve_preferences(overlapping, cfg, cutoffs)
+        assert len(resolved) == len(overlapping.preferences)
+        for p, entry in zip(overlapping.preferences, resolved):
+            assert entry.verdict is p.verdict
+            for c in cutoffs:
+                rels_a, rels_b, pool = judged_lists(overlapping, p.query_id, p.rater_id,
+                                                    cfg.at_cutoff(c))
+                assert entry.rels_a[:c] == rels_a
+                assert entry.rels_b[:c] == rels_b
+                assert sorted(entry.pool[: entry.pool_ends[c]]) == sorted(pool)
+
+    def test_pool_ranks_are_first_ranks_in_either_variant(self):
+        ds = binary_pair_dataset([("q1", 2, 2, Verdict.A)], list_len=4, shared_results=True)
+        # A = a01 a02 a03 a04, B = a04 a03 a02 a01: the pool follows A's order
+        assert pool_ranks(ds.pair_by_query["q1"], 4) == [1, 2, 2, 1]
+        assert pool_ranks(ds.pair_by_query["q1"], 2) == [1, 2, 1, 2]
+        assert pool_ranks(ds.pair_by_query["q1"], 1) == [1, 1]
+
+    def test_sweep_looks_up_each_distinct_result_once(self, overlapping, monkeypatch):
+        calls = []
+        original = scoring.unit_relevance
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scoring, "unit_relevance", counted)
+        configs = [MetricConfig(metric, DiscountFunction.rank(), rating_source=source,
+                                esl_n=2.0 if metric is Metric.ESL else None)
+                   for metric in Metric for source in RatingSource]
+        pir_sweep(overlapping, configs, cutoffs=(2, 5, 8))
+        distinct = 0
+        for p in overlapping.preferences:
+            pair = overlapping.pair_by_query[p.query_id]
+            distinct += len({*pair.variant_a[:8], *pair.variant_b[:8]})
+        assert len(calls) == distinct * len(RatingSource)
 
 
 class TestScorePair:
