@@ -11,18 +11,21 @@ record kind:
     sessions.tsv     query_id  rater_id  variant  start_ts  end_ts  [satisfied]
     clicks.tsv       query_id  rater_id  variant  rank  ts
 
-Booleans are written ``true``/``false`` with ``-`` for absent optional
-values.  Judgment, session and click files are also accepted headerless
-with any whitespace as separator, for quick hand-built fixtures.  Files
-are written in a canonical sort order, so write -> load -> write is
+Files are UTF-8 text, and CR LF or CR line ends read as LF.  Booleans
+are written ``true``/``false`` with ``-`` for absent optional values.
+Judgment, session and click files are also accepted headerless with any
+whitespace as separator, for quick hand-built fixtures.  Files are
+written in a canonical sort order, so write -> load -> write is
 byte-stable.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import islice
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .dataset import (
     Click,
@@ -63,33 +66,52 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
 
 
-def _read_rows(path: Path, kind: str, allow_headerless: bool) -> list[tuple[int, list[str]]]:
-    rows: list[tuple[int, list[str]]] = []
-    tab_separated = True
-    with open(path, "r", encoding="utf-8") as fh:
-        first = True
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if first:
-                first = False
-                if line.startswith(HEADER_TAG):
-                    fields = line.split("\t")
-                    if len(fields) != 3 or fields[0] != HEADER_TAG:
-                        raise ParseError(path, lineno, f"malformed header {line!r}")
-                    if fields[1] != str(SCHEMA_VERSION):
-                        raise ParseError(path, lineno, f"unsupported schema version {fields[1]!r}")
-                    if fields[2] != kind:
-                        raise ParseError(
-                            path, lineno, f"expected {kind!r} records, file declares {fields[2]!r}"
-                        )
-                    continue
-                if not allow_headerless:
-                    raise ParseError(path, lineno, f"missing '{HEADER_TAG}\t{SCHEMA_VERSION}\t{kind}' header")
-                tab_separated = False
-            if not line.strip():
-                continue
-            rows.append((lineno, line.split("\t") if tab_separated else line.split()))
-    return rows
+def _read_lines(path: Path) -> list[str]:
+    """The file's lines without their terminators, read and decoded in one go.
+
+    Line ends are translated as text-mode ``open`` translates them: CR LF
+    and a lone CR both end a line.  A final line needs no terminator.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            path, data.count(b"\n", 0, exc.start) + 1,
+            f"not valid UTF-8 (byte {data[exc.start]:#04x} at offset {exc.start}: {exc.reason})",
+        ) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _read_rows(path: Path, kind: str, allow_headerless: bool) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, fields)`` for each non-blank record line."""
+    lines = _read_lines(path)
+    if not lines:
+        return
+    first = lines[0]
+    if first.startswith(HEADER_TAG):
+        fields = first.split("\t")
+        if len(fields) != 3 or fields[0] != HEADER_TAG:
+            raise ParseError(path, 1, f"malformed header {first!r}")
+        if fields[1] != str(SCHEMA_VERSION):
+            raise ParseError(path, 1, f"unsupported schema version {fields[1]!r}")
+        if fields[2] != kind:
+            raise ParseError(path, 1, f"expected {kind!r} records, file declares {fields[2]!r}")
+        for lineno, line in enumerate(islice(lines, 1, None), start=2):
+            if line and not line.isspace():
+                yield lineno, line.split("\t")
+    elif allow_headerless:
+        for lineno, line in enumerate(lines, start=1):
+            if line and not line.isspace():
+                yield lineno, line.split()
+    else:
+        raise ParseError(path, 1, f"missing '{HEADER_TAG}\t{SCHEMA_VERSION}\t{kind}' header")
 
 
 def _parse_bool(value: str, path: Path, lineno: int, field: str) -> Optional[bool]:
@@ -117,6 +139,27 @@ def _parse_enum(enum_cls, value: str, path: Path, lineno: int, field: str):
         raise ParseError(path, lineno, f"{field} must be one of {options}, got {value!r}") from None
 
 
+def _parse_grade(value: str, path: Path, lineno: int) -> int:
+    grade = _parse_int(value, path, lineno, "grade")
+    if not GRADE_BEST <= grade <= GRADE_WORST:
+        raise ParseError(path, lineno, f"grade must be {GRADE_BEST}..{GRADE_WORST}, got {grade}")
+    return grade
+
+
+# Fast paths: the canonical spelling of a field maps straight to its value.
+# A miss goes through the _parse_* function above, which accepts every other
+# spelling it always did (" 3", "03") and words each rejection.  Every value
+# in the enum and grade tables is truthy, so ``table.get(v) or _parse_*``
+# falls back only on a miss.
+_QUERY_TYPES = {m.value: m for m in QueryType}
+_LANGUAGES = {m.value: m for m in Language}
+_VARIANTS = {m.value: m for m in Variant}
+_VERDICTS = {m.value: m for m in Verdict}
+_GRADES = {str(g): g for g in range(GRADE_BEST, GRADE_WORST + 1)}
+_BOOLS = {"-": None, "": None, "true": True, "false": False}
+_click_order = attrgetter("ts", "rank")
+
+
 def _expect_fields(fields: list[str], counts: tuple[int, ...], path: Path, lineno: int, kind: str):
     if len(fields) not in counts:
         want = " or ".join(str(c) for c in counts)
@@ -130,8 +173,9 @@ def read_queries(path: Path) -> list[Query]:
         out.append(
             Query(
                 id=f[0],
-                query_type=_parse_enum(QueryType, f[1], path, lineno, "query type"),
-                language=_parse_enum(Language, f[2], path, lineno, "language"),
+                query_type=_QUERY_TYPES.get(f[1])
+                or _parse_enum(QueryType, f[1], path, lineno, "query type"),
+                language=_LANGUAGES.get(f[2]) or _parse_enum(Language, f[2], path, lineno, "language"),
                 text=f[3],
                 info_need=f[4],
             )
@@ -143,47 +187,48 @@ def read_judgments(path: Path) -> list[GradedJudgment]:
     out = []
     for lineno, f in _read_rows(path, "judgments", allow_headerless=True):
         _expect_fields(f, (4, 5), path, lineno, "judgment")
-        grade = _parse_int(f[3], path, lineno, "grade")
-        if not GRADE_BEST <= grade <= GRADE_WORST:
-            raise ParseError(path, lineno, f"grade must be {GRADE_BEST}..{GRADE_WORST}, got {grade}")
-        snippet = _parse_bool(f[4], path, lineno, "snippet_relevant") if len(f) == 5 else None
-        out.append(
-            GradedJudgment(
-                query_id=f[0], result_id=f[1], rater_id=f[2], grade=grade,
-                snippet_relevant=snippet,
-            )
-        )
+        grade = _GRADES.get(f[3]) or _parse_grade(f[3], path, lineno)
+        if len(f) == 4:
+            snippet = None
+        elif f[4] in _BOOLS:
+            snippet = _BOOLS[f[4]]
+        else:
+            snippet = _parse_bool(f[4], path, lineno, "snippet_relevant")
+        out.append(GradedJudgment(f[0], f[1], f[2], grade, snippet))
     return out
 
 
 def read_list_pairs(path: Path) -> list[RankedListPair]:
     rankings: dict[tuple[str, Variant], dict[int, str]] = {}
-    order: list[str] = []
+    first_line: dict[tuple[str, Variant], int] = {}
     for lineno, f in _read_rows(path, "lists", allow_headerless=True):
         _expect_fields(f, (4,), path, lineno, "list")
-        variant = _parse_enum(Variant, f[1], path, lineno, "variant")
+        variant = _VARIANTS.get(f[1]) or _parse_enum(Variant, f[1], path, lineno, "variant")
         rank = _parse_int(f[2], path, lineno, "rank")
         if rank < 1:
             raise ParseError(path, lineno, f"rank must be >= 1, got {rank}")
         key = (f[0], variant)
-        slots = rankings.setdefault(key, {})
-        if rank in slots:
+        slots = rankings.get(key)
+        if slots is None:
+            slots = rankings[key] = {}
+            first_line[key] = lineno
+        elif rank in slots:
             raise ParseError(path, lineno, f"duplicate rank {rank} for query {f[0]!r} variant {variant.value}")
         slots[rank] = f[3]
-        if f[0] not in order:
-            order.append(f[0])
     pairs = []
-    for qid in order:
+    # Queries in order of first appearance: rankings keeps its keys in that order.
+    for qid in dict.fromkeys(qid for qid, _ in rankings):
         lists: dict[Variant, tuple[str, ...]] = {}
         for variant in (Variant.A, Variant.B):
             slots = rankings.get((qid, variant), {})
-            expected = set(range(1, len(slots) + 1))
-            if set(slots) != expected:
+            # Ranks are distinct and >= 1, so they run 1..n exactly when the largest is n.
+            if slots and max(slots) != len(slots):
                 raise ParseError(
-                    path, 0, f"query {qid!r} variant {variant.value} ranks are not contiguous from 1"
+                    path, first_line[qid, variant],
+                    f"query {qid!r} variant {variant.value} ranks are not contiguous from 1",
                 )
-            lists[variant] = tuple(slots[r] for r in sorted(slots))
-        pairs.append(RankedListPair(query_id=qid, variant_a=lists[Variant.A], variant_b=lists[Variant.B]))
+            lists[variant] = tuple(slots[r] for r in range(1, len(slots) + 1))
+        pairs.append(RankedListPair(qid, lists[Variant.A], lists[Variant.B]))
     return pairs
 
 
@@ -191,49 +236,57 @@ def read_preferences(path: Path) -> list[PreferenceJudgment]:
     out = []
     for lineno, f in _read_rows(path, "preferences", allow_headerless=True):
         _expect_fields(f, (3,), path, lineno, "preference")
-        out.append(
-            PreferenceJudgment(
-                query_id=f[0], rater_id=f[1],
-                verdict=_parse_enum(Verdict, f[2], path, lineno, "verdict"),
-            )
-        )
+        verdict = _VERDICTS.get(f[2]) or _parse_enum(Verdict, f[2], path, lineno, "verdict")
+        out.append(PreferenceJudgment(f[0], f[1], verdict))
     return out
 
 
 def read_sessions(sessions_path: Path, clicks_path: Optional[Path]) -> list[Session]:
-    clicks: dict[tuple[str, str, Variant], list[Click]] = {}
+    # (query, rater, variant) -> (line of its first click, clicks)
+    clicks: dict[tuple[str, str, Variant], tuple[int, list[Click]]] = {}
     if clicks_path is not None and clicks_path.exists():
         for lineno, f in _read_rows(clicks_path, "clicks", allow_headerless=True):
             _expect_fields(f, (5,), clicks_path, lineno, "click")
-            variant = _parse_enum(Variant, f[2], clicks_path, lineno, "variant")
+            variant = _VARIANTS.get(f[2]) or _parse_enum(Variant, f[2], clicks_path, lineno, "variant")
             rank = _parse_int(f[3], clicks_path, lineno, "rank")
             if rank < 1:
                 raise ParseError(clicks_path, lineno, f"click rank must be >= 1, got {rank}")
-            ts = _parse_int(f[4], clicks_path, lineno, "timestamp")
-            clicks.setdefault((f[0], f[1], variant), []).append(Click(rank=rank, ts=ts))
+            click = Click(rank, _parse_int(f[4], clicks_path, lineno, "timestamp"))
+            key = (f[0], f[1], variant)
+            entry = clicks.get(key)
+            if entry is None:
+                clicks[key] = (lineno, [click])
+            else:
+                entry[1].append(click)
 
     out = []
     seen = set()
     for lineno, f in _read_rows(sessions_path, "sessions", allow_headerless=True):
         _expect_fields(f, (5, 6), sessions_path, lineno, "session")
-        variant = _parse_enum(Variant, f[2], sessions_path, lineno, "variant")
+        variant = _VARIANTS.get(f[2]) or _parse_enum(Variant, f[2], sessions_path, lineno, "variant")
         key = (f[0], f[1], variant)
         if key in seen:
             raise ParseError(sessions_path, lineno, f"duplicate session {key!r}")
         seen.add(key)
-        satisfied = _parse_bool(f[5], sessions_path, lineno, "satisfied") if len(f) == 6 else None
-        session_clicks = tuple(sorted(clicks.pop(key, []), key=lambda c: (c.ts, c.rank)))
+        if len(f) == 5:
+            satisfied = None
+        elif f[5] in _BOOLS:
+            satisfied = _BOOLS[f[5]]
+        else:
+            satisfied = _parse_bool(f[5], sessions_path, lineno, "satisfied")
+        entry = clicks.pop(key, None)
+        session_clicks = () if entry is None else tuple(sorted(entry[1], key=_click_order))
         out.append(
             Session(
-                query_id=f[0], rater_id=f[1], variant=variant,
-                start_ts=_parse_int(f[3], sessions_path, lineno, "start_ts"),
-                end_ts=_parse_int(f[4], sessions_path, lineno, "end_ts"),
-                clicks=session_clicks, satisfied=satisfied,
+                f[0], f[1], variant,
+                _parse_int(f[3], sessions_path, lineno, "start_ts"),
+                _parse_int(f[4], sessions_path, lineno, "end_ts"),
+                session_clicks, satisfied,
             )
         )
     if clicks:
-        key = next(iter(clicks))
-        raise ParseError(clicks_path or sessions_path, 0, f"clicks reference unknown session {key!r}")
+        key, (lineno, _) = next(iter(clicks.items()))
+        raise ParseError(clicks_path or sessions_path, lineno, f"clicks reference unknown session {key!r}")
     return out
 
 
@@ -303,8 +356,7 @@ def _bool_str(value: Optional[bool]) -> str:
 def _write_file(path: Path, kind: str, rows: Iterable[Iterable[object]]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{HEADER_TAG}\t{SCHEMA_VERSION}\t{kind}\n")
-        for row in rows:
-            fh.write("\t".join(str(v) for v in row) + "\n")
+        fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
 
 
 def write_dataset(dataset: EvaluationDataset, root: Union[str, Path]) -> None:

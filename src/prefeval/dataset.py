@@ -48,7 +48,7 @@ class ValidationMode(str, Enum):
     LENIENT = "lenient"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     id: str
     text: str
@@ -57,7 +57,7 @@ class Query:
     query_type: QueryType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradedJudgment:
     """One rater's six-point grade (1 best) for one (query, result) pair."""
 
@@ -68,7 +68,7 @@ class GradedJudgment:
     snippet_relevant: Optional[bool] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedListPair:
     """The two competing ranked result lists for one query."""
 
@@ -80,7 +80,7 @@ class RankedListPair:
         return self.variant_a if which is Variant.A else self.variant_b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreferenceJudgment:
     """One rater's verdict for one query: variant A better, B better, or equal."""
 
@@ -89,13 +89,13 @@ class PreferenceJudgment:
     verdict: Verdict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Click:
     rank: int
     ts: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Session:
     """One rater's interaction log with a single result-list variant."""
 
@@ -131,13 +131,6 @@ class EvaluationDataset:
         for j in self.judgments:
             index.setdefault((j.query_id, j.result_id), {})[j.rater_id] = j.grade
         return index
-
-    @cached_property
-    def preferences_by_query(self) -> Mapping[str, tuple[PreferenceJudgment, ...]]:
-        index: dict[str, list[PreferenceJudgment]] = {}
-        for p in self.preferences:
-            index.setdefault(p.query_id, []).append(p)
-        return {qid: tuple(ps) for qid, ps in index.items()}
 
     @cached_property
     def sessions_by_query_variant(self) -> Mapping[tuple[str, Variant], tuple[Session, ...]]:
@@ -212,7 +205,8 @@ def validate(
         seen_queries.add(q.id)
 
     known = dataset.query_by_id
-    listed: dict[str, set[str]] = {}
+    listed: dict[str, set[str]] = {}  # results within the cut-off
+    ranked: dict[str, set[str]] = {}  # results at any rank in either variant
 
     seen_pairs: set[str] = set()
     for pair in dataset.list_pairs:
@@ -236,14 +230,13 @@ def validate(
                 )
             results.update(ranking[:max_cutoff])
         listed[pair.query_id] = results
+        ranked[pair.query_id] = set(pair.variant_a).union(pair.variant_b)
 
     judged: dict[tuple[str, str], set[str]] = {}
     for j in dataset.judgments:
         if j.query_id not in known:
             error("dangling-query", f"judgment references unknown query {j.query_id!r}")
-        elif j.query_id in listed and j.result_id not in set(
-            dataset.pair_by_query[j.query_id].variant_a
-        ) | set(dataset.pair_by_query[j.query_id].variant_b):
+        elif j.query_id in ranked and j.result_id not in ranked[j.query_id]:
             error(
                 "dangling-result",
                 f"judgment for query {j.query_id!r} references result {j.result_id!r}"

@@ -41,6 +41,20 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert ":4:" in err and "grade" in err
 
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_non_utf8_byte_exits_one_with_location(self, synth_dir, tmp_path, capsys, command):
+        path = synth_dir / FILE_NAMES["judgments"]
+        data = path.read_bytes()
+        path.write_bytes(data + b"\xff")
+        argv = [command, str(synth_dir)]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        line = data.count(b"\n") + 1
+        assert err.startswith(f"{path}:{line}: not valid UTF-8 (byte 0xff")
+        assert len(err.splitlines()) == 1
+
     def test_missing_judgment_strict_vs_lenient(self, synth_dir, capsys):
         path = synth_dir / FILE_NAMES["judgments"]
         lines = path.read_text().splitlines()

@@ -103,8 +103,21 @@ class TestParseRejections:
         path = tmp_path / FILE_NAMES["lists"]
         text = path.read_text().replace("q1\tA\t2\t", "q1\tA\t9\t")
         path.write_text(text)
-        with pytest.raises(ParseError, match="contiguous"):
+        with pytest.raises(ParseError, match="contiguous") as exc:
             load_dataset(tmp_path, max_cutoff=3)
+        assert exc.value.line == 2  # the first line of q1's variant A
+        assert f"{path}:2:" in str(exc.value)
+
+    def test_non_contiguous_ranks_report_the_offending_variant(self, tmp_path):
+        ds = binary_pair_dataset([("q1", 2, 1, Verdict.A), ("q2", 2, 1, Verdict.A)], list_len=3)
+        write_dataset(ds, tmp_path)
+        path = tmp_path / FILE_NAMES["lists"]
+        lines = path.read_text().splitlines()
+        first_b = lines.index("q2\tB\t1\tq2-b01") + 1
+        path.write_text(path.read_text().replace("q2\tB\t3\t", "q2\tB\t4\t"))
+        with pytest.raises(ParseError, match="'q2' variant B ranks are not contiguous") as exc:
+            load_dataset(tmp_path, max_cutoff=3)
+        assert exc.value.line == first_b
 
     def test_wrong_header_kind(self, tmp_path):
         ds = binary_pair_dataset([("q1", 2, 1, Verdict.A)], list_len=3)
@@ -135,10 +148,26 @@ class TestParseRejections:
         ds = dataclasses.replace(ds, sessions=(make_session(qid="q1"),))
         write_dataset(ds, tmp_path)
         path = tmp_path / FILE_NAMES["clicks"]
+        orphan_line = len(path.read_text().splitlines()) + 1
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("q1\tr1\tB\t1\t110\n")
-        with pytest.raises(ParseError, match="unknown session"):
+            fh.write("q1\tr1\tB\t2\t120\n")
+        with pytest.raises(ParseError, match="unknown session") as exc:
             load_dataset(tmp_path, max_cutoff=3)
+        assert exc.value.line == orphan_line  # the orphan session's first click
+        assert f"{path}:{orphan_line}:" in str(exc.value)
+
+    def test_non_utf8_byte_reports_its_line(self, tmp_path):
+        ds = binary_pair_dataset([("q1", 2, 1, Verdict.A)], list_len=3)
+        write_dataset(ds, tmp_path)
+        path = tmp_path / FILE_NAMES["judgments"]
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"q1-a02", b"q1-a\xff2")
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError, match="not valid UTF-8") as exc:
+            load_dataset(tmp_path, max_cutoff=3)
+        assert exc.value.line == 3
+        assert str(exc.value).startswith(f"{path}:3: not valid UTF-8 (byte 0xff at offset ")
 
 
 class TestAlternateIngest:
@@ -193,3 +222,125 @@ class TestLoadBehavior:
         alt.write_text((tmp_path / "a" / FILE_NAMES["preferences"]).read_text().replace("\tA", "\tB"))
         loaded = load_dataset(tmp_path / "a", preferences=alt, max_cutoff=3)
         assert loaded.preferences[0].verdict is Verdict.B
+
+
+def _rewrite(path: Path, edit) -> None:
+    """Apply ``edit`` to the file's text, with its line ends left untranslated."""
+    path.write_bytes(edit(path.read_bytes().decode("utf-8")).encode("utf-8"))
+
+
+def _blank_lines(text: str) -> str:
+    header, _, body = text.partition("\n")
+    padded = "\n\n   \n".join(body.split("\n"))
+    return f"{header}\n\t\n \t \n{padded}"
+
+
+def _in_records(edit):
+    """Apply ``edit`` to the text after the header line."""
+    def apply(text: str) -> str:
+        header, _, body = text.partition("\n")
+        return f"{header}\n{edit(body)}"
+    return apply
+
+
+def _headerless(text: str) -> str:
+    body = text.split("\n", 1)[1]
+    return "\n".join(" \t ".join(line.split("\t")) if i % 2 else "  ".join(line.split("\t"))
+                     for i, line in enumerate(body.split("\n")))
+
+
+class TestParserEquivalence:
+    """The same records in other spellings load exactly as the canonical files do.
+
+    Each case rewrites the bytes of a canonically written dataset.  Accepted
+    spellings must load ``==`` to the written dataset; rejected ones must
+    raise the same error, word for word, as the canonical-format reader.
+    """
+
+    @pytest.fixture
+    def data(self, tmp_path, round_trip_dataset):
+        write_dataset(round_trip_dataset, tmp_path)
+        assert round_trip_dataset.sessions and any(s.clicks for s in round_trip_dataset.sessions)
+        return tmp_path
+
+    ALL = tuple(FILE_NAMES)
+    HEADERLESS_OK = ("judgments", "lists", "preferences", "sessions", "clicks")
+
+    @pytest.mark.parametrize("kinds, edit", [
+        (ALL, lambda t: t.replace("\n", "\r\n")),
+        (ALL, lambda t: t.replace("\n", "\r")),
+        (ALL, lambda t: t[:-1]),
+        (ALL, lambda t: t.replace("\n", "\r\n")[:-2]),
+        (ALL, _blank_lines),
+        (HEADERLESS_OK, _headerless),
+        (HEADERLESS_OK, lambda t: _headerless(t).replace("\n", "\r\n")),
+    ], ids=["crlf", "cr", "no-final-newline", "crlf-no-final-newline", "blank-lines",
+            "headerless-whitespace", "headerless-crlf"])
+    def test_accepted_spellings_load_equal(self, data, round_trip_dataset, kinds, edit):
+        for kind in kinds:
+            _rewrite(data / FILE_NAMES[kind], edit)
+        assert load_dataset(data) == round_trip_dataset
+
+    @pytest.mark.parametrize("spelling", ["0{}", " {}", "{} ", "+{}", "00{}", "٠{}"])
+    def test_grade_spellings_outside_the_fast_table(self, data, round_trip_dataset, spelling):
+        def respell(text):
+            lines = text.split("\n")
+            for i in range(1, len(lines) - 1):
+                fields = lines[i].split("\t")
+                fields[3] = spelling.format(fields[3])
+                lines[i] = "\t".join(fields)
+            return "\n".join(lines)
+
+        _rewrite(data / FILE_NAMES["judgments"], respell)
+        assert load_dataset(data) == round_trip_dataset
+
+    @pytest.mark.parametrize("content", ["", f"#prefeval\t1\t{{kind}}\n", "\n \n"])
+    def test_empty_optional_files(self, data, round_trip_dataset, content):
+        for kind in ("preferences", "sessions", "clicks"):
+            (data / FILE_NAMES[kind]).write_text(content.format(kind=kind), encoding="utf-8")
+        want = dataclasses.replace(round_trip_dataset, preferences=(), sessions=())
+        assert load_dataset(data) == want
+
+    def test_empty_queries_file_holds_no_queries(self, data):
+        (data / FILE_NAMES["queries"]).write_bytes(b"")
+        with pytest.raises(ValidationError, match="list pair references unknown query"):
+            load_dataset(data)
+
+    def test_separators_that_do_not_end_a_line(self, tmp_path, round_trip_dataset):
+        # str.splitlines() would split at each of these; a record file ends lines at LF and CR only
+        query = dataclasses.replace(round_trip_dataset.queries[0],
+                                    text="a\x0bb\x0cc\x1cd\x85e\u2028f g")
+        ds = dataclasses.replace(round_trip_dataset,
+                                 queries=(query,) + round_trip_dataset.queries[1:])
+        write_dataset(ds, tmp_path)
+        assert load_dataset(tmp_path) == ds
+
+    @pytest.mark.parametrize("kind, edit, line, message", [
+        ("judgments", lambda t: _blank_lines(t).replace("\t3\t", "\t7\t", 1), None,
+         "grade must be 1..6, got 7"),
+        ("judgments", lambda t: t.replace("\t3\t", "\t3.0\t", 1), None,
+         "grade must be an integer, got '3.0'"),
+        ("preferences", lambda t: t.replace("\n", "\r\n").replace("\tA\r", "\tMAYBE\r", 1), None,
+         "verdict must be one of A/B/EQUAL, got 'MAYBE'"),
+        ("queries", lambda t: t.split("\n", 1)[1], 1,
+         "missing '#prefeval\t1\tqueries' header"),
+        ("queries", _in_records(lambda body: body.replace("\t", "\r", 1)), 2,
+         "query record needs 5 fields, got 1"),
+        ("judgments", _in_records(lambda body: body.replace("\t", "  ", 2)), 2,
+         "judgment record needs 4 or 5 fields, got 3"),
+        ("sessions", lambda t: _blank_lines(_headerless(t)).replace(" A ", " C ", 1), None,
+         "variant must be one of A/B, got 'C'"),
+    ], ids=["blank-lines-bad-grade", "decimal-grade", "crlf-bad-verdict", "headerless-queries",
+            "cr-splits-a-record", "headered-file-splits-on-tabs", "headerless-bad-variant"])
+    def test_rejections_are_unchanged(self, data, kind, edit, line, message):
+        path = data / FILE_NAMES[kind]
+        _rewrite(path, edit)
+        if line is None:  # the first physical line that carries the bad value
+            bad = message.rsplit(" ", 1)[1].strip("'")
+            text = path.read_bytes().decode("utf-8").replace("\r\n", "\n")
+            line = next(i for i, raw in enumerate(text.split("\n"), start=1)
+                        if bad in raw.replace("\t", " ").split(" "))
+        with pytest.raises(ParseError) as exc:
+            load_dataset(data)
+        assert str(exc.value) == f"{path}:{line}: {message}"
+        assert exc.value.line == line

@@ -1,10 +1,14 @@
 import dataclasses
+import pickle
 
 import pytest
 
 from conftest import binary_pair_dataset, make_query, make_session
+from prefeval.data_io import load_dataset, write_dataset
 from prefeval.dataset import (
+    Click,
     GradedJudgment,
+    PreferenceJudgment,
     RankedListPair,
     ValidationMode,
     Verdict,
@@ -153,3 +157,49 @@ class TestListLength:
         ds = dataclasses.replace(well_formed, list_pairs=(short,) + well_formed.list_pairs[1:])
         assert "short-list" in kinds(validate(ds, STRICT))
         assert "short-list" not in kinds(validate(ds, STRICT, max_cutoff=4))
+
+
+RECORDS = [
+    make_query("q1"),
+    GradedJudgment(query_id="q1", result_id="d1", rater_id="r1", grade=2, snippet_relevant=True),
+    RankedListPair(query_id="q1", variant_a=("d1", "d2"), variant_b=("d2", "d1")),
+    PreferenceJudgment(query_id="q1", rater_id="r1", verdict=Verdict.A),
+    Click(rank=1, ts=110),
+    make_session(click_ranks_ts=((1, 110),), satisfied=False),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+class TestRecordTypes:
+    def test_frozen_and_slotted(self, record):
+        name = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+        assert not hasattr(record, "__dict__")
+
+    def test_equal_copies_hash_and_compare_equal(self, record):
+        copy = dataclasses.replace(record)
+        assert copy == record and copy is not record
+        assert hash(copy) == hash(record)
+        assert len({record, copy}) == 1
+
+    def test_replace_changes_one_field(self, record):
+        field = dataclasses.fields(record)[0]
+        value = getattr(record, field.name)
+        changed = dataclasses.replace(record, **{field.name: value + value})
+        assert changed != record
+        assert getattr(changed, field.name) == value + value
+        assert dataclasses.replace(changed, **{field.name: value}) == record
+
+    def test_pickle_round_trip(self, record):
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_loaded_dataset_pickles_equal(tmp_path, well_formed):
+    write_dataset(well_formed, tmp_path)
+    loaded = load_dataset(tmp_path)
+    assert loaded.grades and loaded.pair_by_query  # filled caches travel too
+    restored = pickle.loads(pickle.dumps(loaded))
+    assert restored == loaded == well_formed
+    assert restored.grades == loaded.grades
+    assert validate(restored, STRICT) == validate(loaded, STRICT)
