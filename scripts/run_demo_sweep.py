@@ -20,7 +20,6 @@ def run(argv=None) -> int:
     parser.add_argument("--raters", type=int, default=5)
     parser.add_argument("--preferences", type=int, default=120)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     work = Path(args.workdir)
@@ -32,7 +31,7 @@ def run(argv=None) -> int:
          "--raters", str(args.raters), "--preferences", str(args.preferences),
          "--seed", str(args.seed)],
         ["validate", str(data)],
-        ["sweep", str(data), "--out", str(sweep), "--jobs", str(args.jobs), "--plot"],
+        ["sweep", str(data), "--out", str(sweep), "--plot"],
         ["breakdown", str(data), "--metric", "ndcg", "--threshold", "0.01",
          "--series", str(work / "ndcg_breakdown_series.tsv")],
         ["implicit", str(data), "--measure", "mean-click-rank",

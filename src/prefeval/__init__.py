@@ -19,7 +19,7 @@ from .dataset import (
     validate,
 )
 from .metrics import ApNorm, ExcludedQuery
-from .pir import PirCell, PirGrid, best_threshold, detailed_breakdown, pir, pir_sweep, pref
+from .pir import PirCell, PirGrid, pir, pir_sweep, pref
 from .scales import DiscountFunction, DiscountKind, RelevanceScale, conflate, grade_to_unit
 from .synth import SynthSpec, generate_synthetic
 
@@ -49,9 +49,7 @@ __all__ = [
     "ValidationReport",
     "Variant",
     "Verdict",
-    "best_threshold",
     "conflate",
-    "detailed_breakdown",
     "generate_synthetic",
     "grade_to_unit",
     "pir",

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import plotsvg
 from .config import Metric, MetricConfig, RatingSource
-from .data_io import ParseError, load_dataset, write_dataset
+from .data_io import ParseError, load_dataset, read_dataset, write_dataset
 from .dataset import QueryType, ValidationError, ValidationMode, Variant, validate
 from .implicit import (
     DEFAULT_THRESHOLD_GRIDS,
@@ -26,9 +26,9 @@ from .implicit import (
     implicit_pir,
 )
 from .metrics import ApNorm, ExcludedQuery, mean_over_queries
-from .pir import CATEGORIES, DEFAULT_THRESHOLDS, breakdown_series, pir_sweep
+from .pir import CATEGORIES, DEFAULT_THRESHOLDS, best_cell, breakdown_series, pir_sweep
 from .scales import DiscountFunction, DiscountKind, RelevanceScale, load_click_weights
-from .scoring import MissingJudgment, consensus_lists, metric_score
+from .scoring import MissingJudgment, judged_lists, metric_score
 from .synth import SynthSpec, generate_synthetic
 
 EXIT_OK = 0
@@ -153,12 +153,8 @@ def _write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence[obje
 def cmd_validate(args) -> int:
     mode = ValidationMode.LENIENT if args.lenient else ValidationMode.STRICT
     try:
-        dataset = load_dataset(args.dataset, mode=ValidationMode.LENIENT,
-                               max_cutoff=args.max_cutoff)
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INVALID
-    except (ValidationError, FileNotFoundError) as exc:
+        dataset = read_dataset(args.dataset)
+    except (ParseError, FileNotFoundError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_INVALID
     report = validate(dataset, mode=mode, max_cutoff=args.max_cutoff)
@@ -184,9 +180,7 @@ def cmd_eval(args) -> int:
         if config.query_filter is not None:
             if dataset.query_by_id[pair.query_id].query_type not in config.query_filter:
                 continue
-        rels_a, rels_b, pool = consensus_lists(
-            dataset, pair.query_id, config.scale, config.cutoff, args.lenient
-        )
+        rels_a, rels_b, pool = judged_lists(dataset, pair.query_id, None, config, args.lenient)
         try:
             score_a = metric_score(rels_a, pool, config)
             score_b = metric_score(rels_b, pool, config)
@@ -228,8 +222,7 @@ def cmd_sweep(args) -> int:
                 _build_config(args, metric, _discount(kind, args.click_weights), cutoffs[0])
             )
 
-    grid = pir_sweep(dataset, configs, thresholds, cutoffs,
-                     lenient=args.lenient, jobs=args.jobs)
+    grid = pir_sweep(dataset, configs, thresholds, cutoffs, lenient=args.lenient)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -363,8 +356,8 @@ def cmd_implicit(args) -> int:
     print("threshold\tpir")
     for cell in series.cells:
         print(f"{cell.threshold:.4f}\t{_fmt(cell.pir)}")
-    t_star, pir_star = series.best_threshold()
-    print(f"best\t{t_star:.4f} -> {_fmt(pir_star)}")
+    best = best_cell(series.cells)
+    print(f"best\t{best.threshold:.4f} -> {_fmt(best.pir)}")
     if series.excluded_queries:
         print(f"excluded queries: {series.excluded_queries}", file=sys.stderr)
     if args.out:
@@ -452,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start:stop:step or comma list (default 0:0.30:0.01)")
     p.add_argument("--cutoffs", default="1-10", help="lo-hi or comma list (default 1-10)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel row evaluation")
     p.add_argument("--plot", action="store_true", help="also write SVG line charts")
     p.set_defaults(handler=cmd_sweep)
 

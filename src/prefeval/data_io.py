@@ -13,8 +13,9 @@ record kind:
 
 Files are UTF-8 text, and CR LF or CR line ends read as LF.  Booleans
 are written ``true``/``false`` with ``-`` for absent optional values.
-Judgment, session and click files are also accepted headerless with any
-whitespace as separator, for quick hand-built fixtures.  Files are
+Judgment, list, preference, session and click files are also accepted
+headerless with any whitespace as separator, for quick hand-built
+fixtures; the queries file always needs its header.  Files are
 written in a canonical sort order, so write -> load -> write is
 byte-stable.
 """
@@ -290,7 +291,7 @@ def read_sessions(sessions_path: Path, clicks_path: Optional[Path]) -> list[Sess
     return out
 
 
-def load_dataset(
+def read_dataset(
     root: Union[str, Path, None] = None,
     *,
     queries: Union[str, Path, None] = None,
@@ -299,15 +300,13 @@ def load_dataset(
     preferences: Union[str, Path, None] = None,
     sessions: Union[str, Path, None] = None,
     clicks: Union[str, Path, None] = None,
-    mode: ValidationMode = ValidationMode.STRICT,
-    max_cutoff: int = MAX_CUTOFF_DEFAULT,
 ) -> EvaluationDataset:
-    """Load and validate a dataset from a directory or explicit file paths.
+    """Parse a dataset from a directory or explicit file paths, without validating it.
 
     Paths not given explicitly default to the standard names under
     ``root``.  Preference, session and click files may be absent; query,
     judgment and list files must exist.  Raises ParseError for malformed
-    files and ValidationError when validation fails in the given mode.
+    files.
     """
 
     def resolve(explicit, kind: str, required: bool) -> Optional[Path]:
@@ -334,13 +333,34 @@ def load_dataset(
     sessions_path = resolve(sessions, "sessions", required=False)
     clicks_path = resolve(clicks, "clicks", required=False)
 
-    dataset = EvaluationDataset(
+    return EvaluationDataset(
         queries=tuple(read_queries(queries_path)),
         judgments=tuple(read_judgments(judgments_path)),
         list_pairs=tuple(read_list_pairs(lists_path)),
         preferences=tuple(read_preferences(preferences_path)) if preferences_path else (),
         sessions=tuple(read_sessions(sessions_path, clicks_path)) if sessions_path else (),
     )
+
+
+def load_dataset(
+    root: Union[str, Path, None] = None,
+    *,
+    queries: Union[str, Path, None] = None,
+    judgments: Union[str, Path, None] = None,
+    lists: Union[str, Path, None] = None,
+    preferences: Union[str, Path, None] = None,
+    sessions: Union[str, Path, None] = None,
+    clicks: Union[str, Path, None] = None,
+    mode: ValidationMode = ValidationMode.STRICT,
+    max_cutoff: int = MAX_CUTOFF_DEFAULT,
+) -> EvaluationDataset:
+    """:func:`read_dataset`, then validation in the given mode.
+
+    Raises ParseError for malformed files and ValidationError when
+    validation fails in the given mode.
+    """
+    dataset = read_dataset(root, queries=queries, judgments=judgments, lists=lists,
+                           preferences=preferences, sessions=sessions, clicks=clicks)
     report = validate(dataset, mode=mode, max_cutoff=max_cutoff)
     if not report.ok:
         raise ValidationError(report)

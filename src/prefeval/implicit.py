@@ -120,13 +120,6 @@ class ImplicitSeries:
     cells: tuple[PirCell, ...]
     excluded_queries: int
 
-    def best_threshold(self) -> tuple[float, float]:
-        best = self.cells[0]
-        for cell in self.cells[1:]:
-            if cell.pir > best.pir:
-                best = cell
-        return best.threshold, best.pir
-
 
 def variant_score(
     dataset: EvaluationDataset,

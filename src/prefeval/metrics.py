@@ -52,35 +52,20 @@ def precision_at(
     rels: Sequence[float],
     c: int,
     discount: Optional[DiscountFunction] = None,
-    relevant_threshold: Optional[float] = None,
 ) -> float:
     """Mean (optionally discounted) relevance of the top ``c`` results.
 
     With binary input this is the classical fraction of relevant results.
-    ``relevant_threshold`` binarizes graded input first: values strictly
-    above it count 1, the rest 0.
     """
     _check_cutoff(rels, c)
     weights = discount.weights(c) if discount is not None else None
     terms = []
     for i in range(c):
         rel = rels[i]
-        if relevant_threshold is not None:
-            rel = 1.0 if rel > relevant_threshold else 0.0
         if weights is not None:
             rel *= weights[i]
         terms.append(rel)
     return math.fsum(terms) / c
-
-
-def cumulated_gain(rels: Sequence[float], c: int) -> float:
-    """Plain sum of relevance over the top ``c`` results.
-
-    Summed exactly (one final rounding), so permutations of the same
-    relevance values always cumulate to the identical float.
-    """
-    _check_cutoff(rels, c)
-    return math.fsum(rels[:c])
 
 
 def dcg(rels: Sequence[float], c: int, discount: DiscountFunction) -> float:

@@ -6,7 +6,7 @@ state no preference, compare each score difference against the threshold
 with explicit branches, and sum agreement integers.  It shares only the
 per-pair metric scoring substrate with the engine (that substrate is
 pinned separately against published worked examples); everything the
-sweep engine adds on top (caching, grids, category counting, threading)
+sweep engine adds on top (caching, grids, category counting)
 is recomputed here from scratch, so grid cells can be required to match
 exactly, not approximately.
 """

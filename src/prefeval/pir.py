@@ -16,7 +16,6 @@ either way) but are tracked in the five-category breakdown.
 from __future__ import annotations
 
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -176,6 +175,15 @@ def pir_cells(pairs: Sequence[ScoredPair], thresholds: Sequence[float]) -> tuple
     return tuple(cells)
 
 
+def best_cell(cells: Sequence[PirCell]) -> PirCell:
+    """The first cell of maximal PIR, so on an increasing grid ties go to the lowest t."""
+    best = cells[0]
+    for cell in cells[1:]:
+        if cell.pir > best.pir:
+            best = cell
+    return best
+
+
 def score_pairs(
     dataset: EvaluationDataset,
     config: MetricConfig,
@@ -203,10 +211,7 @@ class PirRow:
 
     def best_threshold(self) -> tuple[float, float]:
         """(threshold, PIR) of the maximal cell, ties broken toward the lowest t."""
-        best = self.cells[0]
-        for cell in self.cells[1:]:
-            if cell.pir > best.pir:
-                best = cell
+        best = best_cell(self.cells)
         return best.threshold, best.pir
 
 
@@ -244,7 +249,6 @@ def pir_sweep(
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
     cutoffs: Sequence[int] = DEFAULT_CUTOFFS,
     lenient: bool = False,
-    jobs: int = 1,
 ) -> PirGrid:
     """Evaluate every configuration over the full (cut-off, threshold) grid.
 
@@ -258,10 +262,6 @@ def pir_sweep(
     - a row (config, cut-off) scores each verdict of its table once;
     - :func:`pir_cells` sorts the row's score differences once and counts
       each threshold cell by bisection.
-
-    Rows are independent; with ``jobs`` > 1 they are computed in a thread
-    pool.  Aggregation is exact integer counting, so the output does not
-    depend on evaluation order.
     """
     _check_thresholds(thresholds)
     configs = tuple(configs)
@@ -281,42 +281,18 @@ def pir_sweep(
         if scope(config) not in tables:
             tables[scope(config)] = resolve_preferences(dataset, config, cutoffs, lenient)
 
-    def run(row: tuple[MetricConfig, MetricConfig]) -> tuple[tuple[str, int], PirRow]:
-        config, at = row
+    results = {}
+    for config, at in rows:
         pairs, excluded = score_resolved(tables[scope(config)], at)
-        pir_row = PirRow(config=at, thresholds=tuple(thresholds),
-                         cells=pir_cells(pairs, thresholds), excluded_pairs=excluded)
-        return (config.label(), at.cutoff), pir_row
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, rows))
-    else:
-        results = [run(row) for row in rows]
+        results[(config.label(), at.cutoff)] = PirRow(
+            config=at, thresholds=tuple(thresholds),
+            cells=pir_cells(pairs, thresholds), excluded_pairs=excluded)
     return PirGrid(
         configs=configs,
         cutoffs=cutoffs,
         thresholds=tuple(thresholds),
-        rows=dict(results),
+        rows=results,
     )
-
-
-def best_threshold(
-    grid: PirGrid, config: Union[MetricConfig, str], cutoff: int
-) -> tuple[float, float]:
-    """Best-performing threshold of one grid row; ties go to the lowest t."""
-    return grid.row(config, cutoff).best_threshold()
-
-
-def detailed_breakdown(
-    dataset: EvaluationDataset,
-    config: MetricConfig,
-    t: float,
-    lenient: bool = False,
-) -> tuple[PirCell, int]:
-    """Five-category outcome cell at one threshold, plus the excluded-pair count."""
-    pairs, excluded = score_pairs(dataset, config, lenient)
-    return pir(pairs, t), excluded
 
 
 def breakdown_series(

@@ -157,8 +157,7 @@ class DiscountFunction:
         """Weights of ranks 1..``c`` (at least), computed once per instance.
 
         Entry ``i`` is ``weight(i + 1)``; the table may be longer than
-        ``c``.  Threads that extend it at once may each store their own
-        table, which costs a recomputation, never a wrong weight.
+        ``c``.
         """
         table = self.__dict__.get("_weights", ())
         if len(table) < c:
@@ -198,11 +197,6 @@ class DiscountFunction:
         if weights is None:
             weights = EXAMPLE_CLICK_WEIGHTS
         return cls(DiscountKind.CLICK_BASED, weights)
-
-
-def discount_weight(f: DiscountFunction, rank: int) -> float:
-    """Functional form of :meth:`DiscountFunction.weight`."""
-    return f.weight(rank)
 
 
 def load_click_weights(path) -> dict[int, float]:

@@ -1,11 +1,12 @@
 """Turns dataset grades into judged relevance lists and metric scores.
 
 This is the substrate both the sweep engine and the reference oracle
-build on: per-result unit relevance under a scale and rating source, the
-two judged lists of a query truncated to the cut-off, the judged pool for
-normalization, and the single-list metric dispatch.  The sweep engine
-resolves each verdict's lists once for all cut-offs
-(:func:`resolve_preferences`) and scores every row from that table.
+build on: per-result unit relevance under a scale and rating source (or,
+with no preference rater, the mean over all raters), the two judged lists
+of a query truncated to the cut-off, the judged pool for normalization,
+and the single-list metric dispatch.  The sweep engine resolves each
+verdict's lists once for all cut-offs (:func:`resolve_preferences`) and
+scores every row from that table.
 """
 
 from __future__ import annotations
@@ -35,16 +36,18 @@ def unit_relevance(
     result_id: str,
     scale: RelevanceScale,
     source: RatingSource,
-    rater_id: str,
+    rater_id: Optional[str],
     lenient: bool = False,
 ) -> float:
     """Unit relevance of one result as seen by one preference rater.
 
     Grades are conflated onto the scale per rater first; OTHER_USERS then
-    averages the conflated values of all raters except ``rater_id``.
+    averages the conflated values of all raters except ``rater_id``.  With
+    no rater (``None``) there is no one to single out, and every source
+    averages over all raters.
     """
     grades = dataset.grades.get((query_id, result_id), {})
-    if source is RatingSource.SAME_USER:
+    if source is RatingSource.SAME_USER and rater_id is not None:
         grade = grades.get(rater_id)
         if grade is None:
             if lenient:
@@ -57,6 +60,8 @@ def unit_relevance(
     if not others:
         if lenient:
             return 0.0
+        if rater_id is None:
+            raise MissingJudgment(f"({query_id!r}, {result_id!r}) has no judgment")
         raise MissingJudgment(
             f"no rater besides {rater_id!r} judged ({query_id!r}, {result_id!r})"
         )
@@ -66,16 +71,19 @@ def unit_relevance(
 def judged_lists(
     dataset: EvaluationDataset,
     query_id: str,
-    rater_id: str,
+    rater_id: Optional[str],
     config: MetricConfig,
     lenient: bool = False,
 ) -> tuple[list[float], list[float], list[float]]:
     """Relevance lists of both variants at the configured cut-off, plus the pool.
 
-    The pool holds the unit relevance of every distinct result visible in
-    either variant's top ``config.cutoff``, in first-occurrence order; it
-    feeds NDCG normalization and the known-relevant count of classical
-    AP.  Each distinct result is looked up once.
+    Relevance is as :func:`unit_relevance` gives it for ``rater_id``; a
+    ``rater_id`` of ``None`` gives the mean over all raters, as plain
+    metric tables use it.  The pool holds the unit relevance of every
+    distinct result visible in either variant's top ``config.cutoff``, in
+    first-occurrence order; it feeds NDCG normalization and the
+    known-relevant count of classical AP.  Each distinct result is looked
+    up once.
     """
     pair = dataset.pair_by_query[query_id]
     top_a = pair.variant_a[: config.cutoff]
@@ -224,34 +232,3 @@ def score_resolved(
         except ExcludedQuery:
             excluded += 1
     return pairs, excluded
-
-
-def consensus_lists(
-    dataset: EvaluationDataset,
-    query_id: str,
-    scale: RelevanceScale,
-    cutoff: int,
-    lenient: bool = False,
-) -> tuple[list[float], list[float], list[float]]:
-    """Judged lists without a rater context: mean over all raters per result.
-
-    Used by plain metric tables, where no preference rater singles out a
-    rating source.
-    """
-    pair = dataset.pair_by_query[query_id]
-    top_a = pair.variant_a[:cutoff]
-    top_b = pair.variant_b[:cutoff]
-
-    def rel(result_id: str) -> float:
-        grades = dataset.grades.get((query_id, result_id), {})
-        values = [conflate(g, scale) for g in grades.values()]
-        if not values:
-            if lenient:
-                return 0.0
-            raise MissingJudgment(f"({query_id!r}, {result_id!r}) has no judgment")
-        return sum(values) / len(values)
-
-    rels_a = [rel(rid) for rid in top_a]
-    rels_b = [rel(rid) for rid in top_b]
-    pool = [rel(rid) for rid in dict.fromkeys((*top_a, *top_b))]
-    return rels_a, rels_b, pool

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,14 +9,35 @@ import pytest
 
 import prefeval
 from conftest import make_session
+from prefeval import cli, data_io, scoring
 from prefeval.cli import main
 from prefeval.config import Metric, MetricConfig
 from prefeval.data_io import FILE_NAMES, load_dataset, write_dataset
-from prefeval.dataset import Variant
+from prefeval.dataset import ValidationMode, Variant
 from prefeval.metrics import esl
 from prefeval.scales import DiscountFunction
-from prefeval.scoring import consensus_lists
+from prefeval.scoring import judged_lists
 from prefeval.synth import SynthSpec, generate_synthetic
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# `eval --metric ndcg --cutoff 5` on the synth_dir dataset (three raters)
+EVAL_NDCG_C5 = (
+    "query\tA\tB\n"
+    "q001\t0.6705\t0.4923\n"
+    "q002\t0.7094\t0.4753\n"
+    "q003\t0.8849\t0.6033\n"
+    "q004\t0.9152\t0.6882\n"
+    "q005\t0.7888\t0.5634\n"
+    "q006\t0.8239\t0.7419\n"
+    "q007\t0.8504\t0.6927\n"
+    "q008\t0.7871\t0.7432\n"
+    "mean\t0.8038\t0.6251\n"
+)
+# the same with every judgment of q001's top variant-A result removed, --lenient
+EVAL_NDCG_C5_LENIENT_GAP = EVAL_NDCG_C5.replace(
+    "q001\t0.6705\t0.4923", "q001\t0.3993\t0.5253"
+).replace("mean\t0.8038\t0.6251", "mean\t0.7699\t0.6292")
 
 
 @pytest.fixture
@@ -66,6 +88,33 @@ class TestValidateCommand:
         assert main(["validate", str(synth_dir), "--lenient"]) == 0
         assert "warning" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", list(ValidationMode))
+    def test_validates_once_in_requested_mode(self, synth_dir, monkeypatch, mode):
+        modes = []
+        original = data_io.validate
+
+        def counted(*args, **kwargs):
+            report = original(*args, **kwargs)
+            modes.append(report.mode)
+            return report
+
+        monkeypatch.setattr(cli, "validate", counted)
+        monkeypatch.setattr(data_io, "validate", counted)
+        lenient = ["--lenient"] if mode is ValidationMode.LENIENT else []
+        assert main(["validate", str(synth_dir), *lenient]) == 0
+        assert modes == [mode]
+
+    def test_structural_error_lists_issue_and_summary(self, synth_dir, capsys):
+        path = synth_dir / FILE_NAMES["queries"]
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines, lines[1]]) + "\n")
+        capsys.readouterr()
+        for lenient in ([], ["--lenient"]):
+            assert main(["validate", str(synth_dir), *lenient]) == 1
+            out, err = capsys.readouterr()
+            assert err == "error: duplicate-query: query 'q001' defined more than once\n"
+            assert out.rstrip().endswith("errors=1 warnings=0")
+
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -105,11 +154,49 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         ds = load_dataset(synth_dir)
         first = ds.list_pairs[0]
-        rels_a, _, _ = consensus_lists(ds, first.query_id, MetricConfig(
-            Metric.ESL, DiscountFunction.rank(), esl_n=2.5).scale, 10)
+        rels_a, _, _ = judged_lists(ds, first.query_id, None, MetricConfig(
+            Metric.ESL, DiscountFunction.rank(), esl_n=2.5))
         want = esl(rels_a, 10, DiscountFunction.rank(), n=2.5)
         got = out.splitlines()[1].split("\t")[1]
         assert got == f"{want:.4f}"  # the CLI prints the module value verbatim
+
+    @pytest.mark.parametrize("lenient", [[], ["--lenient"]])
+    def test_multi_rater_table_is_pinned(self, synth_dir, capsys, lenient):
+        capsys.readouterr()
+        assert main(["eval", str(synth_dir), "--metric", "ndcg", "--cutoff", "5", *lenient]) == 0
+        assert capsys.readouterr() == (EVAL_NDCG_C5, "")
+
+    def test_unjudged_result_strict_vs_lenient_is_pinned(self, synth_dir, capsys):
+        victim = load_dataset(synth_dir).list_pairs[0].variant_a[0]
+        path = synth_dir / FILE_NAMES["judgments"]
+        lines = path.read_text().splitlines()
+        path.write_text("".join(f"{line}\n" for line in lines if line.split("\t")[1] != victim))
+        argv = ["eval", str(synth_dir), "--metric", "ndcg", "--cutoff", "5"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", (
+            "dataset validation failed:\n"
+            f"error: missing-judgment: result {victim!r} of query 'q001' appears at rank <= 5"
+            " but has no judgment\n"
+        ))
+        assert main([*argv, "--lenient"]) == 0
+        assert capsys.readouterr() == (EVAL_NDCG_C5_LENIENT_GAP, "")
+
+    def test_looks_up_each_distinct_result_once(self, synth_dir, monkeypatch):
+        calls = []
+        original = scoring.unit_relevance
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scoring, "unit_relevance", counted)
+        assert main(["eval", str(synth_dir), "--metric", "ndcg", "--cutoff", "5"]) == 0
+        assert calls == [
+            (pair.query_id, rid)
+            for pair in load_dataset(synth_dir).list_pairs
+            for rid in dict.fromkeys((*pair.variant_a[:5], *pair.variant_b[:5]))
+        ]
 
     def test_no_preferences_needed_for_eval(self, tmp_path, two_query_map_dataset, capsys):
         ds = dataclasses.replace(two_query_map_dataset, preferences=())
@@ -160,14 +247,6 @@ class TestSweepCommand:
         assert len(counts) == 6
         body = counts[0].read_text().splitlines()
         assert len(body) == 1 + 10 * 31
-
-    def test_parallel_sweep_is_byte_identical(self, synth_dir, tmp_path):
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        assert main(["sweep", str(synth_dir), "--out", str(serial), "--cutoffs", "1-4"]) == 0
-        assert main(["sweep", str(synth_dir), "--out", str(parallel), "--cutoffs", "1-4",
-                     "--jobs", "4"]) == 0
-        for path in sorted(serial.iterdir()):
-            assert path.read_bytes() == (parallel / path.name).read_bytes()
 
     def test_plot_flag_writes_svg(self, synth_dir, tmp_path):
         out = tmp_path / "sweep"
@@ -331,3 +410,15 @@ class TestSessionsInCli:
         )
         write_dataset(ds, tmp_path)
         assert load_dataset(tmp_path) == ds
+
+
+class TestDemoScript:
+    def test_runs_end_to_end(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("run_demo_sweep",
+                                                      SCRIPTS / "run_demo_sweep.py")
+        demo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(demo)
+        work = tmp_path / "demo"
+        assert demo.run(["--workdir", str(work), "--queries", "6", "--raters", "3",
+                         "--preferences", "12", "--seed", "3"]) == 0
+        assert (work / "sweep" / "best_threshold_pir.svg").exists()

@@ -14,9 +14,7 @@ from prefeval.pir import (
     DEFAULT_CUTOFFS,
     DEFAULT_THRESHOLDS,
     PirRow,
-    best_threshold,
     breakdown_series,
-    detailed_breakdown,
     pir,
     pir_cells,
     pir_sweep,
@@ -164,7 +162,7 @@ class TestDetailedBreakdown:
         assert cell.shares()["correct_equal"] == 1
 
     def test_worked_example_categories_at_zero(self, sample_pir_dataset):
-        cell, excluded = detailed_breakdown(sample_pir_dataset, PRECISION_NONE, 0.0)
+        (cell,), excluded = breakdown_series(sample_pir_dataset, PRECISION_NONE, (0.0,))
         assert excluded == 0
         assert cell.counts() == {
             "correct_pref": 3,
@@ -176,7 +174,8 @@ class TestDetailedBreakdown:
         assert sum(cell.shares().values()) == Fraction(1)
 
     def test_threshold_above_every_diff(self, sample_pir_dataset):
-        cell, _ = detailed_breakdown(sample_pir_dataset, PRECISION_NONE, 0.9)
+        pairs, _ = score_pairs(sample_pir_dataset, PRECISION_NONE)
+        cell = pir(pairs, 0.9)
         assert cell.correct_pref == cell.false_pref == cell.reversed_pref == 0
         assert cell.correct_equal == 1
         assert cell.missed_pref == 4
@@ -248,7 +247,7 @@ class TestSweep:
                          thresholds=(0.0, 0.15, 0.35), cutoffs=(10,))
         row = grid.row(PRECISION_NONE, 10)
         assert [cell.pir for cell in row.cells] == [0.75, 0.875, 0.625]
-        assert best_threshold(grid, PRECISION_NONE, 10) == (0.15, 0.875)
+        assert row.best_threshold() == (0.15, 0.875)
 
     def test_single_query_cells_are_coarse(self):
         ds = binary_pair_dataset([("q1", 5, 2, Verdict.A)], list_len=10)
@@ -278,13 +277,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             pir_sweep(sample_pir_dataset, [PRECISION_NONE, PRECISION_NONE],
                       thresholds=(0.0,), cutoffs=(1,))
-
-    def test_parallel_equals_serial(self):
-        ds = generate_synthetic(SynthSpec(n_queries=6, n_raters=3, seed=9, n_preferences=12))
-        configs = [PRECISION_NONE, MetricConfig(Metric.ERR, DiscountFunction.rank())]
-        serial = pir_sweep(ds, configs, jobs=1)
-        parallel = pir_sweep(ds, configs, jobs=4)
-        assert serial == parallel
 
 
 class TestOracle:

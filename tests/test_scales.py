@@ -8,7 +8,6 @@ from prefeval.scales import (
     DiscountKind,
     RelevanceScale,
     conflate,
-    discount_weight,
     grade_to_unit,
     load_click_weights,
 )
@@ -150,9 +149,6 @@ class TestDiscounts:
         assert f.weights(2) == (1.0, 0.5)
         with pytest.raises(ValueError):
             f.weights(3)
-
-    def test_functional_form(self):
-        assert discount_weight(DiscountFunction.rank(), 4) == 0.25
 
 
 class TestClickTable:

@@ -16,7 +16,6 @@ from prefeval.pir import pir_sweep
 from prefeval.scales import DiscountFunction, RelevanceScale
 from prefeval.scoring import (
     MissingJudgment,
-    consensus_lists,
     judged_lists,
     metric_score,
     pool_ranks,
@@ -199,17 +198,19 @@ class TestConsensusLists:
     def test_mean_over_all_raters(self):
         ds = multi_rater_dataset({"r1": dict(a1=1, a2=1, b1=6, b2=6),
                                   "r2": dict(a1=3, a2=3, b1=6, b2=6)})
-        rels_a, rels_b, pool = consensus_lists(ds, "q1", RelevanceScale.SIX_POINT, 2)
+        rels_a, rels_b, pool = judged_lists(ds, "q1", None, config())
         assert rels_a == [pytest.approx(0.8), pytest.approx(0.8)]
         assert rels_b == [0.0, 0.0]
+        # without a preference rater the rating source has no one to single out
+        other = judged_lists(ds, "q1", None, config(source=RatingSource.OTHER_USERS))
+        assert other == (rels_a, rels_b, pool)
 
     def test_missing_judgment_strict(self):
         ds = multi_rater_dataset({"r1": dict(a1=1, a2=1, b1=6, b2=6)})
         trimmed = dataclasses.replace(ds, judgments=ds.judgments[:-1])
-        with pytest.raises(MissingJudgment):
-            consensus_lists(trimmed, "q1", RelevanceScale.SIX_POINT, 2)
-        rels_a, rels_b, _ = consensus_lists(trimmed, "q1", RelevanceScale.SIX_POINT, 2,
-                                            lenient=True)
+        with pytest.raises(MissingJudgment, match=r"^\('q1', 'b2'\) has no judgment$"):
+            judged_lists(trimmed, "q1", None, config())
+        rels_a, rels_b, _ = judged_lists(trimmed, "q1", None, config(), lenient=True)
         assert rels_b[-1] == 0.0
 
 
