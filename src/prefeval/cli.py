@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from . import plotsvg
 from .config import Metric, MetricConfig, RatingSource
 from .data_io import ParseError, load_dataset, read_dataset, write_dataset
-from .dataset import QueryType, ValidationError, ValidationMode, Variant, validate
+from .dataset import QueryType, ValidationError, ValidationMode, validate
 from .implicit import (
     DEFAULT_THRESHOLD_GRIDS,
     Direction,
@@ -28,7 +28,7 @@ from .implicit import (
 from .metrics import ApNorm, ExcludedQuery, mean_over_queries
 from .pir import CATEGORIES, DEFAULT_THRESHOLDS, best_cell, breakdown_series, pir_sweep
 from .scales import DiscountFunction, DiscountKind, RelevanceScale, load_click_weights
-from .scoring import MissingJudgment, judged_lists, metric_score
+from .scoring import MissingJudgment, score_pair
 from .synth import SynthSpec, generate_synthetic
 
 EXIT_OK = 0
@@ -89,7 +89,8 @@ def _add_dataset_arg(parser: argparse.ArgumentParser) -> None:
                         help="tolerate missing judgments (substituted as non-relevant)")
 
 
-def _add_config_args(parser: argparse.ArgumentParser, single_metric: bool) -> None:
+def _add_config_args(parser: argparse.ArgumentParser, single_metric: bool,
+                     per_rater: bool = True) -> None:
     metric_names = [m.value for m in Metric]
     if single_metric:
         parser.add_argument("--metric", required=True, choices=metric_names)
@@ -105,8 +106,9 @@ def _add_config_args(parser: argparse.ArgumentParser, single_metric: bool) -> No
                         help="rank/weight table for the click-based discount")
     parser.add_argument("--scale", default=RelevanceScale.SIX_POINT.value,
                         choices=[s.value for s in RelevanceScale])
-    parser.add_argument("--rating-source", default=RatingSource.SAME_USER.value,
-                        choices=[r.value for r in RatingSource])
+    if per_rater:
+        parser.add_argument("--rating-source", default=RatingSource.SAME_USER.value,
+                            choices=[r.value for r in RatingSource])
     parser.add_argument("--n", "--esl-n", dest="esl_n", type=float, default=None,
                         help=f"ESL cumulative relevance target (default {DEFAULT_ESL_N})")
     parser.add_argument("--norm", default=ApNorm.BY_EVALUATED_COUNT.value,
@@ -132,7 +134,8 @@ def _build_config(args, metric: Metric, discount: DiscountFunction, cutoff: int)
         cutoff=cutoff,
         esl_n=esl_n,
         ap_norm=ApNorm(args.norm),
-        rating_source=RatingSource(args.rating_source),
+        # eval has no preference rater, so it averages all raters and takes no source
+        rating_source=RatingSource(getattr(args, "rating_source", RatingSource.SAME_USER)),
         rr_threshold=args.rr_threshold,
         query_filter=query_filter,
     )
@@ -174,22 +177,17 @@ def cmd_eval(args) -> int:
     config = _build_config(args, metric, _discount(kind, args.click_weights), args.cutoff)
 
     rows = []
-    per_variant: dict[Variant, list[float]] = {Variant.A: [], Variant.B: []}
     excluded = 0
     for pair in dataset.list_pairs:
         if config.query_filter is not None:
             if dataset.query_by_id[pair.query_id].query_type not in config.query_filter:
                 continue
-        rels_a, rels_b, pool = judged_lists(dataset, pair.query_id, None, config, args.lenient)
         try:
-            score_a = metric_score(rels_a, pool, config)
-            score_b = metric_score(rels_b, pool, config)
+            score_a, score_b = score_pair(dataset, config, pair.query_id, None, args.lenient)
         except ExcludedQuery:
             excluded += 1
             continue
         rows.append((pair.query_id, score_a, score_b))
-        per_variant[Variant.A].append(score_a)
-        per_variant[Variant.B].append(score_b)
 
     print("query\tA\tB")
     for qid, score_a, score_b in rows:
@@ -199,8 +197,8 @@ def cmd_eval(args) -> int:
     if not rows:
         print("no evaluable query", file=sys.stderr)
         return EXIT_EMPTY_PIR
-    mean_a = mean_over_queries(per_variant[Variant.A])
-    mean_b = mean_over_queries(per_variant[Variant.B])
+    mean_a = mean_over_queries(row[1] for row in rows)
+    mean_b = mean_over_queries(row[2] for row in rows)
     print(f"mean\t{_fmt(mean_a)}\t{_fmt(mean_b)}")
     return EXIT_OK
 
@@ -346,7 +344,7 @@ def cmd_implicit(args) -> int:
         dataset,
         measure,
         endpoint=SessionEndpoint(args.endpoint),
-        direction=Direction(args.direction) if args.direction else None,
+        direction=Direction(args.direction),
         thresholds=thresholds,
         band=band,
     )
@@ -434,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="per-query metric table for both variants")
     _add_dataset_arg(p)
-    _add_config_args(p, single_metric=True)
+    _add_config_args(p, single_metric=True, per_rater=False)
     p.add_argument("--cutoff", type=int, default=10)
     p.set_defaults(handler=cmd_eval)
 
@@ -463,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True, choices=[m.value for m in ImplicitMeasure])
     p.add_argument("--endpoint", default=SessionEndpoint.EXPLICIT_END.value,
                    choices=[e.value for e in SessionEndpoint])
-    p.add_argument("--direction", choices=[d.value for d in Direction],
-                   help="default: lower is better")
+    p.add_argument("--direction", default=Direction.LOWER_BETTER.value,
+                   choices=[d.value for d in Direction])
     p.add_argument("--thresholds", help="start:stop:step or comma list, in measure units")
     p.add_argument("--band", metavar="LO:HI",
                    help="only use sessions whose measure value lies in [LO, HI]")

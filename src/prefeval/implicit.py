@@ -39,13 +39,6 @@ class ImplicitMeasure(str, Enum):
     FIRST_CLICK_RANK = "first-click-rank"
 
 
-DEFAULT_DIRECTIONS: Mapping[ImplicitMeasure, Direction] = {
-    ImplicitMeasure.DURATION: Direction.LOWER_BETTER,
-    ImplicitMeasure.CLICK_COUNT: Direction.LOWER_BETTER,
-    ImplicitMeasure.MEAN_CLICK_RANK: Direction.LOWER_BETTER,
-    ImplicitMeasure.FIRST_CLICK_RANK: Direction.LOWER_BETTER,
-}
-
 # Spans of the threshold axes that make sense for each measure's unit.
 DEFAULT_THRESHOLD_GRIDS: Mapping[ImplicitMeasure, tuple[float, ...]] = {
     ImplicitMeasure.DURATION: tuple(float(t) for t in range(0, 125, 5)),
@@ -156,7 +149,7 @@ def implicit_pairs(
     dataset: EvaluationDataset,
     measure: ImplicitMeasure,
     endpoint: SessionEndpoint = SessionEndpoint.EXPLICIT_END,
-    direction: Optional[Direction] = None,
+    direction: Direction = Direction.LOWER_BETTER,
     band: Optional[tuple[float, float]] = None,
 ) -> tuple[list[tuple[float, float, Verdict]], int]:
     """Oriented score pairs per preference verdict, plus excluded-query count.
@@ -164,8 +157,6 @@ def implicit_pairs(
     Orientation maps the measure onto "higher is better" (LOWER_BETTER
     negates both scores), so the pairs feed the standard PIR aggregation.
     """
-    if direction is None:
-        direction = DEFAULT_DIRECTIONS[measure]
     sign = -1.0 if direction is Direction.LOWER_BETTER else 1.0
     scores: dict[str, tuple[float, float]] = {}
     excluded: set[str] = set()
@@ -191,13 +182,11 @@ def implicit_pir(
     dataset: EvaluationDataset,
     measure: ImplicitMeasure,
     endpoint: SessionEndpoint = SessionEndpoint.EXPLICIT_END,
-    direction: Optional[Direction] = None,
+    direction: Direction = Direction.LOWER_BETTER,
     thresholds: Optional[Sequence[float]] = None,
     band: Optional[tuple[float, float]] = None,
 ) -> ImplicitSeries:
     """PIR of a session measure across a threshold grid in the measure's unit."""
-    if direction is None:
-        direction = DEFAULT_DIRECTIONS[measure]
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLD_GRIDS[measure]
     pairs, excluded = implicit_pairs(dataset, measure, endpoint, direction, band)

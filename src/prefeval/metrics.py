@@ -51,21 +51,16 @@ def _check_cutoff(rels: Sequence[float], c: int) -> None:
 def precision_at(
     rels: Sequence[float],
     c: int,
-    discount: Optional[DiscountFunction] = None,
+    discount: DiscountFunction = DiscountFunction.none(),
 ) -> float:
     """Mean (optionally discounted) relevance of the top ``c`` results.
 
-    With binary input this is the classical fraction of relevant results.
+    With binary input and no discount this is the classical fraction of
+    relevant results.
     """
     _check_cutoff(rels, c)
-    weights = discount.weights(c) if discount is not None else None
-    terms = []
-    for i in range(c):
-        rel = rels[i]
-        if weights is not None:
-            rel *= weights[i]
-        terms.append(rel)
-    return math.fsum(terms) / c
+    weights = discount.weights(c)
+    return math.fsum(rels[i] * weights[i] for i in range(c)) / c
 
 
 def dcg(rels: Sequence[float], c: int, discount: DiscountFunction) -> float:

@@ -2,20 +2,21 @@
 
 This is the substrate both the sweep engine and the reference oracle
 build on: per-result unit relevance under a scale and rating source (or,
-with no preference rater, the mean over all raters), the two judged lists
-of a query truncated to the cut-off, the judged pool for normalization,
-and the single-list metric dispatch.  The sweep engine resolves each
-verdict's lists once for all cut-offs (:func:`resolve_preferences`) and
-scores every row from that table.
+with no preference rater, the mean over all raters), one walk over a
+query's two lists that yields both judged lists and the judged pool in
+first-rank order, and the single-list metric dispatch.  The sweep engine
+resolves each verdict's lists once for all cut-offs, taking each pool as
+a prefix of the deepest (:func:`resolve_preferences`).
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import NamedTuple, Optional, Sequence
 
 from . import metrics
 from .config import Metric, MetricConfig, RatingSource
-from .dataset import EvaluationDataset, RankedListPair, Verdict
+from .dataset import EvaluationDataset, Verdict
 from .metrics import ApNorm, ExcludedQuery
 from .scales import RelevanceScale, conflate
 
@@ -79,11 +80,13 @@ def judged_lists(
 
     Relevance is as :func:`unit_relevance` gives it for ``rater_id``; a
     ``rater_id`` of ``None`` gives the mean over all raters, as plain
-    metric tables use it.  The pool holds the unit relevance of every
-    distinct result visible in either variant's top ``config.cutoff``, in
-    first-occurrence order; it feeds NDCG normalization and the
-    known-relevant count of classical AP.  Each distinct result is looked
-    up once.
+    metric tables use it.  Each distinct result in either variant's top
+    ``config.cutoff`` is looked up once, A's results first, then B's
+    unseen ones.  The pool holds those values rank by rank (A1, B1, A2,
+    B2, ..., first occurrence kept), so the pool of a cut-off c is its
+    first ``len({*variant_a[:c], *variant_b[:c]})`` entries; it feeds
+    NDCG normalization and the known-relevant count of classical AP,
+    which use it as a multiset.
     """
     pair = dataset.pair_by_query[query_id]
     top_a = pair.variant_a[: config.cutoff]
@@ -93,21 +96,10 @@ def judged_lists(
                             rater_id, lenient)
         for rid in dict.fromkeys((*top_a, *top_b))
     }
-    return [values[rid] for rid in top_a], [values[rid] for rid in top_b], list(values.values())
-
-
-def pool_ranks(pair: RankedListPair, depth: int) -> list[int]:
-    """First rank of each result in the pool :func:`judged_lists` forms at ``depth``.
-
-    Entry i is the rank at which the i-th pooled result first shows in
-    either variant, so the pool at a cut-off c <= ``depth`` holds exactly
-    the results whose first rank is at most c.
-    """
-    first: dict[str, int] = {}
-    for ranking in (pair.variant_a[:depth], pair.variant_b[:depth]):
-        for rank, rid in enumerate(ranking, start=1):
-            first[rid] = min(first.get(rid, rank), rank)
-    return list(first.values())
+    by_rank = dict.fromkeys(
+        rid for rids in zip_longest(top_a, top_b) for rid in rids if rid is not None)
+    return ([values[rid] for rid in top_a], [values[rid] for rid in top_b],
+            [values[rid] for rid in by_rank])
 
 
 def metric_score(
@@ -145,10 +137,13 @@ def score_pair(
     dataset: EvaluationDataset,
     config: MetricConfig,
     query_id: str,
-    rater_id: str,
+    rater_id: Optional[str],
     lenient: bool = False,
 ) -> tuple[float, float]:
     """Metric scores (variant A, variant B) for one (query, preference rater).
+
+    A ``rater_id`` of ``None`` scores the mean over all raters, as in
+    :func:`judged_lists`.
 
     Raises ExcludedQuery when the configuration cannot score the query
     (zero ideal gain, no known relevant result) and MissingJudgment for
@@ -161,10 +156,9 @@ def score_pair(
 class ResolvedPreference(NamedTuple):
     """One preference verdict with its judged lists resolved down to a depth.
 
-    ``pool`` is the judged pool at that depth ordered by first rank, so
-    ``pool[:pool_ends[c]]`` holds the pool of cut-off c.  Only its order
-    differs from the pool :func:`judged_lists` forms at c, and the metrics
-    use a pool as a multiset (sorted, or counted).
+    ``pool`` is the pool :func:`judged_lists` forms at that depth, and
+    ``pool[:pool_ends[c]]`` is exactly the pool it forms at cut-off c.
+    ``pool_ends`` is shared by every verdict of the query.
     """
 
     verdict: Verdict
@@ -186,29 +180,23 @@ def resolve_preferences(
     every config sharing them can score from the same table.  Each
     verdict's lists are resolved once, down to ``max(cutoffs)``, with one
     :func:`unit_relevance` lookup per distinct result.  The lists stay at
-    that depth, since metrics ignore entries beyond their cut-off, and a
-    per-query table of first ranks turns each cut-off's pool into a
-    prefix of the deepest one.  Queries outside the query filter are
+    that depth, since metrics ignore entries beyond their cut-off, and
+    each cut-off's pool is a prefix of the deepest one, whose ends are
+    computed once per query.  Queries outside the query filter are
     skipped.
     """
     deepest = config.at_cutoff(max(cutoffs))
-    layouts: dict[str, tuple[list[int], dict[int, int]]] = {}
+    pool_ends = {
+        pair.query_id: {c: len({*pair.variant_a[:c], *pair.variant_b[:c]}) for c in cutoffs}
+        for pair in dataset.list_pairs
+    }
     resolved = []
     for p in dataset.preferences:
         if config.query_filter is not None:
             if dataset.query_by_id[p.query_id].query_type not in config.query_filter:
                 continue
         rels_a, rels_b, pool = judged_lists(dataset, p.query_id, p.rater_id, deepest, lenient)
-        layout = layouts.get(p.query_id)
-        if layout is None:
-            ranks = pool_ranks(dataset.pair_by_query[p.query_id], deepest.cutoff)
-            order = sorted(range(len(ranks)), key=ranks.__getitem__)
-            ends = {c: sum(1 for r in ranks if r <= c) for c in cutoffs}
-            layout = layouts[p.query_id] = order, ends
-        order, ends = layout
-        resolved.append(
-            ResolvedPreference(p.verdict, rels_a, rels_b, [pool[i] for i in order], ends)
-        )
+        resolved.append(ResolvedPreference(p.verdict, rels_a, rels_b, pool, pool_ends[p.query_id]))
     return resolved
 
 

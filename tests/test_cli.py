@@ -203,6 +203,14 @@ class TestEvalCommand:
         write_dataset(ds, tmp_path)
         assert main(["eval", str(tmp_path), "--metric", "precision", "--cutoff", "5"]) == 0
 
+    def test_takes_no_rating_source(self, synth_dir, capsys):
+        # eval has no preference rater: it always averages over all raters
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(synth_dir), "--metric", "ndcg",
+                  "--rating-source", "other-users"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rating-source" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_worked_example_grid_values(self, tmp_path, sample_pir_dataset):
@@ -337,6 +345,19 @@ class TestBreakdownCommand:
         assert main(["breakdown", str(tmp_path), "--metric", "precision",
                      "--threshold", "0", "--cutoff", "5"]) == 3
 
+    def test_rating_source_changes_the_outcomes(self, tmp_path, capsys):
+        data = tmp_path / "noisy"
+        assert main(["synth", "--out", str(data), "--queries", "8", "--raters", "3",
+                     "--seed", "5", "--preferences", "16", "--rater-noise", "0.5"]) == 0
+        tables = {}
+        for source in ("same-user", "other-users"):
+            capsys.readouterr()
+            assert main(["breakdown", str(data), "--metric", "ndcg", "--cutoff", "5",
+                         "--threshold", "0.1", "--rating-source", source]) == 0
+            # the first line names the config, rating source included
+            tables[source] = capsys.readouterr().out.splitlines()[1:]
+        assert tables["same-user"] != tables["other-users"]
+
 
 class TestImplicitCommand:
     def test_series_and_out_file(self, synth_dir, tmp_path, capsys):
@@ -354,6 +375,16 @@ class TestImplicitCommand:
     def test_direction_flag(self, synth_dir, capsys):
         assert main(["implicit", str(synth_dir), "--measure", "duration",
                      "--direction", "higher-better", "--thresholds", "0,30"]) == 0
+
+    @pytest.mark.parametrize("measure", ["duration", "clicks", "mean-click-rank",
+                                         "first-click-rank"])
+    def test_default_direction_is_lower_better(self, synth_dir, capsys, measure):
+        argv = ["implicit", str(synth_dir), "--measure", measure]
+        capsys.readouterr()
+        assert main(argv) == 0
+        default = capsys.readouterr()
+        assert main([*argv, "--direction", "lower-better"]) == 0
+        assert capsys.readouterr() == default
 
     def test_band_filter(self, synth_dir, capsys):
         code = main(["implicit", str(synth_dir), "--measure", "duration",

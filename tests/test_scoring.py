@@ -18,7 +18,6 @@ from prefeval.scoring import (
     MissingJudgment,
     judged_lists,
     metric_score,
-    pool_ranks,
     resolve_preferences,
     score_pair,
     unit_relevance,
@@ -142,14 +141,18 @@ class TestResolvePreferences:
                                                     cfg.at_cutoff(c))
                 assert entry.rels_a[:c] == rels_a
                 assert entry.rels_b[:c] == rels_b
-                assert sorted(entry.pool[: entry.pool_ends[c]]) == sorted(pool)
+                assert entry.pool[: entry.pool_ends[c]] == pool
 
-    def test_pool_ranks_are_first_ranks_in_either_variant(self):
+    def test_pool_is_in_first_rank_order(self, monkeypatch):
         ds = binary_pair_dataset([("q1", 2, 2, Verdict.A)], list_len=4, shared_results=True)
-        # A = a01 a02 a03 a04, B = a04 a03 a02 a01: the pool follows A's order
-        assert pool_ranks(ds.pair_by_query["q1"], 4) == [1, 2, 2, 1]
-        assert pool_ranks(ds.pair_by_query["q1"], 2) == [1, 2, 1, 2]
-        assert pool_ranks(ds.pair_by_query["q1"], 1) == [1, 1]
+        # A = a01 a02 a03 a04, B = a04 a03 a02 a01; relevance k/10 tells a0k apart
+        monkeypatch.setattr(scoring, "unit_relevance",
+                            lambda ds, qid, rid, *rest: int(rid[-2:]) / 10)
+        _, _, pool = judged_lists(ds, "q1", "r1", config(cutoff=4))
+        assert pool == [0.1, 0.4, 0.2, 0.3]  # a01, a04, a02, a03
+        [entry] = resolve_preferences(ds, config(), (1, 2, 4))
+        assert entry.pool == pool
+        assert entry.pool_ends == {1: 2, 2: 4, 4: 4}
 
     def test_sweep_looks_up_each_distinct_result_once(self, overlapping, monkeypatch):
         calls = []
