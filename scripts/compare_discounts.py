@@ -58,10 +58,11 @@ def run(argv=None) -> int:
             cells.append(f"{best:>8.4f}")
         print(f"{cutoff:>6}  " + "".join(cells))
 
-    excluded = {c.label(): grid.row(c, 10).excluded_pairs for c in configs}
+    deepest = DEFAULT_CUTOFFS[-1]
+    excluded = {c.label(): grid.row(c, deepest).excluded_pairs for c in configs}
     dropped = {label: n for label, n in excluded.items() if n}
     if dropped:
-        print(f"\nexcluded (query, rater) pairs at cut-off 10: {dropped}")
+        print(f"\nexcluded (query, rater) pairs at cut-off {deepest}: {dropped}")
     return 0
 
 

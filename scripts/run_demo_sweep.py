@@ -33,7 +33,7 @@ def run(argv=None) -> int:
         ["validate", str(data)],
         ["sweep", str(data), "--out", str(sweep), "--plot"],
         ["breakdown", str(data), "--metric", "ndcg", "--threshold", "0.01",
-         "--series", str(work / "ndcg_breakdown_series.tsv")],
+         "--series", str(work / "ndcg_breakdown_shares.tsv")],
         ["implicit", str(data), "--measure", "mean-click-rank",
          "--out", str(work / "implicit_mean_click_rank.tsv")],
         ["stats", str(data)],

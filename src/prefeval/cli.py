@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 from . import plotsvg
 from .config import Metric, MetricConfig, RatingSource
-from .data_io import ParseError, load_dataset, read_dataset, write_dataset
-from .dataset import QueryType, ValidationError, ValidationMode, validate
+from .data_io import ParseError, load_dataset, read_dataset, write_dataset, write_tsv
+from .dataset import MAX_CUTOFF, QueryType, ValidationError, ValidationMode, validate
 from .implicit import (
     DEFAULT_THRESHOLD_GRIDS,
     Direction,
@@ -26,7 +26,7 @@ from .implicit import (
     implicit_pir,
 )
 from .metrics import ApNorm, ExcludedQuery, mean_over_queries
-from .pir import CATEGORIES, DEFAULT_THRESHOLDS, best_cell, breakdown_series, pir_sweep
+from .pir import CATEGORIES, DEFAULT_THRESHOLDS, best_cell, pir_sweep
 from .scales import DiscountFunction, DiscountKind, RelevanceScale, load_click_weights
 from .scoring import MissingJudgment, score_pair
 from .synth import SynthSpec, generate_synthetic
@@ -146,20 +146,9 @@ def _load(args, max_cutoff: int):
     return load_dataset(args.dataset, mode=mode, max_cutoff=max_cutoff)
 
 
-def _write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(str(v) for v in row) + "\n")
-
-
 def cmd_validate(args) -> int:
     mode = ValidationMode.LENIENT if args.lenient else ValidationMode.STRICT
-    try:
-        dataset = read_dataset(args.dataset)
-    except (ParseError, FileNotFoundError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INVALID
+    dataset = read_dataset(args.dataset)
     report = validate(dataset, mode=mode, max_cutoff=args.max_cutoff)
     for issue in report.issues:
         print(issue, file=sys.stderr)
@@ -236,8 +225,7 @@ def cmd_sweep(args) -> int:
                     empty_cells += 1
                 row.append(_fmt(cell.pir))
             grid_rows.append(row)
-        _write_table(out / f"grid_{label}.tsv",
-                     ["threshold"] + [f"c{c}" for c in cutoffs], grid_rows)
+        write_tsv(out / f"grid_{label}.tsv", ["threshold"] + [f"c{c}" for c in cutoffs], grid_rows)
 
         count_rows = []
         for cutoff in cutoffs:
@@ -248,7 +236,7 @@ def cmd_sweep(args) -> int:
                     + [getattr(cell, name) for name in CATEGORIES]
                     + [pir_row.excluded_pairs]
                 )
-        _write_table(
+        write_tsv(
             out / f"counts_{label}.tsv",
             ["cutoff", "threshold", "pir", *CATEGORIES, "excluded_pairs"],
             count_rows,
@@ -274,9 +262,9 @@ def cmd_sweep(args) -> int:
         best_rows.append(best_row)
         best_value_rows.append(value_row)
         zero_rows.append(zero_row)
-    _write_table(out / "best_threshold_pir.tsv", ["cutoff"] + labels, best_rows)
-    _write_table(out / "best_threshold_value.tsv", ["cutoff"] + labels, best_value_rows)
-    _write_table(out / "zero_threshold_pir.tsv", ["cutoff"] + labels, zero_rows)
+    write_tsv(out / "best_threshold_pir.tsv", ["cutoff"] + labels, best_rows)
+    write_tsv(out / "best_threshold_value.tsv", ["cutoff"] + labels, best_value_rows)
+    write_tsv(out / "zero_threshold_pir.tsv", ["cutoff"] + labels, zero_rows)
     if args.plot:
         for name, rows in (("best_threshold_pir", best_rows), ("zero_threshold_pir", zero_rows)):
             series = {
@@ -305,8 +293,9 @@ def cmd_breakdown(args) -> int:
     thresholds = _parse_float_grid(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS
     if args.threshold not in thresholds:
         thresholds = tuple(sorted({*thresholds, args.threshold}))
-    cells, excluded = breakdown_series(dataset, config, thresholds, args.lenient)
-    at = next(cell for cell in cells if cell.threshold == args.threshold)
+    grid = pir_sweep(dataset, [config], thresholds, (config.cutoff,), args.lenient)
+    row = grid.row(config, config.cutoff)
+    at = next(cell for cell in row.cells if cell.threshold == args.threshold)
     if at.total_pairs == 0:
         print("no evaluable (query, rater) pair", file=sys.stderr)
         return EXIT_EMPTY_PIR
@@ -316,16 +305,16 @@ def cmd_breakdown(args) -> int:
     for name, share in at.shares().items():
         print(f"{name}\t{getattr(at, name)}\t{_fmt(float(share))}")
     print(f"pir\t{_fmt(at.pir)}")
-    if excluded:
-        print(f"excluded pairs: {excluded}", file=sys.stderr)
+    if row.excluded_pairs:
+        print(f"excluded pairs: {row.excluded_pairs}", file=sys.stderr)
     if args.series:
         rows = [
             [f"{cell.threshold:.4f}"]
             + [_fmt(float(cell.shares()[name])) for name in CATEGORIES]
             + [_fmt(cell.pir)]
-            for cell in cells
+            for cell in row.cells
         ]
-        _write_table(Path(args.series), ["threshold", *CATEGORIES, "pir"], rows)
+        write_tsv(args.series, ["threshold", *CATEGORIES, "pir"], rows)
     return EXIT_OK
 
 
@@ -359,8 +348,8 @@ def cmd_implicit(args) -> int:
     if series.excluded_queries:
         print(f"excluded queries: {series.excluded_queries}", file=sys.stderr)
     if args.out:
-        _write_table(
-            Path(args.out), ["threshold", "pir"],
+        write_tsv(
+            args.out, ["threshold", "pir"],
             [[f"{cell.threshold:.4f}", _fmt(cell.pir)] for cell in series.cells],
         )
     return EXIT_OK
@@ -427,13 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check dataset files and invariants")
     _add_dataset_arg(p)
-    p.add_argument("--max-cutoff", type=int, default=10)
+    p.add_argument("--max-cutoff", type=int, default=MAX_CUTOFF)
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("eval", help="per-query metric table for both variants")
     _add_dataset_arg(p)
     _add_config_args(p, single_metric=True, per_rater=False)
-    p.add_argument("--cutoff", type=int, default=10)
+    p.add_argument("--cutoff", type=int, default=MAX_CUTOFF)
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("sweep", help="PIR grid over thresholds and cut-offs")
@@ -441,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p, single_metric=False)
     p.add_argument("--thresholds", default=None,
                    help="start:stop:step or comma list (default 0:0.30:0.01)")
-    p.add_argument("--cutoffs", default="1-10", help="lo-hi or comma list (default 1-10)")
+    p.add_argument("--cutoffs", default=f"1-{MAX_CUTOFF}",
+                   help=f"lo-hi or comma list (default 1-{MAX_CUTOFF})")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--plot", action="store_true", help="also write SVG line charts")
     p.set_defaults(handler=cmd_sweep)
@@ -449,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("breakdown", help="five-category outcome table at one threshold")
     _add_dataset_arg(p)
     _add_config_args(p, single_metric=True)
-    p.add_argument("--cutoff", type=int, default=10)
+    p.add_argument("--cutoff", type=int, default=MAX_CUTOFF)
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--thresholds", default=None,
                    help="grid for the --series evolution file (default 0:0.30:0.01)")
@@ -466,13 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", help="start:stop:step or comma list, in measure units")
     p.add_argument("--band", metavar="LO:HI",
                    help="only use sessions whose measure value lies in [LO, HI]")
-    p.add_argument("--max-cutoff", type=int, default=10)
+    p.add_argument("--max-cutoff", type=int, default=MAX_CUTOFF)
     p.add_argument("--out", metavar="FILE", help="write threshold/PIR series")
     p.set_defaults(handler=cmd_implicit)
 
     p = sub.add_parser("stats", help="descriptive interaction and relevance report")
     _add_dataset_arg(p)
-    p.add_argument("--max-cutoff", type=int, default=10)
+    p.add_argument("--max-cutoff", type=int, default=MAX_CUTOFF)
     p.set_defaults(handler=cmd_stats)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic dataset")

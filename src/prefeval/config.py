@@ -6,12 +6,11 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
-from .dataset import QueryType
+from .dataset import MAX_CUTOFF, QueryType
 from .metrics import ApNorm
 from .scales import DiscountFunction, RelevanceScale
 
 MIN_CUTOFF = 1
-MAX_CUTOFF = 10
 
 
 class Metric(str, Enum):

@@ -1,8 +1,8 @@
 """Reading and writing datasets as plain text record files.
 
-A dataset lives in a directory of tab-separated files, one record per
-line, each starting with a one-line header naming the schema version and
-record kind:
+A dataset is one directory of tab-separated files with the fixed names
+below, one record per line, each starting with a one-line header naming
+the schema version and record kind:
 
     queries.tsv      id  type  language  text  info_need
     judgments.tsv    query_id  result_id  rater_id  grade  [snippet_relevant]
@@ -13,11 +13,11 @@ record kind:
 
 Files are UTF-8 text, and CR LF or CR line ends read as LF.  Booleans
 are written ``true``/``false`` with ``-`` for absent optional values.
-Judgment, list, preference, session and click files are also accepted
-headerless with any whitespace as separator, for quick hand-built
-fixtures; the queries file always needs its header.  Files are
-written in a canonical sort order, so write -> load -> write is
-byte-stable.
+Query, result and rater ids must not be empty.  Judgment, list,
+preference, session and click files are also accepted headerless with
+any whitespace as separator, for quick hand-built fixtures; the queries
+file always needs its header.  Files are written in a canonical sort
+order, so write -> load -> write is byte-stable.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import os
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .dataset import (
     Click,
@@ -42,7 +42,7 @@ from .dataset import (
     ValidationMode,
     Variant,
     Verdict,
-    MAX_CUTOFF_DEFAULT,
+    MAX_CUTOFF,
     validate,
 )
 from .scales import GRADE_BEST, GRADE_WORST
@@ -161,6 +161,19 @@ _BOOLS = {"-": None, "": None, "true": True, "false": False}
 _click_order = attrgetter("ts", "rank")
 
 
+# (field index, name) of the id fields of each record kind, checked in order.
+_QUERY_IDS = ((0, "id"),)
+_JUDGMENT_IDS = ((0, "query_id"), (1, "result_id"), (2, "rater_id"))
+_LIST_IDS = ((0, "query_id"), (3, "result_id"))
+_RATER_IDS = ((0, "query_id"), (1, "rater_id"))
+
+
+def _empty_id(fields: list[str], ids: tuple[tuple[int, str], ...], path: Path,
+              lineno: int) -> ParseError:
+    name = next(name for i, name in ids if not fields[i])
+    return ParseError(path, lineno, f"{name} is empty")
+
+
 def _expect_fields(fields: list[str], counts: tuple[int, ...], path: Path, lineno: int, kind: str):
     if len(fields) not in counts:
         want = " or ".join(str(c) for c in counts)
@@ -171,6 +184,8 @@ def read_queries(path: Path) -> list[Query]:
     out = []
     for lineno, f in _read_rows(path, "queries", allow_headerless=False):
         _expect_fields(f, (5,), path, lineno, "query")
+        if not f[0]:
+            raise _empty_id(f, _QUERY_IDS, path, lineno)
         out.append(
             Query(
                 id=f[0],
@@ -188,6 +203,8 @@ def read_judgments(path: Path) -> list[GradedJudgment]:
     out = []
     for lineno, f in _read_rows(path, "judgments", allow_headerless=True):
         _expect_fields(f, (4, 5), path, lineno, "judgment")
+        if not (f[0] and f[1] and f[2]):
+            raise _empty_id(f, _JUDGMENT_IDS, path, lineno)
         grade = _GRADES.get(f[3]) or _parse_grade(f[3], path, lineno)
         if len(f) == 4:
             snippet = None
@@ -204,6 +221,8 @@ def read_list_pairs(path: Path) -> list[RankedListPair]:
     first_line: dict[tuple[str, Variant], int] = {}
     for lineno, f in _read_rows(path, "lists", allow_headerless=True):
         _expect_fields(f, (4,), path, lineno, "list")
+        if not (f[0] and f[3]):
+            raise _empty_id(f, _LIST_IDS, path, lineno)
         variant = _VARIANTS.get(f[1]) or _parse_enum(Variant, f[1], path, lineno, "variant")
         rank = _parse_int(f[2], path, lineno, "rank")
         if rank < 1:
@@ -237,17 +256,21 @@ def read_preferences(path: Path) -> list[PreferenceJudgment]:
     out = []
     for lineno, f in _read_rows(path, "preferences", allow_headerless=True):
         _expect_fields(f, (3,), path, lineno, "preference")
+        if not (f[0] and f[1]):
+            raise _empty_id(f, _RATER_IDS, path, lineno)
         verdict = _VERDICTS.get(f[2]) or _parse_enum(Verdict, f[2], path, lineno, "verdict")
         out.append(PreferenceJudgment(f[0], f[1], verdict))
     return out
 
 
-def read_sessions(sessions_path: Path, clicks_path: Optional[Path]) -> list[Session]:
+def read_sessions(sessions_path: Path, clicks_path: Path) -> list[Session]:
     # (query, rater, variant) -> (line of its first click, clicks)
     clicks: dict[tuple[str, str, Variant], tuple[int, list[Click]]] = {}
-    if clicks_path is not None and clicks_path.exists():
+    if clicks_path.exists():
         for lineno, f in _read_rows(clicks_path, "clicks", allow_headerless=True):
             _expect_fields(f, (5,), clicks_path, lineno, "click")
+            if not (f[0] and f[1]):
+                raise _empty_id(f, _RATER_IDS, clicks_path, lineno)
             variant = _VARIANTS.get(f[2]) or _parse_enum(Variant, f[2], clicks_path, lineno, "variant")
             rank = _parse_int(f[3], clicks_path, lineno, "rank")
             if rank < 1:
@@ -264,6 +287,8 @@ def read_sessions(sessions_path: Path, clicks_path: Optional[Path]) -> list[Sess
     seen = set()
     for lineno, f in _read_rows(sessions_path, "sessions", allow_headerless=True):
         _expect_fields(f, (5, 6), sessions_path, lineno, "session")
+        if not (f[0] and f[1]):
+            raise _empty_id(f, _RATER_IDS, sessions_path, lineno)
         variant = _VARIANTS.get(f[2]) or _parse_enum(Variant, f[2], sessions_path, lineno, "variant")
         key = (f[0], f[1], variant)
         if key in seen:
@@ -287,80 +312,45 @@ def read_sessions(sessions_path: Path, clicks_path: Optional[Path]) -> list[Sess
         )
     if clicks:
         key, (lineno, _) = next(iter(clicks.items()))
-        raise ParseError(clicks_path or sessions_path, lineno, f"clicks reference unknown session {key!r}")
+        raise ParseError(clicks_path, lineno, f"clicks reference unknown session {key!r}")
     return out
 
 
-def read_dataset(
-    root: Union[str, Path, None] = None,
-    *,
-    queries: Union[str, Path, None] = None,
-    judgments: Union[str, Path, None] = None,
-    lists: Union[str, Path, None] = None,
-    preferences: Union[str, Path, None] = None,
-    sessions: Union[str, Path, None] = None,
-    clicks: Union[str, Path, None] = None,
-) -> EvaluationDataset:
-    """Parse a dataset from a directory or explicit file paths, without validating it.
+def read_dataset(root: Union[str, Path]) -> EvaluationDataset:
+    """Parse the dataset in directory ``root``, without validating it.
 
-    Paths not given explicitly default to the standard names under
-    ``root``.  Preference, session and click files may be absent; query,
-    judgment and list files must exist.  Raises ParseError for malformed
-    files.
+    The files carry the names in FILE_NAMES.  Query, judgment and list
+    files must exist (FileNotFoundError names the first one missing);
+    absent preference, session and click files load as empty.  Raises
+    ParseError for malformed files.
     """
-
-    def resolve(explicit, kind: str, required: bool) -> Optional[Path]:
-        if explicit is not None:
-            path = Path(explicit)
-            if not path.exists():
-                raise FileNotFoundError(path)
-            return path
-        if root is None:
-            return None
-        path = Path(root) / FILE_NAMES[kind]
-        if not path.exists():
-            if required:
-                raise FileNotFoundError(path)
-            return None
-        return path
-
-    queries_path = resolve(queries, "queries", required=True)
-    judgments_path = resolve(judgments, "judgments", required=True)
-    lists_path = resolve(lists, "lists", required=True)
-    if queries_path is None or judgments_path is None or lists_path is None:
-        raise ValueError("queries, judgments and lists files are required")
-    preferences_path = resolve(preferences, "preferences", required=False)
-    sessions_path = resolve(sessions, "sessions", required=False)
-    clicks_path = resolve(clicks, "clicks", required=False)
-
+    paths = {kind: Path(root) / name for kind, name in FILE_NAMES.items()}
+    for kind in ("queries", "judgments", "lists"):
+        if not paths[kind].exists():
+            raise FileNotFoundError(paths[kind])
     return EvaluationDataset(
-        queries=tuple(read_queries(queries_path)),
-        judgments=tuple(read_judgments(judgments_path)),
-        list_pairs=tuple(read_list_pairs(lists_path)),
-        preferences=tuple(read_preferences(preferences_path)) if preferences_path else (),
-        sessions=tuple(read_sessions(sessions_path, clicks_path)) if sessions_path else (),
+        queries=tuple(read_queries(paths["queries"])),
+        judgments=tuple(read_judgments(paths["judgments"])),
+        list_pairs=tuple(read_list_pairs(paths["lists"])),
+        preferences=(tuple(read_preferences(paths["preferences"]))
+                     if paths["preferences"].exists() else ()),
+        sessions=(tuple(read_sessions(paths["sessions"], paths["clicks"]))
+                  if paths["sessions"].exists() else ()),
     )
 
 
 def load_dataset(
-    root: Union[str, Path, None] = None,
+    root: Union[str, Path],
     *,
-    queries: Union[str, Path, None] = None,
-    judgments: Union[str, Path, None] = None,
-    lists: Union[str, Path, None] = None,
-    preferences: Union[str, Path, None] = None,
-    sessions: Union[str, Path, None] = None,
-    clicks: Union[str, Path, None] = None,
     mode: ValidationMode = ValidationMode.STRICT,
-    max_cutoff: int = MAX_CUTOFF_DEFAULT,
+    max_cutoff: int = MAX_CUTOFF,
 ) -> EvaluationDataset:
-    """:func:`read_dataset`, then validation in the given mode.
+    """:func:`read_dataset` of directory ``root``, then validation in the given mode.
 
     Raises ParseError for malformed files and ValidationError when
     validation fails in the given mode.
     """
-    dataset = read_dataset(root, queries=queries, judgments=judgments, lists=lists,
-                           preferences=preferences, sessions=sessions, clicks=clicks)
+    dataset = read_dataset(root)
     report = validate(dataset, mode=mode, max_cutoff=max_cutoff)
     if not report.ok:
         raise ValidationError(report)
@@ -373,9 +363,11 @@ def _bool_str(value: Optional[bool]) -> str:
     return "true" if value else "false"
 
 
-def _write_file(path: Path, kind: str, rows: Iterable[Iterable[object]]) -> None:
+def write_tsv(path: Union[str, Path], header: Sequence[object],
+              rows: Iterable[Iterable[object]]) -> None:
+    """Write ``header`` and then each row as one tab-separated UTF-8 line."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{HEADER_TAG}\t{SCHEMA_VERSION}\t{kind}\n")
+        fh.write("\t".join(map(str, header)) + "\n")
         fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
 
 
@@ -384,35 +376,23 @@ def write_dataset(dataset: EvaluationDataset, root: Union[str, Path]) -> None:
     root = Path(root)
     os.makedirs(root, exist_ok=True)
 
-    _write_file(
-        root / FILE_NAMES["queries"], "queries",
-        ([q.id, q.query_type.value, q.language.value, q.text, q.info_need]
-         for q in sorted(dataset.queries, key=lambda q: q.id)),
-    )
-    _write_file(
-        root / FILE_NAMES["judgments"], "judgments",
-        ([j.query_id, j.result_id, j.rater_id, j.grade, _bool_str(j.snippet_relevant)]
-         for j in sorted(dataset.judgments, key=lambda j: (j.query_id, j.result_id, j.rater_id))),
-    )
-    list_rows = []
-    for pair in sorted(dataset.list_pairs, key=lambda p: p.query_id):
-        for variant in (Variant.A, Variant.B):
-            for rank, result_id in enumerate(pair.variant(variant), start=1):
-                list_rows.append([pair.query_id, variant.value, rank, result_id])
-    _write_file(root / FILE_NAMES["lists"], "lists", list_rows)
-    _write_file(
-        root / FILE_NAMES["preferences"], "preferences",
-        ([p.query_id, p.rater_id, p.verdict.value]
-         for p in sorted(dataset.preferences, key=lambda p: (p.query_id, p.rater_id))),
-    )
-    session_key = lambda s: (s.query_id, s.rater_id, s.variant.value)
-    _write_file(
-        root / FILE_NAMES["sessions"], "sessions",
-        ([s.query_id, s.rater_id, s.variant.value, s.start_ts, s.end_ts, _bool_str(s.satisfied)]
-         for s in sorted(dataset.sessions, key=session_key)),
-    )
-    click_rows = []
-    for s in sorted(dataset.sessions, key=session_key):
-        for click in s.clicks:
-            click_rows.append([s.query_id, s.rater_id, s.variant.value, click.rank, click.ts])
-    _write_file(root / FILE_NAMES["clicks"], "clicks", click_rows)
+    def write(kind: str, rows: Iterable[Iterable[object]]) -> None:
+        write_tsv(root / FILE_NAMES[kind], (HEADER_TAG, SCHEMA_VERSION, kind), rows)
+
+    write("queries", ([q.id, q.query_type.value, q.language.value, q.text, q.info_need]
+                      for q in sorted(dataset.queries, key=lambda q: q.id)))
+    write("judgments",
+          ([j.query_id, j.result_id, j.rater_id, j.grade, _bool_str(j.snippet_relevant)]
+           for j in sorted(dataset.judgments, key=lambda j: (j.query_id, j.result_id, j.rater_id))))
+    write("lists", ([pair.query_id, variant.value, rank, result_id]
+                    for pair in sorted(dataset.list_pairs, key=lambda p: p.query_id)
+                    for variant in (Variant.A, Variant.B)
+                    for rank, result_id in enumerate(pair.variant(variant), start=1)))
+    write("preferences",
+          ([p.query_id, p.rater_id, p.verdict.value]
+           for p in sorted(dataset.preferences, key=lambda p: (p.query_id, p.rater_id))))
+    sessions = sorted(dataset.sessions, key=lambda s: (s.query_id, s.rater_id, s.variant.value))
+    write("sessions", ([s.query_id, s.rater_id, s.variant.value, s.start_ts, s.end_ts,
+                        _bool_str(s.satisfied)] for s in sessions))
+    write("clicks", ([s.query_id, s.rater_id, s.variant.value, click.rank, click.ts]
+                     for s in sessions for click in s.clicks))

@@ -16,7 +16,8 @@ from typing import Mapping, Optional
 
 from .scales import GRADE_BEST, GRADE_WORST
 
-MAX_CUTOFF_DEFAULT = 10
+# The deepest cut-off any metric is evaluated at, and every command's default one.
+MAX_CUTOFF = 10
 
 
 class QueryType(str, Enum):
@@ -180,7 +181,7 @@ class ValidationError(Exception):
 def validate(
     dataset: EvaluationDataset,
     mode: ValidationMode = ValidationMode.STRICT,
-    max_cutoff: int = MAX_CUTOFF_DEFAULT,
+    max_cutoff: int = MAX_CUTOFF,
 ) -> ValidationReport:
     """Check every schema invariant and return the full report.
 

@@ -21,11 +21,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .config import MetricConfig
-from .dataset import EvaluationDataset, Verdict
+from .dataset import MAX_CUTOFF, EvaluationDataset, Verdict
 from .scoring import ScoredPair, resolve_preferences, score_resolved
 
 DEFAULT_THRESHOLDS: tuple[float, ...] = tuple(i / 100 for i in range(31))
-DEFAULT_CUTOFFS: tuple[int, ...] = tuple(range(1, 11))
+DEFAULT_CUTOFFS: tuple[int, ...] = tuple(range(1, MAX_CUTOFF + 1))
 
 CATEGORIES = (
     "correct_pref",
@@ -184,28 +184,11 @@ def best_cell(cells: Sequence[PirCell]) -> PirCell:
     return best
 
 
-def score_pairs(
-    dataset: EvaluationDataset,
-    config: MetricConfig,
-    lenient: bool = False,
-) -> tuple[list[ScoredPair], int]:
-    """Metric score pairs for every preference verdict the config can evaluate.
-
-    Returns the pairs in dataset order and the number of (query, rater)
-    pairs the configuration had to exclude (e.g. zero ideal gain).
-    Queries outside the config's query_filter are skipped silently; they
-    are out of scope, not excluded.
-    """
-    resolved = resolve_preferences(dataset, config, (config.cutoff,), lenient)
-    return score_resolved(resolved, config)
-
-
 @dataclass(frozen=True)
 class PirRow:
     """All threshold cells of one configuration at one cut-off."""
 
     config: MetricConfig
-    thresholds: tuple[float, ...]
     cells: tuple[PirCell, ...]
     excluded_pairs: int
 
@@ -252,6 +235,10 @@ def pir_sweep(
 ) -> PirGrid:
     """Evaluate every configuration over the full (cut-off, threshold) grid.
 
+    This is the one way to score a PIR row: ``prefeval sweep`` takes the
+    whole grid, and ``prefeval breakdown`` a one-config, one-cut-off grid
+    whose single row holds its threshold series and excluded count.
+
     No work repeats across configs, cut-offs or thresholds:
 
     - configs that share a scale, rating source and query filter share
@@ -285,23 +272,10 @@ def pir_sweep(
     for config, at in rows:
         pairs, excluded = score_resolved(tables[scope(config)], at)
         results[(config.label(), at.cutoff)] = PirRow(
-            config=at, thresholds=tuple(thresholds),
-            cells=pir_cells(pairs, thresholds), excluded_pairs=excluded)
+            config=at, cells=pir_cells(pairs, thresholds), excluded_pairs=excluded)
     return PirGrid(
         configs=configs,
         cutoffs=cutoffs,
         thresholds=tuple(thresholds),
         rows=results,
     )
-
-
-def breakdown_series(
-    dataset: EvaluationDataset,
-    config: MetricConfig,
-    thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
-    lenient: bool = False,
-) -> tuple[list[PirCell], int]:
-    """Outcome cells across a threshold grid (category evolution by threshold)."""
-    _check_thresholds(thresholds)
-    pairs, excluded = score_pairs(dataset, config, lenient)
-    return list(pir_cells(pairs, thresholds)), excluded

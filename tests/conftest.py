@@ -18,6 +18,7 @@ from prefeval.dataset import (
     Variant,
     Verdict,
 )
+from prefeval.scoring import resolve_preferences, score_resolved
 
 settings.register_profile(
     "suite",
@@ -29,6 +30,11 @@ settings.register_profile(
 settings.load_profile("suite")
 
 RATER = "r1"
+
+
+def scored_pairs(dataset, config, lenient=False):
+    """(score pairs, excluded count) of one config at its own cut-off, in dataset order."""
+    return score_resolved(resolve_preferences(dataset, config, (config.cutoff,), lenient), config)
 
 
 def make_query(qid: str, query_type: QueryType = QueryType.INFORMATIONAL) -> Query:

@@ -15,6 +15,7 @@ from prefeval.config import Metric, MetricConfig
 from prefeval.data_io import FILE_NAMES, load_dataset, write_dataset
 from prefeval.dataset import ValidationMode, Variant
 from prefeval.metrics import esl
+from prefeval.pir import CATEGORIES
 from prefeval.scales import DiscountFunction
 from prefeval.scoring import judged_lists
 from prefeval.synth import SynthSpec, generate_synthetic
@@ -114,6 +115,34 @@ class TestValidateCommand:
             out, err = capsys.readouterr()
             assert err == "error: duplicate-query: query 'q001' defined more than once\n"
             assert out.rstrip().endswith("errors=1 warnings=0")
+
+    def test_missing_directory_is_one_line(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere"
+        assert main(["validate", str(missing)]) == 1
+        assert capsys.readouterr() == ("", f"missing file: {missing / FILE_NAMES['queries']}\n")
+
+    def test_malformed_lists_exits_one_with_location(self, synth_dir, capsys):
+        path = synth_dir / FILE_NAMES["lists"]
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace("\t2\t", "\ttwo\t", 1)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["validate", str(synth_dir)]) == 1
+        assert capsys.readouterr() == ("", f"{path}:3: rank must be an integer, got 'two'\n")
+
+    @pytest.mark.parametrize("command", ["validate", "eval"])
+    def test_empty_result_id_exits_one_with_location(self, synth_dir, capsys, command):
+        victim = load_dataset(synth_dir).list_pairs[0].variant_a[0]
+        for kind in ("lists", "judgments"):
+            path = synth_dir / FILE_NAMES[kind]
+            lines = path.read_text().splitlines()
+            blanked = ["\t".join("" if f == victim else f for f in line.split("\t")) for line in lines]
+            path.write_text("\n".join(blanked) + "\n")
+        line = next(i for i, (a, b) in enumerate(zip(lines, blanked), start=1) if a != b)
+        argv = [command, str(synth_dir)] + (["--metric", "ndcg"] if command == "eval" else [])
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"{path}:{line}: result_id is empty\n")
 
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -358,6 +387,53 @@ class TestBreakdownCommand:
             tables[source] = capsys.readouterr().out.splitlines()[1:]
         assert tables["same-user"] != tables["other-users"]
 
+    def test_negative_threshold_is_usage_error(self, synth_dir, capsys):
+        capsys.readouterr()
+        assert main(["breakdown", str(synth_dir), "--metric", "ndcg", "--threshold", "-0.1"]) == 2
+        assert capsys.readouterr() == ("", "usage error: threshold grid must start at 0\n")
+
+
+class TestBreakdownIsASweepRow:
+    """breakdown's counts and PIR equal the matching counts_<label>.tsv row of a sweep."""
+
+    # flags for both commands, breakdown's --threshold and --thresholds, sweep's --thresholds
+    SCENARIOS = {
+        "same-user": ([], "0.05", None, None),
+        "other-users": (["--rating-source", "other-users"], "0.05", None, None),
+        "query-type": (["--query-type", "informational"], "0.05", None, None),
+        "lenient-unjudged": (["--lenient"], "0.05", None, None),
+        "off-grid-threshold": ([], "0.15", "0,0.1,0.2", "0,0.1,0.15,0.2"),
+    }
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("metric", [m.value for m in Metric])
+    def test_counts_and_pir_match(self, synth_dir, tmp_path, capsys, metric, scenario):
+        flags, threshold, grid, sweep_grid = self.SCENARIOS[scenario]
+        if scenario == "lenient-unjudged":
+            victim = load_dataset(synth_dir).list_pairs[0].variant_a[0]
+            path = synth_dir / FILE_NAMES["judgments"]
+            lines = path.read_text().splitlines()
+            path.write_text("".join(f"{line}\n" for line in lines if line.split("\t")[1] != victim))
+        breakdown = ["breakdown", str(synth_dir), "--metric", metric, "--cutoff", "5",
+                     "--threshold", threshold, *flags]
+        sweep = ["sweep", str(synth_dir), "--metrics", metric, "--cutoffs", "5",
+                 "--out", str(tmp_path / "sweep"), *flags]
+        if grid:
+            breakdown += ["--thresholds", grid]
+            sweep += ["--thresholds", sweep_grid]
+        capsys.readouterr()
+        assert main(breakdown) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        label = lines[0].split()[1]
+        printed = dict(line.split("\t")[:2] for line in lines[2:])
+        excluded = err.removeprefix("excluded pairs: ").strip() or "0"
+        assert main(sweep) == 0
+        rows = (tmp_path / "sweep" / f"counts_{label}.tsv").read_text().splitlines()
+        (row,) = [r.split("\t") for r in rows[1:] if r.split("\t")[1] == f"{float(threshold):.4f}"]
+        assert row == ["5", f"{float(threshold):.4f}", printed["pir"],
+                       *(printed[name] for name in CATEGORIES), excluded]
+
 
 class TestImplicitCommand:
     def test_series_and_out_file(self, synth_dir, tmp_path, capsys):
@@ -453,3 +529,16 @@ class TestDemoScript:
         assert demo.run(["--workdir", str(work), "--queries", "6", "--raters", "3",
                          "--preferences", "12", "--seed", "3"]) == 0
         assert (work / "sweep" / "best_threshold_pir.svg").exists()
+
+
+class TestCompareDiscountsScript:
+    def test_prints_one_row_per_cutoff(self, capsys):
+        spec = importlib.util.spec_from_file_location("compare_discounts",
+                                                      SCRIPTS / "compare_discounts.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.run(["--queries", "8", "--raters", "3", "--preferences", "16"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split() for line in lines if line.split()[:1] and line.split()[0].isdigit()]
+        assert [int(row[0]) for row in rows] == list(range(1, 11))
+        assert all(len(row) == 1 + len(script.DISCOUNTS) for row in rows)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import binary_pair_dataset, make_session
+from conftest import binary_pair_dataset, make_session, scored_pairs
 from prefeval.data_io import (
     FILE_NAMES,
     ParseError,
@@ -11,7 +11,7 @@ from prefeval.data_io import (
     write_dataset,
 )
 from prefeval.dataset import ValidationError, ValidationMode, Verdict
-from prefeval.pir import pir, score_pairs
+from prefeval.pir import pir
 from prefeval.config import Metric, MetricConfig
 from prefeval.scales import DiscountFunction
 from prefeval.synth import SynthSpec, generate_synthetic
@@ -170,6 +170,33 @@ class TestParseRejections:
         assert str(exc.value).startswith(f"{path}:3: not valid UTF-8 (byte 0xff at offset ")
 
 
+    @pytest.mark.parametrize("kind,index,field", [
+        ("queries", 0, "id"),
+        ("judgments", 0, "query_id"),
+        ("judgments", 1, "result_id"),
+        ("judgments", 2, "rater_id"),
+        ("lists", 0, "query_id"),
+        ("lists", 3, "result_id"),
+        ("preferences", 0, "query_id"),
+        ("preferences", 1, "rater_id"),
+        ("sessions", 0, "query_id"),
+        ("sessions", 1, "rater_id"),
+        ("clicks", 0, "query_id"),
+        ("clicks", 1, "rater_id"),
+    ])
+    def test_empty_id_rejected_with_location(self, tmp_path, round_trip_dataset, kind, index, field):
+        write_dataset(round_trip_dataset, tmp_path)
+        path = tmp_path / FILE_NAMES[kind]
+        lines = path.read_text().splitlines()
+        fields = lines[2].split("\t")
+        fields[index] = ""
+        lines[2] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_dataset(tmp_path)
+        assert str(exc.value) == f"{path}:3: {field} is empty"
+
+
 class TestAlternateIngest:
     def test_headerless_whitespace_judgments(self, tmp_path):
         ds = binary_pair_dataset([("q1", 2, 1, Verdict.A)], list_len=3)
@@ -187,7 +214,7 @@ class TestLoadBehavior:
         write_dataset(ds, tmp_path)
         loaded = load_dataset(tmp_path, max_cutoff=3)
         assert loaded.preferences == ()
-        pairs, _ = score_pairs(loaded, MetricConfig(Metric.PRECISION, DiscountFunction.none(), cutoff=3))
+        pairs, _ = scored_pairs(loaded, MetricConfig(Metric.PRECISION, DiscountFunction.none(), cutoff=3))
         assert pir(pairs, 0.0).empty_denominator
 
     def test_missing_optional_files_default_to_empty(self, tmp_path):
@@ -214,14 +241,6 @@ class TestLoadBehavior:
             load_dataset(tmp_path, max_cutoff=3)
         loaded = load_dataset(tmp_path, mode=ValidationMode.LENIENT, max_cutoff=3)
         assert len(loaded.judgments) == 5
-
-    def test_explicit_paths_override_root(self, tmp_path):
-        ds = binary_pair_dataset([("q1", 2, 1, Verdict.A)], list_len=3)
-        write_dataset(ds, tmp_path / "a")
-        alt = tmp_path / "elsewhere.tsv"
-        alt.write_text((tmp_path / "a" / FILE_NAMES["preferences"]).read_text().replace("\tA", "\tB"))
-        loaded = load_dataset(tmp_path / "a", preferences=alt, max_cutoff=3)
-        assert loaded.preferences[0].verdict is Verdict.B
 
 
 def _rewrite(path: Path, edit) -> None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import binary_pair_dataset
+from conftest import binary_pair_dataset, scored_pairs
 from prefeval.config import Metric, MetricConfig, RatingSource
 from prefeval.dataset import Verdict
 from prefeval.oracle import collect_pairs, naive_pir, oracle_grid, oracle_pir
@@ -14,12 +14,10 @@ from prefeval.pir import (
     DEFAULT_CUTOFFS,
     DEFAULT_THRESHOLDS,
     PirRow,
-    breakdown_series,
     pir,
     pir_cells,
     pir_sweep,
     pref,
-    score_pairs,
 )
 from prefeval.scales import DiscountFunction
 from prefeval.synth import SynthSpec, generate_synthetic
@@ -154,6 +152,11 @@ class TestPirCells:
             pir_cells([], [0.0, -0.1])
 
 
+def one_row(dataset, config, thresholds=DEFAULT_THRESHOLDS):
+    """The row of a one-config sweep at the config's own cut-off, as ``breakdown`` reads it."""
+    return pir_sweep(dataset, [config], thresholds, (config.cutoff,)).row(config, config.cutoff)
+
+
 class TestDetailedBreakdown:
     def test_all_equal_verdicts_with_zero_diffs(self):
         pairs = [(0.4, 0.4, Verdict.EQUAL)] * 4
@@ -162,8 +165,9 @@ class TestDetailedBreakdown:
         assert cell.shares()["correct_equal"] == 1
 
     def test_worked_example_categories_at_zero(self, sample_pir_dataset):
-        (cell,), excluded = breakdown_series(sample_pir_dataset, PRECISION_NONE, (0.0,))
-        assert excluded == 0
+        row = one_row(sample_pir_dataset, PRECISION_NONE, (0.0,))
+        (cell,) = row.cells
+        assert row.excluded_pairs == 0
         assert cell.counts() == {
             "correct_pref": 3,
             "correct_equal": 0,
@@ -174,21 +178,21 @@ class TestDetailedBreakdown:
         assert sum(cell.shares().values()) == Fraction(1)
 
     def test_threshold_above_every_diff(self, sample_pir_dataset):
-        pairs, _ = score_pairs(sample_pir_dataset, PRECISION_NONE)
+        pairs, _ = scored_pairs(sample_pir_dataset, PRECISION_NONE)
         cell = pir(pairs, 0.9)
         assert cell.correct_pref == cell.false_pref == cell.reversed_pref == 0
         assert cell.correct_equal == 1
         assert cell.missed_pref == 4
 
-    def test_breakdown_series_covers_grid(self, sample_pir_dataset):
-        cells, excluded = breakdown_series(sample_pir_dataset, PRECISION_NONE)
-        assert len(cells) == len(DEFAULT_THRESHOLDS)
-        assert excluded == 0
+    def test_breakdown_row_covers_grid(self, sample_pir_dataset):
+        row = one_row(sample_pir_dataset, PRECISION_NONE)
+        assert len(row.cells) == len(DEFAULT_THRESHOLDS)
+        assert row.excluded_pairs == 0
 
 
 class TestScorePairsOnDataset:
     def test_sample_dataset_reproduces_pair_table(self, sample_pir_dataset):
-        pairs, excluded = score_pairs(sample_pir_dataset, PRECISION_NONE)
+        pairs, excluded = scored_pairs(sample_pir_dataset, PRECISION_NONE)
         assert excluded == 0
         got = [(round(a, 10), round(b, 10), v) for a, b, v in pairs]
         assert got == [
@@ -204,7 +208,7 @@ class TestScorePairsOnDataset:
             [("q1", 0, 0, Verdict.A), ("q2", 3, 1, Verdict.A)], list_len=10
         )
         cfg = MetricConfig(Metric.NDCG, DiscountFunction.log2())
-        pairs, excluded = score_pairs(ds, cfg)
+        pairs, excluded = scored_pairs(ds, cfg)
         assert excluded == 1
         assert len(pairs) == 1
 
@@ -214,7 +218,7 @@ class TestScorePairsOnDataset:
         cfg = dataclasses.replace(
             PRECISION_NONE, query_filter=frozenset({QueryType.NAVIGATIONAL})
         )
-        pairs, excluded = score_pairs(sample_pir_dataset, cfg)
+        pairs, excluded = scored_pairs(sample_pir_dataset, cfg)
         assert pairs == []
         assert excluded == 0
 
@@ -225,8 +229,7 @@ class TestBestThreshold:
             threshold=t, pir=v, correct_pref=0, correct_equal=0, false_pref=0,
             missed_pref=0, reversed_pref=0,
         ) for t, v in mapping)
-        return PirRow(config=PRECISION_NONE, thresholds=tuple(t for t, _ in mapping),
-                      cells=cells, excluded_pairs=0)
+        return PirRow(config=PRECISION_NONE, cells=cells, excluded_pairs=0)
 
     def test_picks_maximum(self):
         row = self.row([(0.0, 0.75), (0.15, 0.875), (0.35, 0.625)])
@@ -326,5 +329,5 @@ class TestOracle:
                 assert cell.pir == reference[(cutoff, cell.threshold)]
 
     def test_collect_pairs_matches_engine_pairs(self, sample_pir_dataset):
-        engine_pairs, _ = score_pairs(sample_pir_dataset, PRECISION_NONE)
+        engine_pairs, _ = scored_pairs(sample_pir_dataset, PRECISION_NONE)
         assert collect_pairs(sample_pir_dataset, PRECISION_NONE) == engine_pairs

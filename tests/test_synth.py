@@ -2,9 +2,10 @@ from collections import Counter
 
 import pytest
 
+from conftest import scored_pairs
 from prefeval.config import Metric, MetricConfig, RatingSource
 from prefeval.dataset import ValidationMode, Verdict, validate
-from prefeval.pir import pir, score_pairs
+from prefeval.pir import pir
 from prefeval.scales import DiscountFunction
 from prefeval.synth import SynthSpec, generate_synthetic
 
@@ -49,7 +50,7 @@ class TestStrictValidity:
                 kw = {"esl_n": 1.5} if metric is Metric.ESL else {}
                 cfg = MetricConfig(metric=metric, discount=DiscountFunction.log2(),
                                    rating_source=source, cutoff=5, **kw)
-                pairs, _ = score_pairs(ds, cfg)
+                pairs, _ = scored_pairs(ds, cfg)
                 pir(pairs, 0.0)
 
 
@@ -88,7 +89,7 @@ class TestPreferenceModel:
                          grade_weights_b=(1, 0, 0, 0, 0, 0))
         ds = generate_synthetic(spec)
         assert {p.verdict for p in ds.preferences} == {Verdict.EQUAL}
-        pairs, _ = score_pairs(ds, MetricConfig(Metric.PRECISION, DiscountFunction.none()))
+        pairs, _ = scored_pairs(ds, MetricConfig(Metric.PRECISION, DiscountFunction.none()))
         cell = pir(pairs, 0.0)
         assert cell.empty_denominator
         assert cell.pir == 0.5
