@@ -1,6 +1,6 @@
 """Command-line interface: validate, eval, sweep, breakdown, implicit, stats, synth.
 
-Exit codes: 0 success, 1 validation or data failure, 2 usage error,
+Exit codes: 0 success, 1 validation, data or file failure, 2 usage error,
 3 empty preference denominator (no verdict to compare against; sweeps
 report this per cell instead of failing).  All numbers are printed with
 four decimals; computation keeps full precision.
@@ -113,8 +113,6 @@ def _add_config_args(parser: argparse.ArgumentParser, single_metric: bool,
                         help=f"ESL cumulative relevance target (default {DEFAULT_ESL_N})")
     parser.add_argument("--norm", default=ApNorm.BY_EVALUATED_COUNT.value,
                         choices=[n.value for n in ApNorm], help="AP normalization")
-    parser.add_argument("--rr-threshold", type=float, default=0.0,
-                        help="unit relevance above which MRR counts a result as relevant")
     parser.add_argument("--query-type", action="append", dest="query_types",
                         choices=[t.value for t in QueryType],
                         help="restrict to these query types (repeatable)")
@@ -136,7 +134,6 @@ def _build_config(args, metric: Metric, discount: DiscountFunction, cutoff: int)
         ap_norm=ApNorm(args.norm),
         # eval has no preference rater, so it averages all raters and takes no source
         rating_source=RatingSource(getattr(args, "rating_source", RatingSource.SAME_USER)),
-        rr_threshold=args.rr_threshold,
         query_filter=query_filter,
     )
 
@@ -500,6 +497,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVALID
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MissingJudgment as exc:
         print(f"missing judgment: {exc}", file=sys.stderr)

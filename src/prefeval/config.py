@@ -43,7 +43,6 @@ class MetricConfig:
     esl_n: Optional[float] = None
     ap_norm: ApNorm = ApNorm.BY_EVALUATED_COUNT
     rating_source: RatingSource = RatingSource.SAME_USER
-    rr_threshold: float = 0.0
     query_filter: Optional[frozenset[QueryType]] = field(default=None)
 
     def __post_init__(self) -> None:
@@ -54,8 +53,6 @@ class MetricConfig:
                 raise ValueError("ESL requires a positive cumulative relevance target esl_n")
         elif self.esl_n is not None:
             raise ValueError(f"esl_n is only meaningful for ESL, not {self.metric.value}")
-        if self.rr_threshold < 0:
-            raise ValueError(f"rr_threshold must be >= 0, got {self.rr_threshold}")
         if self.query_filter is not None:
             object.__setattr__(self, "query_filter", frozenset(self.query_filter))
 
@@ -70,8 +67,6 @@ class MetricConfig:
             parts.append(f"n{self.esl_n:g}")
         if self.metric is Metric.MAP and self.ap_norm is ApNorm.BY_KNOWN_RELEVANT:
             parts.append("knownrel")
-        if self.metric is Metric.MRR and self.rr_threshold:
-            parts.append(f"t{self.rr_threshold:g}")
         if self.query_filter is not None:
             parts.append("+".join(sorted(t.value for t in self.query_filter)))
         return "_".join(parts)

@@ -107,9 +107,6 @@ def measure_session(
 class ImplicitSeries:
     """PIR across thresholds for one session measure."""
 
-    measure: ImplicitMeasure
-    direction: Direction
-    thresholds: tuple[float, ...]
     cells: tuple[PirCell, ...]
     excluded_queries: int
 
@@ -190,14 +187,7 @@ def implicit_pir(
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLD_GRIDS[measure]
     pairs, excluded = implicit_pairs(dataset, measure, endpoint, direction, band)
-    cells = pir_cells(pairs, thresholds)
-    return ImplicitSeries(
-        measure=measure,
-        direction=direction,
-        thresholds=tuple(thresholds),
-        cells=cells,
-        excluded_queries=excluded,
-    )
+    return ImplicitSeries(cells=pir_cells(pairs, thresholds), excluded_queries=excluded)
 
 
 @dataclass(frozen=True)

@@ -58,9 +58,7 @@ def precision_at(
     With binary input and no discount this is the classical fraction of
     relevant results.
     """
-    _check_cutoff(rels, c)
-    weights = discount.weights(c)
-    return math.fsum(rels[i] * weights[i] for i in range(c)) / c
+    return dcg(rels, c, discount) / c
 
 
 def dcg(rels: Sequence[float], c: int, discount: DiscountFunction) -> float:
@@ -149,20 +147,15 @@ def err(rels: Sequence[float], c: int, discount: DiscountFunction) -> float:
     return total
 
 
-def reciprocal_rank(
-    rels: Sequence[float],
-    c: int,
-    discount: DiscountFunction,
-    relevant_threshold: float = 0.0,
-) -> float:
+def reciprocal_rank(rels: Sequence[float], c: int, discount: DiscountFunction) -> float:
     """Discount weight of the first relevant rank; 0.0 if none within ``c``.
 
-    A result counts as relevant when its unit relevance strictly exceeds
-    ``relevant_threshold`` (default: anything not completely useless).
+    Relevant = unit relevance above 0, so the scale alone decides which
+    grades count.
     """
     _check_cutoff(rels, c)
     for i in range(c):
-        if rels[i] > relevant_threshold:
+        if rels[i] > 0:
             return discount.weights(i + 1)[i]
     return 0.0
 
@@ -185,9 +178,7 @@ def esl(rels: Sequence[float], c: int, discount: DiscountFunction, n: float) -> 
         if cumulated >= n:
             reach = i + 1
             break
-    weights = discount.weights(reach)
-    gained = math.fsum(rels[i] * weights[i] for i in range(reach))
-    return 1.0 - (reach - gained) / c
+    return 1.0 - (reach - dcg(rels, reach, discount)) / c
 
 
 def mean_over_queries(scores: Iterable[float]) -> float:

@@ -1,60 +1,31 @@
 """Reference PIR computation by plain enumeration, for cross-checking the engine.
 
-This module deliberately re-derives preference identification the long
-way: walk the preference judgments one by one, skip the verdicts that
-state no preference, compare each score difference against the threshold
-with explicit branches, and sum agreement integers.  It shares only the
-per-pair metric scoring substrate with the engine (that substrate is
-pinned separately against published worked examples); everything the
-sweep engine adds on top (caching, grids, category counting)
-is recomputed here from scratch, so grid cells can be required to match
+This module re-derives every cell the long way: walk the preference
+judgments one by one, score each through :func:`~prefeval.scoring.score_pair`
+(pinned separately against published worked examples), and count the
+pairs of each threshold through :func:`~prefeval.pir.pir`, the spelled-out
+one-threshold rule that no command runs.  Everything the sweep engine
+adds on top (resolve-once tables, grids, bisection counting) is
+recomputed here from scratch, so grid cells can be required to match
 exactly, not approximately.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence
 
 from .config import MetricConfig
-from .dataset import EvaluationDataset, Verdict
+from .dataset import EvaluationDataset
 from .metrics import ExcludedQuery
-from .scoring import score_pair
-
-NaivePair = Tuple[float, float, Verdict]
-
-
-def naive_pir(pairs: Iterable[NaivePair], t: float) -> float:
-    """PIR over (score_a, score_b, verdict) triples, spelled out step by step."""
-    if t < 0:
-        raise ValueError("threshold must be >= 0")
-    total = 0
-    n = 0
-    for score_a, score_b, verdict in pairs:
-        if verdict is Verdict.EQUAL:
-            continue
-        n += 1
-        diff = score_a - score_b
-        if diff > t:
-            metric_says = 1
-        elif diff < -t:
-            metric_says = -1
-        else:
-            metric_says = 0
-        if verdict is Verdict.A:
-            user_says = 1
-        else:
-            user_says = -1
-        total += metric_says * user_says
-    if n == 0:
-        return 0.5
-    return 0.5 + total / (2 * n)
+from .pir import pir
+from .scoring import ScoredPair, score_pair
 
 
 def collect_pairs(
     dataset: EvaluationDataset, config: MetricConfig, lenient: bool = False
-) -> list[NaivePair]:
+) -> list[ScoredPair]:
     """Score triples for every verdict the configuration can evaluate."""
-    pairs: list[NaivePair] = []
+    pairs: list[ScoredPair] = []
     for p in dataset.preferences:
         if config.query_filter is not None:
             if dataset.query_by_id[p.query_id].query_type not in config.query_filter:
@@ -77,7 +48,7 @@ def oracle_pir(
     """Single-cell reference PIR; ``cutoff`` overrides the config's when given."""
     if cutoff is not None:
         config = config.at_cutoff(cutoff)
-    return naive_pir(collect_pairs(dataset, config, lenient), t)
+    return pir(collect_pairs(dataset, config, lenient), t).pir
 
 
 def oracle_grid(
@@ -91,11 +62,11 @@ def oracle_grid(
 
     Cell for cell equal to calling :func:`oracle_pir`; the score triples
     of a cut-off are computed once and each threshold cell is then
-    enumerated naively.
+    counted by :func:`~prefeval.pir.pir`.
     """
     grid: dict[tuple[int, float], float] = {}
     for cutoff in cutoffs:
         pairs = collect_pairs(dataset, config.at_cutoff(cutoff), lenient)
         for t in thresholds:
-            grid[(cutoff, t)] = naive_pir(pairs, t)
+            grid[(cutoff, t)] = pir(pairs, t).pir
     return grid

@@ -99,7 +99,8 @@ def pir(pairs: Sequence[ScoredPair], t: float = 0.0) -> PirCell:
 
     Each pair is (score_a, score_b, verdict).  With no preferring pairs
     the PIR is the 0.5 baseline and the cell flags the empty denominator.
-    This is the one-threshold reference; sweeps use :func:`pir_cells`.
+    This is the one-threshold reference the oracle counts with; sweeps
+    use :func:`pir_cells`.
     """
     _check_threshold(t)
     counts = dict.fromkeys(CATEGORIES, 0)
@@ -204,7 +205,6 @@ class PirGrid:
 
     configs: tuple[MetricConfig, ...]
     cutoffs: tuple[int, ...]
-    thresholds: tuple[float, ...]
     rows: Mapping[tuple[str, int], PirRow]
 
     def row(self, config: Union[MetricConfig, str], cutoff: int) -> PirRow:
@@ -273,9 +273,4 @@ def pir_sweep(
         pairs, excluded = score_resolved(tables[scope(config)], at)
         results[(config.label(), at.cutoff)] = PirRow(
             config=at, cells=pir_cells(pairs, thresholds), excluded_pairs=excluded)
-    return PirGrid(
-        configs=configs,
-        cutoffs=cutoffs,
-        thresholds=tuple(thresholds),
-        rows=results,
-    )
+    return PirGrid(configs=configs, cutoffs=cutoffs, rows=results)

@@ -42,31 +42,24 @@ def unit_relevance(
 ) -> float:
     """Unit relevance of one result as seen by one preference rater.
 
-    Grades are conflated onto the scale per rater first; OTHER_USERS then
-    averages the conflated values of all raters except ``rater_id``.  With
-    no rater (``None``) there is no one to single out, and every source
-    averages over all raters.
+    The mean of the selected raters' grades, each conflated onto the scale
+    first.  SAME_USER selects ``rater_id`` alone, OTHER_USERS every rater
+    except ``rater_id``.  With no rater (``None``) there is no one to
+    single out, and every source selects all raters.
     """
     grades = dataset.grades.get((query_id, result_id), {})
-    if source is RatingSource.SAME_USER and rater_id is not None:
-        grade = grades.get(rater_id)
-        if grade is None:
-            if lenient:
-                return 0.0
-            raise MissingJudgment(
-                f"rater {rater_id!r} has no judgment for ({query_id!r}, {result_id!r})"
-            )
-        return conflate(grade, scale)
-    others = [conflate(g, scale) for r, g in grades.items() if r != rater_id]
-    if not others:
-        if lenient:
-            return 0.0
-        if rater_id is None:
-            raise MissingJudgment(f"({query_id!r}, {result_id!r}) has no judgment")
+    same_user = source is RatingSource.SAME_USER and rater_id is not None
+    values = [conflate(g, scale) for r, g in grades.items() if (r == rater_id) == same_user]
+    if values:
+        return sum(values) / len(values)
+    if lenient:
+        return 0.0
+    if same_user:
         raise MissingJudgment(
-            f"no rater besides {rater_id!r} judged ({query_id!r}, {result_id!r})"
-        )
-    return sum(others) / len(others)
+            f"rater {rater_id!r} has no judgment for ({query_id!r}, {result_id!r})")
+    if rater_id is None:
+        raise MissingJudgment(f"({query_id!r}, {result_id!r}) has no judgment")
+    raise MissingJudgment(f"no rater besides {rater_id!r} judged ({query_id!r}, {result_id!r})")
 
 
 def judged_lists(
@@ -124,9 +117,7 @@ def metric_score(
     if m is Metric.ERR:
         return metrics.err(rels, c, config.discount)
     if m is Metric.MRR:
-        return metrics.reciprocal_rank(
-            rels, c, config.discount, relevant_threshold=config.rr_threshold
-        )
+        return metrics.reciprocal_rank(rels, c, config.discount)
     if m is Metric.ESL:
         assert config.esl_n is not None
         return metrics.esl(rels, c, config.discount, config.esl_n)

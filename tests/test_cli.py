@@ -14,9 +14,11 @@ from prefeval.cli import main
 from prefeval.config import Metric, MetricConfig
 from prefeval.data_io import FILE_NAMES, load_dataset, write_dataset
 from prefeval.dataset import ValidationMode, Variant
+from prefeval.implicit import ImplicitMeasure, SessionEndpoint, implicit_pir
 from prefeval.metrics import esl
-from prefeval.pir import CATEGORIES
-from prefeval.scales import DiscountFunction
+from prefeval.oracle import oracle_pir
+from prefeval.pir import CATEGORIES, DEFAULT_CUTOFFS, DEFAULT_THRESHOLDS
+from prefeval.scales import DiscountFunction, RelevanceScale
 from prefeval.scoring import judged_lists
 from prefeval.synth import SynthSpec, generate_synthetic
 
@@ -39,6 +41,13 @@ EVAL_NDCG_C5 = (
 EVAL_NDCG_C5_LENIENT_GAP = EVAL_NDCG_C5.replace(
     "q001\t0.6705\t0.4923", "q001\t0.3993\t0.5253"
 ).replace("mean\t0.8038\t0.6251", "mean\t0.7699\t0.6292")
+
+
+def run_cli(argv):
+    """Run the CLI in a fresh interpreter, so an uncaught exception shows as a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(prefeval.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-m", "prefeval.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture
@@ -319,12 +328,7 @@ class TestSweepCommand:
         assert main(["synth", "--out", str(data), "--queries", "4", "--raters", "1",
                      "--seed", "3"]) == 0
         assert main(["validate", str(data)]) == 0
-        env = dict(os.environ, PYTHONPATH=str(Path(prefeval.__file__).parent.parent))
-        proc = subprocess.run(
-            [sys.executable, "-m", "prefeval.cli", "sweep", str(data),
-             "--rating-source", "other-users", "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_cli(["sweep", data, "--rating-source", "other-users", "--out", tmp_path / "out"])
         assert proc.returncode == 1
         assert "Traceback" not in proc.stdout + proc.stderr
         assert proc.stderr.startswith("missing judgment: no rater besides 'u01' judged")
@@ -345,6 +349,18 @@ class TestSweepCommand:
         assert main(["sweep", str(data), "--rating-source", source, "--cutoffs", "1-5",
                      "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / f"grid_ndcg_log2_six_{source}.tsv").exists()
+
+    def test_scale_flag_cells_equal_oracle(self, synth_dir, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(synth_dir), "--out", str(out), "--metrics", "ndcg",
+                     "--scale", "r2_3"]) == 0
+        cfg = MetricConfig(Metric.NDCG, DiscountFunction.log2(), scale=RelevanceScale.R2_3)
+        ds = load_dataset(synth_dir)
+        rows = (out / f"grid_{cfg.label()}.tsv").read_text().splitlines()[1:]
+        assert len(rows) == len(DEFAULT_THRESHOLDS)
+        for t, row in zip(DEFAULT_THRESHOLDS, rows):
+            want = [f"{oracle_pir(ds, cfg, t, cutoff=c):.4f}" for c in DEFAULT_CUTOFFS]
+            assert row.split("\t") == [f"{t:.4f}", *want]
 
 
 class TestBreakdownCommand:
@@ -468,6 +484,60 @@ class TestImplicitCommand:
         assert code in (0, 3)  # narrow bands may leave nothing to compare
         assert main(["implicit", str(synth_dir), "--measure", "duration",
                      "--band", "45:0"]) == 2
+
+    def test_last_click_endpoint_table(self, synth_dir, capsys):
+        capsys.readouterr()
+        assert main(["implicit", str(synth_dir), "--measure", "duration",
+                     "--endpoint", "last-click"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        ds = load_dataset(synth_dir)
+        series = implicit_pir(ds, ImplicitMeasure.DURATION, endpoint=SessionEndpoint.LAST_CLICK)
+        assert lines[1:-1] == [f"{cell.threshold:.4f}\t{cell.pir:.4f}" for cell in series.cells]
+        # the flag matters on this dataset: the explicit end gives other cells
+        assert series.cells != implicit_pir(ds, ImplicitMeasure.DURATION).cells
+
+
+class TestOutputPathErrors:
+    """An unusable output path is exit 1 with one line on stderr, never a traceback."""
+
+    # {file} is an existing regular file, {dir} an existing directory
+    CASES = {
+        "sweep-out-is-file": ["sweep", "{ds}", "--metrics", "mrr", "--cutoffs", "1",
+                              "--out", "{file}"],
+        "sweep-out-under-file": ["sweep", "{ds}", "--metrics", "mrr", "--cutoffs", "1",
+                                 "--out", "{file}/sub"],
+        "implicit-out-is-dir": ["implicit", "{ds}", "--measure", "clicks", "--out", "{dir}"],
+        "breakdown-series-is-dir": ["breakdown", "{ds}", "--metric", "mrr", "--threshold", "0",
+                                    "--series", "{dir}"],
+        "synth-out-is-file": ["synth", "--out", "{file}", "--queries", "3", "--raters", "2",
+                              "--seed", "1"],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_one_without_traceback(self, synth_dir, tmp_path, case):
+        (tmp_path / "file").write_text("taken\n")
+        (tmp_path / "dir").mkdir()
+        argv = [arg.format(ds=synth_dir, file=tmp_path / "file", dir=tmp_path / "dir")
+                for arg in self.CASES[case]]
+        proc = run_cli(argv)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("file error: ")
+        assert len(proc.stderr.splitlines()) == 1
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("command", [
+        ["eval", "--metric", "mrr"],
+        ["sweep", "--metrics", "mrr", "--out", "unused"],
+        ["breakdown", "--metric", "mrr", "--threshold", "0"],
+    ], ids=lambda command: command[0])
+    def test_rr_threshold_is_usage_error(self, synth_dir, capsys, command):
+        # MRR counts a result as relevant when its unit relevance is above 0
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], str(synth_dir), *command[1:], "--rr-threshold", "0.2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rr-threshold" in capsys.readouterr().err
 
 
 class TestStatsCommand:

@@ -18,7 +18,7 @@ from prefeval.implicit import (
     mean_click_rank,
     session_duration,
 )
-from prefeval.oracle import naive_pir
+from prefeval.pir import pir
 from prefeval.synth import SynthSpec, generate_synthetic
 
 
@@ -160,7 +160,7 @@ class TestImplicitPir:
             series = implicit_pir(ds, measure)
             pairs, _ = implicit_pairs(ds, measure)
             for cell in series.cells:
-                assert cell.pir == naive_pir(pairs, cell.threshold)
+                assert cell == pir(pairs, cell.threshold)
 
     def test_default_threshold_grids(self):
         assert DEFAULT_THRESHOLD_GRIDS[ImplicitMeasure.DURATION][:3] == (0.0, 5.0, 10.0)

@@ -196,9 +196,6 @@ class TestReciprocalRank:
     def test_fourth_rank_with_rank_discount(self):
         assert reciprocal_rank([0.0, 0.0, 0.0, 0.6], 4, RANK) == 0.25
 
-    def test_threshold_is_strict(self):
-        assert reciprocal_rank([0.2, 0.8], 2, RANK, relevant_threshold=0.2) == 0.5
-
 
 class TestEsl:
     @pytest.mark.parametrize("f", [NONE, LOG2, RANK, SQUARE], ids=lambda f: f.label())

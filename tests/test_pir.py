@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import binary_pair_dataset, scored_pairs
 from prefeval.config import Metric, MetricConfig, RatingSource
 from prefeval.dataset import Verdict
-from prefeval.oracle import collect_pairs, naive_pir, oracle_grid, oracle_pir
+from prefeval.oracle import collect_pairs, oracle_grid, oracle_pir
 from prefeval.pir import (
     DEFAULT_CUTOFFS,
     DEFAULT_THRESHOLDS,
@@ -290,9 +290,6 @@ class TestOracle:
 
     def test_oracle_baseline_beyond_span(self, sample_pir_dataset):
         assert oracle_pir(sample_pir_dataset, PRECISION_NONE, 1.0) == 0.5
-
-    def test_naive_pir_empty(self):
-        assert naive_pir([], 0.0) == 0.5
 
     def test_grid_agrees_with_per_cell_oracle(self):
         ds = generate_synthetic(SynthSpec(n_queries=5, n_raters=3, seed=21, n_preferences=10))
