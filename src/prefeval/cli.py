@@ -75,11 +75,14 @@ def _parse_weights(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
-def _discount(kind: DiscountKind, click_weights_path: Optional[str]) -> DiscountFunction:
+def _discount(kind: DiscountKind, click_weights_path: Optional[str],
+              max_cutoff: int) -> DiscountFunction:
+    """The discount of ``kind``; a click table must weigh every rank 1..``max_cutoff``."""
     if kind is DiscountKind.CLICK_BASED:
-        if click_weights_path:
-            return DiscountFunction.click_based(load_click_weights(click_weights_path))
-        return DiscountFunction.click_based()
+        table = load_click_weights(click_weights_path) if click_weights_path else None
+        discount = DiscountFunction.click_based(table)
+        discount.weights(max_cutoff)  # raises ValueError naming the first missing rank
+        return discount
     return DiscountFunction(kind)
 
 
@@ -157,10 +160,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset = _load(args, max_cutoff=args.cutoff)
     metric = Metric(args.metric)
     kind = DiscountKind(args.discount) if args.discount else DEFAULT_DISCOUNTS[metric]
-    config = _build_config(args, metric, _discount(kind, args.click_weights), args.cutoff)
+    discount = _discount(kind, args.click_weights, args.cutoff)
+    dataset = _load(args, max_cutoff=args.cutoff)
+    config = _build_config(args, metric, discount, args.cutoff)
 
     rows = []
     excluded = 0
@@ -192,19 +196,17 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     thresholds = _parse_float_grid(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS
     cutoffs = _parse_cutoffs(args.cutoffs)
-    dataset = _load(args, max_cutoff=max(cutoffs))
-
     metrics = [Metric(name) for name in args.metrics.split(",")]
-    configs = []
-    for metric in metrics:
-        if args.discounts:
-            kinds = [DiscountKind(d) for d in args.discounts.split(",")]
-        else:
-            kinds = [DEFAULT_DISCOUNTS[metric]]
-        for kind in kinds:
-            configs.append(
-                _build_config(args, metric, _discount(kind, args.click_weights), cutoffs[0])
-            )
+    if args.discounts:
+        kinds = {metric: [DiscountKind(d) for d in args.discounts.split(",")]
+                 for metric in metrics}
+    else:
+        kinds = {metric: [DEFAULT_DISCOUNTS[metric]] for metric in metrics}
+    discounts = {kind: _discount(kind, args.click_weights, max(cutoffs))
+                 for kind in dict.fromkeys(k for metric in metrics for k in kinds[metric])}
+    dataset = _load(args, max_cutoff=max(cutoffs))
+    configs = [_build_config(args, metric, discounts[kind], cutoffs[0])
+               for metric in metrics for kind in kinds[metric]]
 
     grid = pir_sweep(dataset, configs, thresholds, cutoffs, lenient=args.lenient)
 
@@ -282,10 +284,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_breakdown(args) -> int:
-    dataset = _load(args, max_cutoff=args.cutoff)
     metric = Metric(args.metric)
     kind = DiscountKind(args.discount) if args.discount else DEFAULT_DISCOUNTS[metric]
-    config = _build_config(args, metric, _discount(kind, args.click_weights), args.cutoff)
+    discount = _discount(kind, args.click_weights, args.cutoff)
+    dataset = _load(args, max_cutoff=args.cutoff)
+    config = _build_config(args, metric, discount, args.cutoff)
 
     thresholds = _parse_float_grid(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS
     if args.threshold not in thresholds:

@@ -187,7 +187,8 @@ def implicit_pir(
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLD_GRIDS[measure]
     pairs, excluded = implicit_pairs(dataset, measure, endpoint, direction, band)
-    return ImplicitSeries(cells=pir_cells(pairs, thresholds), excluded_queries=excluded)
+    cells = pir_cells([a - b for a, b, _ in pairs], [v for _, _, v in pairs], thresholds)
+    return ImplicitSeries(cells=cells, excluded_queries=excluded)
 
 
 @dataclass(frozen=True)

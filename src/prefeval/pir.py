@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .config import MetricConfig
 from .dataset import MAX_CUTOFF, EvaluationDataset, Verdict
-from .scoring import ScoredPair, resolve_preferences, score_resolved
+from .scoring import ScoredPair, resolve_preferences, score_cutoffs
 
 DEFAULT_THRESHOLDS: tuple[float, ...] = tuple(i / 100 for i in range(31))
 DEFAULT_CUTOFFS: tuple[int, ...] = tuple(range(1, MAX_CUTOFF + 1))
@@ -125,13 +125,16 @@ def pir(pairs: Sequence[ScoredPair], t: float = 0.0) -> PirCell:
     return PirCell(threshold=t, pir=value, **counts)
 
 
-def pir_cells(pairs: Sequence[ScoredPair], thresholds: Sequence[float]) -> tuple[PirCell, ...]:
+def pir_cells(
+    diffs: Sequence[float], verdicts: Sequence[Verdict], thresholds: Sequence[float]
+) -> tuple[PirCell, ...]:
     """``pir(pairs, t)`` for every t in ``thresholds``, from one sort per outcome.
 
-    With u = +1 for verdict A and -1 for B, a preferring pair's x =
-    (score_a - score_b) * u is a correct preference at t iff x > t and a
-    reversed one iff x < -t, and an equal verdict is a false preference
-    iff |score_a - score_b| > t: the strict comparisons of :func:`pref`.
+    ``diffs[i]`` is ``score_a - score_b`` of the pair whose verdict is
+    ``verdicts[i]``.  With u = +1 for verdict A and -1 for B, a
+    preferring pair's x = diff * u is a correct preference at t iff
+    x > t and a reversed one iff x < -t, and an equal verdict is a false
+    preference iff |diff| > t: the strict comparisons of :func:`pref`.
     So the nonzero |x| of agreeing, of reversed and of equal-verdict pairs
     go into three sorted lists, and each count is one ``bisect_right``.
     """
@@ -141,8 +144,7 @@ def pir_cells(pairs: Sequence[ScoredPair], thresholds: Sequence[float]) -> tuple
     reversed_: list[float] = []
     equal: list[float] = []
     n_pref = n_equal = 0
-    for score_a, score_b, verdict in pairs:
-        x = score_a - score_b
+    for x, verdict in zip(diffs, verdicts, strict=True):
         if verdict is Verdict.EQUAL:
             n_equal += 1
             if abs(x) > 0:
@@ -244,11 +246,15 @@ def pir_sweep(
     - configs that share a scale, rating source and query filter share
       one table from :func:`~prefeval.scoring.resolve_preferences`, built
       before any row runs: each verdict's judged lists, resolved once
-      down to ``max(cutoffs)`` with one grade lookup per distinct result,
-      and the pool of each cut-off taken from the deepest one by position;
-    - a row (config, cut-off) scores each verdict of its table once;
-    - :func:`pir_cells` sorts the row's score differences once and counts
-      each threshold cell by bisection.
+      down to ``max(cutoffs)`` with one grade lookup per distinct result
+      and one conflation per judgment of each query, and the pool of
+      each cut-off taken from the deepest one by position;
+    - a config walks each verdict's two lists once for all its cut-offs
+      (:func:`~prefeval.scoring.score_cutoffs`), with each cut-off's NDCG
+      ideal or known-relevant count computed once for both variants,
+      and keeps one score difference per (verdict, cut-off);
+    - :func:`pir_cells` sorts a row's differences once and counts each
+      threshold cell by bisection.
     """
     _check_thresholds(thresholds)
     configs = tuple(configs)
@@ -258,19 +264,33 @@ def pir_sweep(
         if config.label() in seen:
             raise ValueError(f"duplicate configuration {config.label()!r}")
         seen.add(config.label())
-    rows = [(config, config.at_cutoff(cutoff)) for config in configs for cutoff in cutoffs]
+    row_configs = {(config.label(), c): config.at_cutoff(c)
+                   for config in configs for c in cutoffs}
 
     def scope(config: MetricConfig) -> tuple:
         return config.scale, config.rating_source, config.query_filter
 
     tables = {}
-    for config, _ in rows:
+    for config in configs:
         if scope(config) not in tables:
             tables[scope(config)] = resolve_preferences(dataset, config, cutoffs, lenient)
 
     results = {}
-    for config, at in rows:
-        pairs, excluded = score_resolved(tables[scope(config)], at)
-        results[(config.label(), at.cutoff)] = PirRow(
-            config=at, cells=pir_cells(pairs, thresholds), excluded_pairs=excluded)
+    for config in configs:
+        diffs: list[list[float]] = [[] for _ in cutoffs]
+        verdicts: list[list[Verdict]] = [[] for _ in cutoffs]
+        excluded = [0] * len(cutoffs)
+        for resolved in tables[scope(config)]:
+            scores_a, scores_b = score_cutoffs(resolved, config, cutoffs)
+            for k, score_a in enumerate(scores_a):
+                if score_a is None:
+                    excluded[k] += 1
+                else:
+                    diffs[k].append(score_a - scores_b[k])
+                    verdicts[k].append(resolved.verdict)
+        label = config.label()
+        for k, c in enumerate(cutoffs):
+            results[(label, c)] = PirRow(config=row_configs[(label, c)],
+                                         cells=pir_cells(diffs[k], verdicts[k], thresholds),
+                                         excluded_pairs=excluded[k])
     return PirGrid(configs=configs, cutoffs=cutoffs, rows=results)

@@ -2,11 +2,13 @@
 
 This is the substrate both the sweep engine and the reference oracle
 build on: per-result unit relevance under a scale and rating source (or,
-with no preference rater, the mean over all raters), one walk over a
+with no preference rater, the mean over all raters), and one walk over a
 query's two lists that yields both judged lists and the judged pool in
-first-rank order, and the single-list metric dispatch.  The sweep engine
-resolves each verdict's lists once for all cut-offs, taking each pool as
-a prefix of the deepest (:func:`resolve_preferences`).
+first-rank order.  Scoring is where the two part: the oracle scores one
+list at one cut-off through :func:`metric_score` and the scalar metrics,
+while the sweep engine resolves each verdict's lists once for all
+cut-offs (:func:`resolve_preferences`) and scores every cut-off in one
+walk per list through the prefix scorers (:func:`score_cutoffs`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import metrics
 from .config import Metric, MetricConfig, RatingSource
 from .dataset import EvaluationDataset, Verdict
-from .metrics import ApNorm, ExcludedQuery
+from .metrics import ApNorm
 from .scales import RelevanceScale, conflate
 
 ScoredPair = tuple[float, float, Verdict]
@@ -31,6 +33,9 @@ class MissingJudgment(Exception):
     """
 
 
+ConflatedGrades = dict[str, list[tuple[str, float]]]
+
+
 def unit_relevance(
     dataset: EvaluationDataset,
     query_id: str,
@@ -39,6 +44,7 @@ def unit_relevance(
     source: RatingSource,
     rater_id: Optional[str],
     lenient: bool = False,
+    conflated: Optional[ConflatedGrades] = None,
 ) -> float:
     """Unit relevance of one result as seen by one preference rater.
 
@@ -46,10 +52,22 @@ def unit_relevance(
     first.  SAME_USER selects ``rater_id`` alone, OTHER_USERS every rater
     except ``rater_id``.  With no rater (``None``) there is no one to
     single out, and every source selects all raters.
+
+    ``conflated`` memoises, per result id of this query and scale, every
+    rater's conflated grade in rater order; callers resolving several
+    verdicts of one query share it, so each grade is conflated once and
+    every mean sums the same floats in the same order.
     """
     grades = dataset.grades.get((query_id, result_id), {})
     same_user = source is RatingSource.SAME_USER and rater_id is not None
-    values = [conflate(g, scale) for r, g in grades.items() if (r == rater_id) == same_user]
+    if same_user:
+        values = [conflate(grades[rater_id], scale)] if rater_id in grades else []
+    else:
+        if conflated is None:
+            conflated = {}
+        if result_id not in conflated:
+            conflated[result_id] = [(r, conflate(g, scale)) for r, g in grades.items()]
+        values = [v for r, v in conflated[result_id] if r != rater_id]
     if values:
         return sum(values) / len(values)
     if lenient:
@@ -68,6 +86,7 @@ def judged_lists(
     rater_id: Optional[str],
     config: MetricConfig,
     lenient: bool = False,
+    conflated: Optional[ConflatedGrades] = None,
 ) -> tuple[list[float], list[float], list[float]]:
     """Relevance lists of both variants at the configured cut-off, plus the pool.
 
@@ -79,14 +98,15 @@ def judged_lists(
     B2, ..., first occurrence kept), so the pool of a cut-off c is its
     first ``len({*variant_a[:c], *variant_b[:c]})`` entries; it feeds
     NDCG normalization and the known-relevant count of classical AP,
-    which use it as a multiset.
+    which use it as a multiset.  ``conflated`` is passed on to
+    :func:`unit_relevance`.
     """
     pair = dataset.pair_by_query[query_id]
     top_a = pair.variant_a[: config.cutoff]
     top_b = pair.variant_b[: config.cutoff]
     values = {
         rid: unit_relevance(dataset, query_id, rid, config.scale, config.rating_source,
-                            rater_id, lenient)
+                            rater_id, lenient, conflated)
         for rid in dict.fromkeys((*top_a, *top_b))
     }
     by_rank = dict.fromkeys(
@@ -173,8 +193,9 @@ def resolve_preferences(
     :func:`unit_relevance` lookup per distinct result.  The lists stay at
     that depth, since metrics ignore entries beyond their cut-off, and
     each cut-off's pool is a prefix of the deepest one, whose ends are
-    computed once per query.  Queries outside the query filter are
-    skipped.
+    computed once per query.  Each run of consecutive verdicts on one
+    query shares one memo of conflated grades, so each judgment of it is
+    conflated once.  Queries outside the query filter are skipped.
     """
     deepest = config.at_cutoff(max(cutoffs))
     pool_ends = {
@@ -182,32 +203,51 @@ def resolve_preferences(
         for pair in dataset.list_pairs
     }
     resolved = []
+    memo_query, conflated = None, {}
     for p in dataset.preferences:
         if config.query_filter is not None:
             if dataset.query_by_id[p.query_id].query_type not in config.query_filter:
                 continue
-        rels_a, rels_b, pool = judged_lists(dataset, p.query_id, p.rater_id, deepest, lenient)
+        if p.query_id != memo_query:
+            memo_query, conflated = p.query_id, {}
+        rels_a, rels_b, pool = judged_lists(dataset, p.query_id, p.rater_id, deepest, lenient,
+                                            conflated)
         resolved.append(ResolvedPreference(p.verdict, rels_a, rels_b, pool, pool_ends[p.query_id]))
     return resolved
 
 
-def score_resolved(
-    resolved: Sequence[ResolvedPreference], config: MetricConfig
-) -> tuple[list[ScoredPair], int]:
-    """(score_a, score_b, verdict) of each resolved verdict at the config's cut-off.
+def score_cutoffs(
+    pref: ResolvedPreference, config: MetricConfig, cutoffs: Sequence[int]
+) -> tuple[list[Optional[float]], list[Optional[float]]]:
+    """Scores of both variants of one resolved verdict at every cut-off.
 
-    Returns the pairs in order and the number of verdicts the config had
-    to exclude (ExcludedQuery, e.g. zero ideal gain).
+    Entry ``k`` of each list equals :func:`metric_score` of that variant
+    at ``cutoffs[k]``, or is None where the config excludes the verdict
+    there (ExcludedQuery).  Each list is walked once for all cut-offs,
+    and each cut-off's normalizer (NDCG's ideal DCG, classical AP's
+    known-relevant count) is computed once from ``pool[:pool_ends[c]]``
+    for both variants.
     """
-    pairs: list[ScoredPair] = []
-    excluded = 0
-    c = config.cutoff
-    for verdict, rels_a, rels_b, deepest_pool, pool_ends in resolved:
-        pool = deepest_pool[: pool_ends[c]]
-        try:
-            pairs.append(
-                (metric_score(rels_a, pool, config), metric_score(rels_b, pool, config), verdict)
-            )
-        except ExcludedQuery:
-            excluded += 1
-    return pairs, excluded
+    m, discount = config.metric, config.discount
+    extra: tuple = ()
+    if m is Metric.PRECISION:
+        scorer = metrics.precision_prefix
+    elif m is Metric.NDCG:
+        pools = [pref.pool[: pref.pool_ends[c]] for c in cutoffs]
+        scorer, extra = metrics.ndcg_prefix, (metrics.ideal_gains(pools, cutoffs, discount),)
+    elif m is Metric.MAP:
+        divisors: Sequence[int] = cutoffs
+        if config.ap_norm is ApNorm.BY_KNOWN_RELEVANT:
+            divisors = [sum(1 for v in pref.pool[: pref.pool_ends[c]] if v > 0) for c in cutoffs]
+        scorer, extra = metrics.average_precision_prefix, (divisors,)
+    elif m is Metric.ERR:
+        scorer = metrics.err_prefix
+    elif m is Metric.MRR:
+        scorer = metrics.reciprocal_rank_prefix
+    elif m is Metric.ESL:
+        assert config.esl_n is not None
+        scorer, extra = metrics.esl_prefix, (config.esl_n,)
+    else:
+        raise ValueError(f"unknown metric {m!r}")
+    return (scorer(pref.rels_a, cutoffs, discount, *extra),
+            scorer(pref.rels_b, cutoffs, discount, *extra))

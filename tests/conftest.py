@@ -18,7 +18,7 @@ from prefeval.dataset import (
     Variant,
     Verdict,
 )
-from prefeval.scoring import resolve_preferences, score_resolved
+from prefeval.scoring import resolve_preferences, score_cutoffs
 
 settings.register_profile(
     "suite",
@@ -34,7 +34,15 @@ RATER = "r1"
 
 def scored_pairs(dataset, config, lenient=False):
     """(score pairs, excluded count) of one config at its own cut-off, in dataset order."""
-    return score_resolved(resolve_preferences(dataset, config, (config.cutoff,), lenient), config)
+    cutoffs = (config.cutoff,)
+    pairs, excluded = [], 0
+    for resolved in resolve_preferences(dataset, config, cutoffs, lenient):
+        (score_a,), (score_b,) = score_cutoffs(resolved, config, cutoffs)
+        if score_a is None:
+            excluded += 1
+        else:
+            pairs.append((score_a, score_b, resolved.verdict))
+    return pairs, excluded
 
 
 def make_query(qid: str, query_type: QueryType = QueryType.INFORMATIONAL) -> Query:

@@ -363,6 +363,51 @@ class TestSweepCommand:
             assert row.split("\t") == [f"{t:.4f}", *want]
 
 
+class TestShortClickTable:
+    """A click table must weigh every rank the command evaluates, whatever the data."""
+
+    @pytest.fixture
+    def three_ranks(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--queries", "8", "--raters", "3",
+                     "--seed", "1"]) == 0
+        weights = tmp_path / "weights.txt"
+        weights.write_text("1 1.0\n2 0.5\n3 0.4\n")
+        return data, weights
+
+    @pytest.mark.parametrize("metric", [m.value for m in Metric])
+    @pytest.mark.parametrize("command", ["eval", "sweep", "breakdown"])
+    def test_exits_two_before_loading(self, three_ranks, tmp_path, capsys, monkeypatch,
+                                      command, metric):
+        data, weights = three_ranks
+        loads = []
+        original = cli.load_dataset
+
+        def counted(*args, **kwargs):
+            loads.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_dataset", counted)
+        argv = {
+            "eval": ["eval", data, "--metric", metric, "--discount", "click", "--cutoff", "5"],
+            "sweep": ["sweep", data, "--metrics", metric, "--discounts", "click",
+                      "--out", tmp_path / "out"],
+            "breakdown": ["breakdown", data, "--metric", metric, "--discount", "click",
+                          "--threshold", "0"],
+        }[command]
+        capsys.readouterr()
+        assert main([*map(str, argv), "--click-weights", str(weights)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "usage error: click table has no weight for rank 4\n"
+        assert loads == []
+
+    def test_table_covering_the_cutoff_is_accepted(self, three_ranks, capsys):
+        data, weights = three_ranks
+        assert main(["eval", str(data), "--metric", "map", "--discount", "click",
+                     "--cutoff", "3", "--click-weights", str(weights)]) == 0
+
+
 class TestBreakdownCommand:
     def test_category_table(self, tmp_path, sample_pir_dataset, capsys):
         write_dataset(sample_pir_dataset, tmp_path)

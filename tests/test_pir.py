@@ -121,35 +121,41 @@ THRESHOLD_GRIDS = st.one_of(
 )
 
 
+def diffs_and_verdicts(pairs):
+    """The (score_a - score_b) and verdict columns of score triples, as pir_cells takes them."""
+    return [a - b for a, b, _ in pairs], [v for _, _, v in pairs]
+
+
 class TestPirCells:
     """The bisect aggregator against the one-threshold reference loop."""
 
     @given(st.lists(SCORED_PAIRS, max_size=30), THRESHOLD_GRIDS)
     def test_equals_pir_cell_for_cell(self, pairs, thresholds):
-        assert pir_cells(pairs, thresholds) == tuple(pir(pairs, t) for t in thresholds)
+        assert (pir_cells(*diffs_and_verdicts(pairs), thresholds)
+                == tuple(pir(pairs, t) for t in thresholds))
 
     @given(st.lists(SCORED_PAIRS.map(lambda p: (p[0], p[1], Verdict.EQUAL)), max_size=20),
            THRESHOLD_GRIDS)
     def test_all_equal_verdicts(self, pairs, thresholds):
-        cells = pir_cells(pairs, thresholds)
+        cells = pir_cells(*diffs_and_verdicts(pairs), thresholds)
         assert cells == tuple(pir(pairs, t) for t in thresholds)
         assert all(cell.empty_denominator and cell.pir == 0.5 for cell in cells)
 
     def test_edge_diffs_at_point_two(self):
         t = 0.2
         pairs = [_signed_diff_pair(d, False, Verdict.A) for d in _on_and_beside(t)]
-        (cell,) = pir_cells(pairs, [t])
+        (cell,) = pir_cells(*diffs_and_verdicts(pairs), [t])
         assert (cell.correct_pref, cell.missed_pref) == (1, 2)
         assert cell == pir(pairs, t)
 
     def test_no_pairs(self):
-        assert pir_cells([], DEFAULT_THRESHOLDS) == tuple(
+        assert pir_cells([], [], DEFAULT_THRESHOLDS) == tuple(
             pir([], t) for t in DEFAULT_THRESHOLDS)
-        assert pir_cells([], []) == ()
+        assert pir_cells([], [], []) == ()
 
     def test_negative_threshold_rejected_without_pairs(self):
         with pytest.raises(ValueError):
-            pir_cells([], [0.0, -0.1])
+            pir_cells([], [], [0.0, -0.1])
 
 
 def one_row(dataset, config, thresholds=DEFAULT_THRESHOLDS):

@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import binary_pair_dataset, make_query
 from prefeval.config import Metric, MetricConfig, RatingSource
@@ -11,14 +13,16 @@ from prefeval.dataset import (
     Verdict,
 )
 from prefeval import scoring
-from prefeval.metrics import ApNorm
+from prefeval.metrics import ApNorm, ExcludedQuery
 from prefeval.pir import pir_sweep
-from prefeval.scales import DiscountFunction, RelevanceScale
+from prefeval.scales import DiscountFunction, DiscountKind, RelevanceScale, grade_to_unit
 from prefeval.scoring import (
     MissingJudgment,
+    ResolvedPreference,
     judged_lists,
     metric_score,
     resolve_preferences,
+    score_cutoffs,
     score_pair,
     unit_relevance,
 )
@@ -173,6 +177,43 @@ class TestResolvePreferences:
             distinct += len({*pair.variant_a[:8], *pair.variant_b[:8]})
         assert len(calls) == distinct * len(RatingSource)
 
+    def test_other_users_sweep_conflates_each_judgment_once_per_scale(self, overlapping,
+                                                                      monkeypatch):
+        calls = []
+        original = scoring.conflate
+
+        def counted(grade, scale):
+            calls.append(scale)
+            return original(grade, scale)
+
+        monkeypatch.setattr(scoring, "conflate", counted)
+        scales = (RelevanceScale.SIX_POINT, RelevanceScale.R3_2)
+        configs = [MetricConfig(metric, DiscountFunction.log2(), scale=scale,
+                                rating_source=RatingSource.OTHER_USERS)
+                   for metric in (Metric.NDCG, Metric.ERR) for scale in scales]
+        pir_sweep(overlapping, configs)
+        in_scope = {p.query_id for p in overlapping.preferences}
+        judgments = sum(1 for j in overlapping.judgments if j.query_id in in_scope)
+        assert calls
+        for scale in scales:
+            assert calls.count(scale) <= judgments
+
+    def test_sweep_never_calls_the_scalar_metrics(self, overlapping, monkeypatch):
+        calls = []
+        original = scoring.metric_score
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scoring, "metric_score", counted)
+        configs = [MetricConfig(metric, DiscountFunction.rank(), rating_source=source,
+                                esl_n=2.0 if metric is Metric.ESL else None)
+                   for metric in Metric for source in RatingSource]
+        grid = pir_sweep(overlapping, configs)
+        assert grid.rows
+        assert calls == []
+
 
 class TestScorePair:
     def test_single_rater_same_user_matches_grades(self):
@@ -240,3 +281,76 @@ class TestMetricScoreDispatch:
             MetricConfig(metric=Metric.MAP, discount=DiscountFunction.rank(), cutoff=11)
         with pytest.raises(ValueError):
             MetricConfig(metric=Metric.MAP, discount=DiscountFunction.rank(), cutoff=0)
+
+
+SIX_POINT_UNITS = tuple(grade_to_unit(g) for g in range(1, 7))
+CONFLATED_UNITS = (1.0, 0.5, 0.0)
+DISCOUNTS = [DiscountFunction.click_based() if kind is DiscountKind.CLICK_BASED
+             else DiscountFunction(kind) for kind in DiscountKind]
+WALK_CONFIGS = [
+    MetricConfig(Metric.PRECISION, DiscountFunction.none()),
+    MetricConfig(Metric.NDCG, DiscountFunction.none()),
+    MetricConfig(Metric.MAP, DiscountFunction.none(), ap_norm=ApNorm.BY_EVALUATED_COUNT),
+    MetricConfig(Metric.MAP, DiscountFunction.none(), ap_norm=ApNorm.BY_KNOWN_RELEVANT),
+    MetricConfig(Metric.ERR, DiscountFunction.none()),
+    MetricConfig(Metric.MRR, DiscountFunction.none()),
+    MetricConfig(Metric.ESL, DiscountFunction.none(), esl_n=1.0),
+]
+ESL_TARGETS = (0.5, 1.0, 2.5, 4.0)
+
+
+@st.composite
+def resolved_verdicts(draw):
+    """A resolved verdict with random lists and pool, and a random set of cut-offs.
+
+    Relevance comes from the six-point or the conflated unit values;
+    the cut-offs are any non-empty subset of 1..depth in any order, and
+    each cut-off's pool end is any prefix length of the pool.
+    """
+    rel = st.sampled_from(draw(st.sampled_from([SIX_POINT_UNITS, CONFLATED_UNITS])))
+    depth = draw(st.integers(1, 10))
+    rels_a = draw(st.lists(rel, min_size=depth, max_size=depth + 2))
+    rels_b = draw(st.lists(rel, min_size=depth, max_size=depth + 2))
+    pool = draw(st.lists(rel, max_size=2 * depth))
+    cutoffs = tuple(draw(st.lists(st.integers(1, depth), min_size=1, unique=True)))
+    pool_ends = {c: draw(st.integers(0, len(pool))) for c in cutoffs}
+    verdict = draw(st.sampled_from(list(Verdict)))
+    return ResolvedPreference(verdict, rels_a, rels_b, pool, pool_ends), cutoffs
+
+
+class TestScoreCutoffs:
+    """The one-walk prefix scorers against the scalar metric at each cut-off."""
+
+    @pytest.mark.parametrize("base", WALK_CONFIGS, ids=lambda cfg: cfg.label())
+    @given(resolved_verdicts(), st.sampled_from(DISCOUNTS), st.sampled_from(ESL_TARGETS))
+    def test_equals_metric_score_at_every_cutoff(self, base, drawn, discount, esl_n):
+        resolved, cutoffs = drawn
+        cfg = dataclasses.replace(base, discount=discount)
+        if cfg.metric is Metric.ESL:
+            cfg = dataclasses.replace(cfg, esl_n=esl_n)
+        scores_a, scores_b = score_cutoffs(resolved, cfg, cutoffs)
+        assert len(scores_a) == len(scores_b) == len(cutoffs)
+        for c, got_a, got_b in zip(cutoffs, scores_a, scores_b):
+            pool = resolved.pool[: resolved.pool_ends[c]]
+            for rels, got in ((resolved.rels_a, got_a), (resolved.rels_b, got_b)):
+                try:
+                    want = metric_score(rels, pool, cfg.at_cutoff(c))
+                except ExcludedQuery:
+                    assert got is None
+                else:
+                    assert got is not None and got.hex() == want.hex()
+
+    def test_partial_unsorted_cutoffs_follow_the_given_order(self):
+        resolved = ResolvedPreference(Verdict.A, [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+                                      [0.0] * 7, [1.0, 0.0, 1.0, 1.0], {7: 4, 3: 2})
+        cfg = MetricConfig(Metric.PRECISION, DiscountFunction.none())
+        assert score_cutoffs(resolved, cfg, (7, 3)) == ([3 / 7, 2 / 3], [0.0, 0.0])
+
+    def test_ndcg_exclusion_is_per_cutoff(self):
+        # the pool holds no relevant result at c=1, one from c=3 on
+        resolved = ResolvedPreference(Verdict.B, [0.0, 0.0, 1.0], [0.0, 0.0, 0.0],
+                                      [0.0, 0.0, 1.0], {1: 1, 3: 3})
+        cfg = MetricConfig(Metric.NDCG, DiscountFunction.none())
+        scores_a, scores_b = score_cutoffs(resolved, cfg, (1, 3))
+        assert scores_a == [None, 1.0]
+        assert scores_b == [None, 0.0]
