@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import plotsvg
-from .config import Metric, MetricConfig, RatingSource
+from .config import Metric, MetricConfig, RatingSource, check_cutoffs
 from .data_io import ParseError, load_dataset, read_dataset, write_dataset, write_tsv
 from .dataset import MAX_CUTOFF, QueryType, ValidationError, ValidationMode, validate
 from .implicit import (
@@ -160,6 +160,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check_cutoffs((args.cutoff,))
     metric = Metric(args.metric)
     kind = DiscountKind(args.discount) if args.discount else DEFAULT_DISCOUNTS[metric]
     discount = _discount(kind, args.click_weights, args.cutoff)
@@ -196,6 +197,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     thresholds = _parse_float_grid(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS
     cutoffs = _parse_cutoffs(args.cutoffs)
+    check_cutoffs(cutoffs)
     metrics = [Metric(name) for name in args.metrics.split(",")]
     if args.discounts:
         kinds = {metric: [DiscountKind(d) for d in args.discounts.split(",")]
@@ -284,6 +286,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_breakdown(args) -> int:
+    check_cutoffs((args.cutoff,))
     metric = Metric(args.metric)
     kind = DiscountKind(args.discount) if args.discount else DEFAULT_DISCOUNTS[metric]
     discount = _discount(kind, args.click_weights, args.cutoff)

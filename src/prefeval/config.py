@@ -4,13 +4,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from .dataset import MAX_CUTOFF, QueryType
 from .metrics import ApNorm
 from .scales import DiscountFunction, RelevanceScale
 
 MIN_CUTOFF = 1
+
+
+def check_cutoffs(cutoffs: Sequence[int]) -> None:
+    """Reject an empty cut-off list, a cut-off outside 1..MAX_CUTOFF or a repeated one."""
+    if not cutoffs:
+        raise ValueError("no cut-off given")
+    seen: set[int] = set()
+    for c in cutoffs:
+        if not MIN_CUTOFF <= c <= MAX_CUTOFF:
+            raise ValueError(f"cut-off must be in {MIN_CUTOFF}..{MAX_CUTOFF}, got {c}")
+        if c in seen:
+            raise ValueError(f"duplicate cut-off {c}")
+        seen.add(c)
 
 
 class Metric(str, Enum):
@@ -46,8 +59,7 @@ class MetricConfig:
     query_filter: Optional[frozenset[QueryType]] = field(default=None)
 
     def __post_init__(self) -> None:
-        if not MIN_CUTOFF <= self.cutoff <= MAX_CUTOFF:
-            raise ValueError(f"cut-off must be in {MIN_CUTOFF}..{MAX_CUTOFF}, got {self.cutoff}")
+        check_cutoffs((self.cutoff,))
         if self.metric is Metric.ESL:
             if self.esl_n is None or self.esl_n <= 0:
                 raise ValueError("ESL requires a positive cumulative relevance target esl_n")

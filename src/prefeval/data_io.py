@@ -115,16 +115,6 @@ def _read_rows(path: Path, kind: str, allow_headerless: bool) -> Iterator[tuple[
         raise ParseError(path, 1, f"missing '{HEADER_TAG}\t{SCHEMA_VERSION}\t{kind}' header")
 
 
-def _parse_bool(value: str, path: Path, lineno: int, field: str) -> Optional[bool]:
-    if value in ("-", ""):
-        return None
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise ParseError(path, lineno, f"{field} must be true/false/-, got {value!r}")
-
-
 def _parse_int(value: str, path: Path, lineno: int, field: str) -> int:
     try:
         return int(value)
@@ -132,12 +122,13 @@ def _parse_int(value: str, path: Path, lineno: int, field: str) -> int:
         raise ParseError(path, lineno, f"{field} must be an integer, got {value!r}") from None
 
 
-def _parse_enum(enum_cls, value: str, path: Path, lineno: int, field: str):
+def _lookup(table: dict, value: str, path: Path, lineno: int, field: str, options: str = ""):
+    """``table[value]``; a miss is rejected naming ``options`` (default: one of the keys)."""
     try:
-        return enum_cls(value)
-    except ValueError:
-        options = "/".join(e.value for e in enum_cls)
-        raise ParseError(path, lineno, f"{field} must be one of {options}, got {value!r}") from None
+        return table[value]
+    except KeyError:
+        options = options or "one of " + "/".join(table)
+        raise ParseError(path, lineno, f"{field} must be {options}, got {value!r}") from None
 
 
 def _parse_grade(value: str, path: Path, lineno: int) -> int:
@@ -147,11 +138,10 @@ def _parse_grade(value: str, path: Path, lineno: int) -> int:
     return grade
 
 
-# Fast paths: the canonical spelling of a field maps straight to its value.
-# A miss goes through the _parse_* function above, which accepts every other
-# spelling it always did (" 3", "03") and words each rejection.  Every value
-# in the enum and grade tables is truthy, so ``table.get(v) or _parse_*``
-# falls back only on a miss.
+# Each field's accepted spellings map straight to its value; a miss is
+# rejected through _lookup.  Only grades have other accepted spellings
+# (" 3", "03"): a miss in _GRADES goes through _parse_grade, and since every
+# grade is truthy, ``_GRADES.get(v) or _parse_grade`` falls back only on a miss.
 _QUERY_TYPES = {m.value: m for m in QueryType}
 _LANGUAGES = {m.value: m for m in Language}
 _VARIANTS = {m.value: m for m in Variant}
@@ -189,9 +179,8 @@ def read_queries(path: Path) -> list[Query]:
         out.append(
             Query(
                 id=f[0],
-                query_type=_QUERY_TYPES.get(f[1])
-                or _parse_enum(QueryType, f[1], path, lineno, "query type"),
-                language=_LANGUAGES.get(f[2]) or _parse_enum(Language, f[2], path, lineno, "language"),
+                query_type=_lookup(_QUERY_TYPES, f[1], path, lineno, "query type"),
+                language=_lookup(_LANGUAGES, f[2], path, lineno, "language"),
                 text=f[3],
                 info_need=f[4],
             )
@@ -206,12 +195,8 @@ def read_judgments(path: Path) -> list[GradedJudgment]:
         if not (f[0] and f[1] and f[2]):
             raise _empty_id(f, _JUDGMENT_IDS, path, lineno)
         grade = _GRADES.get(f[3]) or _parse_grade(f[3], path, lineno)
-        if len(f) == 4:
-            snippet = None
-        elif f[4] in _BOOLS:
-            snippet = _BOOLS[f[4]]
-        else:
-            snippet = _parse_bool(f[4], path, lineno, "snippet_relevant")
+        snippet = (None if len(f) == 4
+                   else _lookup(_BOOLS, f[4], path, lineno, "snippet_relevant", "true/false/-"))
         out.append(GradedJudgment(f[0], f[1], f[2], grade, snippet))
     return out
 
@@ -223,7 +208,7 @@ def read_list_pairs(path: Path) -> list[RankedListPair]:
         _expect_fields(f, (4,), path, lineno, "list")
         if not (f[0] and f[3]):
             raise _empty_id(f, _LIST_IDS, path, lineno)
-        variant = _VARIANTS.get(f[1]) or _parse_enum(Variant, f[1], path, lineno, "variant")
+        variant = _lookup(_VARIANTS, f[1], path, lineno, "variant")
         rank = _parse_int(f[2], path, lineno, "rank")
         if rank < 1:
             raise ParseError(path, lineno, f"rank must be >= 1, got {rank}")
@@ -258,7 +243,7 @@ def read_preferences(path: Path) -> list[PreferenceJudgment]:
         _expect_fields(f, (3,), path, lineno, "preference")
         if not (f[0] and f[1]):
             raise _empty_id(f, _RATER_IDS, path, lineno)
-        verdict = _VERDICTS.get(f[2]) or _parse_enum(Verdict, f[2], path, lineno, "verdict")
+        verdict = _lookup(_VERDICTS, f[2], path, lineno, "verdict")
         out.append(PreferenceJudgment(f[0], f[1], verdict))
     return out
 
@@ -271,7 +256,7 @@ def read_sessions(sessions_path: Path, clicks_path: Path) -> list[Session]:
             _expect_fields(f, (5,), clicks_path, lineno, "click")
             if not (f[0] and f[1]):
                 raise _empty_id(f, _RATER_IDS, clicks_path, lineno)
-            variant = _VARIANTS.get(f[2]) or _parse_enum(Variant, f[2], clicks_path, lineno, "variant")
+            variant = _lookup(_VARIANTS, f[2], clicks_path, lineno, "variant")
             rank = _parse_int(f[3], clicks_path, lineno, "rank")
             if rank < 1:
                 raise ParseError(clicks_path, lineno, f"click rank must be >= 1, got {rank}")
@@ -289,17 +274,13 @@ def read_sessions(sessions_path: Path, clicks_path: Path) -> list[Session]:
         _expect_fields(f, (5, 6), sessions_path, lineno, "session")
         if not (f[0] and f[1]):
             raise _empty_id(f, _RATER_IDS, sessions_path, lineno)
-        variant = _VARIANTS.get(f[2]) or _parse_enum(Variant, f[2], sessions_path, lineno, "variant")
+        variant = _lookup(_VARIANTS, f[2], sessions_path, lineno, "variant")
         key = (f[0], f[1], variant)
         if key in seen:
             raise ParseError(sessions_path, lineno, f"duplicate session {key!r}")
         seen.add(key)
-        if len(f) == 5:
-            satisfied = None
-        elif f[5] in _BOOLS:
-            satisfied = _BOOLS[f[5]]
-        else:
-            satisfied = _parse_bool(f[5], sessions_path, lineno, "satisfied")
+        satisfied = (None if len(f) == 5
+                     else _lookup(_BOOLS, f[5], sessions_path, lineno, "satisfied", "true/false/-"))
         entry = clicks.pop(key, None)
         session_clicks = () if entry is None else tuple(sorted(entry[1], key=_click_order))
         out.append(

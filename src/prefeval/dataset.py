@@ -14,7 +14,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Mapping, Optional
 
-from .scales import GRADE_BEST, GRADE_WORST
+from .scales import check_grade
 
 # The deepest cut-off any metric is evaluated at, and every command's default one.
 MAX_CUTOFF = 10
@@ -243,12 +243,11 @@ def validate(
                 f"judgment for query {j.query_id!r} references result {j.result_id!r}"
                 " absent from both variants",
             )
-        if not GRADE_BEST <= j.grade <= GRADE_WORST or not isinstance(j.grade, int):
-            error(
-                "grade-range",
-                f"judgment ({j.query_id!r}, {j.result_id!r}, {j.rater_id!r})"
-                f" has grade {j.grade!r} outside {GRADE_BEST}..{GRADE_WORST}",
-            )
+        try:
+            check_grade(j.grade)
+        except ValueError as exc:
+            error("grade-range",
+                  f"judgment ({j.query_id!r}, {j.result_id!r}, {j.rater_id!r}): {exc}")
         raters = judged.setdefault((j.query_id, j.result_id), set())
         if j.rater_id in raters:
             error(

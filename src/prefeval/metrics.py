@@ -1,26 +1,19 @@
 """Explicit result-list metrics over unit relevance values.
 
-Every scalar function scores one ranked list for one query: ``rels``
-holds unit relevance in [0, 1] by rank (index 0 = rank 1) and ``c`` is
-the cut-off, i.e. how many top results take part.  Entries beyond ``c``
-are ignored, so a list may be passed at full length for any cut-off.
-The worked examples pin these functions, and the reference oracle scores
-through them.
-
-Each metric also has a prefix scorer (``*_prefix``) that returns the
-metric at every cut-off of a sequence in one walk over the list; entry
-``k`` is bit-identical to the scalar function at ``cutoffs[k]``.  Sums
-are ``math.fsum`` over prefixes of one list of ``rel * weight``
-products, and running totals are read off at each cut-off.  Where the
-scalar function raises ExcludedQuery, the prefix scorer gives ``None``
-at that cut-off.  The sweep engine scores through these alone.
+Every function scores one ranked list for one query: ``rels`` holds
+unit relevance in [0, 1] by rank (index 0 = rank 1) and ``c`` is the
+cut-off, i.e. how many top results take part.  Entries beyond ``c`` are
+ignored, so a list may be passed at full length for any cut-off.  This
+is the reference: the worked examples pin these functions, and the
+oracle scores through them.  The sweep engine
+(:func:`prefeval.scoring.score_cutoffs`) scores every cut-off of a list
+in one walk and shares only :func:`_check_cutoff`, ``ERR_GRADE_MAX``
+and the discount weight tables with this module.
 
 Normalization against an ideal ordering (NDCG) takes a judged pool, from
 which the best achievable ranking is formed.  The scoring layer passes
 the unit relevances of the distinct results in the top ``c`` of either
-variant of the query, not every result judged for it.  The prefix
-scorers take such normalizers as one value per cut-off, computed once
-for both variants of a verdict.
+variant of the query, not every result judged for it.
 """
 
 from __future__ import annotations
@@ -189,128 +182,6 @@ def esl(rels: Sequence[float], c: int, discount: DiscountFunction, n: float) -> 
             reach = i + 1
             break
     return 1.0 - (reach - dcg(rels, reach, discount)) / c
-
-
-def _deepest(rels: Sequence[float], cutoffs: Sequence[int]) -> int:
-    """The deepest cut-off, once checked against the list (and the shallowest against 1)."""
-    _check_cutoff(rels, min(cutoffs))
-    deepest = max(cutoffs)
-    _check_cutoff(rels, deepest)
-    return deepest
-
-
-def _gain_prefixes(
-    rels: Sequence[float], cutoffs: Sequence[int], discount: DiscountFunction
-) -> list[float]:
-    """:func:`dcg` at every cut-off in ``cutoffs``."""
-    weights = discount.weights(_deepest(rels, cutoffs))
-    products = [r * w for r, w in zip(rels, weights)]
-    return [math.fsum(products[:c]) for c in cutoffs]
-
-
-def precision_prefix(
-    rels: Sequence[float], cutoffs: Sequence[int], discount: DiscountFunction
-) -> list[float]:
-    """:func:`precision_at` at every cut-off in ``cutoffs``."""
-    return [gain / c for gain, c in zip(_gain_prefixes(rels, cutoffs, discount), cutoffs)]
-
-
-def ideal_gains(
-    pools: Sequence[Sequence[float]], cutoffs: Sequence[int], discount: DiscountFunction
-) -> list[float]:
-    """Ideal DCG of ``pools[k]`` at ``cutoffs[k]``: the normalizers of :func:`ndcg_prefix`."""
-    weights = discount.weights(max(cutoffs))
-    ideals = []
-    for pool, c in zip(pools, cutoffs):
-        best = sorted(pool, reverse=True)[:c]
-        ideals.append(math.fsum([best[i] * weights[i] for i in range(len(best))]))
-    return ideals
-
-
-def ndcg_prefix(
-    rels: Sequence[float],
-    cutoffs: Sequence[int],
-    discount: DiscountFunction,
-    ideals: Sequence[float],
-) -> list[Optional[float]]:
-    """:func:`ndcg` at every cut-off, given each cut-off's ideal DCG; None where it is zero."""
-    return [
-        None if ideal == 0.0 else min(1.0, gain / ideal)
-        for gain, ideal in zip(_gain_prefixes(rels, cutoffs, discount), ideals)
-    ]
-
-
-def average_precision_prefix(
-    rels: Sequence[float],
-    cutoffs: Sequence[int],
-    discount: DiscountFunction,
-    divisors: Sequence[float],
-) -> list[Optional[float]]:
-    """:func:`average_precision` at every cut-off, given each cut-off's divisor.
-
-    The divisor is the cut-off itself (BY_EVALUATED_COUNT) or the
-    known-relevant count (BY_KNOWN_RELEVANT); a count of 0 gives None.
-    """
-    deepest = _deepest(rels, cutoffs)
-    weights = discount.weights(deepest)
-    running = []  # the sum through each rank
-    total = 0.0
-    cumulated = 0.0
-    for i in range(deepest):
-        cumulated += rels[i]
-        if rels[i]:
-            total += rels[i] * cumulated * weights[i]
-        running.append(total)
-    return [running[c - 1] / float(d) if d > 0 else None for c, d in zip(cutoffs, divisors)]
-
-
-def err_prefix(
-    rels: Sequence[float], cutoffs: Sequence[int], discount: DiscountFunction
-) -> list[float]:
-    """:func:`err` at every cut-off in ``cutoffs``."""
-    deepest = _deepest(rels, cutoffs)
-    weights = discount.weights(deepest)
-    running = []
-    total = 0.0
-    continue_p = 1.0
-    denom = 2.0 ** ERR_GRADE_MAX
-    for i in range(deepest):
-        satisfied = (2.0 ** (ERR_GRADE_MAX * rels[i]) - 1.0) / denom
-        total += weights[i] * continue_p * satisfied
-        continue_p *= 1.0 - satisfied
-        running.append(total)
-    return [running[c - 1] for c in cutoffs]
-
-
-def reciprocal_rank_prefix(
-    rels: Sequence[float], cutoffs: Sequence[int], discount: DiscountFunction
-) -> list[float]:
-    """:func:`reciprocal_rank` at every cut-off in ``cutoffs``."""
-    deepest = _deepest(rels, cutoffs)
-    for i in range(deepest):
-        if rels[i] > 0:
-            weight = discount.weights(deepest)[i]
-            return [weight if i < c else 0.0 for c in cutoffs]
-    return [0.0] * len(cutoffs)
-
-
-def esl_prefix(
-    rels: Sequence[float], cutoffs: Sequence[int], discount: DiscountFunction, n: float
-) -> list[float]:
-    """:func:`esl` at every cut-off: the target's rank is found once, then capped at each c."""
-    deepest = _deepest(rels, cutoffs)
-    if n <= 0:
-        raise ValueError(f"cumulative relevance target must be > 0, got {n}")
-    reach = deepest
-    cumulated = 0.0
-    for i in range(deepest):
-        cumulated += rels[i]
-        if cumulated >= n:
-            reach = i + 1
-            break
-    reaches = [min(reach, c) for c in cutoffs]
-    gains = _gain_prefixes(rels, reaches, discount)
-    return [1.0 - (r - gain) / c for r, gain, c in zip(reaches, gains, cutoffs)]
 
 
 def mean_over_queries(scores: Iterable[float]) -> float:

@@ -5,7 +5,7 @@ judgments one by one, score each through :func:`~prefeval.scoring.score_pair`
 (pinned separately against published worked examples), and count the
 pairs of each threshold through :func:`~prefeval.pir.pir`, the spelled-out
 one-threshold rule that no command runs.  Everything the sweep engine
-adds on top (resolve-once tables, one-walk prefix scoring, grids,
+adds on top (resolve-once tables, one walk per list for all cut-offs, grids,
 bisection counting) is recomputed here from scratch, so grid cells can
 be required to match exactly, not approximately.
 """

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .config import MetricConfig
+from .config import MetricConfig, check_cutoffs
 from .dataset import MAX_CUTOFF, EvaluationDataset, Verdict
 from .scoring import ScoredPair, resolve_preferences, score_cutoffs
 
@@ -191,7 +191,6 @@ def best_cell(cells: Sequence[PirCell]) -> PirCell:
 class PirRow:
     """All threshold cells of one configuration at one cut-off."""
 
-    config: MetricConfig
     cells: tuple[PirCell, ...]
     excluded_pairs: int
 
@@ -259,13 +258,12 @@ def pir_sweep(
     _check_thresholds(thresholds)
     configs = tuple(configs)
     cutoffs = tuple(cutoffs)
+    check_cutoffs(cutoffs)
     seen: set[str] = set()
     for config in configs:
         if config.label() in seen:
             raise ValueError(f"duplicate configuration {config.label()!r}")
         seen.add(config.label())
-    row_configs = {(config.label(), c): config.at_cutoff(c)
-                   for config in configs for c in cutoffs}
 
     def scope(config: MetricConfig) -> tuple:
         return config.scale, config.rating_source, config.query_filter
@@ -290,7 +288,6 @@ def pir_sweep(
                     verdicts[k].append(resolved.verdict)
         label = config.label()
         for k, c in enumerate(cutoffs):
-            results[(label, c)] = PirRow(config=row_configs[(label, c)],
-                                         cells=pir_cells(diffs[k], verdicts[k], thresholds),
+            results[(label, c)] = PirRow(cells=pir_cells(diffs[k], verdicts[k], thresholds),
                                          excluded_pairs=excluded[k])
     return PirGrid(configs=configs, cutoffs=cutoffs, rows=results)

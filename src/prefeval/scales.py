@@ -45,7 +45,8 @@ class DiscountKind(str, Enum):
     CLICK_BASED = "click"
 
 
-def _check_grade(grade: int) -> None:
+def check_grade(grade: int) -> None:
+    """Reject anything but a six-point grade: an int (not a bool) in 1..6."""
     if not isinstance(grade, int) or isinstance(grade, bool):
         raise ValueError(f"grade must be an integer, got {grade!r}")
     if not GRADE_BEST <= grade <= GRADE_WORST:
@@ -54,7 +55,7 @@ def _check_grade(grade: int) -> None:
 
 def grade_to_unit(grade: int) -> float:
     """Map a six-point grade to unit relevance: 1 -> 1.0, 2 -> 0.8, ... 6 -> 0.0."""
-    _check_grade(grade)
+    check_grade(grade)
     return (GRADE_WORST - grade) / 5
 
 
@@ -75,7 +76,7 @@ def conflate(grade: int, scale: RelevanceScale) -> float:
     Conflation applies to raw integer grades only; averaged ratings are
     formed downstream from already-conflated per-rater values.
     """
-    _check_grade(grade)
+    check_grade(grade)
     table = _CONFLATION.get(scale) if isinstance(scale, RelevanceScale) else None
     if table is None:
         raise ValueError(f"unknown scale {scale!r}")

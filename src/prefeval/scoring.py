@@ -4,22 +4,24 @@ This is the substrate both the sweep engine and the reference oracle
 build on: per-result unit relevance under a scale and rating source (or,
 with no preference rater, the mean over all raters), and one walk over a
 query's two lists that yields both judged lists and the judged pool in
-first-rank order.  Scoring is where the two part: the oracle scores one
-list at one cut-off through :func:`metric_score` and the scalar metrics,
-while the sweep engine resolves each verdict's lists once for all
-cut-offs (:func:`resolve_preferences`) and scores every cut-off in one
-walk per list through the prefix scorers (:func:`score_cutoffs`).
+first-rank order.  Scoring is where the two part.  The reference scores
+one list at one cut-off through :func:`metric_score` and the scalar
+functions of :mod:`prefeval.metrics`.  The engine resolves each
+verdict's lists once for all cut-offs (:func:`resolve_preferences`) and
+scores every cut-off of both lists in :func:`score_cutoffs`, which walks
+each list once and calls no scalar metric.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import zip_longest
 from typing import NamedTuple, Optional, Sequence
 
 from . import metrics
 from .config import Metric, MetricConfig, RatingSource
 from .dataset import EvaluationDataset, Verdict
-from .metrics import ApNorm
+from .metrics import ERR_GRADE_MAX, ApNorm, _check_cutoff
 from .scales import RelevanceScale, conflate
 
 ScoredPair = tuple[float, float, Verdict]
@@ -216,38 +218,97 @@ def resolve_preferences(
     return resolved
 
 
+def _prefix_gains(rels: Sequence[float], weights: Sequence[float],
+                  ends: Sequence[int]) -> list[float]:
+    """``math.fsum`` of ``rel * weight`` over ``rels[:end]`` for each end in ``ends``."""
+    products = [r * w for r, w in zip(rels, weights)]
+    return [math.fsum(products[:end]) for end in ends]
+
+
 def score_cutoffs(
     pref: ResolvedPreference, config: MetricConfig, cutoffs: Sequence[int]
 ) -> tuple[list[Optional[float]], list[Optional[float]]]:
     """Scores of both variants of one resolved verdict at every cut-off.
 
     Entry ``k`` of each list equals :func:`metric_score` of that variant
-    at ``cutoffs[k]``, or is None where the config excludes the verdict
-    there (ExcludedQuery).  Each list is walked once for all cut-offs,
-    and each cut-off's normalizer (NDCG's ideal DCG, classical AP's
-    known-relevant count) is computed once from ``pool[:pool_ends[c]]``
-    for both variants.
+    at ``cutoffs[k]`` bit for bit, or is None where the config excludes
+    the verdict there (where the scalar metric raises ExcludedQuery).
+    Each list is walked once for all cut-offs: precision, NDCG and ESL
+    read ``math.fsum`` over prefixes of one list of ``rel * weight``
+    products, AP and ERR read running totals at each cut-off, and MRR
+    reads the first relevant rank.  Each cut-off's normalizer (NDCG's
+    ideal DCG, classical AP's known-relevant count) is computed once from
+    ``pool[:pool_ends[c]]`` for both variants.  Nothing here calls the
+    scalar metrics.
     """
-    m, discount = config.metric, config.discount
-    extra: tuple = ()
+    m = config.metric
+    deepest = max(cutoffs)
+    for rels in (pref.rels_a, pref.rels_b):
+        _check_cutoff(rels, min(cutoffs))
+        _check_cutoff(rels, deepest)
+    weights = config.discount.weights(deepest)
+
     if m is Metric.PRECISION:
-        scorer = metrics.precision_prefix
+        def score(rels):
+            return [gain / c for gain, c in zip(_prefix_gains(rels, weights, cutoffs), cutoffs)]
     elif m is Metric.NDCG:
-        pools = [pref.pool[: pref.pool_ends[c]] for c in cutoffs]
-        scorer, extra = metrics.ndcg_prefix, (metrics.ideal_gains(pools, cutoffs, discount),)
+        ideals = []
+        for c in cutoffs:
+            best = sorted(pref.pool[: pref.pool_ends[c]], reverse=True)[:c]
+            ideals.append(math.fsum([v * w for v, w in zip(best, weights)]))
+
+        def score(rels):
+            return [None if ideal == 0.0 else min(1.0, gain / ideal)
+                    for gain, ideal in zip(_prefix_gains(rels, weights, cutoffs), ideals)]
     elif m is Metric.MAP:
         divisors: Sequence[int] = cutoffs
         if config.ap_norm is ApNorm.BY_KNOWN_RELEVANT:
-            divisors = [sum(1 for v in pref.pool[: pref.pool_ends[c]] if v > 0) for c in cutoffs]
-        scorer, extra = metrics.average_precision_prefix, (divisors,)
+            divisors = [sum(1 for v in pref.pool[: pref.pool_ends[c]] if v > 0)
+                        for c in cutoffs]
+
+        def score(rels):
+            running = []  # the sum through each rank
+            total = cumulated = 0.0
+            for i in range(deepest):
+                cumulated += rels[i]
+                if rels[i]:
+                    total += rels[i] * cumulated * weights[i]
+                running.append(total)
+            return [running[c - 1] / float(d) if d > 0 else None
+                    for c, d in zip(cutoffs, divisors)]
     elif m is Metric.ERR:
-        scorer = metrics.err_prefix
+        denom = 2.0 ** ERR_GRADE_MAX
+
+        def score(rels):
+            running = []
+            total, continue_p = 0.0, 1.0
+            for i in range(deepest):
+                satisfied = (2.0 ** (ERR_GRADE_MAX * rels[i]) - 1.0) / denom
+                total += weights[i] * continue_p * satisfied
+                continue_p *= 1.0 - satisfied
+                running.append(total)
+            return [running[c - 1] for c in cutoffs]
     elif m is Metric.MRR:
-        scorer = metrics.reciprocal_rank_prefix
+        def score(rels):
+            first = next((i for i in range(deepest) if rels[i] > 0), deepest)
+            return [weights[first] if first < c else 0.0 for c in cutoffs]
     elif m is Metric.ESL:
-        assert config.esl_n is not None
-        scorer, extra = metrics.esl_prefix, (config.esl_n,)
+        n = config.esl_n
+        assert n is not None
+        if n <= 0:
+            raise ValueError(f"cumulative relevance target must be > 0, got {n}")
+
+        def score(rels):
+            # the target's rank, found once, then capped at each cut-off
+            reach, cumulated = deepest, 0.0
+            for i in range(deepest):
+                cumulated += rels[i]
+                if cumulated >= n:
+                    reach = i + 1
+                    break
+            reaches = [min(reach, c) for c in cutoffs]
+            return [1.0 - (r - gain) / c
+                    for r, gain, c in zip(reaches, _prefix_gains(rels, weights, reaches), cutoffs)]
     else:
         raise ValueError(f"unknown metric {m!r}")
-    return (scorer(pref.rels_a, cutoffs, discount, *extra),
-            scorer(pref.rels_b, cutoffs, discount, *extra))
+    return score(pref.rels_a), score(pref.rels_b)

@@ -408,6 +408,36 @@ class TestShortClickTable:
                      "--cutoff", "3", "--click-weights", str(weights)]) == 0
 
 
+class TestRequestedCutoffs:
+    """Every requested cut-off is checked before the dataset is loaded."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--metric", "ndcg", "--cutoff", "11"], "cut-off must be in 1..10, got 11"),
+        (["eval", "--metric", "ndcg", "--cutoff", "0"], "cut-off must be in 1..10, got 0"),
+        (["breakdown", "--metric", "map", "--threshold", "0", "--cutoff", "11"],
+         "cut-off must be in 1..10, got 11"),
+        (["sweep", "--cutoffs", "1-11"], "cut-off must be in 1..10, got 11"),
+        (["sweep", "--cutoffs", "3-1"], "no cut-off given"),
+        (["sweep", "--cutoffs", "2,2"], "duplicate cut-off 2"),
+    ])
+    def test_exits_two_before_loading(self, tmp_path, capsys, monkeypatch, argv, message):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--queries", "3", "--raters", "2",
+                     "--seed", "1"]) == 0
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *args, **kwargs: loads.append(args))
+        command, *options = argv
+        if command == "sweep":
+            options += ["--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main([command, str(data), *options]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+        assert loads == []
+        assert not (tmp_path / "out").exists()
+
+
 class TestBreakdownCommand:
     def test_category_table(self, tmp_path, sample_pir_dataset, capsys):
         write_dataset(sample_pir_dataset, tmp_path)

@@ -106,12 +106,14 @@ class TestReferences:
         assert "dangling-result" in kinds(validate(ds, STRICT))
 
     def test_grade_out_of_range(self, well_formed):
-        extra = GradedJudgment(
-            query_id="q1", result_id=well_formed.pair_by_query["q1"].variant_a[0],
-            rater_id="r9", grade=7,
-        )
-        ds = dataclasses.replace(well_formed, judgments=well_formed.judgments + (extra,))
-        assert "grade-range" in kinds(validate(ds, STRICT))
+        # the grade rule conflation applies: an int, not a bool, in 1..6
+        for grade in (7, 0, "3", True, 3.0):
+            extra = GradedJudgment(
+                query_id="q1", result_id=well_formed.pair_by_query["q1"].variant_a[0],
+                rater_id="r9", grade=grade,
+            )
+            ds = dataclasses.replace(well_formed, judgments=well_formed.judgments + (extra,))
+            assert "grade-range" in kinds(validate(ds, STRICT)), grade
 
 
 class TestDuplicates:

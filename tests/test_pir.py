@@ -235,7 +235,7 @@ class TestBestThreshold:
             threshold=t, pir=v, correct_pref=0, correct_equal=0, false_pref=0,
             missed_pref=0, reversed_pref=0,
         ) for t, v in mapping)
-        return PirRow(config=PRECISION_NONE, cells=cells, excluded_pairs=0)
+        return PirRow(cells=cells, excluded_pairs=0)
 
     def test_picks_maximum(self):
         row = self.row([(0.0, 0.75), (0.15, 0.875), (0.35, 0.625)])
@@ -286,6 +286,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             pir_sweep(sample_pir_dataset, [PRECISION_NONE, PRECISION_NONE],
                       thresholds=(0.0,), cutoffs=(1,))
+
+    def test_duplicate_cutoffs_rejected(self, sample_pir_dataset):
+        with pytest.raises(ValueError, match="duplicate cut-off 2"):
+            pir_sweep(sample_pir_dataset, [PRECISION_NONE], thresholds=(0.0,), cutoffs=(2, 1, 2))
 
 
 class TestOracle:

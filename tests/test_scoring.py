@@ -12,7 +12,7 @@ from prefeval.dataset import (
     RankedListPair,
     Verdict,
 )
-from prefeval import scoring
+from prefeval import metrics, scoring
 from prefeval.metrics import ApNorm, ExcludedQuery
 from prefeval.pir import pir_sweep
 from prefeval.scales import DiscountFunction, DiscountKind, RelevanceScale, grade_to_unit
@@ -200,13 +200,20 @@ class TestResolvePreferences:
 
     def test_sweep_never_calls_the_scalar_metrics(self, overlapping, monkeypatch):
         calls = []
-        original = scoring.metric_score
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def patch(module, name):
+            original = getattr(module, name)
 
-        monkeypatch.setattr(scoring, "metric_score", counted)
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        patch(scoring, "metric_score")
+        for name in ("precision_at", "dcg", "ideal_ranking", "ndcg", "average_precision",
+                     "err", "reciprocal_rank", "esl"):
+            patch(metrics, name)
         configs = [MetricConfig(metric, DiscountFunction.rank(), rating_source=source,
                                 esl_n=2.0 if metric is Metric.ESL else None)
                    for metric in Metric for source in RatingSource]
