@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 validation, data or file failure, 2 usage error,
 3 empty preference denominator (no verdict to compare against; sweeps
-report this per cell instead of failing).  All numbers are printed with
+report this per cell instead of failing).  Each failure is one stderr
+line, except a validation report; a malformed or out-of-range option is
+rejected before any dataset file is read.  All numbers are printed with
 four decimals; computation keeps full precision.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import isfinite
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -51,39 +54,37 @@ def _fmt(value: float) -> str:
     return f"{value:.4f}"
 
 
+def _parse_list(option: str, form: str, text: str, sep: str, convert=float,
+                count: Optional[int] = None) -> tuple:
+    """``text`` split at ``sep`` into finite numbers, or a usage error naming the option's form."""
+    try:
+        values = tuple(convert(v) for v in text.split(sep))
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)) or not all(map(isfinite, values)):
+        raise ValueError(f"{option} must be {form}, got '{text}'")
+    return values
+
+
 def _parse_float_grid(text: str) -> tuple[float, ...]:
     """'0:0.3:0.01' (start:stop:step, inclusive) or a comma list '0,0.15,0.35'."""
-    if ":" in text:
-        start_s, stop_s, step_s = text.split(":")
-        start, stop, step = float(start_s), float(stop_s), float(step_s)
-        if step <= 0:
-            raise ValueError("step must be positive")
-        count = int(round((stop - start) / step))
-        return tuple(start + i * step for i in range(count + 1))
-    return tuple(float(v) for v in text.split(","))
+    form = "START:STOP:STEP or a comma list of numbers"
+    if ":" not in text:
+        return _parse_list("--thresholds", form, text, ",")
+    start, stop, step = _parse_list("--thresholds", form, text, ":", count=3)
+    if step <= 0:
+        raise ValueError("step must be positive")
+    count = int(round((stop - start) / step))
+    return tuple(start + i * step for i in range(count + 1))
 
 
 def _parse_cutoffs(text: str) -> tuple[int, ...]:
     """'1-10' or a comma list '1,3,5'."""
-    if "-" in text:
-        lo_s, hi_s = text.split("-")
-        return tuple(range(int(lo_s), int(hi_s) + 1))
-    return tuple(int(v) for v in text.split(","))
-
-
-def _parse_weights(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
-
-
-def _discount(kind: DiscountKind, click_weights_path: Optional[str],
-              max_cutoff: int) -> DiscountFunction:
-    """The discount of ``kind``; a click table must weigh every rank 1..``max_cutoff``."""
-    if kind is DiscountKind.CLICK_BASED:
-        table = load_click_weights(click_weights_path) if click_weights_path else None
-        discount = DiscountFunction.click_based(table)
-        discount.weights(max_cutoff)  # raises ValueError naming the first missing rank
-        return discount
-    return DiscountFunction(kind)
+    form = "LO-HI or a comma list of integers"
+    if "-" not in text:
+        return _parse_list("--cutoffs", form, text, ",", int)
+    lo, hi = _parse_list("--cutoffs", form, text, "-", int, count=2)
+    return tuple(range(lo, hi + 1))
 
 
 def _add_dataset_arg(parser: argparse.ArgumentParser) -> None:
@@ -121,32 +122,54 @@ def _add_config_args(parser: argparse.ArgumentParser, single_metric: bool,
                         help="restrict to these query types (repeatable)")
 
 
-def _build_config(args, metric: Metric, discount: DiscountFunction, cutoff: int) -> MetricConfig:
-    query_filter = None
-    if args.query_types:
-        query_filter = frozenset(QueryType(t) for t in args.query_types)
-    esl_n = None
-    if metric is Metric.ESL:
-        esl_n = args.esl_n if args.esl_n is not None else DEFAULT_ESL_N
-    return MetricConfig(
-        metric=metric,
-        discount=discount,
-        scale=RelevanceScale(args.scale),
-        cutoff=cutoff,
-        esl_n=esl_n,
-        ap_norm=ApNorm(args.norm),
-        # eval has no preference rater, so it averages all raters and takes no source
-        rating_source=RatingSource(getattr(args, "rating_source", RatingSource.SAME_USER)),
-        query_filter=query_filter,
-    )
-
-
 def _load(args, max_cutoff: int):
+    check_cutoffs((max_cutoff,))
     mode = ValidationMode.LENIENT if args.lenient else ValidationMode.STRICT
     return load_dataset(args.dataset, mode=mode, max_cutoff=max_cutoff)
 
 
+def _configs(args, metrics: Sequence[str], kinds: Optional[Sequence[str]],
+             cutoffs: Sequence[int]):
+    """The dataset and one config per metric and discount, at ``cutoffs[0]``.
+
+    ``kinds=None`` gives each metric its customary discount.  The cut-offs,
+    the metric and discount names and a click table's coverage of
+    ``max(cutoffs)`` are all checked before the dataset is loaded.
+    """
+    check_cutoffs(cutoffs)
+    metrics = [Metric(name) for name in metrics]
+    kinds = kinds and [DiscountKind(name) for name in kinds]
+    pairs = [(metric, kind) for metric in metrics for kind in kinds or [DEFAULT_DISCOUNTS[metric]]]
+    discounts = {}
+    for kind in dict.fromkeys(kind for _, kind in pairs):
+        if kind is DiscountKind.CLICK_BASED:
+            table = load_click_weights(args.click_weights) if args.click_weights else None
+            discounts[kind] = DiscountFunction.click_based(table)
+            discounts[kind].weights(max(cutoffs))  # raises ValueError at the first missing rank
+        else:
+            discounts[kind] = DiscountFunction(kind)
+    dataset = _load(args, max_cutoff=max(cutoffs))
+    query_filter = args.query_types and frozenset(QueryType(t) for t in args.query_types)
+    esl_n = args.esl_n if args.esl_n is not None else DEFAULT_ESL_N
+    configs = [
+        MetricConfig(
+            metric=metric,
+            discount=discounts[kind],
+            scale=RelevanceScale(args.scale),
+            cutoff=cutoffs[0],
+            esl_n=esl_n if metric is Metric.ESL else None,
+            ap_norm=ApNorm(args.norm),
+            # eval has no preference rater, so it averages all raters and takes no source
+            rating_source=RatingSource(getattr(args, "rating_source", RatingSource.SAME_USER)),
+            query_filter=query_filter,
+        )
+        for metric, kind in pairs
+    ]
+    return dataset, configs
+
+
 def cmd_validate(args) -> int:
+    check_cutoffs((args.max_cutoff,))
     mode = ValidationMode.LENIENT if args.lenient else ValidationMode.STRICT
     dataset = read_dataset(args.dataset)
     report = validate(dataset, mode=mode, max_cutoff=args.max_cutoff)
@@ -160,13 +183,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    check_cutoffs((args.cutoff,))
-    metric = Metric(args.metric)
-    kind = DiscountKind(args.discount) if args.discount else DEFAULT_DISCOUNTS[metric]
-    discount = _discount(kind, args.click_weights, args.cutoff)
-    dataset = _load(args, max_cutoff=args.cutoff)
-    config = _build_config(args, metric, discount, args.cutoff)
-
+    dataset, (config,) = _configs(args, [args.metric], args.discount and [args.discount],
+                                  (args.cutoff,))
     rows = []
     excluded = 0
     for pair in dataset.list_pairs:
@@ -197,84 +215,46 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     thresholds = _parse_float_grid(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS
     cutoffs = _parse_cutoffs(args.cutoffs)
-    check_cutoffs(cutoffs)
-    metrics = [Metric(name) for name in args.metrics.split(",")]
-    if args.discounts:
-        kinds = {metric: [DiscountKind(d) for d in args.discounts.split(",")]
-                 for metric in metrics}
-    else:
-        kinds = {metric: [DEFAULT_DISCOUNTS[metric]] for metric in metrics}
-    discounts = {kind: _discount(kind, args.click_weights, max(cutoffs))
-                 for kind in dict.fromkeys(k for metric in metrics for k in kinds[metric])}
-    dataset = _load(args, max_cutoff=max(cutoffs))
-    configs = [_build_config(args, metric, discounts[kind], cutoffs[0])
-               for metric in metrics for kind in kinds[metric]]
-
+    dataset, configs = _configs(args, args.metrics.split(","),
+                                args.discounts and args.discounts.split(","), cutoffs)
     grid = pir_sweep(dataset, configs, thresholds, cutoffs, lenient=args.lenient)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    empty_cells = 0
-    labels = [config.label() for config in grid.configs]
+    labels = [config.label() for config in configs]
     for label in labels:
-        grid_rows = []
-        for ti, t in enumerate(thresholds):
-            row = [f"{t:.4f}"]
-            for cutoff in cutoffs:
-                cell = grid.rows[(label, cutoff)].cells[ti]
-                if cell.empty_denominator:
-                    empty_cells += 1
-                row.append(_fmt(cell.pir))
-            grid_rows.append(row)
-        write_tsv(out / f"grid_{label}.tsv", ["threshold"] + [f"c{c}" for c in cutoffs], grid_rows)
-
-        count_rows = []
-        for cutoff in cutoffs:
-            pir_row = grid.rows[(label, cutoff)]
-            for cell in pir_row.cells:
-                count_rows.append(
-                    [cutoff, f"{cell.threshold:.4f}", _fmt(cell.pir)]
-                    + [getattr(cell, name) for name in CATEGORIES]
-                    + [pir_row.excluded_pairs]
-                )
+        rows = [grid.rows[(label, cutoff)] for cutoff in cutoffs]
+        write_tsv(out / f"grid_{label}.tsv", ["threshold"] + [f"c{c}" for c in cutoffs],
+                  [[f"{t:.4f}"] + [_fmt(row.cells[ti].pir) for row in rows]
+                   for ti, t in enumerate(thresholds)])
         write_tsv(
             out / f"counts_{label}.tsv",
             ["cutoff", "threshold", "pir", *CATEGORIES, "excluded_pairs"],
-            count_rows,
+            [[cutoff, f"{cell.threshold:.4f}", _fmt(cell.pir)]
+             + [getattr(cell, name) for name in CATEGORIES] + [row.excluded_pairs]
+             for cutoff, row in zip(cutoffs, rows) for cell in row.cells],
         )
         if args.plot:
-            series = {
-                f"c{cutoff}": [
-                    (cell.threshold, cell.pir) for cell in grid.rows[(label, cutoff)].cells
-                ]
-                for cutoff in cutoffs
-            }
+            series = {f"c{cutoff}": [(cell.threshold, cell.pir) for cell in row.cells]
+                      for cutoff, row in zip(cutoffs, rows)}
             plotsvg.write_line_chart(out / f"grid_{label}.svg", label,
                                      "threshold", "PIR", series)
 
-    best_rows, best_value_rows, zero_rows = [], [], []
-    for cutoff in cutoffs:
-        best_row, value_row, zero_row = [cutoff], [cutoff], [cutoff]
-        for label in labels:
-            t_star, pir_star = grid.rows[(label, cutoff)].best_threshold()
-            best_row.append(_fmt(pir_star))
-            value_row.append(f"{t_star:.4f}")
-            zero_row.append(_fmt(grid.rows[(label, cutoff)].cells[0].pir))
-        best_rows.append(best_row)
-        best_value_rows.append(value_row)
-        zero_rows.append(zero_row)
-    write_tsv(out / "best_threshold_pir.tsv", ["cutoff"] + labels, best_rows)
-    write_tsv(out / "best_threshold_value.tsv", ["cutoff"] + labels, best_value_rows)
-    write_tsv(out / "zero_threshold_pir.tsv", ["cutoff"] + labels, zero_rows)
-    if args.plot:
-        for name, rows in (("best_threshold_pir", best_rows), ("zero_threshold_pir", zero_rows)):
-            series = {
-                label: [(row[0], float(row[i + 1])) for row in rows]
-                for i, label in enumerate(labels)
-            }
+    # each row's best PIR, best threshold and t = 0 PIR, one summary table each
+    stats = {}
+    for key, row in grid.rows.items():
+        t_star, pir_star = row.best_threshold()
+        stats[key] = (_fmt(pir_star), f"{t_star:.4f}", _fmt(row.cells[0].pir))
+    for i, name in enumerate(("best_threshold_pir", "best_threshold_value", "zero_threshold_pir")):
+        table = [[cutoff] + [stats[(label, cutoff)][i] for label in labels] for cutoff in cutoffs]
+        write_tsv(out / f"{name}.tsv", ["cutoff"] + labels, table)
+        if args.plot and name.endswith("_pir"):
+            series = {label: [(row[0], float(row[j + 1])) for row in table]
+                      for j, label in enumerate(labels)}
             plotsvg.write_line_chart(out / f"{name}.svg", name.replace("_", " "),
                                      "cutoff", "PIR", series)
 
+    empty_cells = sum(cell.empty_denominator for row in grid.rows.values() for cell in row.cells)
     total_excluded = sum(row.excluded_pairs for row in grid.rows.values())
     print(f"wrote {len(labels)} config grids to {out}"
           f" ({len(cutoffs)} cutoffs x {len(thresholds)} thresholds)")
@@ -286,16 +266,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_breakdown(args) -> int:
-    check_cutoffs((args.cutoff,))
-    metric = Metric(args.metric)
-    kind = DiscountKind(args.discount) if args.discount else DEFAULT_DISCOUNTS[metric]
-    discount = _discount(kind, args.click_weights, args.cutoff)
-    dataset = _load(args, max_cutoff=args.cutoff)
-    config = _build_config(args, metric, discount, args.cutoff)
-
     thresholds = _parse_float_grid(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS
     if args.threshold not in thresholds:
         thresholds = tuple(sorted({*thresholds, args.threshold}))
+    dataset, (config,) = _configs(args, [args.metric], args.discount and [args.discount],
+                                  (args.cutoff,))
     grid = pir_sweep(dataset, [config], thresholds, (config.cutoff,), args.lenient)
     row = grid.row(config, config.cutoff)
     at = next(cell for cell in row.cells if cell.threshold == args.threshold)
@@ -322,16 +297,13 @@ def cmd_breakdown(args) -> int:
 
 
 def cmd_implicit(args) -> int:
-    dataset = _load(args, max_cutoff=args.max_cutoff)
     measure = ImplicitMeasure(args.measure)
     thresholds = (_parse_float_grid(args.thresholds) if args.thresholds
                   else DEFAULT_THRESHOLD_GRIDS[measure])
-    band = None
-    if args.band:
-        lo, hi = (float(v) for v in args.band.split(":"))
-        if hi < lo:
-            raise ValueError(f"band must be LO:HI with LO <= HI, got {args.band}")
-        band = (lo, hi)
+    band = _parse_list("--band", "LO:HI", args.band, ":", count=2) if args.band else None
+    if band and band[1] < band[0]:
+        raise ValueError(f"band must be LO:HI with LO <= HI, got {args.band}")
+    dataset = _load(args, max_cutoff=args.max_cutoff)
     series = implicit_pir(
         dataset,
         measure,
@@ -393,8 +365,10 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         list_len=args.list_len,
         n_preferences=args.preferences,
-        grade_weights_a=_parse_weights(args.grades_a) if args.grades_a else SynthSpec.grade_weights_a,
-        grade_weights_b=_parse_weights(args.grades_b) if args.grades_b else SynthSpec.grade_weights_b,
+        grade_weights_a=(_parse_list("--grades-a", "a comma list of numbers", args.grades_a, ",")
+                         if args.grades_a else SynthSpec.grade_weights_a),
+        grade_weights_b=(_parse_list("--grades-b", "a comma list of numbers", args.grades_b, ",")
+                         if args.grades_b else SynthSpec.grade_weights_b),
         order_noise_a=args.order_noise_a,
         order_noise_b=args.order_noise_b,
         overlap=args.overlap,
@@ -495,10 +469,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INVALID
-    except ValidationError as exc:
+    except (ParseError, ValidationError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_INVALID
     except FileNotFoundError as exc:

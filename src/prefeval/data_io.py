@@ -45,7 +45,7 @@ from .dataset import (
     MAX_CUTOFF,
     validate,
 )
-from .scales import GRADE_BEST, GRADE_WORST
+from .scales import GRADE_BEST, GRADE_WORST, check_grade
 
 SCHEMA_VERSION = 1
 HEADER_TAG = "#prefeval"
@@ -133,8 +133,10 @@ def _lookup(table: dict, value: str, path: Path, lineno: int, field: str, option
 
 def _parse_grade(value: str, path: Path, lineno: int) -> int:
     grade = _parse_int(value, path, lineno, "grade")
-    if not GRADE_BEST <= grade <= GRADE_WORST:
-        raise ParseError(path, lineno, f"grade must be {GRADE_BEST}..{GRADE_WORST}, got {grade}")
+    try:
+        check_grade(grade)
+    except ValueError as exc:
+        raise ParseError(path, lineno, str(exc)) from None
     return grade
 
 

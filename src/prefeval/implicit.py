@@ -16,7 +16,7 @@ from statistics import mean
 from typing import Mapping, Optional, Sequence
 
 from .dataset import EvaluationDataset, Session, Variant, Verdict
-from .pir import PirCell, pir_cells
+from .pir import PirCell, check_increasing, pir_cells
 from .scales import grade_to_unit
 
 NO_CLICK_RANK = 21
@@ -183,9 +183,10 @@ def implicit_pir(
     thresholds: Optional[Sequence[float]] = None,
     band: Optional[tuple[float, float]] = None,
 ) -> ImplicitSeries:
-    """PIR of a session measure across a threshold grid in the measure's unit."""
+    """PIR of a session measure across a strictly increasing grid of thresholds in its unit."""
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLD_GRIDS[measure]
+    check_increasing(thresholds)
     pairs, excluded = implicit_pairs(dataset, measure, endpoint, direction, band)
     cells = pir_cells([a - b for a, b, _ in pairs], [v for _, _, v in pairs], thresholds)
     return ImplicitSeries(cells=cells, excluded_queries=excluded)

@@ -204,7 +204,6 @@ class PirRow:
 class PirGrid:
     """PIR cells over (configuration, cut-off, threshold)."""
 
-    configs: tuple[MetricConfig, ...]
     cutoffs: tuple[int, ...]
     rows: Mapping[tuple[str, int], PirRow]
 
@@ -220,11 +219,16 @@ class PirGrid:
         raise KeyError(f"threshold {t} not in grid")
 
 
+def check_increasing(thresholds: Sequence[float]) -> None:
+    """Reject a threshold grid that is not strictly increasing, so ties go to the lowest t."""
+    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError("threshold grid must be strictly increasing")
+
+
 def _check_thresholds(thresholds: Sequence[float]) -> None:
     if not thresholds or thresholds[0] != 0:
         raise ValueError("threshold grid must start at 0")
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("threshold grid must be strictly increasing")
+    check_increasing(thresholds)
 
 
 def pir_sweep(
@@ -290,4 +294,4 @@ def pir_sweep(
         for k, c in enumerate(cutoffs):
             results[(label, c)] = PirRow(cells=pir_cells(diffs[k], verdicts[k], thresholds),
                                          excluded_pairs=excluded[k])
-    return PirGrid(configs=configs, cutoffs=cutoffs, rows=results)
+    return PirGrid(cutoffs=cutoffs, rows=results)

@@ -50,7 +50,7 @@ def check_grade(grade: int) -> None:
     if not isinstance(grade, int) or isinstance(grade, bool):
         raise ValueError(f"grade must be an integer, got {grade!r}")
     if not GRADE_BEST <= grade <= GRADE_WORST:
-        raise ValueError(f"grade must be in {GRADE_BEST}..{GRADE_WORST}, got {grade}")
+        raise ValueError(f"grade must be {GRADE_BEST}..{GRADE_WORST}, got {grade}")
 
 
 def grade_to_unit(grade: int) -> float:

@@ -15,10 +15,10 @@ from prefeval.config import Metric, MetricConfig
 from prefeval.data_io import FILE_NAMES, load_dataset, write_dataset
 from prefeval.dataset import ValidationMode, Variant
 from prefeval.implicit import ImplicitMeasure, SessionEndpoint, implicit_pir
-from prefeval.metrics import esl
+from prefeval.metrics import ApNorm, esl
 from prefeval.oracle import oracle_pir
-from prefeval.pir import CATEGORIES, DEFAULT_CUTOFFS, DEFAULT_THRESHOLDS
-from prefeval.scales import DiscountFunction, RelevanceScale
+from prefeval.pir import CATEGORIES, DEFAULT_CUTOFFS, DEFAULT_THRESHOLDS, pir_sweep
+from prefeval.scales import DiscountFunction, DiscountKind, RelevanceScale
 from prefeval.scoring import judged_lists
 from prefeval.synth import SynthSpec, generate_synthetic
 
@@ -363,6 +363,67 @@ class TestSweepCommand:
             assert row.split("\t") == [f"{t:.4f}", *want]
 
 
+    def test_every_file_matches_the_grid(self, tmp_path):
+        ds = generate_synthetic(SynthSpec(n_queries=6, n_raters=2, seed=2, n_preferences=12))
+        # q001's top three results of both variants are all grade 6, so its
+        # verdicts drop out of the cut-off 3 rows (no ideal gain, no known
+        # relevant result) and stay in the cut-off 7 rows
+        pair = ds.list_pairs[0]
+        top3 = {*pair.variant_a[:3], *pair.variant_b[:3]}
+        ds = dataclasses.replace(ds, judgments=tuple(
+            dataclasses.replace(j, grade=6)
+            if j.query_id == pair.query_id and j.result_id in top3 else j
+            for j in ds.judgments))
+        write_dataset(ds, tmp_path / "data")
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(tmp_path / "data"), "--out", str(out), "--plot",
+                     "--metrics", "ndcg,map", "--discounts", "log2,rank",
+                     "--norm", "known-relevant", "--cutoffs", "7,3",
+                     "--thresholds", "0,0.1,0.2"]) == 0
+
+        thresholds, cutoffs = (0, 0.1, 0.2), (7, 3)
+        configs = [MetricConfig(metric, DiscountFunction(kind), ap_norm=ApNorm.BY_KNOWN_RELEVANT)
+                   for metric in (Metric.NDCG, Metric.MAP)
+                   for kind in (DiscountKind.LOG2, DiscountKind.RANK)]
+        grid = pir_sweep(load_dataset(tmp_path / "data"), configs, thresholds, cutoffs)
+        labels = [cfg.label() for cfg in configs]
+        summaries = ["best_threshold_pir", "best_threshold_value", "zero_threshold_pir"]
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            [f"{kind}_{label}.{ext}" for label in labels
+             for kind, ext in (("grid", "tsv"), ("counts", "tsv"), ("grid", "svg"))]
+            + [f"{name}.tsv" for name in summaries]
+            + ["best_threshold_pir.svg", "zero_threshold_pir.svg"])
+        excluded = {c: grid.row(configs[0], c).excluded_pairs for c in cutoffs}
+        assert excluded[7] == 0 < excluded[3]
+
+        def table(name):
+            return [line.split("\t") for line in (out / name).read_text().splitlines()]
+
+        for cfg in configs:
+            rows = {c: grid.row(cfg, c) for c in cutoffs}
+            assert table(f"grid_{cfg.label()}.tsv") == [["threshold", "c7", "c3"]] + [
+                [f"{t:.4f}"] + [f"{rows[c].cells[i].pir:.4f}" for c in cutoffs]
+                for i, t in enumerate(thresholds)]
+            assert table(f"counts_{cfg.label()}.tsv") == [
+                ["cutoff", "threshold", "pir", *CATEGORIES, "excluded_pairs"]] + [
+                [str(c), f"{cell.threshold:.4f}", f"{cell.pir:.4f}"]
+                + [str(getattr(cell, name)) for name in CATEGORIES]
+                + [str(rows[c].excluded_pairs)]
+                for c in cutoffs for cell in rows[c].cells]
+            svg = (out / f"grid_{cfg.label()}.svg").read_text()
+            assert svg.count("<polyline") == len(cutoffs)
+        stats = {
+            "best_threshold_pir": lambda row: f"{row.best_threshold()[1]:.4f}",
+            "best_threshold_value": lambda row: f"{row.best_threshold()[0]:.4f}",
+            "zero_threshold_pir": lambda row: f"{row.cells[0].pir:.4f}",
+        }
+        for name, stat in stats.items():
+            assert table(f"{name}.tsv") == [["cutoff", *labels]] + [
+                [str(c)] + [stat(grid.row(cfg, c)) for cfg in configs] for c in cutoffs]
+        for name in ("best_threshold_pir", "zero_threshold_pir"):
+            assert (out / f"{name}.svg").read_text().count("<polyline") == len(configs)
+
+
 class TestShortClickTable:
     """A click table must weigh every rank the command evaluates, whatever the data."""
 
@@ -419,6 +480,10 @@ class TestRequestedCutoffs:
         (["sweep", "--cutoffs", "1-11"], "cut-off must be in 1..10, got 11"),
         (["sweep", "--cutoffs", "3-1"], "no cut-off given"),
         (["sweep", "--cutoffs", "2,2"], "duplicate cut-off 2"),
+        (["validate", "--max-cutoff", "0"], "cut-off must be in 1..10, got 0"),
+        (["implicit", "--measure", "clicks", "--max-cutoff", "0"],
+         "cut-off must be in 1..10, got 0"),
+        (["stats", "--max-cutoff", "11"], "cut-off must be in 1..10, got 11"),
     ])
     def test_exits_two_before_loading(self, tmp_path, capsys, monkeypatch, argv, message):
         data = tmp_path / "data"
@@ -426,11 +491,53 @@ class TestRequestedCutoffs:
                      "--seed", "1"]) == 0
         loads = []
         monkeypatch.setattr(cli, "load_dataset", lambda *args, **kwargs: loads.append(args))
+        monkeypatch.setattr(cli, "read_dataset", lambda *args, **kwargs: loads.append(args))
         command, *options = argv
         if command == "sweep":
             options += ["--out", str(tmp_path / "out")]
         capsys.readouterr()
         assert main([command, str(data), *options]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+        assert loads == []
+        assert not (tmp_path / "out").exists()
+
+
+THRESHOLDS_FORM = "START:STOP:STEP or a comma list of numbers"
+
+
+class TestMalformedListOptions:
+    """A malformed list option is one usage line naming its accepted form, before loading."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--cutoffs", "1-3-5"],
+         "--cutoffs must be LO-HI or a comma list of integers, got '1-3-5'"),
+        (["sweep", "--cutoffs", "1,x"],
+         "--cutoffs must be LO-HI or a comma list of integers, got '1,x'"),
+        (["sweep", "--thresholds", "0:0.3"], f"--thresholds must be {THRESHOLDS_FORM}, got '0:0.3'"),
+        (["sweep", "--thresholds", "0:0.3:0"], "step must be positive"),
+        (["sweep", "--thresholds", "0:inf:1"], f"--thresholds must be {THRESHOLDS_FORM}, got '0:inf:1'"),
+        (["sweep", "--thresholds", "0,nan"], f"--thresholds must be {THRESHOLDS_FORM}, got '0,nan'"),
+        (["breakdown", "--metric", "ndcg", "--threshold", "0", "--thresholds", "0,a"],
+         f"--thresholds must be {THRESHOLDS_FORM}, got '0,a'"),
+        (["implicit", "--measure", "clicks", "--thresholds", "0:1:x"],
+         f"--thresholds must be {THRESHOLDS_FORM}, got '0:1:x'"),
+        (["implicit", "--measure", "clicks", "--band", "5"], "--band must be LO:HI, got '5'"),
+        (["implicit", "--measure", "clicks", "--band", "5:1"],
+         "band must be LO:HI with LO <= HI, got 5:1"),
+        (["synth", "--queries", "2", "--raters", "1", "--seed", "1", "--grades-a", "x"],
+         "--grades-a must be a comma list of numbers, got 'x'"),
+    ])
+    def test_exits_two_before_loading(self, tmp_path, capsys, monkeypatch, argv, message):
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *args, **kwargs: loads.append(args))
+        command, *options = argv
+        if command != "synth":
+            options.insert(0, str(tmp_path / "data"))
+        if command in ("sweep", "synth"):
+            options += ["--out", str(tmp_path / "out")]
+        assert main([command, *options]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"usage error: {message}\n"
@@ -559,6 +666,15 @@ class TestImplicitCommand:
         assert code in (0, 3)  # narrow bands may leave nothing to compare
         assert main(["implicit", str(synth_dir), "--measure", "duration",
                      "--band", "45:0"]) == 2
+
+    @pytest.mark.parametrize("grid", ["3,1,2", "0,1,1"])
+    def test_grid_must_increase_strictly(self, synth_dir, capsys, grid):
+        capsys.readouterr()
+        assert main(["implicit", str(synth_dir), "--measure", "clicks",
+                     "--thresholds", grid]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "usage error: threshold grid must be strictly increasing\n"
 
     def test_last_click_endpoint_table(self, synth_dir, capsys):
         capsys.readouterr()

@@ -162,6 +162,12 @@ class TestImplicitPir:
             for cell in series.cells:
                 assert cell == pir(pairs, cell.threshold)
 
+    @pytest.mark.parametrize("thresholds", [(3.0, 1.0, 2.0), (0.0, 1.0, 1.0)])
+    def test_grid_must_increase_strictly(self, thresholds):
+        ds = generate_synthetic(SynthSpec(n_queries=3, n_raters=2, seed=1))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            implicit_pir(ds, ImplicitMeasure.CLICK_COUNT, thresholds=thresholds)
+
     def test_default_threshold_grids(self):
         assert DEFAULT_THRESHOLD_GRIDS[ImplicitMeasure.DURATION][:3] == (0.0, 5.0, 10.0)
         assert DEFAULT_THRESHOLD_GRIDS[ImplicitMeasure.DURATION][-1] == 120.0
