@@ -28,10 +28,10 @@ from .implicit import (
     descriptive_stats,
     implicit_pir,
 )
-from .metrics import ApNorm, ExcludedQuery, mean_over_queries
-from .pir import CATEGORIES, DEFAULT_THRESHOLDS, best_cell, pir_sweep
+from .metrics import ApNorm, mean_over_queries
+from .pir import CATEGORIES, DEFAULT_THRESHOLDS, best_cell, check_grid, pir_sweep
 from .scales import DiscountFunction, DiscountKind, RelevanceScale, load_click_weights
-from .scoring import MissingJudgment, score_pair
+from .scoring import MissingJudgment, ResolvedPreference, judged_lists, score_cutoffs
 from .synth import SynthSpec, generate_synthetic
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ def _add_config_args(parser: argparse.ArgumentParser, single_metric: bool,
     if per_rater:
         parser.add_argument("--rating-source", default=RatingSource.SAME_USER.value,
                             choices=[r.value for r in RatingSource])
-    parser.add_argument("--n", "--esl-n", dest="esl_n", type=float, default=None,
+    parser.add_argument("--n", "--esl-n", dest="esl_n", default=None,
                         help=f"ESL cumulative relevance target (default {DEFAULT_ESL_N})")
     parser.add_argument("--norm", default=ApNorm.BY_EVALUATED_COUNT.value,
                         choices=[n.value for n in ApNorm], help="AP normalization")
@@ -130,13 +130,15 @@ def _load(args, max_cutoff: int):
 
 def _configs(args, metrics: Sequence[str], kinds: Optional[Sequence[str]],
              cutoffs: Sequence[int]):
-    """The dataset and one config per metric and discount, at ``cutoffs[0]``.
+    """One config per metric and discount, at ``cutoffs[0]``; it reads no dataset file.
 
     ``kinds=None`` gives each metric its customary discount.  The cut-offs,
-    the metric and discount names and a click table's coverage of
-    ``max(cutoffs)`` are all checked before the dataset is loaded.
+    ``--n``, the metric and discount names, a click table's coverage of
+    ``max(cutoffs)`` and every config field are checked here.
     """
     check_cutoffs(cutoffs)
+    esl_n = (_parse_list("--n", "a finite number", args.esl_n, ",", count=1)[0]
+             if args.esl_n is not None else DEFAULT_ESL_N)
     metrics = [Metric(name) for name in metrics]
     kinds = kinds and [DiscountKind(name) for name in kinds]
     pairs = [(metric, kind) for metric in metrics for kind in kinds or [DEFAULT_DISCOUNTS[metric]]]
@@ -148,10 +150,8 @@ def _configs(args, metrics: Sequence[str], kinds: Optional[Sequence[str]],
             discounts[kind].weights(max(cutoffs))  # raises ValueError at the first missing rank
         else:
             discounts[kind] = DiscountFunction(kind)
-    dataset = _load(args, max_cutoff=max(cutoffs))
     query_filter = args.query_types and frozenset(QueryType(t) for t in args.query_types)
-    esl_n = args.esl_n if args.esl_n is not None else DEFAULT_ESL_N
-    configs = [
+    return [
         MetricConfig(
             metric=metric,
             discount=discounts[kind],
@@ -165,7 +165,6 @@ def _configs(args, metrics: Sequence[str], kinds: Optional[Sequence[str]],
         )
         for metric, kind in pairs
     ]
-    return dataset, configs
 
 
 def cmd_validate(args) -> int:
@@ -183,20 +182,21 @@ def cmd_validate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset, (config,) = _configs(args, [args.metric], args.discount and [args.discount],
-                                  (args.cutoff,))
+    (config,) = _configs(args, [args.metric], args.discount and [args.discount], (args.cutoff,))
+    dataset = _load(args, max_cutoff=config.cutoff)
     rows = []
     excluded = 0
     for pair in dataset.list_pairs:
         if config.query_filter is not None:
             if dataset.query_by_id[pair.query_id].query_type not in config.query_filter:
                 continue
-        try:
-            score_a, score_b = score_pair(dataset, config, pair.query_id, None, args.lenient)
-        except ExcludedQuery:
+        rels_a, rels_b, pool = judged_lists(dataset, pair.query_id, None, config, args.lenient)
+        resolved = ResolvedPreference(None, rels_a, rels_b, pool, {config.cutoff: len(pool)})
+        (score_a,), (score_b,) = score_cutoffs(resolved, config, (config.cutoff,))
+        if score_a is None:
             excluded += 1
-            continue
-        rows.append((pair.query_id, score_a, score_b))
+        else:
+            rows.append((pair.query_id, score_a, score_b))
 
     print("query\tA\tB")
     for qid, score_a, score_b in rows:
@@ -215,8 +215,10 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     thresholds = _parse_float_grid(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS
     cutoffs = _parse_cutoffs(args.cutoffs)
-    dataset, configs = _configs(args, args.metrics.split(","),
-                                args.discounts and args.discounts.split(","), cutoffs)
+    configs = _configs(args, args.metrics.split(","),
+                       args.discounts and args.discounts.split(","), cutoffs)
+    check_grid(configs, thresholds)
+    dataset = _load(args, max_cutoff=max(cutoffs))
     grid = pir_sweep(dataset, configs, thresholds, cutoffs, lenient=args.lenient)
 
     out = Path(args.out)
@@ -267,18 +269,20 @@ def cmd_sweep(args) -> int:
 
 def cmd_breakdown(args) -> int:
     thresholds = _parse_float_grid(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS
-    if args.threshold not in thresholds:
-        thresholds = tuple(sorted({*thresholds, args.threshold}))
-    dataset, (config,) = _configs(args, [args.metric], args.discount and [args.discount],
-                                  (args.cutoff,))
+    threshold = _parse_list("--threshold", "a finite number", args.threshold, ",", count=1)[0]
+    if threshold not in thresholds:
+        thresholds = tuple(sorted({*thresholds, threshold}))
+    (config,) = _configs(args, [args.metric], args.discount and [args.discount], (args.cutoff,))
+    check_grid([config], thresholds)
+    dataset = _load(args, max_cutoff=config.cutoff)
     grid = pir_sweep(dataset, [config], thresholds, (config.cutoff,), args.lenient)
     row = grid.row(config, config.cutoff)
-    at = next(cell for cell in row.cells if cell.threshold == args.threshold)
+    at = next(cell for cell in row.cells if cell.threshold == threshold)
     if at.total_pairs == 0:
         print("no evaluable (query, rater) pair", file=sys.stderr)
         return EXIT_EMPTY_PIR
 
-    print(f"config {config.label()} cutoff {config.cutoff} threshold {args.threshold:.4f}")
+    print(f"config {config.label()} cutoff {config.cutoff} threshold {threshold:.4f}")
     print("category\tcount\tshare")
     for name, share in at.shares().items():
         print(f"{name}\t{getattr(at, name)}\t{_fmt(float(share))}")
@@ -417,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_arg(p)
     _add_config_args(p, single_metric=True)
     p.add_argument("--cutoff", type=int, default=MAX_CUTOFF)
-    p.add_argument("--threshold", type=float, required=True)
+    p.add_argument("--threshold", required=True)
     p.add_argument("--thresholds", default=None,
                    help="grid for the --series evolution file (default 0:0.30:0.01)")
     p.add_argument("--series", metavar="FILE", help="write share evolution by threshold")

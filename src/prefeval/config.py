@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from math import isfinite
 from typing import Optional, Sequence
 
 from .dataset import MAX_CUTOFF, QueryType
@@ -63,6 +64,8 @@ class MetricConfig:
         if self.metric is Metric.ESL:
             if self.esl_n is None or self.esl_n <= 0:
                 raise ValueError("ESL requires a positive cumulative relevance target esl_n")
+            if not isfinite(self.esl_n):
+                raise ValueError(f"ESL target esl_n must be finite, got {self.esl_n}")
         elif self.esl_n is not None:
             raise ValueError(f"esl_n is only meaningful for ESL, not {self.metric.value}")
         if self.query_filter is not None:

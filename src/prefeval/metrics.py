@@ -4,11 +4,11 @@ Every function scores one ranked list for one query: ``rels`` holds
 unit relevance in [0, 1] by rank (index 0 = rank 1) and ``c`` is the
 cut-off, i.e. how many top results take part.  Entries beyond ``c`` are
 ignored, so a list may be passed at full length for any cut-off.  This
-is the reference: the worked examples pin these functions, and the
-oracle scores through them.  The sweep engine
-(:func:`prefeval.scoring.score_cutoffs`) scores every cut-off of a list
-in one walk and shares only :func:`_check_cutoff`, ``ERR_GRADE_MAX``
-and the discount weight tables with this module.
+is the reference: the worked examples pin these functions, and only the
+oracle scores through them (:func:`prefeval.oracle.metric_score`).  The
+engine, :func:`prefeval.scoring.score_cutoffs`, is what every command
+scores with; it walks each list once for all cut-offs and shares only
+:func:`_check_cutoff`, ``ERR_GRADE_MAX`` and ``ApNorm`` with this module.
 
 Normalization against an ideal ordering (NDCG) takes a judged pool, from
 which the best achievable ranking is formed.  The scoring layer passes

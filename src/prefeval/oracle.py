@@ -1,24 +1,46 @@
 """Reference PIR computation by plain enumeration, for cross-checking the engine.
 
-This module re-derives every cell the long way: walk the preference
-judgments one by one, score each through :func:`~prefeval.scoring.score_pair`
-(pinned separately against published worked examples), and count the
-pairs of each threshold through :func:`~prefeval.pir.pir`, the spelled-out
-one-threshold rule that no command runs.  Everything the sweep engine
-adds on top (resolve-once tables, one walk per list for all cut-offs, grids,
-bisection counting) is recomputed here from scratch, so grid cells can
-be required to match exactly, not approximately.
+No command runs this module.  It walks the preference judgments one by
+one, scores each list at one cut-off through :func:`metric_score`, which
+dispatches to the scalar metrics (pinned against published worked
+examples), and counts each threshold through :func:`~prefeval.pir.pir`.
+It shares only relevance resolution (:func:`~prefeval.scoring.judged_lists`)
+with the engine, so grid cells can be required to match exactly.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .config import MetricConfig
+from . import metrics
+from .config import Metric, MetricConfig
 from .dataset import EvaluationDataset
-from .metrics import ExcludedQuery
-from .pir import pir
-from .scoring import ScoredPair, score_pair
+from .metrics import ApNorm, ExcludedQuery
+from .pir import ScoredPair, pir
+from .scoring import judged_lists
+
+
+def metric_score(rels: Sequence[float], pool: Sequence[float], config: MetricConfig) -> float:
+    """Score one judged list under the configured metric, at the config's cut-off."""
+    c = config.cutoff
+    m = config.metric
+    if m is Metric.PRECISION:
+        return metrics.precision_at(rels, c, discount=config.discount)
+    if m is Metric.NDCG:
+        return metrics.ndcg(rels, pool, c, config.discount)
+    if m is Metric.MAP:
+        known: Optional[int] = None
+        if config.ap_norm is ApNorm.BY_KNOWN_RELEVANT:
+            known = sum(1 for v in pool if v > 0)
+        return metrics.average_precision(rels, c, config.discount, config.ap_norm, known)
+    if m is Metric.ERR:
+        return metrics.err(rels, c, config.discount)
+    if m is Metric.MRR:
+        return metrics.reciprocal_rank(rels, c, config.discount)
+    if m is Metric.ESL:
+        assert config.esl_n is not None
+        return metrics.esl(rels, c, config.discount, config.esl_n)
+    raise ValueError(f"unknown metric {m!r}")
 
 
 def collect_pairs(
@@ -30,11 +52,12 @@ def collect_pairs(
         if config.query_filter is not None:
             if dataset.query_by_id[p.query_id].query_type not in config.query_filter:
                 continue
+        rels_a, rels_b, pool = judged_lists(dataset, p.query_id, p.rater_id, config, lenient)
         try:
-            score_a, score_b = score_pair(dataset, config, p.query_id, p.rater_id, lenient)
-        except ExcludedQuery:
+            pairs.append((metric_score(rels_a, pool, config), metric_score(rels_b, pool, config),
+                          p.verdict))
+        except ExcludedQuery:  # zero ideal gain, no known relevant result
             continue
-        pairs.append((score_a, score_b, p.verdict))
     return pairs
 
 

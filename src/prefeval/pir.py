@@ -18,11 +18,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 from typing import Iterable, Mapping, Sequence, Union
 
 from .config import MetricConfig, check_cutoffs
 from .dataset import MAX_CUTOFF, EvaluationDataset, Verdict
-from .scoring import ScoredPair, resolve_preferences, score_cutoffs
+from .scoring import resolve_preferences, score_cutoffs
+
+ScoredPair = tuple[float, float, Verdict]  # (score_a, score_b, verdict), as pir() counts them
 
 DEFAULT_THRESHOLDS: tuple[float, ...] = tuple(i / 100 for i in range(31))
 DEFAULT_CUTOFFS: tuple[int, ...] = tuple(range(1, MAX_CUTOFF + 1))
@@ -225,10 +228,21 @@ def check_increasing(thresholds: Sequence[float]) -> None:
         raise ValueError("threshold grid must be strictly increasing")
 
 
-def _check_thresholds(thresholds: Sequence[float]) -> None:
+def check_grid(configs: Sequence[MetricConfig], thresholds: Sequence[float]) -> None:
+    """Reject a sweep :func:`pir_sweep` cannot run, before any dataset is read.
+
+    The threshold grid must start at 0, strictly increase and be finite,
+    and no two configs may share a label, which keys their rows.
+    """
     if not thresholds or thresholds[0] != 0:
         raise ValueError("threshold grid must start at 0")
     check_increasing(thresholds)
+    if not all(map(isfinite, thresholds)):
+        raise ValueError("threshold grid must be finite")
+    labels = [config.label() for config in configs]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"duplicate configuration {label!r}")
 
 
 def pir_sweep(
@@ -259,15 +273,10 @@ def pir_sweep(
     - :func:`pir_cells` sorts a row's differences once and counts each
       threshold cell by bisection.
     """
-    _check_thresholds(thresholds)
     configs = tuple(configs)
     cutoffs = tuple(cutoffs)
+    check_grid(configs, thresholds)
     check_cutoffs(cutoffs)
-    seen: set[str] = set()
-    for config in configs:
-        if config.label() in seen:
-            raise ValueError(f"duplicate configuration {config.label()!r}")
-        seen.add(config.label())
 
     def scope(config: MetricConfig) -> tuple:
         return config.scale, config.rating_source, config.query_filter

@@ -1,15 +1,15 @@
-"""Turns dataset grades into judged relevance lists and metric scores.
+"""Judged relevance lists from dataset grades, and the engine that scores them.
 
-This is the substrate both the sweep engine and the reference oracle
-build on: per-result unit relevance under a scale and rating source (or,
-with no preference rater, the mean over all raters), and one walk over a
-query's two lists that yields both judged lists and the judged pool in
-first-rank order.  Scoring is where the two part.  The reference scores
-one list at one cut-off through :func:`metric_score` and the scalar
-functions of :mod:`prefeval.metrics`.  The engine resolves each
-verdict's lists once for all cut-offs (:func:`resolve_preferences`) and
-scores every cut-off of both lists in :func:`score_cutoffs`, which walks
-each list once and calls no scalar metric.
+Resolution is what the engine and the reference oracle share: per-result
+unit relevance under a scale and rating source (or, with no preference
+rater, the mean over all raters), and one walk over a query's two lists
+that yields both judged lists and the judged pool in first-rank order.
+Scoring is the engine's alone, and the only scorer any command runs:
+:func:`resolve_preferences` resolves each verdict's lists once for all
+cut-offs, and :func:`score_cutoffs` scores every cut-off of both lists
+in one walk per list.  The reference oracle scores one list at one
+cut-off through the scalar functions of :mod:`prefeval.metrics`
+(:func:`prefeval.oracle.metric_score`).
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ import math
 from itertools import zip_longest
 from typing import NamedTuple, Optional, Sequence
 
-from . import metrics
 from .config import Metric, MetricConfig, RatingSource
 from .dataset import EvaluationDataset, Verdict
 from .metrics import ERR_GRADE_MAX, ApNorm, _check_cutoff
 from .scales import RelevanceScale, conflate
-
-ScoredPair = tuple[float, float, Verdict]
 
 
 class MissingJudgment(Exception):
@@ -117,64 +114,16 @@ def judged_lists(
             [values[rid] for rid in by_rank])
 
 
-def metric_score(
-    rels: Sequence[float],
-    pool: Sequence[float],
-    config: MetricConfig,
-) -> float:
-    """Score one judged list under the configured metric."""
-    c = config.cutoff
-    m = config.metric
-    if m is Metric.PRECISION:
-        return metrics.precision_at(rels, c, discount=config.discount)
-    if m is Metric.NDCG:
-        return metrics.ndcg(rels, pool, c, config.discount)
-    if m is Metric.MAP:
-        known: Optional[int] = None
-        if config.ap_norm is ApNorm.BY_KNOWN_RELEVANT:
-            known = sum(1 for v in pool if v > 0)
-        return metrics.average_precision(
-            rels, c, config.discount, config.ap_norm, known_relevant=known
-        )
-    if m is Metric.ERR:
-        return metrics.err(rels, c, config.discount)
-    if m is Metric.MRR:
-        return metrics.reciprocal_rank(rels, c, config.discount)
-    if m is Metric.ESL:
-        assert config.esl_n is not None
-        return metrics.esl(rels, c, config.discount, config.esl_n)
-    raise ValueError(f"unknown metric {m!r}")
-
-
-def score_pair(
-    dataset: EvaluationDataset,
-    config: MetricConfig,
-    query_id: str,
-    rater_id: Optional[str],
-    lenient: bool = False,
-) -> tuple[float, float]:
-    """Metric scores (variant A, variant B) for one (query, preference rater).
-
-    A ``rater_id`` of ``None`` scores the mean over all raters, as in
-    :func:`judged_lists`.
-
-    Raises ExcludedQuery when the configuration cannot score the query
-    (zero ideal gain, no known relevant result) and MissingJudgment for
-    rating-source gaps in strict mode.
-    """
-    rels_a, rels_b, pool = judged_lists(dataset, query_id, rater_id, config, lenient)
-    return metric_score(rels_a, pool, config), metric_score(rels_b, pool, config)
-
-
 class ResolvedPreference(NamedTuple):
     """One preference verdict with its judged lists resolved down to a depth.
 
     ``pool`` is the pool :func:`judged_lists` forms at that depth, and
     ``pool[:pool_ends[c]]`` is exactly the pool it forms at cut-off c.
-    ``pool_ends`` is shared by every verdict of the query.
+    ``pool_ends`` is shared by every verdict of the query.  ``prefeval
+    eval`` scores a query's rater-free lists with no verdict (None).
     """
 
-    verdict: Verdict
+    verdict: Optional[Verdict]
     rels_a: list[float]
     rels_b: list[float]
     pool: list[float]
@@ -230,9 +179,10 @@ def score_cutoffs(
 ) -> tuple[list[Optional[float]], list[Optional[float]]]:
     """Scores of both variants of one resolved verdict at every cut-off.
 
-    Entry ``k`` of each list equals :func:`metric_score` of that variant
-    at ``cutoffs[k]`` bit for bit, or is None where the config excludes
-    the verdict there (where the scalar metric raises ExcludedQuery).
+    Entry ``k`` of each list equals the reference
+    :func:`prefeval.oracle.metric_score` of that variant at ``cutoffs[k]``
+    bit for bit, or is None where the config excludes the verdict there
+    (where the scalar metric raises ExcludedQuery), for both variants alike.
     Each list is walked once for all cut-offs: precision, NDCG and ESL
     read ``math.fsum`` over prefixes of one list of ``rel * weight``
     products, AP and ERR read running totals at each cut-off, and MRR
@@ -293,10 +243,8 @@ def score_cutoffs(
             first = next((i for i in range(deepest) if rels[i] > 0), deepest)
             return [weights[first] if first < c else 0.0 for c in cutoffs]
     elif m is Metric.ESL:
-        n = config.esl_n
+        n = config.esl_n  # MetricConfig holds it finite and positive
         assert n is not None
-        if n <= 0:
-            raise ValueError(f"cumulative relevance target must be > 0, got {n}")
 
         def score(rels):
             # the target's rank, found once, then capped at each cut-off

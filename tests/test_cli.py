@@ -15,8 +15,8 @@ from prefeval.config import Metric, MetricConfig
 from prefeval.data_io import FILE_NAMES, load_dataset, write_dataset
 from prefeval.dataset import ValidationMode, Variant
 from prefeval.implicit import ImplicitMeasure, SessionEndpoint, implicit_pir
-from prefeval.metrics import ApNorm, esl
-from prefeval.oracle import oracle_pir
+from prefeval.metrics import ApNorm, ExcludedQuery, esl
+from prefeval.oracle import metric_score, oracle_pir
 from prefeval.pir import CATEGORIES, DEFAULT_CUTOFFS, DEFAULT_THRESHOLDS, pir_sweep
 from prefeval.scales import DiscountFunction, DiscountKind, RelevanceScale
 from prefeval.scoring import judged_lists
@@ -187,16 +187,28 @@ class TestEvalCommand:
             assert line.split("\t")[1] == "1.0000"
 
     def test_esl_matches_direct_module_call(self, synth_dir, capsys):
-        assert main(["eval", str(synth_dir), "--metric", "esl", "--n", "2.5",
-                     "--discount", "rank", "--cutoff", "10"]) == 0
-        out = capsys.readouterr().out
+        # every printed row of every metric and AP norm equals the reference
         ds = load_dataset(synth_dir)
-        first = ds.list_pairs[0]
-        rels_a, _, _ = judged_lists(ds, first.query_id, None, MetricConfig(
-            Metric.ESL, DiscountFunction.rank(), esl_n=2.5))
-        want = esl(rels_a, 10, DiscountFunction.rank(), n=2.5)
-        got = out.splitlines()[1].split("\t")[1]
-        assert got == f"{want:.4f}"  # the CLI prints the module value verbatim
+        for metric in Metric:
+            for norm in ApNorm:
+                assert main(["eval", str(synth_dir), "--metric", metric.value, "--n", "2.5",
+                             "--discount", "rank", "--cutoff", "10", "--norm", norm.value]) == 0
+                out = capsys.readouterr().out
+                cfg = MetricConfig(metric, DiscountFunction.rank(), ap_norm=norm,
+                                   esl_n=2.5 if metric is Metric.ESL else None)
+                want = []
+                for pair in ds.list_pairs:
+                    rels_a, rels_b, pool = judged_lists(ds, pair.query_id, None, cfg)
+                    try:
+                        scores = [metric_score(rels, pool, cfg) for rels in (rels_a, rels_b)]
+                    except ExcludedQuery:
+                        continue
+                    want.append("\t".join([pair.query_id, *(f"{v:.4f}" for v in scores)]))
+                    if metric is Metric.ESL and pair is ds.list_pairs[0]:
+                        assert scores[0] == esl(rels_a, 10, DiscountFunction.rank(), n=2.5)
+                got = out.splitlines()[1:-1]
+                assert got == want, (metric, norm)  # the CLI prints the reference values verbatim
+                assert got
 
     @pytest.mark.parametrize("lenient", [[], ["--lenient"]])
     def test_multi_rater_table_is_pinned(self, synth_dir, capsys, lenient):
@@ -470,7 +482,7 @@ class TestShortClickTable:
 
 
 class TestRequestedCutoffs:
-    """Every requested cut-off is checked before the dataset is loaded."""
+    """Every requested cut-off and config, and the threshold grid, are checked before loading."""
 
     @pytest.mark.parametrize("argv, message", [
         (["eval", "--metric", "ndcg", "--cutoff", "11"], "cut-off must be in 1..10, got 11"),
@@ -484,6 +496,25 @@ class TestRequestedCutoffs:
         (["implicit", "--measure", "clicks", "--max-cutoff", "0"],
          "cut-off must be in 1..10, got 0"),
         (["stats", "--max-cutoff", "11"], "cut-off must be in 1..10, got 11"),
+        # configs and the threshold grid need no dataset either
+        (["sweep", "--metrics", "ndcg,ndcg"], "duplicate configuration 'ndcg_log2_six_same-user'"),
+        (["sweep", "--metrics", "ndcg", "--discounts", "log2,log2"],
+         "duplicate configuration 'ndcg_log2_six_same-user'"),
+        (["eval", "--metric", "esl", "--n", "0"],
+         "ESL requires a positive cumulative relevance target esl_n"),
+        (["breakdown", "--metric", "ndcg", "--threshold", "-1"], "threshold grid must start at 0"),
+        (["sweep", "--thresholds", "0.1,0.2"], "threshold grid must start at 0"),
+        (["sweep", "--thresholds", "0,0.2,0.1"], "threshold grid must be strictly increasing"),
+        (["breakdown", "--metric", "ndcg", "--threshold", "nan"],
+         "--threshold must be a finite number, got 'nan'"),
+        (["breakdown", "--metric", "ndcg", "--threshold", "inf"],
+         "--threshold must be a finite number, got 'inf'"),
+        (["eval", "--metric", "esl", "--n", "nan"], "--n must be a finite number, got 'nan'"),
+        (["eval", "--metric", "esl", "--n", "inf"], "--n must be a finite number, got 'inf'"),
+        (["sweep", "--metrics", "esl", "--n", "nan"], "--n must be a finite number, got 'nan'"),
+        (["breakdown", "--metric", "ndcg", "--threshold", "x"],
+         "--threshold must be a finite number, got 'x'"),
+        (["eval", "--metric", "esl", "--n", "2,5"], "--n must be a finite number, got '2,5'"),
     ])
     def test_exits_two_before_loading(self, tmp_path, capsys, monkeypatch, argv, message):
         data = tmp_path / "data"

@@ -281,6 +281,9 @@ class TestSweep:
             pir_sweep(sample_pir_dataset, [PRECISION_NONE], thresholds=(0.1, 0.2))
         with pytest.raises(ValueError):
             pir_sweep(sample_pir_dataset, [PRECISION_NONE], thresholds=(0.0, 0.2, 0.2))
+        for grid in ((0.0, math.inf), (0.0, math.nan, 0.1)):
+            with pytest.raises(ValueError, match="threshold grid must be finite"):
+                pir_sweep(sample_pir_dataset, [PRECISION_NONE], thresholds=grid)
 
     def test_duplicate_configs_rejected(self, sample_pir_dataset):
         with pytest.raises(ValueError):

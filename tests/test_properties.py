@@ -22,7 +22,7 @@ from prefeval.metrics import ExcludedQuery, err, esl, ndcg, reciprocal_rank
 from prefeval.pir import DEFAULT_THRESHOLDS, pir, pir_sweep, pref
 from prefeval.scales import DiscountFunction
 
-from conftest import make_query
+from conftest import make_query, score_pair
 
 unit_rel = st.integers(0, 5).map(lambda i: i / 5)
 score = st.integers(0, 100).map(lambda i: i / 100)
@@ -218,8 +218,6 @@ class TestPrecisionNdcgAgreement:
         # without a discount the two metrics differ only in their normalizer,
         # which both variants share, so the preferred list is the same;
         # mathematical ties may land a last-bit apart, hence the noise floor
-        from prefeval.scoring import score_pair
-
         ds, list_len = case
         prec = MetricConfig(Metric.PRECISION, DiscountFunction.none(), cutoff=list_len)
         ndcg_cfg = MetricConfig(Metric.NDCG, DiscountFunction.none(), cutoff=list_len)

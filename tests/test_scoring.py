@@ -1,29 +1,30 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import binary_pair_dataset, make_query
+from conftest import binary_pair_dataset, make_query, score_pair
 from prefeval.config import Metric, MetricConfig, RatingSource
+from prefeval.data_io import write_dataset
 from prefeval.dataset import (
     EvaluationDataset,
     GradedJudgment,
     RankedListPair,
     Verdict,
 )
-from prefeval import metrics, scoring
+from prefeval import cli, metrics, oracle, scoring
 from prefeval.metrics import ApNorm, ExcludedQuery
+from prefeval.oracle import metric_score
 from prefeval.pir import pir_sweep
 from prefeval.scales import DiscountFunction, DiscountKind, RelevanceScale, grade_to_unit
 from prefeval.scoring import (
     MissingJudgment,
     ResolvedPreference,
     judged_lists,
-    metric_score,
     resolve_preferences,
     score_cutoffs,
-    score_pair,
     unit_relevance,
 )
 from prefeval.synth import SynthSpec, generate_synthetic
@@ -198,7 +199,9 @@ class TestResolvePreferences:
         for scale in scales:
             assert calls.count(scale) <= judgments
 
-    def test_sweep_never_calls_the_scalar_metrics(self, overlapping, monkeypatch):
+    def test_sweep_never_calls_the_scalar_metrics(self, overlapping, tmp_path, monkeypatch):
+        # nor does eval: every command scores through score_cutoffs
+        write_dataset(overlapping, tmp_path)
         calls = []
 
         def patch(module, name):
@@ -210,7 +213,7 @@ class TestResolvePreferences:
 
             monkeypatch.setattr(module, name, counted)
 
-        patch(scoring, "metric_score")
+        patch(oracle, "metric_score")
         for name in ("precision_at", "dcg", "ideal_ranking", "ndcg", "average_precision",
                      "err", "reciprocal_rank", "esl"):
             patch(metrics, name)
@@ -219,6 +222,8 @@ class TestResolvePreferences:
                    for metric in Metric for source in RatingSource]
         grid = pir_sweep(overlapping, configs)
         assert grid.rows
+        for metric in Metric:
+            assert cli.main(["eval", str(tmp_path), "--metric", metric.value]) == 0
         assert calls == []
 
 
@@ -278,6 +283,9 @@ class TestMetricScoreDispatch:
     def test_esl_requires_target(self):
         with pytest.raises(ValueError):
             MetricConfig(metric=Metric.ESL, discount=DiscountFunction.rank())
+        for esl_n in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be finite"):
+                MetricConfig(metric=Metric.ESL, discount=DiscountFunction.rank(), esl_n=esl_n)
 
     def test_esl_n_rejected_elsewhere(self):
         with pytest.raises(ValueError):
