@@ -1,6 +1,6 @@
 """Meta-evaluation of search result-list metrics against stated user preferences."""
 
-from .config import Metric, MetricConfig, RatingSource
+from .config import ApNorm, Metric, MetricConfig, RatingSource
 from .dataset import (
     Click,
     EvaluationDataset,
@@ -18,7 +18,7 @@ from .dataset import (
     Verdict,
     validate,
 )
-from .metrics import ApNorm, ExcludedQuery
+from .metrics import ExcludedQuery
 from .pir import PirCell, PirGrid, pir, pir_sweep, pref
 from .scales import DiscountFunction, DiscountKind, RelevanceScale, conflate, grade_to_unit
 from .synth import SynthSpec, generate_synthetic

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import plotsvg
-from .config import Metric, MetricConfig, RatingSource, check_cutoffs
+from .config import ApNorm, Metric, MetricConfig, RatingSource, check_cutoffs
 from .data_io import ParseError, load_dataset, read_dataset, write_dataset, write_tsv
 from .dataset import MAX_CUTOFF, QueryType, ValidationError, ValidationMode, validate
 from .implicit import (
@@ -28,10 +28,9 @@ from .implicit import (
     descriptive_stats,
     implicit_pir,
 )
-from .metrics import ApNorm, mean_over_queries
-from .pir import CATEGORIES, DEFAULT_THRESHOLDS, best_cell, check_grid, pir_sweep
+from .pir import CATEGORIES, DEFAULT_THRESHOLDS, best_cell, check_grid, check_increasing, pir_sweep
 from .scales import DiscountFunction, DiscountKind, RelevanceScale, load_click_weights
-from .scoring import MissingJudgment, ResolvedPreference, judged_lists, score_cutoffs
+from .scoring import MissingJudgment, judged_lists, score_cutoffs
 from .synth import SynthSpec, generate_synthetic
 
 EXIT_OK = 0
@@ -133,13 +132,16 @@ def _configs(args, metrics: Sequence[str], kinds: Optional[Sequence[str]],
     """One config per metric and discount, at ``cutoffs[0]``; it reads no dataset file.
 
     ``kinds=None`` gives each metric its customary discount.  The cut-offs,
-    ``--n``, the metric and discount names, a click table's coverage of
-    ``max(cutoffs)`` and every config field are checked here.
+    ``--n`` (which only ESL reads), the metric and discount names, a click
+    table's coverage of ``max(cutoffs)`` and every config field are
+    checked here.
     """
     check_cutoffs(cutoffs)
     esl_n = (_parse_list("--n", "a finite number", args.esl_n, ",", count=1)[0]
              if args.esl_n is not None else DEFAULT_ESL_N)
     metrics = [Metric(name) for name in metrics]
+    if args.esl_n is not None and Metric.ESL not in metrics:
+        raise ValueError(f"--n is only meaningful for esl, not {','.join(metrics)}")
     kinds = kinds and [DiscountKind(name) for name in kinds]
     pairs = [(metric, kind) for metric in metrics for kind in kinds or [DEFAULT_DISCOUNTS[metric]]]
     discounts = {}
@@ -184,15 +186,13 @@ def cmd_validate(args) -> int:
 def cmd_eval(args) -> int:
     (config,) = _configs(args, [args.metric], args.discount and [args.discount], (args.cutoff,))
     dataset = _load(args, max_cutoff=config.cutoff)
-    rows = []
-    excluded = 0
+    rows, excluded = [], 0
     for pair in dataset.list_pairs:
         if config.query_filter is not None:
             if dataset.query_by_id[pair.query_id].query_type not in config.query_filter:
                 continue
-        rels_a, rels_b, pool = judged_lists(dataset, pair.query_id, None, config, args.lenient)
-        resolved = ResolvedPreference(None, rels_a, rels_b, pool, {config.cutoff: len(pool)})
-        (score_a,), (score_b,) = score_cutoffs(resolved, config, (config.cutoff,))
+        lists = judged_lists(dataset, pair.query_id, None, config, args.lenient)
+        (score_a,), (score_b,) = score_cutoffs(lists, config, (config.cutoff,))
         if score_a is None:
             excluded += 1
         else:
@@ -206,9 +206,8 @@ def cmd_eval(args) -> int:
     if not rows:
         print("no evaluable query", file=sys.stderr)
         return EXIT_EMPTY_PIR
-    mean_a = mean_over_queries(row[1] for row in rows)
-    mean_b = mean_over_queries(row[2] for row in rows)
-    print(f"mean\t{_fmt(mean_a)}\t{_fmt(mean_b)}")
+    _, scores_a, scores_b = zip(*rows)
+    print(f"mean\t{_fmt(sum(scores_a) / len(rows))}\t{_fmt(sum(scores_b) / len(rows))}")
     return EXIT_OK
 
 
@@ -307,6 +306,7 @@ def cmd_implicit(args) -> int:
     band = _parse_list("--band", "LO:HI", args.band, ":", count=2) if args.band else None
     if band and band[1] < band[0]:
         raise ValueError(f"band must be LO:HI with LO <= HI, got {args.band}")
+    check_increasing(thresholds)
     dataset = _load(args, max_cutoff=args.max_cutoff)
     series = implicit_pir(
         dataset,
@@ -388,8 +388,14 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """One ``usage error:`` line and exit 2; sub-parsers share the class."""
+        self.exit(EXIT_USAGE, f"usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prefeval",
         description="Score result-list metrics by their ability to identify user preferences.",
     )

@@ -1,4 +1,4 @@
-"""Metric configuration: which metric, at which parameters, scored from whose grades."""
+"""Metric configurations, and the constants both scorers read, so neither imports the other."""
 
 from __future__ import annotations
 
@@ -8,10 +8,10 @@ from math import isfinite
 from typing import Optional, Sequence
 
 from .dataset import MAX_CUTOFF, QueryType
-from .metrics import ApNorm
 from .scales import DiscountFunction, RelevanceScale
 
 MIN_CUTOFF = 1
+ERR_GRADE_MAX = 5  # exponent span of ERR's satisfaction model: unit rel 1.0 -> 2^5
 
 
 def check_cutoffs(cutoffs: Sequence[int]) -> None:
@@ -34,6 +34,15 @@ class Metric(str, Enum):
     ERR = "err"
     MRR = "mrr"
     ESL = "esl"
+
+
+class ApNorm(str, Enum):
+    """Divisor of the average-precision sum: the number of results known to be
+    relevant (BY_KNOWN_RELEVANT, the classical definition, requires a count)
+    or the cut-off (BY_EVALUATED_COUNT, well-defined for graded input)."""
+
+    BY_KNOWN_RELEVANT = "known-relevant"
+    BY_EVALUATED_COUNT = "evaluated-count"
 
 
 class RatingSource(str, Enum):

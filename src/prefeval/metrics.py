@@ -7,8 +7,8 @@ ignored, so a list may be passed at full length for any cut-off.  This
 is the reference: the worked examples pin these functions, and only the
 oracle scores through them (:func:`prefeval.oracle.metric_score`).  The
 engine, :func:`prefeval.scoring.score_cutoffs`, is what every command
-scores with; it walks each list once for all cut-offs and shares only
-:func:`_check_cutoff`, ``ERR_GRADE_MAX`` and ``ApNorm`` with this module.
+scores with; it walks each list once for all cut-offs and imports nothing
+from here: both read ``ERR_GRADE_MAX`` and ``ApNorm`` from the config.
 
 Normalization against an ideal ordering (NDCG) takes a judged pool, from
 which the best achievable ranking is formed.  The scoring layer passes
@@ -19,12 +19,10 @@ variant of the query, not every result judged for it.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+from .config import ERR_GRADE_MAX, ApNorm
 from .scales import DiscountFunction
-
-ERR_GRADE_MAX = 5  # exponent span of the satisfaction model: unit rel 1.0 -> 2^5
 
 
 class ExcludedQuery(Exception):
@@ -32,18 +30,6 @@ class ExcludedQuery(Exception):
 
     Callers drop the query from the evaluation and report the count.
     """
-
-
-class ApNorm(str, Enum):
-    """Divisor of the average-precision sum.
-
-    BY_KNOWN_RELEVANT divides by the number of results known to be
-    relevant (the classical definition, requires a count). BY_EVALUATED_COUNT
-    divides by the cut-off, which stays well-defined for graded input.
-    """
-
-    BY_KNOWN_RELEVANT = "known-relevant"
-    BY_EVALUATED_COUNT = "evaluated-count"
 
 
 def _check_cutoff(rels: Sequence[float], c: int) -> None:

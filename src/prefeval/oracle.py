@@ -4,8 +4,9 @@ No command runs this module.  It walks the preference judgments one by
 one, scores each list at one cut-off through :func:`metric_score`, which
 dispatches to the scalar metrics (pinned against published worked
 examples), and counts each threshold through :func:`~prefeval.pir.pir`.
-It shares only relevance resolution (:func:`~prefeval.scoring.judged_lists`)
-with the engine, so grid cells can be required to match exactly.
+It shares with the engine only relevance resolution
+(:func:`~prefeval.scoring.judged_lists`, with its depth check) and the
+discount tables, so grid cells can be required to match exactly.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from . import metrics
-from .config import Metric, MetricConfig
+from .config import ApNorm, Metric, MetricConfig
 from .dataset import EvaluationDataset
-from .metrics import ApNorm, ExcludedQuery
+from .metrics import ExcludedQuery
 from .pir import ScoredPair, pir
 from .scoring import judged_lists
 
@@ -52,7 +53,7 @@ def collect_pairs(
         if config.query_filter is not None:
             if dataset.query_by_id[p.query_id].query_type not in config.query_filter:
                 continue
-        rels_a, rels_b, pool = judged_lists(dataset, p.query_id, p.rater_id, config, lenient)
+        rels_a, rels_b, pool, _ = judged_lists(dataset, p.query_id, p.rater_id, config, lenient)
         try:
             pairs.append((metric_score(rels_a, pool, config), metric_score(rels_b, pool, config),
                           p.verdict))

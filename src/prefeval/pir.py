@@ -223,9 +223,10 @@ class PirGrid:
 
 
 def check_increasing(thresholds: Sequence[float]) -> None:
-    """Reject a threshold grid that is not strictly increasing, so ties go to the lowest t."""
+    """Reject a grid that is not strictly increasing (so ties go to the lowest t) or is negative."""
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("threshold grid must be strictly increasing")
+    _check_threshold(min(thresholds, default=0.0))
 
 
 def check_grid(configs: Sequence[MetricConfig], thresholds: Sequence[float]) -> None:
@@ -291,14 +292,14 @@ def pir_sweep(
         diffs: list[list[float]] = [[] for _ in cutoffs]
         verdicts: list[list[Verdict]] = [[] for _ in cutoffs]
         excluded = [0] * len(cutoffs)
-        for resolved in tables[scope(config)]:
-            scores_a, scores_b = score_cutoffs(resolved, config, cutoffs)
+        for verdict, lists in tables[scope(config)]:
+            scores_a, scores_b = score_cutoffs(lists, config, cutoffs)
             for k, score_a in enumerate(scores_a):
                 if score_a is None:
                     excluded[k] += 1
                 else:
                     diffs[k].append(score_a - scores_b[k])
-                    verdicts[k].append(resolved.verdict)
+                    verdicts[k].append(verdict)
         label = config.label()
         for k, c in enumerate(cutoffs):
             results[(label, c)] = PirRow(cells=pir_cells(diffs[k], verdicts[k], thresholds),

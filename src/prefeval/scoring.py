@@ -2,25 +2,24 @@
 
 Resolution is what the engine and the reference oracle share: per-result
 unit relevance under a scale and rating source (or, with no preference
-rater, the mean over all raters), and one walk over a query's two lists
-that yields both judged lists and the judged pool in first-rank order.
+rater, the mean over all raters), and :func:`judged_lists`, one walk down
+a query's two lists that checks their depth and yields both judged lists,
+the judged pool in first-rank order and the pool's end at every rank.
 Scoring is the engine's alone, and the only scorer any command runs:
-:func:`resolve_preferences` resolves each verdict's lists once for all
-cut-offs, and :func:`score_cutoffs` scores every cut-off of both lists
-in one walk per list.  The reference oracle scores one list at one
-cut-off through the scalar functions of :mod:`prefeval.metrics`
-(:func:`prefeval.oracle.metric_score`).
+:func:`resolve_preferences` pairs each verdict with its judged lists,
+resolved once for all cut-offs, and :func:`score_cutoffs` scores every
+cut-off of both lists in one walk per list.  Nothing here imports the
+scalar reference, :mod:`prefeval.metrics`; only the oracle scores
+through it (:func:`prefeval.oracle.metric_score`).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import zip_longest
 from typing import NamedTuple, Optional, Sequence
 
-from .config import Metric, MetricConfig, RatingSource
+from .config import ERR_GRADE_MAX, ApNorm, Metric, MetricConfig, RatingSource
 from .dataset import EvaluationDataset, Verdict
-from .metrics import ERR_GRADE_MAX, ApNorm, _check_cutoff
 from .scales import RelevanceScale, conflate
 
 
@@ -79,6 +78,20 @@ def unit_relevance(
     raise MissingJudgment(f"no rater besides {rater_id!r} judged ({query_id!r}, {result_id!r})")
 
 
+class JudgedLists(NamedTuple):
+    """Both variants' judged lists of one query down to a depth, and their pool.
+
+    ``rels_a`` and ``rels_b`` hold unit relevance by rank, ``pool`` the
+    judged pool of that depth in first-rank order; ``pool[:pool_ends[c - 1]]``
+    is exactly the pool of cut-off c, for every c from 1 to the depth.
+    """
+
+    rels_a: list[float]
+    rels_b: list[float]
+    pool: list[float]
+    pool_ends: tuple[int, ...]
+
+
 def judged_lists(
     dataset: EvaluationDataset,
     query_id: str,
@@ -86,48 +99,37 @@ def judged_lists(
     config: MetricConfig,
     lenient: bool = False,
     conflated: Optional[ConflatedGrades] = None,
-) -> tuple[list[float], list[float], list[float]]:
-    """Relevance lists of both variants at the configured cut-off, plus the pool.
+) -> JudgedLists:
+    """Judged lists of both variants at the configured cut-off, plus the pool.
 
     Relevance is as :func:`unit_relevance` gives it for ``rater_id``; a
     ``rater_id`` of ``None`` gives the mean over all raters, as plain
-    metric tables use it.  Each distinct result in either variant's top
-    ``config.cutoff`` is looked up once, A's results first, then B's
-    unseen ones.  The pool holds those values rank by rank (A1, B1, A2,
-    B2, ..., first occurrence kept), so the pool of a cut-off c is its
-    first ``len({*variant_a[:c], *variant_b[:c]})`` entries; it feeds
-    NDCG normalization and the known-relevant count of classical AP,
-    which use it as a multiset.  ``conflated`` is passed on to
+    metric tables use it.  A variant shorter than the cut-off raises
+    ValueError.  One walk down the ranks builds the pool (A1, B1, A2, B2,
+    ..., first occurrence kept) and its end at every rank; NDCG
+    normalization and the known-relevant count of classical AP use it as
+    a multiset.  Each distinct result is looked up once, A's results
+    first, then B's unseen ones.  ``conflated`` is passed on to
     :func:`unit_relevance`.
     """
     pair = dataset.pair_by_query[query_id]
-    top_a = pair.variant_a[: config.cutoff]
-    top_b = pair.variant_b[: config.cutoff]
+    depth = config.cutoff
+    for ranked in (pair.variant_a, pair.variant_b):
+        if depth > len(ranked):
+            raise ValueError(f"cut-off {depth} exceeds list length {len(ranked)}")
+    top_a, top_b = pair.variant_a[:depth], pair.variant_b[:depth]
+    pooled: dict[str, None] = {}
+    ends = []
+    for rid_a, rid_b in zip(top_a, top_b):
+        pooled[rid_a] = pooled[rid_b] = None
+        ends.append(len(pooled))
     values = {
         rid: unit_relevance(dataset, query_id, rid, config.scale, config.rating_source,
                             rater_id, lenient, conflated)
         for rid in dict.fromkeys((*top_a, *top_b))
     }
-    by_rank = dict.fromkeys(
-        rid for rids in zip_longest(top_a, top_b) for rid in rids if rid is not None)
-    return ([values[rid] for rid in top_a], [values[rid] for rid in top_b],
-            [values[rid] for rid in by_rank])
-
-
-class ResolvedPreference(NamedTuple):
-    """One preference verdict with its judged lists resolved down to a depth.
-
-    ``pool`` is the pool :func:`judged_lists` forms at that depth, and
-    ``pool[:pool_ends[c]]`` is exactly the pool it forms at cut-off c.
-    ``pool_ends`` is shared by every verdict of the query.  ``prefeval
-    eval`` scores a query's rater-free lists with no verdict (None).
-    """
-
-    verdict: Optional[Verdict]
-    rels_a: list[float]
-    rels_b: list[float]
-    pool: list[float]
-    pool_ends: dict[int, int]
+    return JudgedLists([values[rid] for rid in top_a], [values[rid] for rid in top_b],
+                       [values[rid] for rid in pooled], tuple(ends))
 
 
 def resolve_preferences(
@@ -135,25 +137,21 @@ def resolve_preferences(
     config: MetricConfig,
     cutoffs: Sequence[int],
     lenient: bool = False,
-) -> list[ResolvedPreference]:
-    """Judged lists of every verdict in the config's query scope, resolved once.
+) -> list[tuple[Verdict, JudgedLists]]:
+    """Every verdict in the config's query scope with its judged lists, resolved once.
 
     Only the config's scale, rating source and query filter matter, so
     every config sharing them can score from the same table.  Each
     verdict's lists are resolved once, down to ``max(cutoffs)``, with one
-    :func:`unit_relevance` lookup per distinct result.  The lists stay at
-    that depth, since metrics ignore entries beyond their cut-off, and
-    each cut-off's pool is a prefix of the deepest one, whose ends are
-    computed once per query.  Each run of consecutive verdicts on one
-    query shares one memo of conflated grades, so each judgment of it is
-    conflated once.  Queries outside the query filter are skipped.
+    :func:`unit_relevance` lookup per distinct result; metrics ignore
+    entries beyond their cut-off, and each cut-off's pool is a prefix of
+    the deepest one.  Each run of consecutive verdicts on one query shares
+    one memo of conflated grades, so each judgment of it is conflated
+    once, and consecutive verdicts share equal pool ends.  Queries outside
+    the query filter are skipped.
     """
     deepest = config.at_cutoff(max(cutoffs))
-    pool_ends = {
-        pair.query_id: {c: len({*pair.variant_a[:c], *pair.variant_b[:c]}) for c in cutoffs}
-        for pair in dataset.list_pairs
-    }
-    resolved = []
+    resolved: list[tuple[Verdict, JudgedLists]] = []
     memo_query, conflated = None, {}
     for p in dataset.preferences:
         if config.query_filter is not None:
@@ -161,9 +159,10 @@ def resolve_preferences(
                 continue
         if p.query_id != memo_query:
             memo_query, conflated = p.query_id, {}
-        rels_a, rels_b, pool = judged_lists(dataset, p.query_id, p.rater_id, deepest, lenient,
-                                            conflated)
-        resolved.append(ResolvedPreference(p.verdict, rels_a, rels_b, pool, pool_ends[p.query_id]))
+        lists = judged_lists(dataset, p.query_id, p.rater_id, deepest, lenient, conflated)
+        if resolved and resolved[-1][1].pool_ends == lists.pool_ends:
+            lists = lists._replace(pool_ends=resolved[-1][1].pool_ends)
+        resolved.append((p.verdict, lists))
     return resolved
 
 
@@ -175,27 +174,24 @@ def _prefix_gains(rels: Sequence[float], weights: Sequence[float],
 
 
 def score_cutoffs(
-    pref: ResolvedPreference, config: MetricConfig, cutoffs: Sequence[int]
+    lists: JudgedLists, config: MetricConfig, cutoffs: Sequence[int]
 ) -> tuple[list[Optional[float]], list[Optional[float]]]:
-    """Scores of both variants of one resolved verdict at every cut-off.
+    """Scores of both judged lists at every cut-off, none deeper than the lists.
 
     Entry ``k`` of each list equals the reference
     :func:`prefeval.oracle.metric_score` of that variant at ``cutoffs[k]``
-    bit for bit, or is None where the config excludes the verdict there
+    bit for bit, or is None where the config excludes the lists there
     (where the scalar metric raises ExcludedQuery), for both variants alike.
     Each list is walked once for all cut-offs: precision, NDCG and ESL
     read ``math.fsum`` over prefixes of one list of ``rel * weight``
     products, AP and ERR read running totals at each cut-off, and MRR
     reads the first relevant rank.  Each cut-off's normalizer (NDCG's
     ideal DCG, classical AP's known-relevant count) is computed once from
-    ``pool[:pool_ends[c]]`` for both variants.  Nothing here calls the
-    scalar metrics.
+    ``pool[:pool_ends[c - 1]]`` for both variants.  :func:`judged_lists`
+    checked the depth, and nothing here calls the scalar metrics.
     """
     m = config.metric
     deepest = max(cutoffs)
-    for rels in (pref.rels_a, pref.rels_b):
-        _check_cutoff(rels, min(cutoffs))
-        _check_cutoff(rels, deepest)
     weights = config.discount.weights(deepest)
 
     if m is Metric.PRECISION:
@@ -204,7 +200,7 @@ def score_cutoffs(
     elif m is Metric.NDCG:
         ideals = []
         for c in cutoffs:
-            best = sorted(pref.pool[: pref.pool_ends[c]], reverse=True)[:c]
+            best = sorted(lists.pool[: lists.pool_ends[c - 1]], reverse=True)[:c]
             ideals.append(math.fsum([v * w for v, w in zip(best, weights)]))
 
         def score(rels):
@@ -213,7 +209,7 @@ def score_cutoffs(
     elif m is Metric.MAP:
         divisors: Sequence[int] = cutoffs
         if config.ap_norm is ApNorm.BY_KNOWN_RELEVANT:
-            divisors = [sum(1 for v in pref.pool[: pref.pool_ends[c]] if v > 0)
+            divisors = [sum(1 for v in lists.pool[: lists.pool_ends[c - 1]] if v > 0)
                         for c in cutoffs]
 
         def score(rels):
@@ -259,4 +255,4 @@ def score_cutoffs(
                     for r, gain, c in zip(reaches, _prefix_gains(rels, weights, reaches), cutoffs)]
     else:
         raise ValueError(f"unknown metric {m!r}")
-    return score(pref.rels_a), score(pref.rels_b)
+    return score(lists.rels_a), score(lists.rels_b)

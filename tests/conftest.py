@@ -35,7 +35,7 @@ RATER = "r1"
 
 def score_pair(dataset, config, query_id, rater_id):
     """Reference scores (variant A, variant B) of one (query, preference rater)."""
-    rels_a, rels_b, pool = judged_lists(dataset, query_id, rater_id, config)
+    rels_a, rels_b, pool, _ = judged_lists(dataset, query_id, rater_id, config)
     return metric_score(rels_a, pool, config), metric_score(rels_b, pool, config)
 
 
@@ -43,12 +43,12 @@ def scored_pairs(dataset, config, lenient=False):
     """(score pairs, excluded count) of one config at its own cut-off, in dataset order."""
     cutoffs = (config.cutoff,)
     pairs, excluded = [], 0
-    for resolved in resolve_preferences(dataset, config, cutoffs, lenient):
-        (score_a,), (score_b,) = score_cutoffs(resolved, config, cutoffs)
+    for verdict, lists in resolve_preferences(dataset, config, cutoffs, lenient):
+        (score_a,), (score_b,) = score_cutoffs(lists, config, cutoffs)
         if score_a is None:
             excluded += 1
         else:
-            pairs.append((score_a, score_b, resolved.verdict))
+            pairs.append((score_a, score_b, verdict))
     return pairs, excluded
 
 

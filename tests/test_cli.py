@@ -191,14 +191,15 @@ class TestEvalCommand:
         ds = load_dataset(synth_dir)
         for metric in Metric:
             for norm in ApNorm:
-                assert main(["eval", str(synth_dir), "--metric", metric.value, "--n", "2.5",
+                esl_n = ["--n", "2.5"] if metric is Metric.ESL else []
+                assert main(["eval", str(synth_dir), "--metric", metric.value, *esl_n,
                              "--discount", "rank", "--cutoff", "10", "--norm", norm.value]) == 0
                 out = capsys.readouterr().out
                 cfg = MetricConfig(metric, DiscountFunction.rank(), ap_norm=norm,
                                    esl_n=2.5 if metric is Metric.ESL else None)
                 want = []
                 for pair in ds.list_pairs:
-                    rels_a, rels_b, pool = judged_lists(ds, pair.query_id, None, cfg)
+                    rels_a, rels_b, pool, _ = judged_lists(ds, pair.query_id, None, cfg)
                     try:
                         scores = [metric_score(rels, pool, cfg) for rels in (rels_a, rels_b)]
                     except ExcludedQuery:
@@ -515,6 +516,16 @@ class TestRequestedCutoffs:
         (["breakdown", "--metric", "ndcg", "--threshold", "x"],
          "--threshold must be a finite number, got 'x'"),
         (["eval", "--metric", "esl", "--n", "2,5"], "--n must be a finite number, got '2,5'"),
+        # --n that no config would read
+        (["eval", "--metric", "ndcg", "--n", "5"], "--n is only meaningful for esl, not ndcg"),
+        (["breakdown", "--metric", "map", "--threshold", "0", "--n", "5"],
+         "--n is only meaningful for esl, not map"),
+        (["sweep", "--metrics", "ndcg,map", "--n", "5"],
+         "--n is only meaningful for esl, not ndcg,map"),
+        (["implicit", "--measure", "clicks", "--thresholds", "2,1"],
+         "threshold grid must be strictly increasing"),
+        (["implicit", "--measure", "clicks", "--thresholds=-1,0"],
+         "threshold must be >= 0, got -1.0"),
     ])
     def test_exits_two_before_loading(self, tmp_path, capsys, monkeypatch, argv, message):
         data = tmp_path / "data"
@@ -533,6 +544,39 @@ class TestRequestedCutoffs:
         assert err == f"usage error: {message}\n"
         assert loads == []
         assert not (tmp_path / "out").exists()
+
+
+class TestArgumentErrors:
+    """argparse's own errors are one usage line too; help is untouched."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "D", "--metric", "ndcg", "--cutoff", "x"],
+         "argument --cutoff: invalid int value: 'x'"),
+        (["eval", "D", "--metric", "nope"], "argument --metric: invalid choice: 'nope'"),
+        (["eval", "D"], "the following arguments are required: --metric"),
+        (["stats", "D", "--max-cutoff", "x"], "argument --max-cutoff: invalid int value: 'x'"),
+        (["synth", "--out", "D", "--queries", "x", "--raters", "2", "--seed", "1"],
+         "argument --queries: invalid int value: 'x'"),
+        (["eval", "D", "--metric", "ndcg", "--rating-source", "same-user"],
+         "unrecognized arguments: --rating-source same-user"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ])
+    def test_is_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage error: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_help_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: prefeval eval [-h]") and "--cutoff CUTOFF" in out
+        assert err == ""
 
 
 THRESHOLDS_FORM = "START:STOP:STEP or a comma list of numbers"

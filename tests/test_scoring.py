@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from prefeval.data_io import write_dataset
 from prefeval.dataset import (
     EvaluationDataset,
     GradedJudgment,
+    PreferenceJudgment,
     RankedListPair,
     Verdict,
 )
@@ -20,8 +23,8 @@ from prefeval.oracle import metric_score
 from prefeval.pir import pir_sweep
 from prefeval.scales import DiscountFunction, DiscountKind, RelevanceScale, grade_to_unit
 from prefeval.scoring import (
+    JudgedLists,
     MissingJudgment,
-    ResolvedPreference,
     judged_lists,
     resolve_preferences,
     score_cutoffs,
@@ -107,14 +110,14 @@ class TestUnitRelevance:
 class TestJudgedLists:
     def test_single_rater_same_user_lists(self):
         ds = multi_rater_dataset({"r1": dict(a1=1, a2=3, b1=4, b2=6)})
-        rels_a, rels_b, pool = judged_lists(ds, "q1", "r1", config())
+        rels_a, rels_b, pool, _ = judged_lists(ds, "q1", "r1", config())
         assert rels_a == [1.0, 0.6]
         assert rels_b == [0.4, 0.0]
         assert sorted(pool, reverse=True) == [1.0, 0.6, 0.4, 0.0]
 
     def test_shared_result_counted_once_in_pool(self):
         ds = binary_pair_dataset([("q1", 2, 2, Verdict.A)], list_len=3, shared_results=True)
-        rels_a, rels_b, pool = judged_lists(
+        rels_a, rels_b, pool, _ = judged_lists(
             ds, "q1", "r1", config(cutoff=3)
         )
         assert len(pool) == 3  # variant B is a permutation of the same results
@@ -122,10 +125,24 @@ class TestJudgedLists:
 
     def test_cutoff_truncates(self):
         ds = multi_rater_dataset({"r1": dict(a1=1, a2=3, b1=4, b2=6)})
-        rels_a, rels_b, pool = judged_lists(ds, "q1", "r1", config(cutoff=1))
+        rels_a, rels_b, pool, _ = judged_lists(ds, "q1", "r1", config(cutoff=1))
         assert rels_a == [1.0]
         assert rels_b == [0.4]
         assert len(pool) == 2
+
+    def test_list_shorter_than_the_cutoff_is_rejected(self):
+        ds = multi_rater_dataset({"r1": dict(a1=1, a2=3, b1=4, b2=6)})
+        with pytest.raises(ValueError, match=r"^cut-off 3 exceeds list length 2$"):
+            judged_lists(ds, "q1", "r1", config(cutoff=3))
+        short_b = dataclasses.replace(ds, list_pairs=(RankedListPair(
+            query_id="q1", variant_a=("a1", "a2"), variant_b=("b1",)),))
+        with pytest.raises(ValueError, match=r"^cut-off 2 exceeds list length 1$"):
+            judged_lists(short_b, "q1", "r1", config())
+        # a table resolves to its deepest cut-off, so that is the one named
+        with pytest.raises(ValueError, match=r"^cut-off 10 exceeds list length 2$"):
+            resolve_preferences(dataclasses.replace(ds, preferences=(
+                PreferenceJudgment(query_id="q1", rater_id="r1", verdict=Verdict.A),)),
+                config(), (3, 10))
 
 
 class TestResolvePreferences:
@@ -139,25 +156,26 @@ class TestResolvePreferences:
         cutoffs = (1, 3, 4, 7)
         resolved = resolve_preferences(overlapping, cfg, cutoffs)
         assert len(resolved) == len(overlapping.preferences)
-        for p, entry in zip(overlapping.preferences, resolved):
-            assert entry.verdict is p.verdict
+        for p, (verdict, entry) in zip(overlapping.preferences, resolved):
+            assert verdict is p.verdict
             for c in cutoffs:
-                rels_a, rels_b, pool = judged_lists(overlapping, p.query_id, p.rater_id,
-                                                    cfg.at_cutoff(c))
+                rels_a, rels_b, pool, _ = judged_lists(overlapping, p.query_id, p.rater_id,
+                                                       cfg.at_cutoff(c))
                 assert entry.rels_a[:c] == rels_a
                 assert entry.rels_b[:c] == rels_b
-                assert entry.pool[: entry.pool_ends[c]] == pool
+                assert entry.pool[: entry.pool_ends[c - 1]] == pool
 
     def test_pool_is_in_first_rank_order(self, monkeypatch):
         ds = binary_pair_dataset([("q1", 2, 2, Verdict.A)], list_len=4, shared_results=True)
         # A = a01 a02 a03 a04, B = a04 a03 a02 a01; relevance k/10 tells a0k apart
         monkeypatch.setattr(scoring, "unit_relevance",
                             lambda ds, qid, rid, *rest: int(rid[-2:]) / 10)
-        _, _, pool = judged_lists(ds, "q1", "r1", config(cutoff=4))
+        _, _, pool, pool_ends = judged_lists(ds, "q1", "r1", config(cutoff=4))
         assert pool == [0.1, 0.4, 0.2, 0.3]  # a01, a04, a02, a03
-        [entry] = resolve_preferences(ds, config(), (1, 2, 4))
+        assert pool_ends == (2, 4, 4, 4)  # the pool's end at every rank
+        [(_, entry)] = resolve_preferences(ds, config(), (1, 2, 4))
         assert entry.pool == pool
-        assert entry.pool_ends == {1: 2, 2: 4, 4: 4}
+        assert entry.pool_ends == (2, 4, 4, 4)
 
     def test_sweep_looks_up_each_distinct_result_once(self, overlapping, monkeypatch):
         calls = []
@@ -254,19 +272,19 @@ class TestConsensusLists:
     def test_mean_over_all_raters(self):
         ds = multi_rater_dataset({"r1": dict(a1=1, a2=1, b1=6, b2=6),
                                   "r2": dict(a1=3, a2=3, b1=6, b2=6)})
-        rels_a, rels_b, pool = judged_lists(ds, "q1", None, config())
+        rels_a, rels_b, pool, pool_ends = judged_lists(ds, "q1", None, config())
         assert rels_a == [pytest.approx(0.8), pytest.approx(0.8)]
         assert rels_b == [0.0, 0.0]
         # without a preference rater the rating source has no one to single out
         other = judged_lists(ds, "q1", None, config(source=RatingSource.OTHER_USERS))
-        assert other == (rels_a, rels_b, pool)
+        assert other == (rels_a, rels_b, pool, pool_ends)
 
     def test_missing_judgment_strict(self):
         ds = multi_rater_dataset({"r1": dict(a1=1, a2=1, b1=6, b2=6)})
         trimmed = dataclasses.replace(ds, judgments=ds.judgments[:-1])
         with pytest.raises(MissingJudgment, match=r"^\('q1', 'b2'\) has no judgment$"):
             judged_lists(trimmed, "q1", None, config())
-        rels_a, rels_b, _ = judged_lists(trimmed, "q1", None, config(), lenient=True)
+        rels_a, rels_b, _, _ = judged_lists(trimmed, "q1", None, config(), lenient=True)
         assert rels_b[-1] == 0.0
 
 
@@ -315,12 +333,12 @@ ESL_TARGETS = (0.5, 1.0, 2.5, 4.0)
 
 
 @st.composite
-def resolved_verdicts(draw):
-    """A resolved verdict with random lists and pool, and a random set of cut-offs.
+def random_judged_lists(draw):
+    """Judged lists with random relevance and pool, and a random set of cut-offs.
 
     Relevance comes from the six-point or the conflated unit values;
     the cut-offs are any non-empty subset of 1..depth in any order, and
-    each cut-off's pool end is any prefix length of the pool.
+    each rank's pool end is any prefix length of the pool.
     """
     rel = st.sampled_from(draw(st.sampled_from([SIX_POINT_UNITS, CONFLATED_UNITS])))
     depth = draw(st.integers(1, 10))
@@ -328,26 +346,25 @@ def resolved_verdicts(draw):
     rels_b = draw(st.lists(rel, min_size=depth, max_size=depth + 2))
     pool = draw(st.lists(rel, max_size=2 * depth))
     cutoffs = tuple(draw(st.lists(st.integers(1, depth), min_size=1, unique=True)))
-    pool_ends = {c: draw(st.integers(0, len(pool))) for c in cutoffs}
-    verdict = draw(st.sampled_from(list(Verdict)))
-    return ResolvedPreference(verdict, rels_a, rels_b, pool, pool_ends), cutoffs
+    pool_ends = tuple(draw(st.integers(0, len(pool))) for _ in range(depth))
+    return JudgedLists(rels_a, rels_b, pool, pool_ends), cutoffs
 
 
 class TestScoreCutoffs:
     """The one-walk prefix scorers against the scalar metric at each cut-off."""
 
     @pytest.mark.parametrize("base", WALK_CONFIGS, ids=lambda cfg: cfg.label())
-    @given(resolved_verdicts(), st.sampled_from(DISCOUNTS), st.sampled_from(ESL_TARGETS))
+    @given(random_judged_lists(), st.sampled_from(DISCOUNTS), st.sampled_from(ESL_TARGETS))
     def test_equals_metric_score_at_every_cutoff(self, base, drawn, discount, esl_n):
-        resolved, cutoffs = drawn
+        lists, cutoffs = drawn
         cfg = dataclasses.replace(base, discount=discount)
         if cfg.metric is Metric.ESL:
             cfg = dataclasses.replace(cfg, esl_n=esl_n)
-        scores_a, scores_b = score_cutoffs(resolved, cfg, cutoffs)
+        scores_a, scores_b = score_cutoffs(lists, cfg, cutoffs)
         assert len(scores_a) == len(scores_b) == len(cutoffs)
         for c, got_a, got_b in zip(cutoffs, scores_a, scores_b):
-            pool = resolved.pool[: resolved.pool_ends[c]]
-            for rels, got in ((resolved.rels_a, got_a), (resolved.rels_b, got_b)):
+            pool = lists.pool[: lists.pool_ends[c - 1]]
+            for rels, got in ((lists.rels_a, got_a), (lists.rels_b, got_b)):
                 try:
                     want = metric_score(rels, pool, cfg.at_cutoff(c))
                 except ExcludedQuery:
@@ -356,16 +373,41 @@ class TestScoreCutoffs:
                     assert got is not None and got.hex() == want.hex()
 
     def test_partial_unsorted_cutoffs_follow_the_given_order(self):
-        resolved = ResolvedPreference(Verdict.A, [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-                                      [0.0] * 7, [1.0, 0.0, 1.0, 1.0], {7: 4, 3: 2})
+        lists = JudgedLists([1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+                            [0.0] * 7, [1.0, 0.0, 1.0, 1.0], (1, 2, 2, 3, 3, 4, 4))
         cfg = MetricConfig(Metric.PRECISION, DiscountFunction.none())
-        assert score_cutoffs(resolved, cfg, (7, 3)) == ([3 / 7, 2 / 3], [0.0, 0.0])
+        assert score_cutoffs(lists, cfg, (7, 3)) == ([3 / 7, 2 / 3], [0.0, 0.0])
 
     def test_ndcg_exclusion_is_per_cutoff(self):
         # the pool holds no relevant result at c=1, one from c=3 on
-        resolved = ResolvedPreference(Verdict.B, [0.0, 0.0, 1.0], [0.0, 0.0, 0.0],
-                                      [0.0, 0.0, 1.0], {1: 1, 3: 3})
+        lists = JudgedLists([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], (1, 2, 3))
         cfg = MetricConfig(Metric.NDCG, DiscountFunction.none())
-        scores_a, scores_b = score_cutoffs(resolved, cfg, (1, 3))
+        scores_a, scores_b = score_cutoffs(lists, cfg, (1, 3))
         assert scores_a == [None, 1.0]
         assert scores_b == [None, 0.0]
+
+
+def imported_modules(path):
+    """Names of the prefeval modules one source file imports, relative or absolute."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (a.name.split(".")[1] for a in node.names if a.name.startswith("prefeval."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level and module.split(".")[0] != "prefeval":
+                continue
+            module = module.removeprefix("prefeval").lstrip(".")
+            if module:
+                yield module.split(".")[0]
+            else:  # from . import x
+                yield from (a.name for a in node.names)
+
+
+class TestLayering:
+    def test_only_the_reference_imports_the_reference(self):
+        # the engine, config and commands never reach the scalar metrics or the oracle
+        sources = Path(scoring.__file__).parent.glob("*.py")
+        importers = {path.stem for path in sources
+                     if {"metrics", "oracle"} & set(imported_modules(path))}
+        assert "oracle" in importers  # the scan sees oracle's own imports
+        assert importers <= {"metrics", "oracle", "__init__"}
