@@ -114,8 +114,8 @@ def _add_config_args(parser: argparse.ArgumentParser, single_metric: bool,
                             choices=[r.value for r in RatingSource])
     parser.add_argument("--n", "--esl-n", dest="esl_n", default=None,
                         help=f"ESL cumulative relevance target (default {DEFAULT_ESL_N})")
-    parser.add_argument("--norm", default=ApNorm.BY_EVALUATED_COUNT.value,
-                        choices=[n.value for n in ApNorm], help="AP normalization")
+    parser.add_argument("--norm", default=None, choices=[n.value for n in ApNorm],
+                        help=f"AP normalization (default {ApNorm.BY_EVALUATED_COUNT.value})")
     parser.add_argument("--query-type", action="append", dest="query_types",
                         choices=[t.value for t in QueryType],
                         help="restrict to these query types (repeatable)")
@@ -132,7 +132,8 @@ def _configs(args, metrics: Sequence[str], kinds: Optional[Sequence[str]],
     """One config per metric and discount, at ``cutoffs[0]``; it reads no dataset file.
 
     ``kinds=None`` gives each metric its customary discount.  The cut-offs,
-    ``--n`` (which only ESL reads), the metric and discount names, a click
+    ``--n`` (which only ESL reads), ``--norm`` (only MAP), ``--click-weights``
+    (only the click discount), the metric and discount names, a click
     table's coverage of ``max(cutoffs)`` and every config field are
     checked here.
     """
@@ -142,10 +143,17 @@ def _configs(args, metrics: Sequence[str], kinds: Optional[Sequence[str]],
     metrics = [Metric(name) for name in metrics]
     if args.esl_n is not None and Metric.ESL not in metrics:
         raise ValueError(f"--n is only meaningful for esl, not {','.join(metrics)}")
+    if args.norm is not None and Metric.MAP not in metrics:
+        raise ValueError(f"--norm is only meaningful for map, not {','.join(metrics)}")
+    ap_norm = ApNorm(args.norm or ApNorm.BY_EVALUATED_COUNT)
     kinds = kinds and [DiscountKind(name) for name in kinds]
     pairs = [(metric, kind) for metric in metrics for kind in kinds or [DEFAULT_DISCOUNTS[metric]]]
+    used = dict.fromkeys(kind for _, kind in pairs)
+    if args.click_weights and DiscountKind.CLICK_BASED not in used:
+        raise ValueError("--click-weights is only meaningful for the click discount,"
+                         f" not {','.join(used)}")
     discounts = {}
-    for kind in dict.fromkeys(kind for _, kind in pairs):
+    for kind in used:
         if kind is DiscountKind.CLICK_BASED:
             table = load_click_weights(args.click_weights) if args.click_weights else None
             discounts[kind] = DiscountFunction.click_based(table)
@@ -160,7 +168,7 @@ def _configs(args, metrics: Sequence[str], kinds: Optional[Sequence[str]],
             scale=RelevanceScale(args.scale),
             cutoff=cutoffs[0],
             esl_n=esl_n if metric is Metric.ESL else None,
-            ap_norm=ApNorm(args.norm),
+            ap_norm=ap_norm,
             # eval has no preference rater, so it averages all raters and takes no source
             rating_source=RatingSource(getattr(args, "rating_source", RatingSource.SAME_USER)),
             query_filter=query_filter,

@@ -13,7 +13,9 @@ the schema version and record kind:
 
 Files are UTF-8 text, and CR LF or CR line ends read as LF.  Booleans
 are written ``true``/``false`` with ``-`` for absent optional values.
-Query, result and rater ids must not be empty.  Judgment, list,
+Query, result and rater ids must not be empty.  Each id is interned at
+load, so a loaded dataset holds one string object per distinct id,
+shared by every file and record that names it.  Judgment, list,
 preference, session and click files are also accepted headerless with
 any whitespace as separator, for quick hand-built fixtures; the queries
 file always needs its header.  Files are written in a canonical sort
@@ -23,6 +25,7 @@ order, so write -> load -> write is byte-stable.
 from __future__ import annotations
 
 import os
+import sys
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
@@ -151,6 +154,8 @@ _VERDICTS = {m.value: m for m in Verdict}
 _GRADES = {str(g): g for g in range(GRADE_BEST, GRADE_WORST + 1)}
 _BOOLS = {"-": None, "": None, "true": True, "false": False}
 _click_order = attrgetter("ts", "rank")
+# Applied to every id once its row has passed the field-count and empty-id checks.
+_intern = sys.intern
 
 
 # (field index, name) of the id fields of each record kind, checked in order.
@@ -180,7 +185,7 @@ def read_queries(path: Path) -> list[Query]:
             raise _empty_id(f, _QUERY_IDS, path, lineno)
         out.append(
             Query(
-                id=f[0],
+                id=_intern(f[0]),
                 query_type=_lookup(_QUERY_TYPES, f[1], path, lineno, "query type"),
                 language=_lookup(_LANGUAGES, f[2], path, lineno, "language"),
                 text=f[3],
@@ -199,7 +204,7 @@ def read_judgments(path: Path) -> list[GradedJudgment]:
         grade = _GRADES.get(f[3]) or _parse_grade(f[3], path, lineno)
         snippet = (None if len(f) == 4
                    else _lookup(_BOOLS, f[4], path, lineno, "snippet_relevant", "true/false/-"))
-        out.append(GradedJudgment(f[0], f[1], f[2], grade, snippet))
+        out.append(GradedJudgment(_intern(f[0]), _intern(f[1]), _intern(f[2]), grade, snippet))
     return out
 
 
@@ -214,14 +219,14 @@ def read_list_pairs(path: Path) -> list[RankedListPair]:
         rank = _parse_int(f[2], path, lineno, "rank")
         if rank < 1:
             raise ParseError(path, lineno, f"rank must be >= 1, got {rank}")
-        key = (f[0], variant)
+        key = (_intern(f[0]), variant)
         slots = rankings.get(key)
         if slots is None:
             slots = rankings[key] = {}
             first_line[key] = lineno
         elif rank in slots:
             raise ParseError(path, lineno, f"duplicate rank {rank} for query {f[0]!r} variant {variant.value}")
-        slots[rank] = f[3]
+        slots[rank] = _intern(f[3])
     pairs = []
     # Queries in order of first appearance: rankings keeps its keys in that order.
     for qid in dict.fromkeys(qid for qid, _ in rankings):
@@ -246,7 +251,7 @@ def read_preferences(path: Path) -> list[PreferenceJudgment]:
         if not (f[0] and f[1]):
             raise _empty_id(f, _RATER_IDS, path, lineno)
         verdict = _lookup(_VERDICTS, f[2], path, lineno, "verdict")
-        out.append(PreferenceJudgment(f[0], f[1], verdict))
+        out.append(PreferenceJudgment(_intern(f[0]), _intern(f[1]), verdict))
     return out
 
 
@@ -263,7 +268,7 @@ def read_sessions(sessions_path: Path, clicks_path: Path) -> list[Session]:
             if rank < 1:
                 raise ParseError(clicks_path, lineno, f"click rank must be >= 1, got {rank}")
             click = Click(rank, _parse_int(f[4], clicks_path, lineno, "timestamp"))
-            key = (f[0], f[1], variant)
+            key = (_intern(f[0]), _intern(f[1]), variant)
             entry = clicks.get(key)
             if entry is None:
                 clicks[key] = (lineno, [click])
@@ -277,7 +282,7 @@ def read_sessions(sessions_path: Path, clicks_path: Path) -> list[Session]:
         if not (f[0] and f[1]):
             raise _empty_id(f, _RATER_IDS, sessions_path, lineno)
         variant = _lookup(_VARIANTS, f[2], sessions_path, lineno, "variant")
-        key = (f[0], f[1], variant)
+        key = (_intern(f[0]), _intern(f[1]), variant)
         if key in seen:
             raise ParseError(sessions_path, lineno, f"duplicate session {key!r}")
         seen.add(key)
@@ -287,7 +292,7 @@ def read_sessions(sessions_path: Path, clicks_path: Path) -> list[Session]:
         session_clicks = () if entry is None else tuple(sorted(entry[1], key=_click_order))
         out.append(
             Session(
-                f[0], f[1], variant,
+                key[0], key[1], variant,
                 _parse_int(f[3], sessions_path, lineno, "start_ts"),
                 _parse_int(f[4], sessions_path, lineno, "end_ts"),
                 session_clicks, satisfied,

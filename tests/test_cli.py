@@ -192,8 +192,9 @@ class TestEvalCommand:
         for metric in Metric:
             for norm in ApNorm:
                 esl_n = ["--n", "2.5"] if metric is Metric.ESL else []
-                assert main(["eval", str(synth_dir), "--metric", metric.value, *esl_n,
-                             "--discount", "rank", "--cutoff", "10", "--norm", norm.value]) == 0
+                ap_norm = ["--norm", norm.value] if metric is Metric.MAP else []
+                assert main(["eval", str(synth_dir), "--metric", metric.value, *esl_n, *ap_norm,
+                             "--discount", "rank", "--cutoff", "10"]) == 0
                 out = capsys.readouterr().out
                 cfg = MetricConfig(metric, DiscountFunction.rank(), ap_norm=norm,
                                    esl_n=2.5 if metric is Metric.ESL else None)
@@ -526,6 +527,19 @@ class TestRequestedCutoffs:
          "threshold grid must be strictly increasing"),
         (["implicit", "--measure", "clicks", "--thresholds=-1,0"],
          "threshold must be >= 0, got -1.0"),
+        # --norm and --click-weights that no config would read
+        (["eval", "--metric", "precision", "--cutoff", "5", "--norm", "known-relevant"],
+         "--norm is only meaningful for map, not precision"),
+        (["breakdown", "--metric", "ndcg", "--threshold", "0", "--norm", "evaluated-count"],
+         "--norm is only meaningful for map, not ndcg"),
+        (["sweep", "--metrics", "ndcg,esl", "--norm", "known-relevant"],
+         "--norm is only meaningful for map, not ndcg,esl"),
+        (["eval", "--metric", "ndcg", "--click-weights", "/nonexistent/w.txt"],
+         "--click-weights is only meaningful for the click discount, not log2"),
+        (["breakdown", "--metric", "map", "--threshold", "0", "--click-weights", "w.txt"],
+         "--click-weights is only meaningful for the click discount, not rank"),
+        (["sweep", "--metrics", "ndcg,map", "--click-weights", "w.txt"],
+         "--click-weights is only meaningful for the click discount, not log2,rank"),
     ])
     def test_exits_two_before_loading(self, tmp_path, capsys, monkeypatch, argv, message):
         data = tmp_path / "data"

@@ -268,6 +268,31 @@ def _headerless(text: str) -> str:
                      for i, line in enumerate(body.split("\n")))
 
 
+class TestInternedIds:
+    """A loaded dataset holds one object per distinct id, shared by every file that names it."""
+
+    @pytest.mark.parametrize("headerless", [False, True], ids=["canonical", "headerless"])
+    def test_each_id_is_one_object(self, tmp_path, round_trip_dataset, headerless):
+        write_dataset(round_trip_dataset, tmp_path)
+        if headerless:
+            for kind in TestParserEquivalence.HEADERLESS_OK:
+                _rewrite(tmp_path / FILE_NAMES[kind], _headerless)
+        ds = load_dataset(tmp_path)
+        assert ds == round_trip_dataset
+        assert ds.preferences and ds.sessions and any(s.clicks for s in ds.sessions)
+        results, raters = {}, {}
+        for j in ds.judgments:
+            assert j.query_id is ds.query_by_id[j.query_id].id
+            assert results.setdefault(j.result_id, j.result_id) is j.result_id
+            assert raters.setdefault(j.rater_id, j.rater_id) is j.rater_id
+        for pair in ds.list_pairs:
+            assert pair.query_id is ds.query_by_id[pair.query_id].id
+            assert all(rid is results[rid] for rid in pair.variant_a + pair.variant_b)
+        for record in ds.preferences + ds.sessions:
+            assert record.query_id is ds.query_by_id[record.query_id].id
+            assert record.rater_id is raters[record.rater_id]
+
+
 class TestParserEquivalence:
     """The same records in other spellings load exactly as the canonical files do.
 
