@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from math import isfinite
 from pathlib import Path
 from typing import Optional, Sequence
@@ -74,7 +75,9 @@ def _parse_float_grid(text: str) -> tuple[float, ...]:
     if step <= 0:
         raise ValueError("step must be positive")
     count = int(round((stop - start) / step))
-    return tuple(start + i * step for i in range(count + 1))
+    # Each point from the decimals typed: 0:0.3:0.05 holds 0.15, not 0.15000000000000002.
+    first, _, inc = map(Fraction, text.split(":"))
+    return tuple(float(first + i * inc) for i in range(count + 1))
 
 
 def _parse_cutoffs(text: str) -> tuple[int, ...]:

@@ -11,22 +11,25 @@ the schema version and record kind:
     sessions.tsv     query_id  rater_id  variant  start_ts  end_ts  [satisfied]
     clicks.tsv       query_id  rater_id  variant  rank  ts
 
-Files are UTF-8 text, and CR LF or CR line ends read as LF.  Booleans
-are written ``true``/``false`` with ``-`` for absent optional values.
-Query, result and rater ids must not be empty.  Each id is interned at
-load, so a loaded dataset holds one string object per distinct id,
-shared by every file and record that names it.  Judgment, list,
-preference, session and click files are also accepted headerless with
-any whitespace as separator, for quick hand-built fixtures; the queries
-file always needs its header.  Files are written in a canonical sort
-order, so write -> load -> write is byte-stable.
+Files are UTF-8 text, and CR LF or CR line ends read as LF.  Each file
+is read as a stream of lines and checked as it is read, never held
+whole, so in a file with two faults (say a bad field and a non-UTF-8
+byte further on) the first one in file order can be the one reported.
+Booleans are written ``true``/``false`` with ``-`` for absent optional
+values.  Query, result and rater ids must not be empty.  Each id is
+interned at load, so a loaded dataset holds one string object per
+distinct id, shared by every file and record that names it.  Judgment,
+list, preference, session and click files are also accepted headerless
+with any whitespace as separator, for quick hand-built fixtures; the
+queries file always needs its header.  Files are written in a canonical
+sort order, so write -> load -> write is byte-stable.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from itertools import islice
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -70,52 +73,68 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
 
 
-def _read_lines(path: Path) -> list[str]:
-    """The file's lines without their terminators, read and decoded in one go.
+# kind -> (record name, accepted field counts, (index, name) of each id field in order)
+_RECORDS = {
+    "queries": ("query", (5,), ((0, "id"),)),
+    "judgments": ("judgment", (4, 5), ((0, "query_id"), (1, "result_id"), (2, "rater_id"))),
+    "lists": ("list", (4,), ((0, "query_id"), (3, "result_id"))),
+    "preferences": ("preference", (3,), ((0, "query_id"), (1, "rater_id"))),
+    "sessions": ("session", (5, 6), ((0, "query_id"), (1, "rater_id"))),
+    "clicks": ("click", (5,), ((0, "query_id"), (1, "rater_id"))),
+}
 
-    Line ends are translated as text-mode ``open`` translates them: CR LF
-    and a lone CR both end a line.  A final line needs no terminator.
+
+def _read_rows(path: Path, kind: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, fields)`` for each non-blank record line of ``path``.
+
+    The file is read as a stream of text-mode lines, so CR LF and a lone
+    CR end a line as LF does.  Each record must have an accepted field
+    count and non-empty ids; its id fields come back interned.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    record, counts, ids = _RECORDS[kind]
+    intern = sys.intern
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            path, data.count(b"\n", 0, exc.start) + 1,
-            f"not valid UTF-8 (byte {data[exc.start]:#04x} at offset {exc.start}: {exc.reason})",
-        ) from None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
-
-
-def _read_rows(path: Path, kind: str, allow_headerless: bool) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line number, fields)`` for each non-blank record line."""
-    lines = _read_lines(path)
-    if not lines:
-        return
-    first = lines[0]
-    if first.startswith(HEADER_TAG):
-        fields = first.split("\t")
-        if len(fields) != 3 or fields[0] != HEADER_TAG:
-            raise ParseError(path, 1, f"malformed header {first!r}")
-        if fields[1] != str(SCHEMA_VERSION):
-            raise ParseError(path, 1, f"unsupported schema version {fields[1]!r}")
-        if fields[2] != kind:
-            raise ParseError(path, 1, f"expected {kind!r} records, file declares {fields[2]!r}")
-        for lineno, line in enumerate(islice(lines, 1, None), start=2):
-            if line and not line.isspace():
-                yield lineno, line.split("\t")
-    elif allow_headerless:
-        for lineno, line in enumerate(lines, start=1):
-            if line and not line.isspace():
-                yield lineno, line.split()
-    else:
-        raise ParseError(path, 1, f"missing '{HEADER_TAG}\t{SCHEMA_VERSION}\t{kind}' header")
+        with open(path, encoding="utf-8", newline=None) as fh:
+            first = fh.readline()
+            if first.startswith(HEADER_TAG):
+                header = first.rstrip("\n")
+                fields = header.split("\t")
+                if len(fields) != 3 or fields[0] != HEADER_TAG:
+                    raise ParseError(path, 1, f"malformed header {header!r}")
+                if fields[1] != str(SCHEMA_VERSION):
+                    raise ParseError(path, 1, f"unsupported schema version {fields[1]!r}")
+                if fields[2] != kind:
+                    raise ParseError(path, 1, f"expected {kind!r} records, file declares {fields[2]!r}")
+                sep, lines, start = "\t", fh, 2
+            elif not first:
+                return
+            elif kind == "queries":
+                raise ParseError(path, 1, f"missing '{HEADER_TAG}\t{SCHEMA_VERSION}\t{kind}' header")
+            else:
+                sep, lines, start = None, chain((first,), fh), 1
+            for lineno, line in enumerate(lines, start):
+                if line.isspace():
+                    continue
+                f = line.rstrip("\n").split(sep)
+                if len(f) not in counts:
+                    want = " or ".join(map(str, counts))
+                    raise ParseError(path, lineno, f"{record} record needs {want} fields, got {len(f)}")
+                for i, name in ids:
+                    if not f[i]:
+                        raise ParseError(path, lineno, f"{name} is empty")
+                    f[i] = intern(f[i])
+                yield lineno, f
+    except UnicodeDecodeError:
+        # Text mode decodes in blocks, so the error's offset is not the file's.
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                path, data.count(b"\n", 0, exc.start) + 1,
+                f"not valid UTF-8 (byte {data[exc.start]:#04x} at offset {exc.start}: {exc.reason})",
+            ) from None
+        raise
 
 
 def _parse_int(value: str, path: Path, lineno: int, field: str) -> int:
@@ -154,38 +173,14 @@ _VERDICTS = {m.value: m for m in Verdict}
 _GRADES = {str(g): g for g in range(GRADE_BEST, GRADE_WORST + 1)}
 _BOOLS = {"-": None, "": None, "true": True, "false": False}
 _click_order = attrgetter("ts", "rank")
-# Applied to every id once its row has passed the field-count and empty-id checks.
-_intern = sys.intern
-
-
-# (field index, name) of the id fields of each record kind, checked in order.
-_QUERY_IDS = ((0, "id"),)
-_JUDGMENT_IDS = ((0, "query_id"), (1, "result_id"), (2, "rater_id"))
-_LIST_IDS = ((0, "query_id"), (3, "result_id"))
-_RATER_IDS = ((0, "query_id"), (1, "rater_id"))
-
-
-def _empty_id(fields: list[str], ids: tuple[tuple[int, str], ...], path: Path,
-              lineno: int) -> ParseError:
-    name = next(name for i, name in ids if not fields[i])
-    return ParseError(path, lineno, f"{name} is empty")
-
-
-def _expect_fields(fields: list[str], counts: tuple[int, ...], path: Path, lineno: int, kind: str):
-    if len(fields) not in counts:
-        want = " or ".join(str(c) for c in counts)
-        raise ParseError(path, lineno, f"{kind} record needs {want} fields, got {len(fields)}")
 
 
 def read_queries(path: Path) -> list[Query]:
     out = []
-    for lineno, f in _read_rows(path, "queries", allow_headerless=False):
-        _expect_fields(f, (5,), path, lineno, "query")
-        if not f[0]:
-            raise _empty_id(f, _QUERY_IDS, path, lineno)
+    for lineno, f in _read_rows(path, "queries"):
         out.append(
             Query(
-                id=_intern(f[0]),
+                id=f[0],
                 query_type=_lookup(_QUERY_TYPES, f[1], path, lineno, "query type"),
                 language=_lookup(_LANGUAGES, f[2], path, lineno, "language"),
                 text=f[3],
@@ -197,36 +192,30 @@ def read_queries(path: Path) -> list[Query]:
 
 def read_judgments(path: Path) -> list[GradedJudgment]:
     out = []
-    for lineno, f in _read_rows(path, "judgments", allow_headerless=True):
-        _expect_fields(f, (4, 5), path, lineno, "judgment")
-        if not (f[0] and f[1] and f[2]):
-            raise _empty_id(f, _JUDGMENT_IDS, path, lineno)
+    for lineno, f in _read_rows(path, "judgments"):
         grade = _GRADES.get(f[3]) or _parse_grade(f[3], path, lineno)
         snippet = (None if len(f) == 4
                    else _lookup(_BOOLS, f[4], path, lineno, "snippet_relevant", "true/false/-"))
-        out.append(GradedJudgment(_intern(f[0]), _intern(f[1]), _intern(f[2]), grade, snippet))
+        out.append(GradedJudgment(f[0], f[1], f[2], grade, snippet))
     return out
 
 
 def read_list_pairs(path: Path) -> list[RankedListPair]:
     rankings: dict[tuple[str, Variant], dict[int, str]] = {}
     first_line: dict[tuple[str, Variant], int] = {}
-    for lineno, f in _read_rows(path, "lists", allow_headerless=True):
-        _expect_fields(f, (4,), path, lineno, "list")
-        if not (f[0] and f[3]):
-            raise _empty_id(f, _LIST_IDS, path, lineno)
+    for lineno, f in _read_rows(path, "lists"):
         variant = _lookup(_VARIANTS, f[1], path, lineno, "variant")
         rank = _parse_int(f[2], path, lineno, "rank")
         if rank < 1:
             raise ParseError(path, lineno, f"rank must be >= 1, got {rank}")
-        key = (_intern(f[0]), variant)
+        key = (f[0], variant)
         slots = rankings.get(key)
         if slots is None:
             slots = rankings[key] = {}
             first_line[key] = lineno
         elif rank in slots:
             raise ParseError(path, lineno, f"duplicate rank {rank} for query {f[0]!r} variant {variant.value}")
-        slots[rank] = _intern(f[3])
+        slots[rank] = f[3]
     pairs = []
     # Queries in order of first appearance: rankings keeps its keys in that order.
     for qid in dict.fromkeys(qid for qid, _ in rankings):
@@ -246,12 +235,9 @@ def read_list_pairs(path: Path) -> list[RankedListPair]:
 
 def read_preferences(path: Path) -> list[PreferenceJudgment]:
     out = []
-    for lineno, f in _read_rows(path, "preferences", allow_headerless=True):
-        _expect_fields(f, (3,), path, lineno, "preference")
-        if not (f[0] and f[1]):
-            raise _empty_id(f, _RATER_IDS, path, lineno)
+    for lineno, f in _read_rows(path, "preferences"):
         verdict = _lookup(_VERDICTS, f[2], path, lineno, "verdict")
-        out.append(PreferenceJudgment(_intern(f[0]), _intern(f[1]), verdict))
+        out.append(PreferenceJudgment(f[0], f[1], verdict))
     return out
 
 
@@ -259,16 +245,13 @@ def read_sessions(sessions_path: Path, clicks_path: Path) -> list[Session]:
     # (query, rater, variant) -> (line of its first click, clicks)
     clicks: dict[tuple[str, str, Variant], tuple[int, list[Click]]] = {}
     if clicks_path.exists():
-        for lineno, f in _read_rows(clicks_path, "clicks", allow_headerless=True):
-            _expect_fields(f, (5,), clicks_path, lineno, "click")
-            if not (f[0] and f[1]):
-                raise _empty_id(f, _RATER_IDS, clicks_path, lineno)
+        for lineno, f in _read_rows(clicks_path, "clicks"):
             variant = _lookup(_VARIANTS, f[2], clicks_path, lineno, "variant")
             rank = _parse_int(f[3], clicks_path, lineno, "rank")
             if rank < 1:
                 raise ParseError(clicks_path, lineno, f"click rank must be >= 1, got {rank}")
             click = Click(rank, _parse_int(f[4], clicks_path, lineno, "timestamp"))
-            key = (_intern(f[0]), _intern(f[1]), variant)
+            key = (f[0], f[1], variant)
             entry = clicks.get(key)
             if entry is None:
                 clicks[key] = (lineno, [click])
@@ -277,12 +260,9 @@ def read_sessions(sessions_path: Path, clicks_path: Path) -> list[Session]:
 
     out = []
     seen = set()
-    for lineno, f in _read_rows(sessions_path, "sessions", allow_headerless=True):
-        _expect_fields(f, (5, 6), sessions_path, lineno, "session")
-        if not (f[0] and f[1]):
-            raise _empty_id(f, _RATER_IDS, sessions_path, lineno)
+    for lineno, f in _read_rows(sessions_path, "sessions"):
         variant = _lookup(_VARIANTS, f[2], sessions_path, lineno, "variant")
-        key = (_intern(f[0]), _intern(f[1]), variant)
+        key = (f[0], f[1], variant)
         if key in seen:
             raise ParseError(sessions_path, lineno, f"duplicate session {key!r}")
         seen.add(key)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from statistics import mean
 from typing import Mapping, Optional, Sequence
 
 from .dataset import EvaluationDataset, Session, Variant, Verdict
@@ -76,7 +75,7 @@ def mean_click_rank(s: Session) -> float:
     """Arithmetic mean of clicked ranks; click-free sessions score rank 21."""
     if not s.clicks:
         return float(NO_CLICK_RANK)
-    return mean(c.rank for c in s.clicks)
+    return sum(c.rank for c in s.clicks) / len(s.clicks)
 
 
 def first_click_rank(s: Session) -> float:
@@ -225,7 +224,7 @@ def _variant_stats(dataset: EvaluationDataset, variant: Variant) -> VariantStats
     if sessions:
         zero_share = sum(1 for s in sessions if not s.clicks) / len(sessions)
     satisfaction = [s.satisfied for s in sessions if s.satisfied is not None]
-    mean_satisfaction = mean(float(v) for v in satisfaction) if satisfaction else None
+    mean_satisfaction = sum(satisfaction) / len(satisfaction) if satisfaction else None
 
     rel_by_rank: dict[int, list[float]] = {}
     grades_by_rank: dict[int, Counter] = {}
@@ -266,7 +265,7 @@ def descriptive_stats(dataset: EvaluationDataset) -> DescriptiveStats:
     return DescriptiveStats(
         variants={v: _variant_stats(dataset, v) for v in (Variant.A, Variant.B)},
         query_types={
-            qt: QueryTypeStats(queries=len(lengths), mean_terms=mean(lengths))
+            qt: QueryTypeStats(queries=len(lengths), mean_terms=sum(lengths) / len(lengths))
             for qt, lengths in sorted(by_type.items())
         },
     )

@@ -168,11 +168,3 @@ def esl(rels: Sequence[float], c: int, discount: DiscountFunction, n: float) -> 
             reach = i + 1
             break
     return 1.0 - (reach - dcg(rels, reach, discount)) / c
-
-
-def mean_over_queries(scores: Iterable[float]) -> float:
-    """Arithmetic mean of per-query scores; rejects an empty collection."""
-    values = list(scores)
-    if not values:
-        raise ValueError("cannot average an empty score collection")
-    return sum(values) / len(values)

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 import os
 import subprocess
 import sys
@@ -21,8 +20,6 @@ from prefeval.pir import CATEGORIES, DEFAULT_CUTOFFS, DEFAULT_THRESHOLDS, pir_sw
 from prefeval.scales import DiscountFunction, DiscountKind, RelevanceScale
 from prefeval.scoring import judged_lists
 from prefeval.synth import SynthSpec, generate_synthetic
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 # `eval --metric ndcg --cutoff 5` on the synth_dir dataset (three raters)
 EVAL_NDCG_C5 = (
@@ -617,6 +614,8 @@ class TestMalformedListOptions:
          "band must be LO:HI with LO <= HI, got 5:1"),
         (["synth", "--queries", "2", "--raters", "1", "--seed", "1", "--grades-a", "x"],
          "--grades-a must be a comma list of numbers, got 'x'"),
+        (["sweep", "--thresholds", "0:1e400:1"],
+         f"--thresholds must be {THRESHOLDS_FORM}, got '0:1e400:1'"),
     ])
     def test_exits_two_before_loading(self, tmp_path, capsys, monkeypatch, argv, message):
         loads = []
@@ -632,6 +631,22 @@ class TestMalformedListOptions:
         assert err == f"usage error: {message}\n"
         assert loads == []
         assert not (tmp_path / "out").exists()
+
+
+class TestStepGrid:
+    """The points of a START:STOP:STEP grid are the decimals typed, not accumulated floats."""
+
+    def test_points_are_the_typed_decimals(self):
+        assert cli._parse_float_grid("0:0.3:0.05") == (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
+        assert cli._parse_float_grid("0:0.3:0.01") == DEFAULT_THRESHOLDS
+
+    def test_a_grid_point_is_not_repeated_as_the_threshold(self, synth_dir, tmp_path):
+        series = tmp_path / "series.tsv"
+        assert main(["breakdown", str(synth_dir), "--metric", "ndcg", "--threshold", "0.15",
+                     "--thresholds", "0:0.3:0.05", "--series", str(series)]) == 0
+        rows = series.read_text().splitlines()[1:]
+        assert [row.split("\t")[0] for row in rows] == [
+            "0.0000", "0.0500", "0.1000", "0.1500", "0.2000", "0.2500", "0.3000"]
 
 
 class TestBreakdownCommand:
@@ -867,28 +882,3 @@ class TestSessionsInCli:
         )
         write_dataset(ds, tmp_path)
         assert load_dataset(tmp_path) == ds
-
-
-class TestDemoScript:
-    def test_runs_end_to_end(self, tmp_path):
-        spec = importlib.util.spec_from_file_location("run_demo_sweep",
-                                                      SCRIPTS / "run_demo_sweep.py")
-        demo = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(demo)
-        work = tmp_path / "demo"
-        assert demo.run(["--workdir", str(work), "--queries", "6", "--raters", "3",
-                         "--preferences", "12", "--seed", "3"]) == 0
-        assert (work / "sweep" / "best_threshold_pir.svg").exists()
-
-
-class TestCompareDiscountsScript:
-    def test_prints_one_row_per_cutoff(self, capsys):
-        spec = importlib.util.spec_from_file_location("compare_discounts",
-                                                      SCRIPTS / "compare_discounts.py")
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        assert script.run(["--queries", "8", "--raters", "3", "--preferences", "16"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        rows = [line.split() for line in lines if line.split()[:1] and line.split()[0].isdigit()]
-        assert [int(row[0]) for row in rows] == list(range(1, 11))
-        assert all(len(row) == 1 + len(script.DISCOUNTS) for row in rows)

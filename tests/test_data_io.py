@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,8 @@ from prefeval.data_io import (
     FILE_NAMES,
     ParseError,
     load_dataset,
+    read_judgments,
+    read_queries,
     write_dataset,
 )
 from prefeval.dataset import ValidationError, ValidationMode, Verdict
@@ -241,6 +244,45 @@ class TestLoadBehavior:
             load_dataset(tmp_path, max_cutoff=3)
         loaded = load_dataset(tmp_path, mode=ValidationMode.LENIENT, max_cutoff=3)
         assert len(loaded.judgments) == 5
+
+
+class TestStreamingReader:
+    """Each file is read as a stream of lines: no reader holds a whole file."""
+
+    @pytest.fixture
+    def judgments(self, tmp_path):
+        write_dataset(generate_synthetic(SynthSpec(n_queries=300, n_raters=3, seed=3)), tmp_path)
+        return tmp_path / FILE_NAMES["judgments"]
+
+    def test_reading_takes_less_memory_than_the_file(self, judgments):
+        tracemalloc.start()
+        try:
+            records = read_judgments(judgments)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) > 5000
+        assert peak - kept < judgments.stat().st_size
+
+    def test_non_utf8_byte_past_the_first_block_reports_its_line(self, judgments):
+        data = judgments.read_bytes()
+        start = data.index(b"\n", 3 * 8192) + 1  # a line past the first three 8 KiB blocks
+        lineno = data.count(b"\n", 0, start) + 1
+        offset = data.index(b"\t", start) + 1  # the first byte of its result id
+        judgments.write_bytes(data[:offset] + b"\xff" + data[offset:])
+        with pytest.raises(ParseError) as exc:
+            read_judgments(judgments)
+        assert str(exc.value) == (f"{judgments}:{lineno}: not valid UTF-8 "
+                                  f"(byte 0xff at offset {offset}: invalid start byte)")
+
+    def test_blank_queries_file_lacks_its_header_and_an_empty_one_holds_none(self, tmp_path):
+        path = tmp_path / FILE_NAMES["queries"]
+        path.write_text("\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_queries(path)
+        assert str(exc.value) == f"{path}:1: missing '#prefeval\t1\tqueries' header"
+        path.write_bytes(b"")
+        assert read_queries(path) == []
 
 
 def _rewrite(path: Path, edit) -> None:

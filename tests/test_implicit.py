@@ -52,6 +52,9 @@ class TestClickMeasures:
         assert mean_click_rank(make_session(click_ranks_ts=((1, 110), (5, 120)))) == 3.0
         assert mean_click_rank(make_session(click_ranks_ts=((2, 110),))) == 2.0
 
+    def test_mean_click_rank_is_a_float_when_whole(self):
+        assert type(mean_click_rank(make_session(click_ranks_ts=((1, 110), (5, 120))))) is float
+
     def test_mean_click_rank_no_clicks_is_21(self):
         assert mean_click_rank(make_session()) == 21
 

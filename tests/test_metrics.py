@@ -13,7 +13,6 @@ from prefeval.metrics import (
     err,
     esl,
     ideal_ranking,
-    mean_over_queries,
     ndcg,
     precision_at,
     reciprocal_rank,
@@ -236,21 +235,6 @@ class TestEsl:
             gained = sum(rels[i] / (i + 1) for i in range(reach))
             want = 1 - (reach - gained) / c
             assert esl(rels, c, RANK, n=n) == pytest.approx(want, abs=1e-12)
-
-
-class TestMeanOverQueries:
-    def test_worked_example_mean(self):
-        assert mean_over_queries([0.9167, 0.4778]) == pytest.approx(0.69725)
-
-    def test_singleton(self):
-        assert mean_over_queries([0.42]) == 0.42
-
-    def test_two_thirds(self):
-        assert mean_over_queries([0, 1, 1]) == pytest.approx(2 / 3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_over_queries([])
 
 
 class TestUnitRange:
