@@ -20,7 +20,7 @@ from .dataset import (
 )
 from .metrics import ExcludedQuery
 from .pir import PirCell, PirGrid, pir, pir_sweep, pref
-from .scales import DiscountFunction, DiscountKind, RelevanceScale, conflate, grade_to_unit
+from .scales import DiscountFunction, DiscountKind, RelevanceScale, conflate
 from .synth import SynthSpec, generate_synthetic
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "Verdict",
     "conflate",
     "generate_synthetic",
-    "grade_to_unit",
     "pir",
     "pir_sweep",
     "pref",

@@ -48,6 +48,8 @@ DEFAULT_DISCOUNTS = {
     Metric.ESL: DiscountKind.RANK,
 }
 DEFAULT_ESL_N = 2.5
+# The most points a START:STOP:STEP threshold grid may hold.
+MAX_GRID_POINTS = 100_000
 
 
 def _fmt(value: float) -> str:
@@ -74,7 +76,11 @@ def _parse_float_grid(text: str) -> tuple[float, ...]:
     start, stop, step = _parse_list("--thresholds", form, text, ":", count=3)
     if step <= 0:
         raise ValueError("step must be positive")
-    count = int(round((stop - start) / step))
+    span = (stop - start) / step  # checked before the grid is built
+    if stop < start or not isfinite(span) or round(span) >= MAX_GRID_POINTS:
+        raise ValueError(f"--thresholds START:STOP:STEP must have STOP >= START and at most"
+                         f" {MAX_GRID_POINTS} points, got '{text}'")
+    count = int(round(span))
     # Each point from the decimals typed: 0:0.3:0.05 holds 0.15, not 0.15000000000000002.
     first, _, inc = map(Fraction, text.split(":"))
     return tuple(float(first + i * inc) for i in range(count + 1))

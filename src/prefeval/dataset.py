@@ -4,7 +4,8 @@ A dataset bundles, per query, the two competing ranked result lists
 (variants A and B), six-point relevance judgments for individual results,
 per-rater preference verdicts between the variants, and single-list
 interaction sessions.  Datasets are treated as immutable once built;
-validation is read-only and reports rather than mutates.
+validation reports rather than mutates, except that a dataset that
+passes keeps the grade index built while checking it.
 """
 
 from __future__ import annotations
@@ -127,11 +128,11 @@ class EvaluationDataset:
 
     @cached_property
     def grades(self) -> Mapping[tuple[str, str], Mapping[str, int]]:
-        """(query_id, result_id) -> {rater_id: grade}."""
-        index: dict[tuple[str, str], dict[str, int]] = {}
-        for j in self.judgments:
-            index.setdefault((j.query_id, j.result_id), {})[j.rater_id] = j.grade
-        return index
+        """(query_id, result_id) -> {rater_id: grade}, as validation left it (lenient if none ran)."""
+        report = validate(self, ValidationMode.LENIENT, max_cutoff=0)
+        if not report.ok:
+            raise ValidationError(report)
+        return self.__dict__["grades"]
 
     @cached_property
     def sessions_by_query_variant(self) -> Mapping[tuple[str, Variant], tuple[Session, ...]]:
@@ -186,10 +187,12 @@ def validate(
     """Check every schema invariant and return the full report.
 
     Malformed records (bad grades, click ranks below 1, inverted
-    timestamps, duplicates, dangling references) are errors in both
-    modes.  A listed result at rank <= ``max_cutoff`` without any
-    judgment is an error in strict mode and a warning in lenient mode,
-    where downstream scoring substitutes relevance 0 for it.
+    timestamps, duplicates, dangling references, a verdict on a query
+    without a list pair) are errors in both modes.  A listed result at
+    rank <= ``max_cutoff`` without any judgment is an error in strict
+    mode and a warning in lenient mode, where downstream scoring
+    substitutes relevance 0 for it.  When the report has no error, the
+    grade index built while checking is kept as the dataset's ``grades``.
     """
     issues: list[ValidationIssue] = []
 
@@ -206,17 +209,13 @@ def validate(
         seen_queries.add(q.id)
 
     known = dataset.query_by_id
-    listed: dict[str, set[str]] = {}  # results within the cut-off
     ranked: dict[str, set[str]] = {}  # results at any rank in either variant
 
-    seen_pairs: set[str] = set()
     for pair in dataset.list_pairs:
-        if pair.query_id in seen_pairs:
+        if pair.query_id in ranked:
             error("duplicate-pair", f"query {pair.query_id!r} has more than one list pair")
-        seen_pairs.add(pair.query_id)
         if pair.query_id not in known:
             error("dangling-query", f"list pair references unknown query {pair.query_id!r}")
-        results: set[str] = set()
         for variant, ranking in (("A", pair.variant_a), ("B", pair.variant_b)):
             if len(set(ranking)) != len(ranking):
                 error(
@@ -229,11 +228,9 @@ def validate(
                     f"query {pair.query_id!r} variant {variant} has {len(ranking)} results,"
                     f" fewer than the evaluated cut-off {max_cutoff}",
                 )
-            results.update(ranking[:max_cutoff])
-        listed[pair.query_id] = results
         ranked[pair.query_id] = set(pair.variant_a).union(pair.variant_b)
 
-    judged: dict[tuple[str, str], set[str]] = {}
+    grades: dict[tuple[str, str], dict[str, int]] = {}
     for j in dataset.judgments:
         if j.query_id not in known:
             error("dangling-query", f"judgment references unknown query {j.query_id!r}")
@@ -248,17 +245,17 @@ def validate(
         except ValueError as exc:
             error("grade-range",
                   f"judgment ({j.query_id!r}, {j.result_id!r}, {j.rater_id!r}): {exc}")
-        raters = judged.setdefault((j.query_id, j.result_id), set())
+        raters = grades.setdefault((j.query_id, j.result_id), {})
         if j.rater_id in raters:
             error(
                 "duplicate-judgment",
                 f"rater {j.rater_id!r} judged ({j.query_id!r}, {j.result_id!r}) twice",
             )
-        raters.add(j.rater_id)
+        raters[j.rater_id] = j.grade
 
-    for qid, results in listed.items():
-        for result_id in sorted(results):
-            if (qid, result_id) not in judged:
+    for qid, pair in dataset.pair_by_query.items():
+        for result_id in sorted({*pair.variant_a[:max_cutoff], *pair.variant_b[:max_cutoff]}):
+            if (qid, result_id) not in grades:
                 missing = (
                     f"result {result_id!r} of query {qid!r} appears at rank"
                     f" <= {max_cutoff} but has no judgment"
@@ -272,6 +269,10 @@ def validate(
     for p in dataset.preferences:
         if p.query_id not in known:
             error("dangling-query", f"preference references unknown query {p.query_id!r}")
+        elif p.query_id not in ranked:
+            error("unpaired-preference",
+                  f"rater {p.rater_id!r} has a verdict for query {p.query_id!r},"
+                  " which has no list pair")
         key = (p.query_id, p.rater_id)
         if key in seen_verdicts:
             error(
@@ -292,4 +293,7 @@ def validate(
             if not s.start_ts <= click.ts <= s.end_ts:
                 error("click-time", f"{label} has a click outside the session interval")
 
-    return ValidationReport(mode=mode, issues=tuple(issues))
+    report = ValidationReport(mode=mode, issues=tuple(issues))
+    if report.ok:
+        dataset.__dict__["grades"] = grades
+    return report

@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 from .dataset import EvaluationDataset, Session, Variant, Verdict
 from .pir import PirCell, check_increasing, pir_cells
-from .scales import grade_to_unit
+from .scales import UNITS, RelevanceScale
 
 NO_CLICK_RANK = 21
 
@@ -233,7 +233,7 @@ def _variant_stats(dataset: EvaluationDataset, variant: Variant) -> VariantStats
             grades = dataset.grades.get((pair.query_id, result_id), {})
             if not grades:
                 continue
-            per_result = [grade_to_unit(g) for g in grades.values()]
+            per_result = [UNITS[RelevanceScale.SIX_POINT][g - 1] for g in grades.values()]
             rel_by_rank.setdefault(rank, []).append(sum(per_result) / len(per_result))
             grades_by_rank.setdefault(rank, Counter()).update(grades.values())
 

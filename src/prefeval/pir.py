@@ -265,8 +265,8 @@ def pir_sweep(
       one table from :func:`~prefeval.scoring.resolve_preferences`, built
       before any row runs: each verdict's judged lists, resolved once
       down to ``max(cutoffs)`` with one grade lookup per distinct result
-      and one conflation per judgment of each query, and the pool of
-      each cut-off taken from the deepest one by position;
+      from the validated grade index, and the pool of each cut-off taken
+      from the deepest one by position;
     - a config walks each verdict's two lists once for all its cut-offs
       (:func:`~prefeval.scoring.score_cutoffs`), with each cut-off's NDCG
       ideal or known-relevant count computed once for both variants,

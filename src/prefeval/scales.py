@@ -2,9 +2,9 @@
 
 Individual results are graded on a six-point school scale (1 best, 6
 worst).  Metrics consume unit relevance in [0, 1]; this module owns the
-grade-to-unit conversion, the conflation of six-point grades onto binary
-and ternary scales, and the catalog of rank discount functions shared by
-all list metrics.
+one grade-to-unit table per scale (the six-point grades themselves and
+their conflation onto binary and ternary scales) and the catalog of
+rank discount functions shared by all list metrics.
 """
 
 from __future__ import annotations
@@ -53,15 +53,9 @@ def check_grade(grade: int) -> None:
         raise ValueError(f"grade must be {GRADE_BEST}..{GRADE_WORST}, got {grade}")
 
 
-def grade_to_unit(grade: int) -> float:
-    """Map a six-point grade to unit relevance: 1 -> 1.0, 2 -> 0.8, ... 6 -> 0.0."""
-    check_grade(grade)
-    return (GRADE_WORST - grade) / 5
-
-
-# Unit relevance of grades 1..6 under each scale.
-_CONFLATION: Mapping[RelevanceScale, tuple[float, ...]] = {
-    RelevanceScale.SIX_POINT: tuple(grade_to_unit(g) for g in range(GRADE_BEST, GRADE_WORST + 1)),
+# Unit relevance of grades 1..6 under each scale, unchecked: ``UNITS[scale][grade - 1]``.
+UNITS: Mapping[RelevanceScale, tuple[float, ...]] = {
+    RelevanceScale.SIX_POINT: (1.0, 0.8, 0.6, 0.4, 0.2, 0.0),  # (6 - grade) / 5
     RelevanceScale.R2_1: (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
     RelevanceScale.R2_3: (1.0, 1.0, 1.0, 0.0, 0.0, 0.0),
     RelevanceScale.R2_5: (1.0, 1.0, 1.0, 1.0, 1.0, 0.0),
@@ -73,11 +67,12 @@ _CONFLATION: Mapping[RelevanceScale, tuple[float, ...]] = {
 def conflate(grade: int, scale: RelevanceScale) -> float:
     """Unit relevance of ``grade`` under the given scale.
 
+    Six-point grades map linearly: 1 -> 1.0, 2 -> 0.8, ... 6 -> 0.0.
     Conflation applies to raw integer grades only; averaged ratings are
     formed downstream from already-conflated per-rater values.
     """
     check_grade(grade)
-    table = _CONFLATION.get(scale) if isinstance(scale, RelevanceScale) else None
+    table = UNITS.get(scale) if isinstance(scale, RelevanceScale) else None
     if table is None:
         raise ValueError(f"unknown scale {scale!r}")
     return table[grade - GRADE_BEST]

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .config import ERR_GRADE_MAX, ApNorm, Metric, MetricConfig, RatingSource
 from .dataset import EvaluationDataset, Verdict
-from .scales import RelevanceScale, conflate
+from .scales import UNITS, RelevanceScale
 
 
 class MissingJudgment(Exception):
@@ -31,9 +31,6 @@ class MissingJudgment(Exception):
     """
 
 
-ConflatedGrades = dict[str, list[tuple[str, float]]]
-
-
 def unit_relevance(
     dataset: EvaluationDataset,
     query_id: str,
@@ -42,30 +39,22 @@ def unit_relevance(
     source: RatingSource,
     rater_id: Optional[str],
     lenient: bool = False,
-    conflated: Optional[ConflatedGrades] = None,
 ) -> float:
     """Unit relevance of one result as seen by one preference rater.
 
     The mean of the selected raters' grades, each conflated onto the scale
-    first.  SAME_USER selects ``rater_id`` alone, OTHER_USERS every rater
-    except ``rater_id``.  With no rater (``None``) there is no one to
-    single out, and every source selects all raters.
-
-    ``conflated`` memoises, per result id of this query and scale, every
-    rater's conflated grade in rater order; callers resolving several
-    verdicts of one query share it, so each grade is conflated once and
-    every mean sums the same floats in the same order.
+    first, in rater order.  SAME_USER selects ``rater_id`` alone,
+    OTHER_USERS every rater except ``rater_id``.  With no rater (``None``)
+    there is no one to single out, and every source selects all raters.
+    Validated grades are read through the scale's unit table, unchecked.
     """
     grades = dataset.grades.get((query_id, result_id), {})
+    units = UNITS[scale]
     same_user = source is RatingSource.SAME_USER and rater_id is not None
     if same_user:
-        values = [conflate(grades[rater_id], scale)] if rater_id in grades else []
+        values = [units[grades[rater_id] - 1]] if rater_id in grades else []
     else:
-        if conflated is None:
-            conflated = {}
-        if result_id not in conflated:
-            conflated[result_id] = [(r, conflate(g, scale)) for r, g in grades.items()]
-        values = [v for r, v in conflated[result_id] if r != rater_id]
+        values = [units[g - 1] for r, g in grades.items() if r != rater_id]
     if values:
         return sum(values) / len(values)
     if lenient:
@@ -98,7 +87,6 @@ def judged_lists(
     rater_id: Optional[str],
     config: MetricConfig,
     lenient: bool = False,
-    conflated: Optional[ConflatedGrades] = None,
 ) -> JudgedLists:
     """Judged lists of both variants at the configured cut-off, plus the pool.
 
@@ -109,8 +97,7 @@ def judged_lists(
     ..., first occurrence kept) and its end at every rank; NDCG
     normalization and the known-relevant count of classical AP use it as
     a multiset.  Each distinct result is looked up once, A's results
-    first, then B's unseen ones.  ``conflated`` is passed on to
-    :func:`unit_relevance`.
+    first, then B's unseen ones.
     """
     pair = dataset.pair_by_query[query_id]
     depth = config.cutoff
@@ -125,7 +112,7 @@ def judged_lists(
         ends.append(len(pooled))
     values = {
         rid: unit_relevance(dataset, query_id, rid, config.scale, config.rating_source,
-                            rater_id, lenient, conflated)
+                            rater_id, lenient)
         for rid in dict.fromkeys((*top_a, *top_b))
     }
     return JudgedLists([values[rid] for rid in top_a], [values[rid] for rid in top_b],
@@ -145,21 +132,17 @@ def resolve_preferences(
     verdict's lists are resolved once, down to ``max(cutoffs)``, with one
     :func:`unit_relevance` lookup per distinct result; metrics ignore
     entries beyond their cut-off, and each cut-off's pool is a prefix of
-    the deepest one.  Each run of consecutive verdicts on one query shares
-    one memo of conflated grades, so each judgment of it is conflated
-    once, and consecutive verdicts share equal pool ends.  Queries outside
-    the query filter are skipped.
+    the deepest one.  Consecutive verdicts share equal pool ends.  Queries
+    outside the query filter are skipped.
     """
+    dataset.grades  # validates a dataset nobody validated, before any pair is read
     deepest = config.at_cutoff(max(cutoffs))
     resolved: list[tuple[Verdict, JudgedLists]] = []
-    memo_query, conflated = None, {}
     for p in dataset.preferences:
         if config.query_filter is not None:
             if dataset.query_by_id[p.query_id].query_type not in config.query_filter:
                 continue
-        if p.query_id != memo_query:
-            memo_query, conflated = p.query_id, {}
-        lists = judged_lists(dataset, p.query_id, p.rater_id, deepest, lenient, conflated)
+        lists = judged_lists(dataset, p.query_id, p.rater_id, deepest, lenient)
         if resolved and resolved[-1][1].pool_ends == lists.pool_ends:
             lists = lists._replace(pool_ends=resolved[-1][1].pool_ends)
         resolved.append((p.verdict, lists))

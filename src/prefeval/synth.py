@@ -30,7 +30,7 @@ from .dataset import (
     Variant,
     Verdict,
 )
-from .scales import grade_to_unit
+from .scales import UNITS, RelevanceScale
 
 _WORDS = (
     "alpine", "battery", "census", "drought", "estuary", "fresco", "granite",
@@ -194,13 +194,13 @@ def generate_synthetic(spec: SynthSpec) -> EvaluationDataset:
         start = (qi * n_judges) % spec.n_raters
         judges = [raters[(start + k) % spec.n_raters] for k in range(n_judges)]
 
-        rater_grade: dict[tuple[str, str], int] = {}
+        rater_rel: dict[tuple[str, str], float] = {}  # each rater's unit relevance
         for rater in judges:
             for result_id in sorted(base_grade):
                 grade = base_grade[result_id]
                 if spec.rater_noise and rng.random() < spec.rater_noise:
                     grade = min(6, max(1, grade + rng.choice((-1, 1))))
-                rater_grade[(rater, result_id)] = grade
+                rater_rel[(rater, result_id)] = UNITS[RelevanceScale.SIX_POINT][grade - 1]
                 judgments.append(
                     GradedJudgment(
                         query_id=qid, result_id=result_id, rater_id=rater,
@@ -209,8 +209,8 @@ def generate_synthetic(spec: SynthSpec) -> EvaluationDataset:
                 )
 
         for rater in judges[:n_verdicts]:
-            seen_a = _attention_mean([grade_to_unit(rater_grade[(rater, rid)]) for rid in results_a])
-            seen_b = _attention_mean([grade_to_unit(rater_grade[(rater, rid)]) for rid in results_b])
+            seen_a = _attention_mean([rater_rel[(rater, rid)] for rid in results_a])
+            seen_b = _attention_mean([rater_rel[(rater, rid)] for rid in results_b])
             diff = seen_a - seen_b
             if diff > spec.equal_margin:
                 verdict = Verdict.A
@@ -226,16 +226,14 @@ def generate_synthetic(spec: SynthSpec) -> EvaluationDataset:
                 clicks = []
                 ts = start_ts
                 for rank, result_id in enumerate(ranking, start=1):
-                    rel = grade_to_unit(rater_grade[(rater, result_id)])
+                    rel = rater_rel[(rater, result_id)]
                     attention = rank ** -0.5
                     if rng.random() < spec.click_rate * rel * attention:
                         ts += rng.randint(4, 12)
                         clicks.append(Click(rank=rank, ts=ts))
                 end_ts = (clicks[-1].ts if clicks else start_ts) + rng.randint(8, 30)
                 top = ranking[: min(3, len(ranking))]
-                satisfied = (
-                    sum(grade_to_unit(rater_grade[(rater, rid)]) for rid in top) / len(top) >= 0.5
-                )
+                satisfied = sum(rater_rel[(rater, rid)] for rid in top) / len(top) >= 0.5
                 sessions.append(
                     Session(
                         query_id=qid, rater_id=rater, variant=variant,

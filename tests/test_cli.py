@@ -345,6 +345,20 @@ class TestSweepCommand:
         assert proc.stderr.startswith("missing judgment: no rater besides 'u01' judged")
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["validate", "sweep", "eval", "implicit", "stats"])
+    def test_verdict_without_list_pair_exits_one_without_traceback(self, synth_dir, tmp_path,
+                                                                     command):
+        lists = synth_dir / FILE_NAMES["lists"]
+        lines = lists.read_text().splitlines(keepends=True)
+        lists.write_text("".join(line for line in lines if not line.startswith("q001\t")))
+        argv = {"sweep": ["--out", tmp_path / "out"], "eval": ["--metric", "ndcg"],
+                "implicit": ["--measure", "clicks"]}.get(command, [])
+        proc = run_cli([command, synth_dir, *argv])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert ("error: unpaired-preference: rater 'u01' has a verdict for query 'q001',"
+                " which has no list pair") in proc.stdout + proc.stderr
+
     @pytest.mark.parametrize("source", ["same-user", "other-users"])
     def test_judgments_to_rank_five_sweep_to_cutoff_five(self, tmp_path, source):
         # a sweep resolves its lists only as deep as its deepest cut-off
@@ -647,6 +661,26 @@ class TestStepGrid:
         rows = series.read_text().splitlines()[1:]
         assert [row.split("\t")[0] for row in rows] == [
             "0.0000", "0.0500", "0.1000", "0.1500", "0.2000", "0.2500", "0.3000"]
+
+    @pytest.mark.parametrize("command, grid", [
+        ("sweep", "0:1e300:1e-300"),
+        ("implicit", "0:1e300:1e-300"),
+        ("sweep", f"0:{cli.MAX_GRID_POINTS}:1"),  # one point over the cap
+        ("implicit", "1:0:1"),  # empty
+    ], ids=["overflow-sweep", "overflow-implicit", "cap-plus-one", "empty"])
+    def test_unbuildable_grid_exits_two_without_traceback(self, synth_dir, tmp_path, command,
+                                                          grid):
+        extra = ["--out", tmp_path / "out"] if command == "sweep" else ["--measure", "clicks"]
+        proc = run_cli([command, synth_dir, "--thresholds", grid, *extra])
+        message = (f"--thresholds START:STOP:STEP must have STOP >= START and at most"
+                   f" {cli.MAX_GRID_POINTS} points, got '{grid}'")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"usage error: {message}\n")
+
+    def test_cap_counts_points(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
+        assert cli._parse_float_grid("0:0.4:0.1") == (0.0, 0.1, 0.2, 0.3, 0.4)
+        with pytest.raises(ValueError, match="at most 5 points"):
+            cli._parse_float_grid("0:0.5:0.1")
 
 
 class TestBreakdownCommand:

@@ -10,6 +10,7 @@ from prefeval.dataset import (
     GradedJudgment,
     PreferenceJudgment,
     RankedListPair,
+    ValidationError,
     ValidationMode,
     Verdict,
     validate,
@@ -114,6 +115,45 @@ class TestReferences:
             )
             ds = dataclasses.replace(well_formed, judgments=well_formed.judgments + (extra,))
             assert "grade-range" in kinds(validate(ds, STRICT)), grade
+
+
+    @pytest.mark.parametrize("mode", [STRICT, LENIENT])
+    def test_verdict_on_query_without_list_pair(self, well_formed, mode):
+        ds = dataclasses.replace(well_formed, list_pairs=well_formed.list_pairs[1:])
+        report = validate(ds, mode)
+        assert [str(issue) for issue in report.errors] == [
+            "error: unpaired-preference: rater 'r1' has a verdict for query 'q1',"
+            " which has no list pair"]
+
+
+class TestGradeIndex:
+    def test_validation_that_passes_leaves_its_index(self, well_formed):
+        assert "grades" not in well_formed.__dict__
+        validate(well_formed, STRICT)
+        index = well_formed.__dict__["grades"]
+        assert index[("q1", well_formed.list_pairs[0].variant_a[0])] == {"r1": 1}
+        assert len(index) == len(well_formed.judgments)
+
+    def test_validation_that_fails_leaves_none(self, well_formed):
+        ds = dataclasses.replace(
+            well_formed, judgments=well_formed.judgments + (well_formed.judgments[0],))
+        assert not validate(ds, LENIENT).ok
+        assert "grades" not in ds.__dict__
+        with pytest.raises(ValidationError, match="duplicate-judgment"):
+            ds.grades
+
+    def test_unvalidated_dataset_is_validated_leniently_once(self, well_formed, monkeypatch):
+        # a missing judgment is no error in lenient mode, at any cut-off
+        ds = dataclasses.replace(well_formed, judgments=well_formed.judgments[1:])
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr("prefeval.dataset.validate", counted)
+        assert ds.grades is ds.grades
+        assert calls == [(LENIENT,)]
 
 
 class TestDuplicates:

@@ -8,7 +8,6 @@ from prefeval.scales import (
     DiscountKind,
     RelevanceScale,
     conflate,
-    grade_to_unit,
     load_click_weights,
 )
 
@@ -24,20 +23,22 @@ ALL_KINDS = [
 
 
 class TestGradeToUnit:
+    """The six-point grade -> unit rule, which is conflation onto SIX_POINT."""
+
     @pytest.mark.parametrize("grade,unit", [(1, 1.0), (2, 0.8), (3, 0.6), (4, 0.4), (5, 0.2), (6, 0.0)])
     def test_linear_mapping(self, grade, unit):
-        assert grade_to_unit(grade) == pytest.approx(unit)
+        assert conflate(grade, RelevanceScale.SIX_POINT) == pytest.approx(unit)
 
     @pytest.mark.parametrize("bad", [0, 7, -1, 2.5, "3", True])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
-            grade_to_unit(bad)
+            conflate(bad, RelevanceScale.SIX_POINT)
 
 
 class TestConflate:
     def test_six_point_matches_grade_to_unit(self):
         for g in range(1, 7):
-            assert conflate(g, RelevanceScale.SIX_POINT) == grade_to_unit(g)
+            assert conflate(g, RelevanceScale.SIX_POINT) == (6 - g) / 5
 
     @pytest.mark.parametrize(
         "grade,scale,unit",

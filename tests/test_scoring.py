@@ -9,19 +9,21 @@ from hypothesis import strategies as st
 
 from conftest import binary_pair_dataset, make_query, score_pair
 from prefeval.config import Metric, MetricConfig, RatingSource
-from prefeval.data_io import write_dataset
+from prefeval.data_io import load_dataset, write_dataset
 from prefeval.dataset import (
     EvaluationDataset,
     GradedJudgment,
     PreferenceJudgment,
     RankedListPair,
+    ValidationError,
     Verdict,
 )
-from prefeval import cli, metrics, oracle, scoring
+from prefeval import cli, metrics, oracle, scales, scoring
+from prefeval.implicit import descriptive_stats
 from prefeval.metrics import ApNorm, ExcludedQuery
 from prefeval.oracle import metric_score
 from prefeval.pir import pir_sweep
-from prefeval.scales import DiscountFunction, DiscountKind, RelevanceScale, grade_to_unit
+from prefeval.scales import DiscountFunction, DiscountKind, RelevanceScale, conflate
 from prefeval.scoring import (
     JudgedLists,
     MissingJudgment,
@@ -196,27 +198,6 @@ class TestResolvePreferences:
             distinct += len({*pair.variant_a[:8], *pair.variant_b[:8]})
         assert len(calls) == distinct * len(RatingSource)
 
-    def test_other_users_sweep_conflates_each_judgment_once_per_scale(self, overlapping,
-                                                                      monkeypatch):
-        calls = []
-        original = scoring.conflate
-
-        def counted(grade, scale):
-            calls.append(scale)
-            return original(grade, scale)
-
-        monkeypatch.setattr(scoring, "conflate", counted)
-        scales = (RelevanceScale.SIX_POINT, RelevanceScale.R3_2)
-        configs = [MetricConfig(metric, DiscountFunction.log2(), scale=scale,
-                                rating_source=RatingSource.OTHER_USERS)
-                   for metric in (Metric.NDCG, Metric.ERR) for scale in scales]
-        pir_sweep(overlapping, configs)
-        in_scope = {p.query_id for p in overlapping.preferences}
-        judgments = sum(1 for j in overlapping.judgments if j.query_id in in_scope)
-        assert calls
-        for scale in scales:
-            assert calls.count(scale) <= judgments
-
     def test_sweep_never_calls_the_scalar_metrics(self, overlapping, tmp_path, monkeypatch):
         # nor does eval: every command scores through score_cutoffs
         write_dataset(overlapping, tmp_path)
@@ -243,6 +224,65 @@ class TestResolvePreferences:
         for metric in Metric:
             assert cli.main(["eval", str(tmp_path), "--metric", metric.value]) == 0
         assert calls == []
+
+
+class TestGradeIndex:
+    """One grade index, built and checked by validation, read unchecked by the engine."""
+
+    CONFIGS = [MetricConfig(Metric.NDCG, DiscountFunction.log2(), scale=scale,
+                            rating_source=source)
+               for scale in (RelevanceScale.SIX_POINT, RelevanceScale.R3_2)
+               for source in RatingSource]
+
+    def test_loaded_dataset_holds_the_index_validation_built(self, tmp_path):
+        ds = generate_synthetic(SynthSpec(n_queries=4, n_raters=3, seed=2, n_preferences=6))
+        write_dataset(ds, tmp_path)
+        loaded = load_dataset(tmp_path)
+        assert "grades" in loaded.__dict__
+        expected: dict = {}
+        for j in ds.judgments:
+            expected.setdefault((j.query_id, j.result_id), {})[j.rater_id] = j.grade
+        assert loaded.grades == expected
+
+    def test_engine_checks_no_grade_after_loading(self, tmp_path, monkeypatch):
+        write_dataset(generate_synthetic(SynthSpec(n_queries=4, n_raters=3, seed=2,
+                                                   n_preferences=6, rater_noise=0.3)), tmp_path)
+        loaded = load_dataset(tmp_path)
+        calls = []
+        original = scales.check_grade
+
+        def counted(grade):
+            calls.append(grade)
+            return original(grade)
+
+        monkeypatch.setattr(scales, "check_grade", counted)
+        pir_sweep(loaded, self.CONFIGS, lenient=True)
+        for cfg in self.CONFIGS:
+            oracle.oracle_pir(loaded, cfg, 0.1, cutoff=5, lenient=True)
+        descriptive_stats(loaded)
+        assert calls == []
+
+    @pytest.mark.parametrize("grade", [0, 9, True])
+    @pytest.mark.parametrize("run", [
+        lambda ds, cfg: pir_sweep(ds, [cfg]),
+        lambda ds, cfg: oracle.oracle_pir(ds, cfg, 0.0),
+        lambda ds, cfg: descriptive_stats(ds),
+    ], ids=["pir_sweep", "oracle_pir", "descriptive_stats"])
+    def test_bad_library_grade_is_a_validation_error(self, grade, run):
+        # grade 0 would read the last unit table entry, 0.0, were it not checked
+        ds = binary_pair_dataset([("q1", 3, 2, Verdict.A), ("q2", 1, 4, Verdict.B)])
+        first, *rest = ds.judgments
+        bad = dataclasses.replace(ds, judgments=(dataclasses.replace(first, grade=grade), *rest))
+        with pytest.raises(ValidationError) as info:
+            run(bad, self.CONFIGS[0])
+        assert [issue.kind for issue in info.value.report.errors] == ["grade-range"]
+
+    def test_verdict_without_list_pair_is_a_validation_error(self):
+        ds = binary_pair_dataset([("q1", 3, 2, Verdict.A), ("q2", 1, 4, Verdict.B)])
+        unpaired = dataclasses.replace(ds, list_pairs=ds.list_pairs[1:])
+        with pytest.raises(ValidationError) as info:
+            pir_sweep(unpaired, self.CONFIGS)
+        assert [issue.kind for issue in info.value.report.errors] == ["unpaired-preference"]
 
 
 class TestScorePair:
@@ -316,7 +356,7 @@ class TestMetricScoreDispatch:
             MetricConfig(metric=Metric.MAP, discount=DiscountFunction.rank(), cutoff=0)
 
 
-SIX_POINT_UNITS = tuple(grade_to_unit(g) for g in range(1, 7))
+SIX_POINT_UNITS = tuple(conflate(g, RelevanceScale.SIX_POINT) for g in range(1, 7))
 CONFLATED_UNITS = (1.0, 0.5, 0.0)
 DISCOUNTS = [DiscountFunction.click_based() if kind is DiscountKind.CLICK_BASED
              else DiscountFunction(kind) for kind in DiscountKind]
@@ -411,3 +451,16 @@ class TestLayering:
                      if {"metrics", "oracle"} & set(imported_modules(path))}
         assert "oracle" in importers  # the scan sees oracle's own imports
         assert importers <= {"metrics", "oracle", "__init__"}
+
+    def test_only_validation_checks_grades(self):
+        # the engine reads validated grades through the unit tables, with no check of its own
+        checks = {"check_grade", "conflate", "grade_to_unit"}
+        importers = set()
+        for path in Path(scoring.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and checks & {a.name for a in node.names}:
+                    importers.add(path.stem)
+                elif isinstance(node, ast.Attribute) and node.attr in checks:
+                    importers.add(path.stem)
+        assert "data_io" in importers  # the scan sees the parser's check
+        assert importers <= {"scales", "dataset", "data_io", "__init__"}
