@@ -53,6 +53,7 @@ MAX_GRID_POINTS = 100_000
 
 
 def _fmt(value: float) -> str:
+    """The one four-decimal formatter; commands format each printed number once."""
     return f"{value:.4f}"
 
 
@@ -240,31 +241,34 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     labels = [config.label() for config in configs]
+    t_texts = [_fmt(t) for t in thresholds]
+    # each row's best PIR, best threshold and t = 0 PIR: one table each, a row per cut-off
+    summaries = {name: [[cutoff] for cutoff in cutoffs]
+                 for name in ("best_threshold_pir", "best_threshold_value", "zero_threshold_pir")}
+    empty_cells = total_excluded = 0
     for label in labels:
         rows = [grid.rows[(label, cutoff)] for cutoff in cutoffs]
+        pir_texts = [[_fmt(cell.pir) for cell in row.cells] for row in rows]
         write_tsv(out / f"grid_{label}.tsv", ["threshold"] + [f"c{c}" for c in cutoffs],
-                  [[f"{t:.4f}"] + [_fmt(row.cells[ti].pir) for row in rows]
-                   for ti, t in enumerate(thresholds)])
-        write_tsv(
-            out / f"counts_{label}.tsv",
-            ["cutoff", "threshold", "pir", *CATEGORIES, "excluded_pairs"],
-            [[cutoff, f"{cell.threshold:.4f}", _fmt(cell.pir)]
-             + [getattr(cell, name) for name in CATEGORIES] + [row.excluded_pairs]
-             for cutoff, row in zip(cutoffs, rows) for cell in row.cells],
-        )
+                  zip(t_texts, *pir_texts))
+        counts = []
+        for k, (cutoff, row, pirs) in enumerate(zip(cutoffs, rows, pir_texts)):
+            best = thresholds.index(row.best_threshold()[0])
+            for table, text in zip(summaries.values(), (pirs[best], t_texts[best], pirs[0])):
+                table[k].append(text)
+            counts += ([cutoff, t, pir, *cell.counts().values(), row.excluded_pairs]
+                       for t, pir, cell in zip(t_texts, pirs, row.cells))
+            empty_cells += sum(cell.empty_denominator for cell in row.cells)
+            total_excluded += row.excluded_pairs
+        write_tsv(out / f"counts_{label}.tsv",
+                  ["cutoff", "threshold", "pir", *CATEGORIES, "excluded_pairs"], counts)
         if args.plot:
             series = {f"c{cutoff}": [(cell.threshold, cell.pir) for cell in row.cells]
                       for cutoff, row in zip(cutoffs, rows)}
             plotsvg.write_line_chart(out / f"grid_{label}.svg", label,
                                      "threshold", "PIR", series)
 
-    # each row's best PIR, best threshold and t = 0 PIR, one summary table each
-    stats = {}
-    for key, row in grid.rows.items():
-        t_star, pir_star = row.best_threshold()
-        stats[key] = (_fmt(pir_star), f"{t_star:.4f}", _fmt(row.cells[0].pir))
-    for i, name in enumerate(("best_threshold_pir", "best_threshold_value", "zero_threshold_pir")):
-        table = [[cutoff] + [stats[(label, cutoff)][i] for label in labels] for cutoff in cutoffs]
+    for name, table in summaries.items():
         write_tsv(out / f"{name}.tsv", ["cutoff"] + labels, table)
         if args.plot and name.endswith("_pir"):
             series = {label: [(row[0], float(row[j + 1])) for row in table]
@@ -272,8 +276,6 @@ def cmd_sweep(args) -> int:
             plotsvg.write_line_chart(out / f"{name}.svg", name.replace("_", " "),
                                      "cutoff", "PIR", series)
 
-    empty_cells = sum(cell.empty_denominator for row in grid.rows.values() for cell in row.cells)
-    total_excluded = sum(row.excluded_pairs for row in grid.rows.values())
     print(f"wrote {len(labels)} config grids to {out}"
           f" ({len(cutoffs)} cutoffs x {len(thresholds)} thresholds)")
     if empty_cells:
@@ -293,12 +295,12 @@ def cmd_breakdown(args) -> int:
     dataset = _load(args, max_cutoff=config.cutoff)
     grid = pir_sweep(dataset, [config], thresholds, (config.cutoff,), args.lenient)
     row = grid.row(config, config.cutoff)
-    at = next(cell for cell in row.cells if cell.threshold == threshold)
+    at = grid.cell(config, config.cutoff, threshold)
     if at.total_pairs == 0:
         print("no evaluable (query, rater) pair", file=sys.stderr)
         return EXIT_EMPTY_PIR
 
-    print(f"config {config.label()} cutoff {config.cutoff} threshold {threshold:.4f}")
+    print(f"config {config.label()} cutoff {config.cutoff} threshold {_fmt(threshold)}")
     print("category\tcount\tshare")
     for name, share in at.shares().items():
         print(f"{name}\t{getattr(at, name)}\t{_fmt(float(share))}")
@@ -306,12 +308,8 @@ def cmd_breakdown(args) -> int:
     if row.excluded_pairs:
         print(f"excluded pairs: {row.excluded_pairs}", file=sys.stderr)
     if args.series:
-        rows = [
-            [f"{cell.threshold:.4f}"]
-            + [_fmt(float(cell.shares()[name])) for name in CATEGORIES]
-            + [_fmt(cell.pir)]
-            for cell in row.cells
-        ]
+        rows = [[_fmt(cell.threshold), *(_fmt(float(share)) for share in cell.shares().values()),
+                 _fmt(cell.pir)] for cell in row.cells]
         write_tsv(args.series, ["threshold", *CATEGORIES, "pir"], rows)
     return EXIT_OK
 
@@ -336,18 +334,16 @@ def cmd_implicit(args) -> int:
     if all(cell.empty_denominator for cell in series.cells):
         print("no preference verdict with usable sessions", file=sys.stderr)
         return EXIT_EMPTY_PIR
+    lines = [(_fmt(cell.threshold), _fmt(cell.pir)) for cell in series.cells]
     print("threshold\tpir")
-    for cell in series.cells:
-        print(f"{cell.threshold:.4f}\t{_fmt(cell.pir)}")
-    best = best_cell(series.cells)
-    print(f"best\t{best.threshold:.4f} -> {_fmt(best.pir)}")
+    for line in lines:
+        print("\t".join(line))
+    t_text, pir_text = lines[thresholds.index(best_cell(series.cells).threshold)]
+    print(f"best\t{t_text} -> {pir_text}")
     if series.excluded_queries:
         print(f"excluded queries: {series.excluded_queries}", file=sys.stderr)
     if args.out:
-        write_tsv(
-            args.out, ["threshold", "pir"],
-            [[f"{cell.threshold:.4f}", _fmt(cell.pir)] for cell in series.cells],
-        )
+        write_tsv(args.out, ["threshold", "pir"], lines)
     return EXIT_OK
 
 

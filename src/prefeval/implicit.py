@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
+from .config import RatingSource
 from .dataset import EvaluationDataset, Session, Variant, Verdict
 from .pir import PirCell, check_increasing, pir_cells
-from .scales import UNITS, RelevanceScale
+from .scales import RelevanceScale
+from .scoring import unit_relevance
 
 NO_CLICK_RANK = 21
 
@@ -233,8 +235,9 @@ def _variant_stats(dataset: EvaluationDataset, variant: Variant) -> VariantStats
             grades = dataset.grades.get((pair.query_id, result_id), {})
             if not grades:
                 continue
-            per_result = [UNITS[RelevanceScale.SIX_POINT][g - 1] for g in grades.values()]
-            rel_by_rank.setdefault(rank, []).append(sum(per_result) / len(per_result))
+            rel_by_rank.setdefault(rank, []).append(unit_relevance(
+                dataset, pair.query_id, result_id, RelevanceScale.SIX_POINT,
+                RatingSource.SAME_USER, None))
             grades_by_rank.setdefault(rank, Counter()).update(grades.values())
 
     return VariantStats(

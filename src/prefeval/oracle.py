@@ -48,6 +48,7 @@ def collect_pairs(
     dataset: EvaluationDataset, config: MetricConfig, lenient: bool = False
 ) -> list[ScoredPair]:
     """Score triples for every verdict the configuration can evaluate."""
+    dataset.grades  # validates a dataset nobody validated, before any pair is read
     pairs: list[ScoredPair] = []
     for p in dataset.preferences:
         if config.query_filter is not None:

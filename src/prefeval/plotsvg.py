@@ -1,8 +1,9 @@
 """Minimal SVG line charts for sweep outputs.
 
-The charts render exactly the numbers in the accompanying tabular files,
-one polyline per series, with axis ticks and a legend.  No external
-plotting dependency is needed for that.
+One polyline per series, with axis ticks and a legend; no external
+plotting dependency is needed for that.  ``sweep --plot`` draws each
+grid chart from the full-precision PIRs and each summary chart from the
+four-decimal values printed in its TSV file.
 """
 
 from __future__ import annotations
@@ -36,10 +37,8 @@ def write_line_chart(
     points = [p for pts in series.values() for p in pts]
     if not points:
         raise ValueError("nothing to plot")
-    x_lo = min(p[0] for p in points)
-    x_hi = max(p[0] for p in points)
-    y_lo = min(p[1] for p in points)
-    y_hi = max(p[1] for p in points)
+    xs, ys = zip(*points)
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -85,9 +84,11 @@ def write_line_chart(
         f' text-anchor="middle" transform="rotate(-90 14 {_MARGIN_T + plot_h / 2:.1f})">{y_label}</text>'
     )
 
+    # series usually share their x values (a sweep's thresholds or cut-offs)
+    x_texts = {x: f"{sx(x):.1f}" for x in set(xs)}
     for i, (name, pts) in enumerate(series.items()):
         color = _COLORS[i % len(_COLORS)]
-        coords = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in pts)
+        coords = " ".join(f"{x_texts[x]},{sy(y):.1f}" for x, y in pts)
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _MARGIN_T + 14 + i * 16
         lx = _MARGIN_L + plot_w + 10

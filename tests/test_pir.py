@@ -341,3 +341,26 @@ class TestOracle:
     def test_collect_pairs_matches_engine_pairs(self, sample_pir_dataset):
         engine_pairs, _ = scored_pairs(sample_pir_dataset, PRECISION_NONE)
         assert collect_pairs(sample_pir_dataset, PRECISION_NONE) == engine_pairs
+
+
+class TestRatingSourceDirection:
+    """A rater's own grades should predict their verdicts better than other raters' grades."""
+
+    def test_same_user_beats_other_users_at_the_best_threshold(self):
+        wins = rows = 0
+        for seed in range(2010, 2015):
+            ds = generate_synthetic(SynthSpec(42, 31, seed, n_preferences=147, rater_noise=0.2))
+            best = []
+            for source in (RatingSource.SAME_USER, RatingSource.OTHER_USERS):
+                configs = [MetricConfig(metric, DiscountFunction.rank(),
+                                        esl_n=2.5 if metric is Metric.ESL else None,
+                                        rating_source=source)
+                           for metric in Metric]
+                grid = pir_sweep(ds, configs)
+                best.append([grid.row(config, cutoff).best_threshold()[1]
+                             for config in configs for cutoff in DEFAULT_CUTOFFS])
+            same_user, other_users = best
+            wins += sum(s > o for s, o in zip(same_user, other_users))
+            rows += len(same_user)
+        assert rows == 300
+        assert wins >= 0.85 * rows  # 286 of 300 when this was written

@@ -277,11 +277,16 @@ class TestGradeIndex:
             run(bad, self.CONFIGS[0])
         assert [issue.kind for issue in info.value.report.errors] == ["grade-range"]
 
-    def test_verdict_without_list_pair_is_a_validation_error(self):
+    @pytest.mark.parametrize("run", [
+        lambda ds, cfg: pir_sweep(ds, [cfg]),
+        lambda ds, cfg: oracle.oracle_pir(ds, cfg, 0.0),
+        lambda ds, cfg: oracle.oracle_grid(ds, cfg, (0.0, 0.1), (1, 2)),
+    ], ids=["pir_sweep", "oracle_pir", "oracle_grid"])
+    def test_verdict_without_list_pair_is_a_validation_error(self, run):
         ds = binary_pair_dataset([("q1", 3, 2, Verdict.A), ("q2", 1, 4, Verdict.B)])
         unpaired = dataclasses.replace(ds, list_pairs=ds.list_pairs[1:])
         with pytest.raises(ValidationError) as info:
-            pir_sweep(unpaired, self.CONFIGS)
+            run(unpaired, self.CONFIGS[0])
         assert [issue.kind for issue in info.value.report.errors] == ["unpaired-preference"]
 
 
