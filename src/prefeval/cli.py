@@ -60,8 +60,8 @@ def _fmt(value: float) -> str:
 def _parse_list(option: str, form: str, text: str, sep: str, convert=float,
                 count: Optional[int] = None) -> tuple:
     """``text`` split at ``sep`` into finite numbers, or a usage error naming the option's form."""
-    try:
-        values = tuple(convert(v) for v in text.split(sep))
+    try:  # "+ 0" reads a typed -0 as 0.0, which then never prints as -0.0000
+        values = tuple(convert(v) + 0 for v in text.split(sep))
     except ValueError:
         values = None
     if values is None or count not in (None, len(values)) or not all(map(isfinite, values)):

@@ -30,11 +30,11 @@ from __future__ import annotations
 import os
 import sys
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .dataset import (
+    CLICK_ORDER,
     Click,
     EvaluationDataset,
     GradedJudgment,
@@ -172,7 +172,6 @@ _VARIANTS = {m.value: m for m in Variant}
 _VERDICTS = {m.value: m for m in Verdict}
 _GRADES = {str(g): g for g in range(GRADE_BEST, GRADE_WORST + 1)}
 _BOOLS = {"-": None, "": None, "true": True, "false": False}
-_click_order = attrgetter("ts", "rank")
 
 
 def read_queries(path: Path) -> list[Query]:
@@ -269,7 +268,7 @@ def read_sessions(sessions_path: Path, clicks_path: Path) -> list[Session]:
         satisfied = (None if len(f) == 5
                      else _lookup(_BOOLS, f[5], sessions_path, lineno, "satisfied", "true/false/-"))
         entry = clicks.pop(key, None)
-        session_clicks = () if entry is None else tuple(sorted(entry[1], key=_click_order))
+        session_clicks = () if entry is None else tuple(sorted(entry[1], key=CLICK_ORDER))
         out.append(
             Session(
                 key[0], key[1], variant,

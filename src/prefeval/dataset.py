@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Mapping, Optional
 
 from .scales import check_grade
@@ -95,6 +96,10 @@ class PreferenceJudgment:
 class Click:
     rank: int
     ts: int
+
+
+# A session's clicks in time order, ties to the lower rank; the loader stores them so.
+CLICK_ORDER = attrgetter("ts", "rank")
 
 
 @dataclass(frozen=True, slots=True)

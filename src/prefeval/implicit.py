@@ -1,10 +1,11 @@
 """Session-log measures and their preference identification.
 
 Scores are derived from single-list interaction logs (duration, clicks)
-instead of explicit grades, then compared against the same preference
-verdicts through the PIR machinery.  Thresholds are in the measure's own
-unit (seconds, clicks, ranks).  Click-free sessions take the conventional
-rank 21, one below the last result a rater could reach.
+instead of explicit grades, one value per session (``measure_session``),
+then compared against the same preference verdicts through the PIR
+machinery (``implicit_pir``).  Thresholds are in the measure's own unit
+(seconds, clicks, ranks).  Click-free sessions take the conventional rank
+21, one below the last result a rater could reach.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from enum import Enum
 from typing import Mapping, Optional, Sequence
 
 from .config import RatingSource
-from .dataset import EvaluationDataset, Session, Variant, Verdict
+from .dataset import CLICK_ORDER, EvaluationDataset, Session, Variant, Verdict
 from .pir import PirCell, check_increasing, pir_cells
 from .scales import RelevanceScale
 from .scoring import unit_relevance
@@ -49,58 +50,31 @@ DEFAULT_THRESHOLD_GRIDS: Mapping[ImplicitMeasure, tuple[float, ...]] = {
 }
 
 
-class ExcludedSession(Exception):
-    """The session cannot yield this measure (e.g. no click to end it with)."""
-
-
-def session_duration(
-    s: Session, endpoint: SessionEndpoint = SessionEndpoint.EXPLICIT_END
-) -> int:
-    """Seconds from session start to its end point.
-
-    EXPLICIT_END uses the recorded end timestamp; LAST_CLICK the final
-    click, the last moment an operator without explicit feedback can see.
-    """
-    if endpoint is SessionEndpoint.EXPLICIT_END:
-        return s.end_ts - s.start_ts
-    if not s.clicks:
-        raise ExcludedSession("no click to end the session with")
-    return max(c.ts for c in s.clicks) - s.start_ts
-
-
-def click_count(s: Session) -> int:
-    """Number of click events; repeat clicks on a rank count each time."""
-    return len(s.clicks)
-
-
-def mean_click_rank(s: Session) -> float:
-    """Arithmetic mean of clicked ranks; click-free sessions score rank 21."""
-    if not s.clicks:
-        return float(NO_CLICK_RANK)
-    return sum(c.rank for c in s.clicks) / len(s.clicks)
-
-
-def first_click_rank(s: Session) -> float:
-    """Rank of the earliest click by timestamp (not the lowest rank clicked);
-    click-free sessions score rank 21."""
-    if not s.clicks:
-        return float(NO_CLICK_RANK)
-    return float(min(s.clicks, key=lambda c: c.ts).rank)
-
-
 def measure_session(
     s: Session,
     measure: ImplicitMeasure,
     endpoint: SessionEndpoint = SessionEndpoint.EXPLICIT_END,
-) -> float:
+) -> Optional[float]:
+    """One session's value of ``measure``, or None where the session has none.
+
+    DURATION runs from the session start to its recorded end (EXPLICIT_END)
+    or to its final click (LAST_CLICK, the last moment an operator without
+    explicit feedback can see), so a click-free session has no LAST_CLICK
+    duration.  CLICK_COUNT counts repeat clicks on a rank each time.
+    FIRST_CLICK_RANK is the rank of the first click in ``CLICK_ORDER``, not
+    the lowest rank clicked.  ``endpoint`` applies to DURATION only.
+    """
+    clicks = s.clicks
     if measure is ImplicitMeasure.DURATION:
-        return float(session_duration(s, endpoint))
+        if endpoint is SessionEndpoint.EXPLICIT_END:
+            return float(s.end_ts - s.start_ts)
+        return float(max(c.ts for c in clicks) - s.start_ts) if clicks else None
     if measure is ImplicitMeasure.CLICK_COUNT:
-        return float(click_count(s))
+        return float(len(clicks))
     if measure is ImplicitMeasure.MEAN_CLICK_RANK:
-        return mean_click_rank(s)
+        return sum(c.rank for c in clicks) / len(clicks) if clicks else float(NO_CLICK_RANK)
     if measure is ImplicitMeasure.FIRST_CLICK_RANK:
-        return first_click_rank(s)
+        return float(min(clicks, key=CLICK_ORDER).rank) if clicks else float(NO_CLICK_RANK)
     raise ValueError(f"unknown measure {measure!r}")
 
 
@@ -112,70 +86,6 @@ class ImplicitSeries:
     excluded_queries: int
 
 
-def variant_score(
-    dataset: EvaluationDataset,
-    query_id: str,
-    variant: Variant,
-    measure: ImplicitMeasure,
-    endpoint: SessionEndpoint = SessionEndpoint.EXPLICIT_END,
-    band: Optional[tuple[float, float]] = None,
-) -> float:
-    """Measure for one (query, variant): mean over all raters' usable sessions.
-
-    ``band`` restricts the evaluation to sessions whose measure value
-    falls inside [lo, hi], for band-specific questions such as "do very
-    short sessions behave differently".  Raises ExcludedSession when no
-    session of the variant yields the measure, which excludes the query
-    from the comparison.
-    """
-    sessions = dataset.sessions_by_query_variant.get((query_id, variant), ())
-    values = []
-    for s in sessions:
-        try:
-            value = measure_session(s, measure, endpoint)
-        except ExcludedSession:
-            continue
-        if band is not None and not band[0] <= value <= band[1]:
-            continue
-        values.append(value)
-    if not values:
-        raise ExcludedSession(f"query {query_id!r} has no usable {variant.value} session")
-    return sum(values) / len(values)
-
-
-def implicit_pairs(
-    dataset: EvaluationDataset,
-    measure: ImplicitMeasure,
-    endpoint: SessionEndpoint = SessionEndpoint.EXPLICIT_END,
-    direction: Direction = Direction.LOWER_BETTER,
-    band: Optional[tuple[float, float]] = None,
-) -> tuple[list[tuple[float, float, Verdict]], int]:
-    """Oriented score pairs per preference verdict, plus excluded-query count.
-
-    Orientation maps the measure onto "higher is better" (LOWER_BETTER
-    negates both scores), so the pairs feed the standard PIR aggregation.
-    """
-    sign = -1.0 if direction is Direction.LOWER_BETTER else 1.0
-    scores: dict[str, tuple[float, float]] = {}
-    excluded: set[str] = set()
-    pairs: list[tuple[float, float, Verdict]] = []
-    for p in dataset.preferences:
-        qid = p.query_id
-        if qid in excluded:
-            continue
-        if qid not in scores:
-            try:
-                score_a = variant_score(dataset, qid, Variant.A, measure, endpoint, band)
-                score_b = variant_score(dataset, qid, Variant.B, measure, endpoint, band)
-            except ExcludedSession:
-                excluded.add(qid)
-                continue
-            scores[qid] = (sign * score_a, sign * score_b)
-        score_a, score_b = scores[qid]
-        pairs.append((score_a, score_b, p.verdict))
-    return pairs, len(excluded)
-
-
 def implicit_pir(
     dataset: EvaluationDataset,
     measure: ImplicitMeasure,
@@ -184,13 +94,39 @@ def implicit_pir(
     thresholds: Optional[Sequence[float]] = None,
     band: Optional[tuple[float, float]] = None,
 ) -> ImplicitSeries:
-    """PIR of a session measure across a strictly increasing grid of thresholds in its unit."""
+    """PIR of a session measure across a strictly increasing grid of thresholds in its unit.
+
+    A variant scores a query by the mean of ``measure_session`` over all
+    raters' sessions of that variant that have a value and, when ``band``
+    is given, whose value lies in [lo, hi] (bounds included).  A query
+    with no such session on either side is excluded: none of its
+    verdicts is compared, and it counts once in ``excluded_queries``.
+    LOWER_BETTER negates both means, so every query's difference A - B
+    feeds the standard higher-is-better PIR aggregation.
+    """
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLD_GRIDS[measure]
     check_increasing(thresholds)
-    pairs, excluded = implicit_pairs(dataset, measure, endpoint, direction, band)
-    cells = pir_cells([a - b for a, b, _ in pairs], [v for _, _, v in pairs], thresholds)
-    return ImplicitSeries(cells=cells, excluded_queries=excluded)
+    sign = -1.0 if direction is Direction.LOWER_BETTER else 1.0
+    sessions = dataset.sessions_by_query_variant
+    diff_by_query: dict[str, Optional[float]] = {}
+    differences: list[float] = []
+    verdicts: list[Verdict] = []
+    for p in dataset.preferences:
+        qid = p.query_id
+        if qid not in diff_by_query:
+            means = []
+            for variant in (Variant.A, Variant.B):
+                values = [v for s in sessions.get((qid, variant), ())
+                          if (v := measure_session(s, measure, endpoint)) is not None
+                          and (band is None or band[0] <= v <= band[1])]
+                means.append(sign * (sum(values) / len(values)) if values else None)
+            diff_by_query[qid] = None if None in means else means[0] - means[1]
+        if diff_by_query[qid] is not None:
+            differences.append(diff_by_query[qid])
+            verdicts.append(p.verdict)
+    excluded = sum(diff is None for diff in diff_by_query.values())
+    return ImplicitSeries(pir_cells(differences, verdicts, thresholds), excluded)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import inf
 from typing import Optional, Sequence
 
 from .dataset import (
@@ -94,6 +95,10 @@ class SynthSpec:
             raise ValueError("order noise must be in [0, 1]")
         if not 0.0 <= self.rater_noise <= 1.0:
             raise ValueError("rater_noise must be in [0, 1]")
+        if not 0.0 <= self.click_rate <= 1.0:
+            raise ValueError("click_rate must be in [0, 1]")
+        if not 0.0 <= self.equal_margin < inf:
+            raise ValueError("equal_margin must be finite and >= 0")
         n_pref = self.n_preferences
         if n_pref is not None:
             if n_pref < 0:

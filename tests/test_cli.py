@@ -630,6 +630,10 @@ class TestMalformedListOptions:
          "--grades-a must be a comma list of numbers, got 'x'"),
         (["sweep", "--thresholds", "0:1e400:1"],
          f"--thresholds must be {THRESHOLDS_FORM}, got '0:1e400:1'"),
+        (["synth", "--queries", "2", "--raters", "1", "--seed", "1", "--equal-margin", "nan"],
+         "equal_margin must be finite and >= 0"),
+        (["synth", "--queries", "2", "--raters", "1", "--seed", "1", "--click-rate=-1"],
+         "click_rate must be in [0, 1]"),
     ])
     def test_exits_two_before_loading(self, tmp_path, capsys, monkeypatch, argv, message):
         loads = []
@@ -645,6 +649,28 @@ class TestMalformedListOptions:
         assert err == f"usage error: {message}\n"
         assert loads == []
         assert not (tmp_path / "out").exists()
+
+
+class TestNegativeZeroThreshold:
+    """A typed -0 threshold reads as 0, so no output labels it -0.0000."""
+
+    @pytest.mark.parametrize("argv, zero_label", [
+        (["breakdown", "--metric", "ndcg", "--cutoff", "5", "--threshold", "-0",
+          "--series", "{out}"], "threshold 0.0000\n"),
+        (["implicit", "--measure", "clicks", "--thresholds=-0,1", "--out", "{out}"],
+         "\n0.0000\t"),
+        (["sweep", "--metrics", "ndcg", "--cutoffs", "5", "--thresholds=-0,0.1", "--out", "{out}"],
+         "\n5\t0.0000\n"),
+    ], ids=["breakdown", "implicit", "sweep"])
+    def test_prints_as_zero(self, synth_dir, tmp_path, capsys, argv, zero_label):
+        out = tmp_path / "out"
+        command, *options = (arg.replace("{out}", str(out)) for arg in argv)
+        capsys.readouterr()
+        assert main([command, str(synth_dir), *options]) == 0
+        written = sorted(out.iterdir()) if out.is_dir() else [out]
+        text = capsys.readouterr().out + "".join(path.read_text() for path in written)
+        assert zero_label in text
+        assert "-0.0000" not in text
 
 
 class TestStepGrid:

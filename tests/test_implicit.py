@@ -3,70 +3,71 @@ import dataclasses
 import pytest
 
 from conftest import binary_pair_dataset, make_session
-from prefeval.dataset import Variant, Verdict
+from prefeval.data_io import load_dataset, write_dataset
+from prefeval.dataset import Click, PreferenceJudgment, Variant, Verdict
 from prefeval.implicit import (
     DEFAULT_THRESHOLD_GRIDS,
     Direction,
-    ExcludedSession,
     ImplicitMeasure,
     SessionEndpoint,
-    click_count,
     descriptive_stats,
-    first_click_rank,
-    implicit_pairs,
     implicit_pir,
-    mean_click_rank,
-    session_duration,
+    measure_session,
 )
 from prefeval.pir import pir
 from prefeval.synth import SynthSpec, generate_synthetic
+
+DURATION = ImplicitMeasure.DURATION
+CLICKS = ImplicitMeasure.CLICK_COUNT
+MEAN_RANK = ImplicitMeasure.MEAN_CLICK_RANK
+FIRST_RANK = ImplicitMeasure.FIRST_CLICK_RANK
 
 
 class TestSessionDuration:
     def test_explicit_end(self):
         s = make_session(start=100, end=152)
-        assert session_duration(s, SessionEndpoint.EXPLICIT_END) == 52
+        assert measure_session(s, DURATION, SessionEndpoint.EXPLICIT_END) == 52
 
     def test_last_click(self):
         s = make_session(start=100, end=200, click_ranks_ts=((2, 110), (5, 130)))
-        assert session_duration(s, SessionEndpoint.LAST_CLICK) == 30
+        assert measure_session(s, DURATION, SessionEndpoint.LAST_CLICK) == 30
 
     def test_last_click_without_clicks_is_excluded(self):
-        with pytest.raises(ExcludedSession):
-            session_duration(make_session(), SessionEndpoint.LAST_CLICK)
+        assert measure_session(make_session(), DURATION, SessionEndpoint.LAST_CLICK) is None
 
 
 class TestClickMeasures:
     def test_click_count_empty(self):
-        assert click_count(make_session()) == 0
+        assert measure_session(make_session(), CLICKS) == 0
 
     def test_click_count_keeps_repeats(self):
         s = make_session(click_ranks_ts=((1, 110), (3, 120), (3, 130)))
-        assert click_count(s) == 3
+        assert measure_session(s, CLICKS) == 3
 
     def test_click_count_ten(self):
         s = make_session(end=400, click_ranks_ts=tuple((r, 100 + 10 * r) for r in range(1, 11)))
-        assert click_count(s) == 10
+        assert measure_session(s, CLICKS) == 10
 
     def test_mean_click_rank(self):
-        assert mean_click_rank(make_session(click_ranks_ts=((1, 110), (5, 120)))) == 3.0
-        assert mean_click_rank(make_session(click_ranks_ts=((2, 110),))) == 2.0
+        assert measure_session(make_session(click_ranks_ts=((1, 110), (5, 120))), MEAN_RANK) == 3.0
+        assert measure_session(make_session(click_ranks_ts=((2, 110),)), MEAN_RANK) == 2.0
 
     def test_mean_click_rank_is_a_float_when_whole(self):
-        assert type(mean_click_rank(make_session(click_ranks_ts=((1, 110), (5, 120))))) is float
+        s = make_session(click_ranks_ts=((1, 110), (5, 120)))
+        assert type(measure_session(s, MEAN_RANK)) is float
 
     def test_mean_click_rank_no_clicks_is_21(self):
-        assert mean_click_rank(make_session()) == 21
+        assert measure_session(make_session(), MEAN_RANK) == 21
 
     def test_first_click_rank_follows_time_not_rank(self):
         s = make_session(click_ranks_ts=((4, 110), (1, 120)))
-        assert first_click_rank(s) == 4
+        assert measure_session(s, FIRST_RANK) == 4
 
     def test_first_click_rank_no_clicks_is_21(self):
-        assert first_click_rank(make_session()) == 21
+        assert measure_session(make_session(), FIRST_RANK) == 21
 
     def test_first_click_rank_single(self):
-        assert first_click_rank(make_session(click_ranks_ts=((7, 110),))) == 7
+        assert measure_session(make_session(click_ranks_ts=((7, 110),)), FIRST_RANK) == 7
 
     def test_rank_measures_stay_within_clicked_bounds(self):
         import random
@@ -78,8 +79,24 @@ class TestClickMeasures:
             )
             s = make_session(end=100 + len(clicks) * 5, click_ranks_ts=clicks)
             ranks = [r for r, _ in clicks]
-            assert min(ranks) <= mean_click_rank(s) <= max(ranks)
-            assert first_click_rank(s) <= max(ranks)
+            assert min(ranks) <= measure_session(s, MEAN_RANK) <= max(ranks)
+            assert measure_session(s, FIRST_RANK) <= max(ranks)
+
+    def test_first_click_breaks_timestamp_ties_by_rank(self):
+        s = make_session(click_ranks_ts=((9, 110), (2, 110), (1, 120)))
+        assert measure_session(s, FIRST_RANK) == 2
+
+    def test_tied_click_timestamps_score_the_same_after_a_round_trip(self, tmp_path):
+        """A library-built dataset scores as its written-and-loaded copy, whose clicks are sorted."""
+        ds = generate_synthetic(SynthSpec(6, 3, 3, n_preferences=12))
+        ds = dataclasses.replace(ds, sessions=tuple(
+            dataclasses.replace(s, clicks=(Click(rank=9, ts=s.clicks[0].ts), *s.clicks))
+            if s.clicks else s for s in ds.sessions))
+        write_dataset(ds, tmp_path)
+        loaded = load_dataset(tmp_path)
+        for measure in ImplicitMeasure:
+            assert implicit_pir(loaded, measure) == implicit_pir(ds, measure)
+        assert descriptive_stats(loaded) == descriptive_stats(ds)
 
 
 def with_sessions(ds, session_specs):
@@ -140,6 +157,31 @@ class TestImplicitPir:
                               endpoint=SessionEndpoint.LAST_CLICK)
         assert series.excluded_queries == 1
 
+    def test_band_keeps_its_bounds_and_excludes_each_query_once(self):
+        ds = binary_pair_dataset(
+            [("q1", 5, 2, Verdict.A), ("q2", 2, 5, Verdict.B), ("q3", 5, 2, Verdict.A)],
+            list_len=10)
+        more = tuple(PreferenceJudgment("q2", rater, Verdict.B) for rater in ("r2", "r3"))
+        ds = dataclasses.replace(ds, preferences=ds.preferences + more)
+        ds = with_sessions(ds, [
+            dict(qid="q1", variant=Variant.A, start=0, end=30),  # on the lower bound
+            dict(qid="q1", variant=Variant.B, start=0, end=60),  # on the upper bound
+            dict(qid="q2", variant=Variant.A, start=0, end=20),  # below: empties q2's A
+            dict(qid="q2", variant=Variant.B, start=0, end=45),
+            dict(qid="q3", rater="r1", variant=Variant.A, start=0, end=40),
+            dict(qid="q3", rater="r2", variant=Variant.A, start=0, end=90),  # above: dropped
+            dict(qid="q3", variant=Variant.B, start=0, end=50),
+        ])
+        series = implicit_pir(ds, DURATION, thresholds=(0.0, 10.0), band=(30.0, 60.0))
+        # q2 and its three verdicts drop out; q1 prefers A by 30 s, q3 by 50 - 40 = 10 s.
+        assert series.excluded_queries == 1
+        assert [(c.total_pairs, c.correct_pref, c.missed_pref) for c in series.cells] == [
+            (2, 2, 0), (2, 1, 1)]
+        assert [c.pir for c in series.cells] == [1.0, 0.75]
+        unbanded = implicit_pir(ds, DURATION, thresholds=(0.0,))
+        assert unbanded.excluded_queries == 0
+        assert unbanded.cells[0].total_pairs == 5
+
     def test_variant_scores_average_over_raters(self):
         ds = self.base()
         ds = with_sessions(ds, [
@@ -149,19 +191,36 @@ class TestImplicitPir:
             dict(qid="q2", variant=Variant.A, start=0, end=10),
             dict(qid="q2", variant=Variant.B, start=0, end=10),
         ])
-        pairs, excluded = implicit_pairs(ds, ImplicitMeasure.DURATION,
-                                         direction=Direction.LOWER_BETTER)
-        assert excluded == 0
-        # q1: mean(30, 50) = 40 vs 100, negated by the lower-is-better orientation
-        assert pairs[0][0] == pytest.approx(-40.0)
-        assert pairs[0][1] == pytest.approx(-100.0)
+        series = implicit_pir(ds, DURATION, direction=Direction.LOWER_BETTER,
+                              thresholds=(0.0, 59.0, 60.0))
+        assert series.excluded_queries == 0
+        # q1: mean(30, 50) = 40 s against 100 s, a 60 s gap for A; q2 ties and misses its B.
+        assert [(c.correct_pref, c.missed_pref) for c in series.cells] == [(1, 1), (1, 1), (0, 2)]
+        assert [c.pir for c in series.cells] == [0.75, 0.75, 0.5]
 
-    def test_matches_reference_enumeration_on_synthetic_logs(self):
+    @pytest.mark.parametrize("endpoint", list(SessionEndpoint))
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_matches_reference_enumeration_on_synthetic_logs(self, endpoint, direction):
+        # At click_rate 0.3, four queries have no LAST_CLICK duration on one side.
         ds = generate_synthetic(SynthSpec(n_queries=10, n_raters=4, seed=5,
-                                          n_preferences=20, rater_noise=0.2))
+                                          n_preferences=20, rater_noise=0.2, click_rate=0.3))
+        sign = -1.0 if direction is Direction.LOWER_BETTER else 1.0
         for measure in ImplicitMeasure:
-            series = implicit_pir(ds, measure)
-            pairs, _ = implicit_pairs(ds, measure)
+            def mean(qid, variant):
+                values = [measure_session(s, measure, endpoint) for s in ds.sessions
+                          if s.query_id == qid and s.variant is variant]
+                values = [v for v in values if v is not None]
+                return sign * sum(values) / len(values) if values else None
+
+            pairs, excluded = [], set()
+            for p in ds.preferences:
+                score_a, score_b = mean(p.query_id, Variant.A), mean(p.query_id, Variant.B)
+                if score_a is None or score_b is None:
+                    excluded.add(p.query_id)
+                else:
+                    pairs.append((score_a, score_b, p.verdict))
+            series = implicit_pir(ds, measure, endpoint, direction)
+            assert series.excluded_queries == len(excluded)
             for cell in series.cells:
                 assert cell == pir(pairs, cell.threshold)
 
@@ -203,7 +262,7 @@ class TestDescriptiveStats:
         stats = descriptive_stats(ds)
         for variant in (Variant.A, Variant.B):
             total_by_rank = sum(stats.variants[variant].clicks_by_rank.values())
-            total = sum(click_count(s) for s in ds.sessions if s.variant is variant)
+            total = sum(len(s.clicks) for s in ds.sessions if s.variant is variant)
             assert total_by_rank == total
 
     def test_per_rank_relevance_and_grade_mix(self):

@@ -118,6 +118,12 @@ class TestSpecValidation:
         dict(n_queries=1, n_raters=1, overlap=1.5),
         dict(n_queries=1, n_raters=1, rater_noise=-0.1),
         dict(n_queries=1, n_raters=1, order_noise_a=2.0),
+        dict(n_queries=1, n_raters=1, equal_margin=float("nan")),
+        dict(n_queries=1, n_raters=1, equal_margin=float("inf")),
+        dict(n_queries=1, n_raters=1, equal_margin=-1.0),
+        dict(n_queries=1, n_raters=1, click_rate=float("nan")),
+        dict(n_queries=1, n_raters=1, click_rate=-1.0),
+        dict(n_queries=1, n_raters=1, click_rate=1.5),
     ])
     def test_infeasible_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
