@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 
@@ -198,14 +199,14 @@ class TestImplicitPir:
         assert [(c.correct_pref, c.missed_pref) for c in series.cells] == [(1, 1), (1, 1), (0, 2)]
         assert [c.pir for c in series.cells] == [0.75, 0.75, 0.5]
 
-    @pytest.mark.parametrize("endpoint", list(SessionEndpoint))
-    @pytest.mark.parametrize("direction", list(Direction))
-    def test_matches_reference_enumeration_on_synthetic_logs(self, endpoint, direction):
+    def test_matches_reference_enumeration_on_synthetic_logs(self):
         # At click_rate 0.3, four queries have no LAST_CLICK duration on one side.
         ds = generate_synthetic(SynthSpec(n_queries=10, n_raters=4, seed=5,
                                           n_preferences=20, rater_noise=0.2, click_rate=0.3))
-        sign = -1.0 if direction is Direction.LOWER_BETTER else 1.0
-        for measure in ImplicitMeasure:
+        for endpoint, direction, measure in itertools.product(
+                SessionEndpoint, Direction, ImplicitMeasure):
+            sign = -1.0 if direction is Direction.LOWER_BETTER else 1.0
+
             def mean(qid, variant):
                 values = [measure_session(s, measure, endpoint) for s in ds.sessions
                           if s.query_id == qid and s.variant is variant]
@@ -220,9 +221,9 @@ class TestImplicitPir:
                 else:
                     pairs.append((score_a, score_b, p.verdict))
             series = implicit_pir(ds, measure, endpoint, direction)
-            assert series.excluded_queries == len(excluded)
+            assert series.excluded_queries == len(excluded), (endpoint, direction, measure)
             for cell in series.cells:
-                assert cell == pir(pairs, cell.threshold)
+                assert cell == pir(pairs, cell.threshold), (endpoint, direction, measure)
 
     @pytest.mark.parametrize("thresholds", [(3.0, 1.0, 2.0), (0.0, 1.0, 1.0)])
     def test_grid_must_increase_strictly(self, thresholds):
