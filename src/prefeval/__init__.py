@@ -18,9 +18,8 @@ from .dataset import (
     Verdict,
     validate,
 )
-from .metrics import ExcludedQuery
 from .pir import PirCell, PirGrid, pir, pir_sweep, pref
-from .scales import DiscountFunction, DiscountKind, RelevanceScale, conflate
+from .scales import DiscountFunction, DiscountKind, RelevanceScale
 from .synth import SynthSpec, generate_synthetic
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "DiscountFunction",
     "DiscountKind",
     "EvaluationDataset",
-    "ExcludedQuery",
     "GradedJudgment",
     "Language",
     "Metric",
@@ -49,7 +47,6 @@ __all__ = [
     "ValidationReport",
     "Variant",
     "Verdict",
-    "conflate",
     "generate_synthetic",
     "pir",
     "pir_sweep",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from math import isfinite
 from pathlib import Path
@@ -74,16 +75,15 @@ def _parse_float_grid(text: str) -> tuple[float, ...]:
     form = "START:STOP:STEP or a comma list of numbers"
     if ":" not in text:
         return _parse_list("--thresholds", form, text, ",")
-    start, stop, step = _parse_list("--thresholds", form, text, ":", count=3)
-    if step <= 0:
+    if _parse_list("--thresholds", form, text, ":", count=3)[2] <= 0:
         raise ValueError("step must be positive")
-    span = (stop - start) / step  # checked before the grid is built
-    if stop < start or not isfinite(span) or round(span) >= MAX_GRID_POINTS:
+    # Counted and built from the decimals typed: 0:0.3:0.05 holds 0.15, not
+    # 0.15000000000000002, and 0:0.36:0.1 stops at 0.3.
+    first, last, inc = map(Fraction, text.split(":"))
+    count = (last - first) // inc  # checked before the grid is built
+    if not 0 <= count < MAX_GRID_POINTS:
         raise ValueError(f"--thresholds START:STOP:STEP must have STOP >= START and at most"
                          f" {MAX_GRID_POINTS} points, got '{text}'")
-    count = int(round(span))
-    # Each point from the decimals typed: 0:0.3:0.05 holds 0.15, not 0.15000000000000002.
-    first, _, inc = map(Fraction, text.split(":"))
     return tuple(float(first + i * inc) for i in range(count + 1))
 
 
@@ -376,24 +376,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        n_queries=args.queries,
-        n_raters=args.raters,
-        seed=args.seed,
-        list_len=args.list_len,
-        n_preferences=args.preferences,
-        grade_weights_a=(_parse_list("--grades-a", "a comma list of numbers", args.grades_a, ",")
-                         if args.grades_a else SynthSpec.grade_weights_a),
-        grade_weights_b=(_parse_list("--grades-b", "a comma list of numbers", args.grades_b, ",")
-                         if args.grades_b else SynthSpec.grade_weights_b),
-        order_noise_a=args.order_noise_a,
-        order_noise_b=args.order_noise_b,
-        overlap=args.overlap,
-        equal_margin=args.equal_margin,
-        rater_noise=args.rater_noise,
-        click_rate=args.click_rate,
-    )
-    dataset = generate_synthetic(spec)
+    options = {f.name: getattr(args, f.name) for f in fields(SynthSpec) if hasattr(args, f.name)}
+    for name, option in (("grade_weights_a", "--grades-a"), ("grade_weights_b", "--grades-b")):
+        if text := options.pop(name, ""):
+            options[name] = _parse_list(option, "a comma list of numbers", text, ",")
+    dataset = generate_synthetic(SynthSpec(**options))
     write_dataset(dataset, args.out)
     print(f"wrote {len(dataset.queries)} queries, {len(dataset.judgments)} judgments,"
           f" {len(dataset.preferences)} preferences, {len(dataset.sessions)} sessions"
@@ -465,23 +452,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cutoff", type=int, default=MAX_CUTOFF)
     p.set_defaults(handler=cmd_stats)
 
-    p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
+    # each dest is a SynthSpec field; an option left out is absent, so the spec's default holds
+    p = sub.add_parser("synth", help="generate a seeded synthetic dataset",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--queries", type=int, required=True)
-    p.add_argument("--raters", type=int, required=True)
+    p.add_argument("--queries", dest="n_queries", metavar="QUERIES", type=int, required=True)
+    p.add_argument("--raters", dest="n_raters", metavar="RATERS", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--list-len", type=int, default=10)
-    p.add_argument("--preferences", type=int, default=None,
+    p.add_argument("--list-len", type=int)
+    p.add_argument("--preferences", dest="n_preferences", metavar="PREFERENCES", type=int,
                    help="total verdicts (default: one per query)")
-    p.add_argument("--grades-a", help="six comma-separated grade weights for variant A")
-    p.add_argument("--grades-b", help="six comma-separated grade weights for variant B")
-    p.add_argument("--order-noise-a", type=float, default=0.5,
+    p.add_argument("--grades-a", dest="grade_weights_a", metavar="GRADES_A",
+                   help="six comma-separated grade weights for variant A")
+    p.add_argument("--grades-b", dest="grade_weights_b", metavar="GRADES_B",
+                   help="six comma-separated grade weights for variant B")
+    p.add_argument("--order-noise-a", type=float,
                    help="0 lays variant A out best-first, 1 shuffles it")
-    p.add_argument("--order-noise-b", type=float, default=1.0)
-    p.add_argument("--overlap", type=float, default=0.0)
-    p.add_argument("--equal-margin", type=float, default=0.03)
-    p.add_argument("--rater-noise", type=float, default=0.0)
-    p.add_argument("--click-rate", type=float, default=0.7)
+    p.add_argument("--order-noise-b", type=float)
+    p.add_argument("--overlap", type=float)
+    p.add_argument("--equal-margin", type=float)
+    p.add_argument("--rater-noise", type=float)
+    p.add_argument("--click-rate", type=float)
     p.set_defaults(handler=cmd_synth)
 
     return parser

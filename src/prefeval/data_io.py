@@ -259,7 +259,7 @@ def read_sessions(sessions_path: Path, clicks_path: Path) -> list[Session]:
 
     out = []
     seen = set()
-    for lineno, f in _read_rows(sessions_path, "sessions"):
+    for lineno, f in _read_rows(sessions_path, "sessions") if sessions_path.exists() else ():
         variant = _lookup(_VARIANTS, f[2], sessions_path, lineno, "variant")
         key = (f[0], f[1], variant)
         if key in seen:
@@ -289,7 +289,7 @@ def read_dataset(root: Union[str, Path]) -> EvaluationDataset:
     The files carry the names in FILE_NAMES.  Query, judgment and list
     files must exist (FileNotFoundError names the first one missing);
     absent preference, session and click files load as empty.  Raises
-    ParseError for malformed files.
+    ParseError for malformed files and for a click without its session.
     """
     paths = {kind: Path(root) / name for kind, name in FILE_NAMES.items()}
     for kind in ("queries", "judgments", "lists"):
@@ -301,8 +301,7 @@ def read_dataset(root: Union[str, Path]) -> EvaluationDataset:
         list_pairs=tuple(read_list_pairs(paths["lists"])),
         preferences=(tuple(read_preferences(paths["preferences"]))
                      if paths["preferences"].exists() else ()),
-        sessions=(tuple(read_sessions(paths["sessions"], paths["clicks"]))
-                  if paths["sessions"].exists() else ()),
+        sessions=tuple(read_sessions(paths["sessions"], paths["clicks"])),
     )
 
 

@@ -10,6 +10,7 @@ passes keeps the grade index built while checking it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -297,6 +298,11 @@ def validate(
                 error("click-rank", f"{label} has a click at rank {click.rank}")
             if not s.start_ts <= click.ts <= s.end_ts:
                 error("click-time", f"{label} has a click outside the session interval")
+    for (qid, variant), group in dataset.sessions_by_query_variant.items():
+        sessions_by_rater = Counter(s.rater_id for s in group)
+        for rater in [r for r, n in sessions_by_rater.items() if n > 1]:
+            error("duplicate-session", f"rater {rater!r} has more than one"
+                  f" {variant.value} session for query {qid!r}")
 
     report = ValidationReport(mode=mode, issues=tuple(issues))
     if report.ok:

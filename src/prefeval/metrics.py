@@ -13,7 +13,8 @@ from here: both read ``ERR_GRADE_MAX`` and ``ApNorm`` from the config.
 Normalization against an ideal ordering (NDCG) takes a judged pool, from
 which the best achievable ranking is formed.  The scoring layer passes
 the unit relevances of the distinct results in the top ``c`` of either
-variant of the query, not every result judged for it.
+variant of the query, not every result judged for it.  Where their
+normalizer is undefined, NDCG and classical AP return None, as the engine.
 """
 
 from __future__ import annotations
@@ -23,13 +24,6 @@ from typing import Iterable, Optional, Sequence
 
 from .config import ERR_GRADE_MAX, ApNorm
 from .scales import DiscountFunction
-
-
-class ExcludedQuery(Exception):
-    """A query this metric configuration cannot score (e.g. zero ideal gain).
-
-    Callers drop the query from the evaluation and report the count.
-    """
 
 
 def _check_cutoff(rels: Sequence[float], c: int) -> None:
@@ -70,17 +64,17 @@ def ndcg(
     pool: Iterable[float],
     c: int,
     discount: DiscountFunction,
-) -> float:
+) -> Optional[float]:
     """DCG divided by the DCG of the ideal ranking built from ``pool``.
 
-    Raises ExcludedQuery when the ideal DCG is zero (no relevant results
-    are known for the query, so normalization is undefined).
+    None when the ideal DCG is zero (no relevant results are known for
+    the query, so normalization is undefined).
     """
     _check_cutoff(rels, c)
     ideal = ideal_ranking(pool, c)
     ideal_score = dcg(ideal, len(ideal), discount) if ideal else 0.0
     if ideal_score == 0.0:
-        raise ExcludedQuery("ideal DCG is zero")
+        return None
     # the list's gain cannot really exceed the ideal's; cap the last-bit
     # float overshoot that reordered summation can produce
     return min(1.0, dcg(rels, c, discount) / ideal_score)
@@ -92,18 +86,19 @@ def average_precision(
     discount: DiscountFunction,
     norm: ApNorm = ApNorm.BY_EVALUATED_COUNT,
     known_relevant: Optional[int] = None,
-) -> float:
+) -> Optional[float]:
     """Discount-generalized average precision over the top ``c`` results.
 
     Each rank contributes rel(r) * (cumulated gain through r) * weight(r);
     with binary input, RANK discount and BY_KNOWN_RELEVANT normalization
     this reduces to classical AP, whose addends divide by the rank.  Note
     that for discounts shallower than the rank the score may exceed 1.
+    BY_KNOWN_RELEVANT without a positive ``known_relevant`` gives None.
     """
     _check_cutoff(rels, c)
     if norm is ApNorm.BY_KNOWN_RELEVANT:
         if known_relevant is None or known_relevant <= 0:
-            raise ExcludedQuery("known-relevant normalization needs a positive count")
+            return None
         divisor = float(known_relevant)
     else:
         divisor = float(c)

@@ -6,7 +6,8 @@ dispatches to the scalar metrics (pinned against published worked
 examples), and counts each threshold through :func:`~prefeval.pir.pir`.
 It shares with the engine only relevance resolution
 (:func:`~prefeval.scoring.judged_lists`, with its depth check) and the
-discount tables, so grid cells can be required to match exactly.
+discount tables, so grid cells can be required to match exactly.  A
+verdict with a None score is left out, as the engine leaves it out.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from typing import Optional, Sequence
 from . import metrics
 from .config import ApNorm, Metric, MetricConfig
 from .dataset import EvaluationDataset
-from .metrics import ExcludedQuery
 from .pir import ScoredPair, pir
 from .scoring import judged_lists
 
 
-def metric_score(rels: Sequence[float], pool: Sequence[float], config: MetricConfig) -> float:
-    """Score one judged list under the configured metric, at the config's cut-off."""
+def metric_score(rels: Sequence[float], pool: Sequence[float],
+                 config: MetricConfig) -> Optional[float]:
+    """Score one judged list at the config's cut-off; None where the config excludes it."""
     c = config.cutoff
     m = config.metric
     if m is Metric.PRECISION:
@@ -55,11 +56,9 @@ def collect_pairs(
             if dataset.query_by_id[p.query_id].query_type not in config.query_filter:
                 continue
         rels_a, rels_b, pool, _ = judged_lists(dataset, p.query_id, p.rater_id, config, lenient)
-        try:
-            pairs.append((metric_score(rels_a, pool, config), metric_score(rels_b, pool, config),
-                          p.verdict))
-        except ExcludedQuery:  # zero ideal gain, no known relevant result
-            continue
+        score_a = metric_score(rels_a, pool, config)
+        if score_a is not None:  # both variants share the pool, so B is None alike
+            pairs.append((score_a, metric_score(rels_b, pool, config), p.verdict))
     return pairs
 
 

@@ -2,9 +2,9 @@
 
 Individual results are graded on a six-point school scale (1 best, 6
 worst).  Metrics consume unit relevance in [0, 1]; this module owns the
-one grade-to-unit table per scale (the six-point grades themselves and
-their conflation onto binary and ternary scales) and the catalog of
-rank discount functions shared by all list metrics.
+one grade-to-unit table per scale, ``UNITS``, read unchecked once
+validation's :func:`check_grade` has passed each grade, and the catalog
+of rank discount functions shared by all list metrics.
 """
 
 from __future__ import annotations
@@ -62,20 +62,6 @@ UNITS: Mapping[RelevanceScale, tuple[float, ...]] = {
     RelevanceScale.R3_2: (1.0, 1.0, 0.5, 0.5, 0.0, 0.0),
     RelevanceScale.R3_1: (1.0, 0.5, 0.5, 0.5, 0.5, 0.0),
 }
-
-
-def conflate(grade: int, scale: RelevanceScale) -> float:
-    """Unit relevance of ``grade`` under the given scale.
-
-    Six-point grades map linearly: 1 -> 1.0, 2 -> 0.8, ... 6 -> 0.0.
-    Conflation applies to raw integer grades only; averaged ratings are
-    formed downstream from already-conflated per-rater values.
-    """
-    check_grade(grade)
-    table = UNITS.get(scale) if isinstance(scale, RelevanceScale) else None
-    if table is None:
-        raise ValueError(f"unknown scale {scale!r}")
-    return table[grade - GRADE_BEST]
 
 
 # Illustrative click-through weights, normalized so rank 1 has weight 1.

@@ -164,7 +164,7 @@ def score_cutoffs(
     Entry ``k`` of each list equals the reference
     :func:`prefeval.oracle.metric_score` of that variant at ``cutoffs[k]``
     bit for bit, or is None where the config excludes the lists there
-    (where the scalar metric raises ExcludedQuery), for both variants alike.
+    (where the scalar metric returns None too), for both variants alike.
     Each list is walked once for all cut-offs: precision, NDCG and ESL
     read ``math.fsum`` over prefixes of one list of ``rel * weight``
     products, AP and ERR read running totals at each cut-off, and MRR

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import inf
+from math import inf, isfinite
 from typing import Optional, Sequence
 
 from .dataset import (
@@ -89,6 +89,8 @@ class SynthSpec:
             weights = getattr(self, name)
             if len(weights) != 6 or any(w < 0 for w in weights) or sum(weights) <= 0:
                 raise ValueError(f"{name} must be six non-negative weights with a positive sum")
+            if not all(map(isfinite, weights)):  # nan and inf pass the tests above
+                raise ValueError(f"{name} must be six finite weights")
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError("overlap must be in [0, 1]")
         if not 0.0 <= self.order_noise_a <= 1.0 or not 0.0 <= self.order_noise_b <= 1.0:

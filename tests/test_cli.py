@@ -14,7 +14,7 @@ from prefeval.config import Metric, MetricConfig
 from prefeval.data_io import FILE_NAMES, load_dataset, write_dataset
 from prefeval.dataset import ValidationMode, Variant
 from prefeval.implicit import ImplicitMeasure, SessionEndpoint, implicit_pir
-from prefeval.metrics import ApNorm, ExcludedQuery, esl
+from prefeval.metrics import ApNorm, esl
 from prefeval.oracle import metric_score, oracle_pir
 from prefeval.pir import CATEGORIES, DEFAULT_CUTOFFS, DEFAULT_THRESHOLDS, pir_sweep
 from prefeval.scales import DiscountFunction, DiscountKind, RelevanceScale
@@ -198,9 +198,9 @@ class TestEvalCommand:
                 want = []
                 for pair in ds.list_pairs:
                     rels_a, rels_b, pool, _ = judged_lists(ds, pair.query_id, None, cfg)
-                    try:
-                        scores = [metric_score(rels, pool, cfg) for rels in (rels_a, rels_b)]
-                    except ExcludedQuery:
+                    scores = [metric_score(rels, pool, cfg) for rels in (rels_a, rels_b)]
+                    if scores[0] is None:
+                        assert scores[1] is None
                         continue
                     want.append("\t".join([pair.query_id, *(f"{v:.4f}" for v in scores)]))
                     if metric is Metric.ESL and pair is ds.list_pairs[0]:
@@ -701,6 +701,23 @@ class TestStepGrid:
         message = (f"--thresholds START:STOP:STEP must have STOP >= START and at most"
                    f" {cli.MAX_GRID_POINTS} points, got '{grid}'")
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize("argv, points", [
+        (["sweep", "--metrics", "ndcg", "--cutoffs", "5", "--thresholds", "0:0.36:0.1",
+          "--out", "{out}"], 4),
+        (["breakdown", "--metric", "ndcg", "--threshold", "0", "--thresholds", "0:0.55:0.1",
+          "--series", "{out}"], 6),
+        (["implicit", "--measure", "clicks", "--thresholds", "0:11:3", "--out", "{out}"], 4),
+    ], ids=["sweep", "breakdown", "implicit"])
+    def test_last_point_does_not_pass_stop(self, synth_dir, tmp_path, argv, points):
+        out = tmp_path / "out"
+        command, *options = (arg.replace("{out}", str(out)) for arg in argv)
+        stop, step = options[options.index("--thresholds") + 1].split(":")[1:]
+        assert main([command, str(synth_dir), *options]) == 0
+        table = next(out.glob("grid_*.tsv")) if out.is_dir() else out
+        got = [row.split("\t")[0] for row in table.read_text().splitlines()[1:]]
+        assert got == [f"{k * float(step):.4f}" for k in range(points)]
+        assert float(got[-1]) <= float(stop) < float(got[-1]) + float(step)
 
     def test_cap_counts_points(self, monkeypatch):
         monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)

@@ -160,6 +160,17 @@ class TestParseRejections:
         assert exc.value.line == orphan_line  # the orphan session's first click
         assert f"{path}:{orphan_line}:" in str(exc.value)
 
+    def test_clicks_without_a_session_file_rejected(self, tmp_path):
+        session = make_session(qid="q1", click_ranks_ts=((2, 120), (1, 110)))
+        ds = binary_pair_dataset([("q1", 2, 1, Verdict.A)], list_len=3)
+        write_dataset(dataclasses.replace(ds, sessions=(session,)), tmp_path)
+        (tmp_path / FILE_NAMES["sessions"]).unlink()
+        with pytest.raises(ParseError, match="unknown session") as exc:
+            load_dataset(tmp_path, max_cutoff=3)
+        assert exc.value.line == 2  # the first click, below the header
+        (tmp_path / FILE_NAMES["clicks"]).write_text("#prefeval\t1\tclicks\n")
+        assert load_dataset(tmp_path, max_cutoff=3) == ds  # no click, no orphan
+
     def test_non_utf8_byte_reports_its_line(self, tmp_path):
         ds = binary_pair_dataset([("q1", 2, 1, Verdict.A)], list_len=3)
         write_dataset(ds, tmp_path)

@@ -12,6 +12,7 @@ from prefeval.dataset import (
     RankedListPair,
     ValidationError,
     ValidationMode,
+    Variant,
     Verdict,
     validate,
 )
@@ -188,6 +189,20 @@ class TestDuplicates:
             well_formed, list_pairs=(twisted,) + well_formed.list_pairs[1:]
         )
         assert "duplicate-result" in kinds(validate(ds, STRICT))
+
+    def test_duplicate_session(self, well_formed, tmp_path):
+        # one per variant is fine; a second A session of the same rater is not, as at load
+        again = dataclasses.replace(well_formed.sessions[0], start_ts=90)
+        other_variant = dataclasses.replace(well_formed.sessions[0], variant=Variant.B)
+        assert validate(dataclasses.replace(
+            well_formed, sessions=well_formed.sessions + (other_variant,)), STRICT).ok
+        ds = dataclasses.replace(well_formed, sessions=well_formed.sessions + (again,))
+        report = validate(ds, STRICT)
+        assert [str(i) for i in report.issues if i.kind == "duplicate-session"] == [
+            "error: duplicate-session: rater 'r1' has more than one A session for query 'q1'"]
+        write_dataset(ds, tmp_path)
+        with pytest.raises(ValueError, match="duplicate session"):
+            load_dataset(tmp_path)
 
 
 class TestListLength:

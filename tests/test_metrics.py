@@ -7,7 +7,6 @@ import pytest
 
 from prefeval.metrics import (
     ApNorm,
-    ExcludedQuery,
     average_precision,
     dcg,
     err,
@@ -106,8 +105,8 @@ class TestNdcg:
         assert want == pytest.approx(0.914, abs=5e-4)
 
     def test_zero_pool_is_excluded_query(self):
-        with pytest.raises(ExcludedQuery):
-            ndcg([0.0, 0.0], [0.0, 0.0], 2, LOG2)
+        assert ndcg([0.0, 0.0], [0.0, 0.0], 2, LOG2) is None
+        assert ndcg([1.0, 0.0], [], 2, LOG2) is None
 
     def test_ideal_ranking_truncates(self):
         assert ideal_ranking([0.2, 1.0, 0.6, 0.8], 2) == [1.0, 0.8]
@@ -152,8 +151,8 @@ class TestAveragePrecision:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_known_relevant_required(self):
-        with pytest.raises(ExcludedQuery):
-            average_precision([1.0], 1, RANK, ApNorm.BY_KNOWN_RELEVANT)
+        assert average_precision([1.0], 1, RANK, ApNorm.BY_KNOWN_RELEVANT) is None
+        assert average_precision([1.0], 1, RANK, ApNorm.BY_KNOWN_RELEVANT, known_relevant=0) is None
 
 
 class TestErr:

@@ -18,7 +18,7 @@ from prefeval.dataset import (
     RankedListPair,
     Verdict,
 )
-from prefeval.metrics import ExcludedQuery, err, esl, ndcg, reciprocal_rank
+from prefeval.metrics import err, esl, ndcg, reciprocal_rank
 from prefeval.pir import DEFAULT_THRESHOLDS, pir, pir_sweep, pref
 from prefeval.scales import DiscountFunction
 
@@ -145,9 +145,8 @@ class TestNdcgRange:
                             DiscountFunction.rank(), DiscountFunction.click_based()]))
     def test_within_unit_interval(self, rels, extra, discount):
         pool = rels + extra
-        try:
-            value = ndcg(rels, pool, len(rels), discount)
-        except ExcludedQuery:
+        value = ndcg(rels, pool, len(rels), discount)
+        if value is None:
             assert not any(pool)
             return
         assert 0.0 <= value <= 1.0
@@ -223,9 +222,9 @@ class TestPrecisionNdcgAgreement:
         ndcg_cfg = MetricConfig(Metric.NDCG, DiscountFunction.none(), cutoff=list_len)
         for p in ds.preferences:
             pa, pb = score_pair(ds, prec, p.query_id, p.rater_id)
-            try:
-                na, nb = score_pair(ds, ndcg_cfg, p.query_id, p.rater_id)
-            except ExcludedQuery:
+            na, nb = score_pair(ds, ndcg_cfg, p.query_id, p.rater_id)
+            if na is None:
+                assert nb is None
                 continue
             if min(abs(pa - pb), abs(na - nb)) < 1e-9:
                 assert max(abs(pa - pb), abs(na - nb)) < 1e-9

@@ -1,15 +1,21 @@
+import dataclasses
 import math
 
 import pytest
 
+from conftest import RATER, binary_pair_dataset
+from prefeval.config import RatingSource
+from prefeval.dataset import ValidationError, Verdict
 from prefeval.scales import (
     EXAMPLE_CLICK_WEIGHTS,
+    UNITS,
     DiscountFunction,
     DiscountKind,
     RelevanceScale,
-    conflate,
+    check_grade,
     load_click_weights,
 )
+from prefeval.scoring import unit_relevance
 
 ALL_KINDS = [
     DiscountFunction.none(),
@@ -23,22 +29,24 @@ ALL_KINDS = [
 
 
 class TestGradeToUnit:
-    """The six-point grade -> unit rule, which is conflation onto SIX_POINT."""
+    """The six-point grade -> unit rule, which is the SIX_POINT table."""
 
     @pytest.mark.parametrize("grade,unit", [(1, 1.0), (2, 0.8), (3, 0.6), (4, 0.4), (5, 0.2), (6, 0.0)])
     def test_linear_mapping(self, grade, unit):
-        assert conflate(grade, RelevanceScale.SIX_POINT) == pytest.approx(unit)
+        assert UNITS[RelevanceScale.SIX_POINT][grade - 1] == pytest.approx(unit)
 
     @pytest.mark.parametrize("bad", [0, 7, -1, 2.5, "3", True])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
-            conflate(bad, RelevanceScale.SIX_POINT)
+            check_grade(bad)
 
 
 class TestConflate:
+    """Conflation onto each scale is that scale's row of UNITS."""
+
     def test_six_point_matches_grade_to_unit(self):
         for g in range(1, 7):
-            assert conflate(g, RelevanceScale.SIX_POINT) == (6 - g) / 5
+            assert UNITS[RelevanceScale.SIX_POINT][g - 1] == (6 - g) / 5
 
     @pytest.mark.parametrize(
         "grade,scale,unit",
@@ -61,26 +69,30 @@ class TestConflate:
         ],
     )
     def test_conflation_table(self, grade, scale, unit):
-        assert conflate(grade, scale) == unit
+        assert UNITS[scale][grade - 1] == unit
 
     @pytest.mark.parametrize("scale", list(RelevanceScale))
     def test_monotone_non_increasing_in_grade(self, scale):
-        values = [conflate(g, scale) for g in range(1, 7)]
+        values = UNITS[scale]
+        assert len(values) == 6
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_rejects_bad_grade(self):
         with pytest.raises(ValueError):
-            conflate(0, RelevanceScale.R2_3)
+            check_grade(0)
 
     @pytest.mark.parametrize("scale", list(RelevanceScale))
     @pytest.mark.parametrize("bad", [0, 7, -1, 2.5, "3", True])
     def test_rejects_bad_grade_on_every_scale(self, scale, bad):
+        # the tables are read unchecked (UNITS[scale][-1] is grade 6's unit), so a bad
+        # grade must fail validation before the engine reads any scale's table
         with pytest.raises(ValueError):
-            conflate(bad, scale)
-
-    def test_rejects_unknown_scale(self):
-        with pytest.raises(ValueError):
-            conflate(3, "six")
+            check_grade(bad)
+        ds = binary_pair_dataset([("q1", 1, 1, Verdict.A)], list_len=1)
+        bad_judgment = dataclasses.replace(ds.judgments[0], grade=bad)
+        ds = dataclasses.replace(ds, judgments=(bad_judgment, *ds.judgments[1:]))
+        with pytest.raises(ValidationError, match="grade-range"):
+            unit_relevance(ds, "q1", bad_judgment.result_id, scale, RatingSource.SAME_USER, RATER)
 
 
 class TestDiscounts:

@@ -124,6 +124,10 @@ class TestSpecValidation:
         dict(n_queries=1, n_raters=1, click_rate=float("nan")),
         dict(n_queries=1, n_raters=1, click_rate=-1.0),
         dict(n_queries=1, n_raters=1, click_rate=1.5),
+        dict(n_queries=1, n_raters=1, grade_weights_a=(float("nan"), 1, 1, 1, 1, 1)),
+        dict(n_queries=1, n_raters=1, grade_weights_a=(float("inf"), 1, 1, 1, 1, 1)),
+        dict(n_queries=1, n_raters=1, grade_weights_b=(1, 1, 1, 1, 1, float("nan"))),
+        dict(n_queries=1, n_raters=1, grade_weights_b=(1, 1, 1, 1, 1, float("inf"))),
     ])
     def test_infeasible_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
