@@ -32,7 +32,7 @@ from .implicit import (
 )
 from .pir import CATEGORIES, DEFAULT_THRESHOLDS, best_cell, check_grid, check_increasing, pir_sweep
 from .scales import DiscountFunction, DiscountKind, RelevanceScale, load_click_weights
-from .scoring import MissingJudgment, judged_lists, score_cutoffs
+from .scoring import MissingJudgment, judged_lists, score_group
 from .synth import SynthSpec, generate_synthetic
 
 EXIT_OK = 0
@@ -96,8 +96,15 @@ def _parse_cutoffs(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
+def _path(text: str) -> str:
+    """A file or directory argument; an empty one is a usage error, not the current directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a file or directory, got ''")
+    return text
+
+
 def _add_dataset_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("dataset", help="dataset directory")
+    parser.add_argument("dataset", type=_path, help="dataset directory")
     parser.add_argument("--lenient", action="store_true",
                         help="tolerate missing judgments (substituted as non-relevant)")
 
@@ -115,7 +122,7 @@ def _add_config_args(parser: argparse.ArgumentParser, single_metric: bool,
         parser.add_argument("--discounts",
                             help="comma list of discounts applied to every metric"
                                  " (default: each metric's customary discount)")
-    parser.add_argument("--click-weights", metavar="FILE",
+    parser.add_argument("--click-weights", metavar="FILE", type=_path,
                         help="rank/weight table for the click-based discount")
     parser.add_argument("--scale", default=RelevanceScale.SIX_POINT.value,
                         choices=[s.value for s in RelevanceScale])
@@ -159,13 +166,14 @@ def _configs(args, metrics: Sequence[str], kinds: Optional[Sequence[str]],
     kinds = kinds and [DiscountKind(name) for name in kinds]
     pairs = [(metric, kind) for metric in metrics for kind in kinds or [DEFAULT_DISCOUNTS[metric]]]
     used = dict.fromkeys(kind for _, kind in pairs)
-    if args.click_weights and DiscountKind.CLICK_BASED not in used:
+    if args.click_weights is not None and DiscountKind.CLICK_BASED not in used:
         raise ValueError("--click-weights is only meaningful for the click discount,"
                          f" not {','.join(used)}")
     discounts = {}
     for kind in used:
         if kind is DiscountKind.CLICK_BASED:
-            table = load_click_weights(args.click_weights) if args.click_weights else None
+            table = (load_click_weights(args.click_weights) if args.click_weights is not None
+                     else None)
             discounts[kind] = DiscountFunction.click_based(table)
             discounts[kind].weights(max(cutoffs))  # raises ValueError at the first missing rank
         else:
@@ -210,7 +218,7 @@ def cmd_eval(args) -> int:
             if dataset.query_by_id[pair.query_id].query_type not in config.query_filter:
                 continue
         lists = judged_lists(dataset, pair.query_id, None, config, args.lenient)
-        (score_a,), (score_b,) = score_cutoffs(lists, config, (config.cutoff,))
+        [((score_a,), (score_b,))] = score_group(lists, [config], (config.cutoff,))
         if score_a is None:
             excluded += 1
         else:
@@ -230,10 +238,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    thresholds = _parse_float_grid(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS
+    thresholds = (_parse_float_grid(args.thresholds) if args.thresholds is not None
+                  else DEFAULT_THRESHOLDS)
     cutoffs = _parse_cutoffs(args.cutoffs)
     configs = _configs(args, args.metrics.split(","),
-                       args.discounts and args.discounts.split(","), cutoffs)
+                       args.discounts.split(",") if args.discounts is not None else None,
+                       cutoffs)
     check_grid(configs, thresholds)
     dataset = _load(args, max_cutoff=max(cutoffs))
     grid = pir_sweep(dataset, configs, thresholds, cutoffs, lenient=args.lenient)
@@ -256,7 +266,7 @@ def cmd_sweep(args) -> int:
             best = thresholds.index(row.best_threshold()[0])
             for table, text in zip(summaries.values(), (pirs[best], t_texts[best], pirs[0])):
                 table[k].append(text)
-            counts += ([cutoff, t, pir, *cell.counts().values(), row.excluded_pairs]
+            counts += ([cutoff, t, pir, *cell[2:], row.excluded_pairs]
                        for t, pir, cell in zip(t_texts, pirs, row.cells))
             empty_cells += sum(cell.empty_denominator for cell in row.cells)
             total_excluded += row.excluded_pairs
@@ -286,7 +296,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_breakdown(args) -> int:
-    thresholds = _parse_float_grid(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS
+    thresholds = (_parse_float_grid(args.thresholds) if args.thresholds is not None
+                  else DEFAULT_THRESHOLDS)
     threshold = _parse_list("--threshold", "a finite number", args.threshold, ",", count=1)[0]
     if threshold not in thresholds:
         thresholds = tuple(sorted({*thresholds, threshold}))
@@ -316,9 +327,10 @@ def cmd_breakdown(args) -> int:
 
 def cmd_implicit(args) -> int:
     measure = ImplicitMeasure(args.measure)
-    thresholds = (_parse_float_grid(args.thresholds) if args.thresholds
+    thresholds = (_parse_float_grid(args.thresholds) if args.thresholds is not None
                   else DEFAULT_THRESHOLD_GRIDS[measure])
-    band = _parse_list("--band", "LO:HI", args.band, ":", count=2) if args.band else None
+    band = (_parse_list("--band", "LO:HI", args.band, ":", count=2) if args.band is not None
+            else None)
     if band and band[1] < band[0]:
         raise ValueError(f"band must be LO:HI with LO <= HI, got {args.band}")
     check_increasing(thresholds)
@@ -378,7 +390,7 @@ def cmd_stats(args) -> int:
 def cmd_synth(args) -> int:
     options = {f.name: getattr(args, f.name) for f in fields(SynthSpec) if hasattr(args, f.name)}
     for name, option in (("grade_weights_a", "--grades-a"), ("grade_weights_b", "--grades-b")):
-        if text := options.pop(name, ""):
+        if (text := options.pop(name, None)) is not None:
             options[name] = _parse_list(option, "a comma list of numbers", text, ",")
     dataset = generate_synthetic(SynthSpec(**options))
     write_dataset(dataset, args.out)
@@ -419,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start:stop:step or comma list (default 0:0.30:0.01)")
     p.add_argument("--cutoffs", default=f"1-{MAX_CUTOFF}",
                    help=f"lo-hi or comma list (default 1-{MAX_CUTOFF})")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", required=True, type=_path, help="output directory")
     p.add_argument("--plot", action="store_true", help="also write SVG line charts")
     p.set_defaults(handler=cmd_sweep)
 
@@ -430,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", required=True)
     p.add_argument("--thresholds", default=None,
                    help="grid for the --series evolution file (default 0:0.30:0.01)")
-    p.add_argument("--series", metavar="FILE", help="write share evolution by threshold")
+    p.add_argument("--series", metavar="FILE", type=_path, help="write share evolution by threshold")
     p.set_defaults(handler=cmd_breakdown)
 
     p = sub.add_parser("implicit", help="PIR of a session-log measure")
@@ -444,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band", metavar="LO:HI",
                    help="only use sessions whose measure value lies in [LO, HI]")
     p.add_argument("--max-cutoff", type=int, default=MAX_CUTOFF)
-    p.add_argument("--out", metavar="FILE", help="write threshold/PIR series")
+    p.add_argument("--out", metavar="FILE", type=_path, help="write threshold/PIR series")
     p.set_defaults(handler=cmd_implicit)
 
     p = sub.add_parser("stats", help="descriptive interaction and relevance report")
@@ -455,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     # each dest is a SynthSpec field; an option left out is absent, so the spec's default holds
     p = sub.add_parser("synth", help="generate a seeded synthetic dataset",
                        argument_default=argparse.SUPPRESS)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", required=True, type=_path, help="output directory")
     p.add_argument("--queries", dest="n_queries", metavar="QUERIES", type=int, required=True)
     p.add_argument("--raters", dest="n_raters", metavar="RATERS", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)

@@ -11,19 +11,27 @@ over the n pairs whose verdict states a preference.  0.5 is the guessing
 baseline, 1.0 means every stated preference is recognized.  Verdicts of
 equal quality stay out of the ratio (the user is no better or worse off
 either way) but are tracked in the five-category breakdown.
+
+:func:`pir_sweep` walks each scope's verdicts once per discount group,
+sharing each verdict's discount-independent parts across the groups, and
+counts each row from one sort (:func:`pir_cells`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite
-from typing import Iterable, Mapping, Sequence, Union
+from itertools import compress
+from math import isfinite, isnan, nan
+from operator import sub
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .config import MetricConfig, check_cutoffs
 from .dataset import MAX_CUTOFF, EvaluationDataset, Verdict
-from .scoring import resolve_preferences, score_cutoffs
+from .scales import DiscountFunction
+from .scoring import resolve_preferences, score_group, verdict_parts
 
 ScoredPair = tuple[float, float, Verdict]  # (score_a, score_b, verdict), as pir() counts them
 
@@ -54,14 +62,14 @@ def pref(x: float, t: float) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class PirCell:
+class PirCell(NamedTuple):
     """PIR plus the five-way outcome counts at one threshold.
 
     The counts partition every evaluated (query, rater) pair: stated
     preferences are recognized (correct_pref), inverted (reversed_pref)
     or not seen (missed_pref); stated equality is confirmed
-    (correct_equal) or contradicted (false_pref).
+    (correct_equal) or contradicted (false_pref).  A tuple: the counts
+    are ``cell[2:]``, in ``CATEGORIES`` order.
     """
 
     threshold: float
@@ -74,8 +82,7 @@ class PirCell:
 
     @property
     def total_pairs(self) -> int:
-        return (self.correct_pref + self.correct_equal + self.false_pref
-                + self.missed_pref + self.reversed_pref)
+        return sum(self[2:])
 
     @property
     def n_preferences(self) -> int:
@@ -87,14 +94,14 @@ class PirCell:
         return self.n_preferences == 0
 
     def counts(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in CATEGORIES}
+        return dict(zip(CATEGORIES, self[2:]))
 
     def shares(self) -> dict[str, Fraction]:
         """Exact category shares over all evaluated pairs; they sum to 1."""
         total = self.total_pairs
         if total == 0:
             raise ValueError("no evaluated pairs, shares undefined")
-        return {name: Fraction(getattr(self, name), total) for name in CATEGORIES}
+        return {name: Fraction(n, total) for name, n in zip(CATEGORIES, self[2:])}
 
 
 def pir(pairs: Sequence[ScoredPair], t: float = 0.0) -> PirCell:
@@ -131,53 +138,32 @@ def pir(pairs: Sequence[ScoredPair], t: float = 0.0) -> PirCell:
 def pir_cells(
     diffs: Sequence[float], verdicts: Sequence[Verdict], thresholds: Sequence[float]
 ) -> tuple[PirCell, ...]:
-    """``pir(pairs, t)`` for every t in ``thresholds``, from one sort per outcome.
+    """``pir(pairs, t)`` for every t in ``thresholds``, from one sort per verdict kind.
 
     ``diffs[i]`` is ``score_a - score_b`` of the pair whose verdict is
     ``verdicts[i]``.  With u = +1 for verdict A and -1 for B, a
     preferring pair's x = diff * u is a correct preference at t iff
     x > t and a reversed one iff x < -t, and an equal verdict is a false
     preference iff |diff| > t: the strict comparisons of :func:`pref`.
-    So the nonzero |x| of agreeing, of reversed and of equal-verdict pairs
-    go into three sorted lists, and each count is one ``bisect_right``.
+    So the preferring pairs' x and the equal verdicts' nonzero |diff| go
+    into two sorted lists, and each count is one bisection.
     """
     for t in thresholds:
         _check_threshold(t)
-    agreeing: list[float] = []
-    reversed_: list[float] = []
-    equal: list[float] = []
-    n_pref = n_equal = 0
-    for x, verdict in zip(diffs, verdicts, strict=True):
-        if verdict is Verdict.EQUAL:
-            n_equal += 1
-            if abs(x) > 0:
-                equal.append(abs(x))
-            continue
-        n_pref += 1
-        if verdict is Verdict.B:
-            x = -x
-        if x > 0:
-            agreeing.append(x)
-        elif x < 0:
-            reversed_.append(-x)
-    agreeing.sort()
-    reversed_.sort()
-    equal.sort()
+    a, eq = Verdict.A, Verdict.EQUAL
+    signed = sorted([x if v is a else -x
+                     for x, v in zip(diffs, verdicts, strict=True) if v is not eq])
+    equal = sorted([abs(x) for x, v in zip(diffs, verdicts) if v is eq and abs(x) > 0])
+    n_pref = len(signed)
+    n_equal = len(diffs) - n_pref
     cells = []
     for t in thresholds:
-        correct = len(agreeing) - bisect_right(agreeing, t)
-        reversed_pref = len(reversed_) - bisect_right(reversed_, t)
+        correct = n_pref - bisect_right(signed, t)
+        reversed_pref = bisect_left(signed, -t)
         false_pref = len(equal) - bisect_right(equal, t)
         value = 0.5 + (correct - reversed_pref) / (2 * n_pref) if n_pref else 0.5
-        cells.append(PirCell(
-            threshold=t,
-            pir=value,
-            correct_pref=correct,
-            correct_equal=n_equal - false_pref,
-            false_pref=false_pref,
-            missed_pref=n_pref - correct - reversed_pref,
-            reversed_pref=reversed_pref,
-        ))
+        cells.append(PirCell(t, value, correct, n_equal - false_pref, false_pref,
+                             n_pref - correct - reversed_pref, reversed_pref))
     return tuple(cells)
 
 
@@ -262,15 +248,23 @@ def pir_sweep(
     No work repeats across configs, cut-offs or thresholds:
 
     - configs that share a scale, rating source and query filter share
-      one table from :func:`~prefeval.scoring.resolve_preferences`, built
-      before any row runs: each verdict's judged lists, resolved once
-      down to ``max(cutoffs)`` with one grade lookup per distinct result
-      from the validated grade index, and the pool of each cut-off taken
-      from the deepest one by position;
-    - a config walks each verdict's two lists once for all its cut-offs
-      (:func:`~prefeval.scoring.score_cutoffs`), with each cut-off's NDCG
-      ideal or known-relevant count computed once for both variants,
-      and keeps one score difference per (verdict, cut-off);
+      one table from :func:`~prefeval.scoring.resolve_preferences`: each
+      verdict's judged lists, resolved once down to ``max(cutoffs)`` with
+      one grade lookup per distinct result from the validated grade
+      index, and the pool of each cut-off taken from the deepest one by
+      position;
+    - the configs of a table are grouped by discount, and each group walks
+      the table once (:func:`~prefeval.scoring.score_group`), computing a
+      verdict's ``rel * weight`` products and their prefix sums once for
+      all its configs and cut-offs;
+    - when two or more groups read a table, each verdict's
+      discount-independent parts (:func:`~prefeval.scoring.verdict_parts`)
+      are computed once and kept for the table; with one group they are
+      computed inline and nothing is kept;
+    - a config keeps its score differences in one array, a verdict's
+      cut-offs side by side, and takes each cut-off's row from it by
+      stride at the end of its group, so one group's differences are
+      alive at a time;
     - :func:`pir_cells` sorts a row's differences once and counts each
       threshold cell by bisection.
     """
@@ -279,29 +273,37 @@ def pir_sweep(
     check_grid(configs, thresholds)
     check_cutoffs(cutoffs)
 
-    def scope(config: MetricConfig) -> tuple:
-        return config.scale, config.rating_source, config.query_filter
-
-    tables = {}
+    scopes: dict[tuple, list[MetricConfig]] = {}
     for config in configs:
-        if scope(config) not in tables:
-            tables[scope(config)] = resolve_preferences(dataset, config, cutoffs, lenient)
-
-    results = {}
-    for config in configs:
-        diffs: list[list[float]] = [[] for _ in cutoffs]
-        verdicts: list[list[Verdict]] = [[] for _ in cutoffs]
-        excluded = [0] * len(cutoffs)
-        for verdict, lists in tables[scope(config)]:
-            scores_a, scores_b = score_cutoffs(lists, config, cutoffs)
-            for k, score_a in enumerate(scores_a):
-                if score_a is None:
-                    excluded[k] += 1
-                else:
-                    diffs[k].append(score_a - scores_b[k])
-                    verdicts[k].append(verdict)
-        label = config.label()
-        for k, c in enumerate(cutoffs):
-            results[(label, c)] = PirRow(cells=pir_cells(diffs[k], verdicts[k], thresholds),
-                                         excluded_pairs=excluded[k])
-    return PirGrid(cutoffs=cutoffs, rows=results)
+        scopes.setdefault((config.scale, config.rating_source, config.query_filter),
+                          []).append(config)
+    rows: dict[tuple[str, int], PirRow] = dict.fromkeys(
+        (config.label(), c) for config in configs for c in cutoffs)
+    for scope_configs in scopes.values():
+        table = resolve_preferences(dataset, scope_configs[0], cutoffs, lenient)
+        verdicts = [verdict for verdict, _ in table]
+        groups: dict[DiscountFunction, list[MetricConfig]] = {}
+        for config in scope_configs:
+            groups.setdefault(config.discount, []).append(config)
+        shared = ([verdict_parts(lists, scope_configs, cutoffs) for _, lists in table]
+                  if len(groups) > 1 else [None] * len(table))
+        for group in groups.values():
+            # per config, each verdict's differences at every cut-off in a row; NaN
+            # stands for a score the config excludes (scores are finite otherwise)
+            flats = [array("d") for _ in group]
+            for (_, lists), parts in zip(table, shared):
+                scored = score_group(lists, group, cutoffs, parts)
+                for flat, (scores_a, scores_b) in zip(flats, scored):
+                    flat.extend(map(sub, scores_a, scores_b) if None not in scores_a
+                                else [nan if a is None else a - b
+                                      for a, b in zip(scores_a, scores_b)])
+            for config, flat in zip(group, flats):
+                label = config.label()
+                for k, c in enumerate(cutoffs):
+                    column, kept = flat[k::len(cutoffs)], verdicts
+                    excluded = sum(map(isnan, column))
+                    if excluded:
+                        keep = [not isnan(x) for x in column]
+                        column, kept = list(compress(column, keep)), list(compress(kept, keep))
+                    rows[(label, c)] = PirRow(pir_cells(column, kept, thresholds), excluded)
+    return PirGrid(cutoffs=cutoffs, rows=rows)

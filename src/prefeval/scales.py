@@ -112,6 +112,10 @@ class DiscountFunction:
         elif self.click_weights is not None:
             raise ValueError(f"{self.kind.value} discount takes no click_weights table")
 
+    def __hash__(self) -> int:
+        """From the kind and the sorted click table, so equal discounts hash alike."""
+        return hash((self.kind, self.click_weights and tuple(sorted(self.click_weights.items()))))
+
     def weight(self, rank: int) -> float:
         """Weight of ``rank``; every kind yields 1.0 at rank 1."""
         if rank < 1:

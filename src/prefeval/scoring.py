@@ -5,17 +5,24 @@ unit relevance under a scale and rating source (or, with no preference
 rater, the mean over all raters), and :func:`judged_lists`, one walk down
 a query's two lists that checks their depth and yields both judged lists,
 the judged pool in first-rank order and the pool's end at every rank.
-Scoring is the engine's alone, and the only scorer any command runs:
-:func:`resolve_preferences` pairs each verdict with its judged lists,
-resolved once for all cut-offs, and :func:`score_cutoffs` scores every
-cut-off of both lists in one walk per list.  Nothing here imports the
-scalar reference, :mod:`prefeval.metrics`; only the oracle scores
-through it (:func:`prefeval.oracle.metric_score`).
+Scoring is the engine's alone, and :func:`score_group` is the only scorer
+any command runs: :func:`resolve_preferences` pairs each verdict with its
+judged lists, resolved once for all cut-offs; :func:`verdict_parts` takes
+from them what every discount reads alike (each cut-off's NDCG ideal and
+known-relevant count, AP's and ERR's per-rank factors, the cumulated
+relevance); and :func:`score_group` scores every cut-off of both lists
+for the configs of one discount, from one list of ``rel * weight``
+products per list.  Nothing here imports the scalar reference,
+:mod:`prefeval.metrics`; only the oracle scores through it.
 """
 
 from __future__ import annotations
 
-import math
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from math import fsum
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .config import ERR_GRADE_MAX, ApNorm, Metric, MetricConfig, RatingSource
@@ -149,93 +156,123 @@ def resolve_preferences(
     return resolved
 
 
-def _prefix_gains(rels: Sequence[float], weights: Sequence[float],
-                  ends: Sequence[int]) -> list[float]:
-    """``math.fsum`` of ``rel * weight`` over ``rels[:end]`` for each end in ``ends``."""
-    products = [r * w for r, w in zip(rels, weights)]
-    return [math.fsum(products[:end]) for end in ends]
+class ListParts(NamedTuple):
+    """One judged list's discount-independent parts by rank; None where no metric reads them."""
+
+    cumulated: Optional[array]  # relevance summed through each rank (MAP, MRR, ESL)
+    rel_running: Optional[array]  # MAP: rel * cumulated relevance
+    satisfied: Optional[array]  # ERR: satisfaction
+    continued: Optional[array]  # ERR: chance that no earlier rank satisfied
 
 
-def score_cutoffs(
-    lists: JudgedLists, config: MetricConfig, cutoffs: Sequence[int]
-) -> tuple[list[Optional[float]], list[Optional[float]]]:
-    """Scores of both judged lists at every cut-off, none deeper than the lists.
+class VerdictParts(NamedTuple):
+    """What every discount reads alike from one verdict's judged lists."""
 
-    Entry ``k`` of each list equals the reference
-    :func:`prefeval.oracle.metric_score` of that variant at ``cutoffs[k]``
-    bit for bit, or is None where the config excludes the lists there
-    (where the scalar metric returns None too), for both variants alike.
-    Each list is walked once for all cut-offs: precision, NDCG and ESL
-    read ``math.fsum`` over prefixes of one list of ``rel * weight``
-    products, AP and ERR read running totals at each cut-off, and MRR
-    reads the first relevant rank.  Each cut-off's normalizer (NDCG's
-    ideal DCG, classical AP's known-relevant count) is computed once from
-    ``pool[:pool_ends[c - 1]]`` for both variants.  :func:`judged_lists`
-    checked the depth, and nothing here calls the scalar metrics.
-    """
-    m = config.metric
-    deepest = max(cutoffs)
-    weights = config.discount.weights(deepest)
+    ideals: Optional[list[list[float]]]  # NDCG: the ideal top-c of the cut-off's pool
+    known: Optional[list[int]]  # classical AP: the pool's known-relevant count
+    a: ListParts
+    b: ListParts
 
-    if m is Metric.PRECISION:
-        def score(rels):
-            return [gain / c for gain, c in zip(_prefix_gains(rels, weights, cutoffs), cutoffs)]
-    elif m is Metric.NDCG:
-        ideals = []
-        for c in cutoffs:
-            best = sorted(lists.pool[: lists.pool_ends[c - 1]], reverse=True)[:c]
-            ideals.append(math.fsum([v * w for v, w in zip(best, weights)]))
 
-        def score(rels):
-            return [None if ideal == 0.0 else min(1.0, gain / ideal)
-                    for gain, ideal in zip(_prefix_gains(rels, weights, cutoffs), ideals)]
-    elif m is Metric.MAP:
-        divisors: Sequence[int] = cutoffs
-        if config.ap_norm is ApNorm.BY_KNOWN_RELEVANT:
-            divisors = [sum(1 for v in lists.pool[: lists.pool_ends[c - 1]] if v > 0)
-                        for c in cutoffs]
+# Enum members bound once: an enum class attribute costs ten plain name lookups.
+_PRECISION, _NDCG, _MAP, _ERR, _MRR, _ESL = (
+    Metric.PRECISION, Metric.NDCG, Metric.MAP, Metric.ERR, Metric.MRR, Metric.ESL)
+_KNOWN_RELEVANT = ApNorm.BY_KNOWN_RELEVANT
 
-        def score(rels):
-            running = []  # the sum through each rank
-            total = cumulated = 0.0
-            for i in range(deepest):
-                cumulated += rels[i]
-                if rels[i]:
-                    total += rels[i] * cumulated * weights[i]
-                running.append(total)
-            return [running[c - 1] / float(d) if d > 0 else None
-                    for c, d in zip(cutoffs, divisors)]
-    elif m is Metric.ERR:
+
+def _list_parts(rels: Sequence[float], metrics: list[Metric]) -> ListParts:
+    cumulated = rel_running = satisfied = continued = None
+    if _MAP in metrics or _MRR in metrics or _ESL in metrics:
+        cumulated = array("d", accumulate(rels))
+    if _MAP in metrics:
+        rel_running = array("d", map(mul, rels, cumulated))
+    if _ERR in metrics:
         denom = 2.0 ** ERR_GRADE_MAX
+        satisfied = array("d", [(2.0 ** (ERR_GRADE_MAX * rel) - 1.0) / denom for rel in rels])
+        continued = array("d", accumulate([1.0 - s for s in satisfied], mul, initial=1.0))
+    return ListParts(cumulated, rel_running, satisfied, continued)
 
-        def score(rels):
-            running = []
-            total, continue_p = 0.0, 1.0
-            for i in range(deepest):
-                satisfied = (2.0 ** (ERR_GRADE_MAX * rels[i]) - 1.0) / denom
-                total += weights[i] * continue_p * satisfied
-                continue_p *= 1.0 - satisfied
-                running.append(total)
-            return [running[c - 1] for c in cutoffs]
-    elif m is Metric.MRR:
-        def score(rels):
-            first = next((i for i in range(deepest) if rels[i] > 0), deepest)
-            return [weights[first] if first < c else 0.0 for c in cutoffs]
-    elif m is Metric.ESL:
-        n = config.esl_n  # MetricConfig holds it finite and positive
-        assert n is not None
 
-        def score(rels):
-            # the target's rank, found once, then capped at each cut-off
-            reach, cumulated = deepest, 0.0
-            for i in range(deepest):
-                cumulated += rels[i]
-                if cumulated >= n:
-                    reach = i + 1
-                    break
-            reaches = [min(reach, c) for c in cutoffs]
-            return [1.0 - (r - gain) / c
-                    for r, gain, c in zip(reaches, _prefix_gains(rels, weights, reaches), cutoffs)]
-    else:
-        raise ValueError(f"unknown metric {m!r}")
-    return score(lists.rels_a), score(lists.rels_b)
+def verdict_parts(lists: JudgedLists, configs: Sequence[MetricConfig],
+                  cutoffs: Sequence[int]) -> VerdictParts:
+    """The parts of ``lists`` that ``configs`` read, whatever their discounts.
+
+    Each cut-off's pool is sorted into its NDCG ideal once, for both variants.
+    """
+    metrics = [config.metric for config in configs]
+    ideals = known = None
+    if _NDCG in metrics:
+        ideals = [sorted(lists.pool[: lists.pool_ends[c - 1]], reverse=True)[:c]
+                  for c in cutoffs]
+    if any(config.metric is _MAP and config.ap_norm is _KNOWN_RELEVANT for config in configs):
+        positives = list(accumulate((v > 0 for v in lists.pool), initial=0))
+        known = [positives[lists.pool_ends[c - 1]] for c in cutoffs]
+    return VerdictParts(ideals, known, _list_parts(lists.rels_a, metrics),
+                        _list_parts(lists.rels_b, metrics))
+
+
+def score_group(
+    lists: JudgedLists,
+    configs: Sequence[MetricConfig],
+    cutoffs: Sequence[int],
+    parts: Optional[VerdictParts] = None,
+) -> list[tuple[list[Optional[float]], list[Optional[float]]]]:
+    """Both lists' scores at every cut-off, for configs sharing one discount.
+
+    Returns one ``(scores_a, scores_b)`` per config, in order.  Entry ``k``
+    of each list equals the reference :func:`prefeval.oracle.metric_score`
+    of that variant at ``cutoffs[k]`` bit for bit, or is None where the
+    config excludes the lists there (where the scalar metric returns None
+    too), for both variants alike.  ``parts`` are :func:`verdict_parts` of
+    a superset of ``configs``, shared by every discount of a sweep; without
+    them they are computed here.  Per list, the ``rel * weight`` products
+    and their prefix ``math.fsum`` at each cut-off are computed once, and
+    precision, NDCG and ESL all read them; AP and ERR read running totals
+    of the shared parts times the weights, MRR the first relevant rank and
+    ESL the rank that reaches its target.  :func:`judged_lists` checked
+    the depth, and nothing here calls the scalar metrics.
+    """
+    if parts is None:
+        parts = verdict_parts(lists, configs, cutoffs)
+    weights = configs[0].discount.weights(max(cutoffs))
+    ideals = parts.ideals and [fsum(map(mul, best, weights)) for best in parts.ideals]
+    return list(zip(
+        _score_list(lists.rels_a, parts.a, configs, cutoffs, weights, ideals, parts.known),
+        _score_list(lists.rels_b, parts.b, configs, cutoffs, weights, ideals, parts.known)))
+
+
+def _score_list(rels, parts: ListParts, configs, cutoffs, weights, ideals, known) -> list:
+    products = list(map(mul, rels, weights))
+    gains: list[float] = []  # fsum of the products through each cut-off, once read
+    scored = []
+    for config in configs:
+        m = config.metric
+        if not gains and (m is _PRECISION or m is _NDCG or m is _ESL):
+            gains = [fsum(products[:c]) for c in cutoffs]
+        if m is _PRECISION:
+            scores = [gain / c for gain, c in zip(gains, cutoffs)]
+        elif m is _NDCG:
+            scores = [None if ideal == 0.0 else min(1.0, gain / ideal)
+                      for gain, ideal in zip(gains, ideals)]
+        elif m is _MAP:
+            running = list(accumulate(map(mul, parts.rel_running, weights)))
+            divisors = known if config.ap_norm is _KNOWN_RELEVANT else cutoffs
+            scores = [running[c - 1] / float(d) if d > 0 else None
+                      for c, d in zip(cutoffs, divisors)]
+        elif m is _ERR:
+            running = list(accumulate(map(mul, map(mul, weights, parts.continued),
+                                          parts.satisfied)))
+            scores = [running[c - 1] for c in cutoffs]
+        elif m is _MRR:
+            first = bisect_right(parts.cumulated, 0.0)  # relevance is never negative
+            scores = [weights[first] if first < c else 0.0 for c in cutoffs]
+        elif m is _ESL:
+            # the first rank whose cumulated relevance reaches n; capped at c, it is c
+            reach = bisect_left(parts.cumulated, config.esl_n) + 1
+            short = fsum(products[:reach])
+            scores = [1.0 - (c - gain) / c if reach >= c else 1.0 - (reach - short) / c
+                      for gain, c in zip(gains, cutoffs)]
+        else:
+            raise ValueError(f"unknown metric {m!r}")
+        scored.append(scores)
+    return scored

@@ -19,7 +19,7 @@ from prefeval.dataset import (
     Verdict,
 )
 from prefeval.oracle import metric_score
-from prefeval.scoring import judged_lists, resolve_preferences, score_cutoffs
+from prefeval.scoring import judged_lists, resolve_preferences, score_group
 
 settings.register_profile(
     "suite",
@@ -44,7 +44,7 @@ def scored_pairs(dataset, config, lenient=False):
     cutoffs = (config.cutoff,)
     pairs, excluded = [], 0
     for verdict, lists in resolve_preferences(dataset, config, cutoffs, lenient):
-        (score_a,), (score_b,) = score_cutoffs(lists, config, cutoffs)
+        [((score_a,), (score_b,))] = score_group(lists, [config], cutoffs)
         if score_a is None:
             excluded += 1
         else:

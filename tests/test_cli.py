@@ -651,6 +651,89 @@ class TestMalformedListOptions:
         assert not (tmp_path / "out").exists()
 
 
+
+class TestEmptyOptionValues:
+    """A typed empty value is a usage error, not the option's absence, before loading."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--thresholds="], f"--thresholds must be {THRESHOLDS_FORM}, got ''"),
+        (["breakdown", "--metric", "ndcg", "--threshold", "0", "--thresholds="],
+         f"--thresholds must be {THRESHOLDS_FORM}, got ''"),
+        (["implicit", "--measure", "clicks", "--thresholds="],
+         f"--thresholds must be {THRESHOLDS_FORM}, got ''"),
+        (["implicit", "--measure", "clicks", "--band="], "--band must be LO:HI, got ''"),
+        (["sweep", "--discounts="], "'' is not a valid DiscountKind"),
+        (["synth", "--queries", "2", "--raters", "1", "--seed", "1", "--grades-a="],
+         "--grades-a must be a comma list of numbers, got ''"),
+        (["synth", "--queries", "2", "--raters", "1", "--seed", "1", "--grades-b="],
+         "--grades-b must be a comma list of numbers, got ''"),
+    ], ids=["sweep-thresholds", "breakdown-thresholds", "implicit-thresholds", "band",
+            "discounts", "grades-a", "grades-b"])
+    def test_exits_two_before_loading(self, tmp_path, capsys, monkeypatch, argv, message):
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *args, **kwargs: loads.append(args))
+        command, *options = argv
+        if command != "synth":
+            options.insert(0, str(tmp_path / "data"))
+        if command in ("sweep", "synth"):
+            options += ["--out", str(tmp_path / "out")]
+        assert main([command, *options]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+        assert loads == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, option", [
+        (["validate", ""], "dataset"),
+        (["eval", "{data}", "--metric", "ndcg", "--click-weights="], "--click-weights"),
+        (["sweep", "{data}", "--discounts", "click", "--click-weights=", "--out", "{out}"],
+         "--click-weights"),
+        (["sweep", "{data}", "--out="], "--out"),
+        (["breakdown", "{data}", "--metric", "ndcg", "--threshold", "0", "--series="],
+         "--series"),
+        (["implicit", "{data}", "--measure", "clicks", "--out="], "--out"),
+        (["synth", "--queries", "2", "--raters", "1", "--seed", "1", "--out="], "--out"),
+    ], ids=["dataset", "eval-click-weights", "sweep-click-weights", "sweep-out", "series",
+            "implicit-out", "synth-out"])
+    def test_empty_path_is_not_the_current_directory(self, synth_dir, tmp_path, capsys,
+                                                     monkeypatch, argv, option):
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *args, **kwargs: loads.append(args))
+        monkeypatch.chdir(tmp_path)
+        argv = [arg.replace("{data}", str(synth_dir)).replace("{out}", "out") for arg in argv]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: argument {option}: must name a file or directory, got ''\n"
+        assert loads == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["ds"]
+
+
+class TestModuleEntryPoint:
+    """``python -m prefeval`` runs the command line with its exit codes."""
+
+    def run(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(prefeval.__file__).parent.parent))
+        return subprocess.run([sys.executable, "-m", "prefeval", *argv],
+                              capture_output=True, text=True, env=env)
+
+    def test_help_exits_zero(self):
+        proc = self.run("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: prefeval [-h]")
+
+    def test_usage_error_exits_two(self):
+        proc = self.run("frobnicate")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage error: argument command: invalid choice")
+        assert proc.stderr.count("\n") == 1
+
+
 class TestNegativeZeroThreshold:
     """A typed -0 threshold reads as 0, so no output labels it -0.0000."""
 

@@ -120,6 +120,9 @@ THRESHOLD_GRIDS = st.one_of(
              max_size=8).map(sorted),
 )
 
+# Every edge difference with either sign, and both signed zeros.
+SIGNED_EDGE_DIFFS = st.sampled_from([0.0, -0.0, *EDGE_DIFFS, *(-d for d in EDGE_DIFFS)])
+
 
 def diffs_and_verdicts(pairs):
     """The (score_a - score_b) and verdict columns of score triples, as pir_cells takes them."""
@@ -140,6 +143,27 @@ class TestPirCells:
         cells = pir_cells(*diffs_and_verdicts(pairs), thresholds)
         assert cells == tuple(pir(pairs, t) for t in thresholds)
         assert all(cell.empty_denominator and cell.pir == 0.5 for cell in cells)
+
+    @given(st.lists(st.tuples(SIGNED_EDGE_DIFFS, VERDICTS), max_size=30), THRESHOLD_GRIDS)
+    def test_signed_zeros_and_diffs_on_grid_points(self, rows, thresholds):
+        # -0.0 and 0.0 for every verdict, and |diff| exactly on a grid threshold or beside it
+        diffs, verdicts = [d for d, _ in rows], [v for _, v in rows]
+        pairs = [(d, 0.0, v) for d, v in rows]  # d - 0.0 is d, -0.0 included
+        assert diffs_and_verdicts(pairs) == (diffs, verdicts)
+        assert (pir_cells(diffs, verdicts, thresholds)
+                == tuple(pir(pairs, t) for t in thresholds))
+        grid_points = sorted({abs(d) for d in EDGE_DIFFS})
+        assert (pir_cells(diffs, verdicts, grid_points)
+                == tuple(pir(pairs, t) for t in grid_points))
+
+    def test_equal_verdicts_with_zero_diffs_are_confirmed_at_every_threshold(self):
+        diffs = [0.0, -0.0, 0.0, 0.3]
+        verdicts = [Verdict.EQUAL, Verdict.EQUAL, Verdict.A, Verdict.B]
+        cells = pir_cells(diffs, verdicts, (0.0, 0.3))
+        assert [(cell.correct_equal, cell.false_pref) for cell in cells] == [(2, 0), (2, 0)]
+        assert cells[0] == (0.0, 0.25, 0, 2, 0, 1, 1)  # a PirCell is a plain tuple too
+        assert cells == tuple(pir([(d, 0.0, v) for d, v in zip(diffs, verdicts)], t)
+                              for t in (0.0, 0.3))
 
     def test_edge_diffs_at_point_two(self):
         t = 0.2

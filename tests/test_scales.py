@@ -4,7 +4,7 @@ import math
 import pytest
 
 from conftest import RATER, binary_pair_dataset
-from prefeval.config import RatingSource
+from prefeval.config import Metric, MetricConfig, RatingSource
 from prefeval.dataset import ValidationError, Verdict
 from prefeval.scales import (
     EXAMPLE_CLICK_WEIGHTS,
@@ -162,6 +162,28 @@ class TestDiscounts:
         assert f.weights(2) == (1.0, 0.5)
         with pytest.raises(ValueError):
             f.weights(3)
+
+
+
+class TestDiscountHash:
+    """Discounts, click tables included, hash by value, so equal ones key one dict entry."""
+
+    def test_equal_click_discounts_hash_equal_and_key_a_dict(self):
+        first = DiscountFunction.click_based()
+        second = DiscountFunction.click_based(dict(reversed(EXAMPLE_CLICK_WEIGHTS.items())))
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        assert {first: "click"}[second] == "click"
+        assert len({first, second, DiscountFunction.rank(), DiscountFunction.rank()}) == 2
+
+    def test_configs_with_click_discounts_hash(self):
+        configs = [MetricConfig(Metric.NDCG, DiscountFunction.click_based()) for _ in range(2)]
+        assert hash(configs[0]) == hash(configs[1])
+        assert len(set(configs)) == 1
+
+    def test_different_click_tables_stay_unequal(self):
+        other = {**EXAMPLE_CLICK_WEIGHTS, 2: 0.5}
+        assert DiscountFunction.click_based() != DiscountFunction.click_based(other)
 
 
 class TestClickTable:

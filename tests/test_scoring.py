@@ -29,8 +29,9 @@ from prefeval.scoring import (
     MissingJudgment,
     judged_lists,
     resolve_preferences,
-    score_cutoffs,
+    score_group,
     unit_relevance,
+    verdict_parts,
 )
 from prefeval.synth import SynthSpec, generate_synthetic
 
@@ -199,7 +200,7 @@ class TestResolvePreferences:
         assert len(calls) == distinct * len(RatingSource)
 
     def test_sweep_never_calls_the_scalar_metrics(self, overlapping, tmp_path, monkeypatch):
-        # nor does eval: every command scores through score_cutoffs
+        # nor does eval: every command scores through score_group
         write_dataset(overlapping, tmp_path)
         calls = []
 
@@ -395,8 +396,26 @@ def random_judged_lists(draw):
     return JudgedLists(rels_a, rels_b, pool, pool_ends), cutoffs
 
 
+def assert_scores_equal_the_reference(lists, config, cutoffs, scores):
+    """Both variants' scores at every cut-off equal ``metric_score`` bit for bit, or are None."""
+    for c, got_a, got_b in zip(cutoffs, *scores, strict=True):
+        pool = lists.pool[: lists.pool_ends[c - 1]]
+        for rels, got in ((lists.rels_a, got_a), (lists.rels_b, got_b)):
+            want = metric_score(rels, pool, config.at_cutoff(c))
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and got.hex() == want.hex()
+
+
+def scores_of(lists, config, cutoffs):
+    """(scores_a, scores_b) of one config, scored as a one-config group."""
+    [scores] = score_group(lists, [config], cutoffs)
+    return scores
+
+
 class TestScoreCutoffs:
-    """The one-walk prefix scorers against the scalar metric at each cut-off."""
+    """The one-walk prefix scorers of a one-config group against the scalar metric."""
 
     @pytest.mark.parametrize("base", WALK_CONFIGS, ids=lambda cfg: cfg.label())
     @given(random_judged_lists(), st.sampled_from(DISCOUNTS), st.sampled_from(ESL_TARGETS))
@@ -405,30 +424,85 @@ class TestScoreCutoffs:
         cfg = dataclasses.replace(base, discount=discount)
         if cfg.metric is Metric.ESL:
             cfg = dataclasses.replace(cfg, esl_n=esl_n)
-        scores_a, scores_b = score_cutoffs(lists, cfg, cutoffs)
-        assert len(scores_a) == len(scores_b) == len(cutoffs)
-        for c, got_a, got_b in zip(cutoffs, scores_a, scores_b):
-            pool = lists.pool[: lists.pool_ends[c - 1]]
-            for rels, got in ((lists.rels_a, got_a), (lists.rels_b, got_b)):
-                want = metric_score(rels, pool, cfg.at_cutoff(c))
-                if want is None:
-                    assert got is None
-                else:
-                    assert got is not None and got.hex() == want.hex()
+        assert_scores_equal_the_reference(lists, cfg, cutoffs, scores_of(lists, cfg, cutoffs))
 
     def test_partial_unsorted_cutoffs_follow_the_given_order(self):
         lists = JudgedLists([1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
                             [0.0] * 7, [1.0, 0.0, 1.0, 1.0], (1, 2, 2, 3, 3, 4, 4))
         cfg = MetricConfig(Metric.PRECISION, DiscountFunction.none())
-        assert score_cutoffs(lists, cfg, (7, 3)) == ([3 / 7, 2 / 3], [0.0, 0.0])
+        assert scores_of(lists, cfg, (7, 3)) == ([3 / 7, 2 / 3], [0.0, 0.0])
 
     def test_ndcg_exclusion_is_per_cutoff(self):
         # the pool holds no relevant result at c=1, one from c=3 on
         lists = JudgedLists([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], (1, 2, 3))
         cfg = MetricConfig(Metric.NDCG, DiscountFunction.none())
-        scores_a, scores_b = score_cutoffs(lists, cfg, (1, 3))
+        scores_a, scores_b = scores_of(lists, cfg, (1, 3))
         assert scores_a == [None, 1.0]
         assert scores_b == [None, 0.0]
+
+
+def discount_instance(kind):
+    """A newly built discount of ``kind``: equal to, but not, any other instance."""
+    if kind is DiscountKind.CLICK_BASED:
+        return DiscountFunction.click_based(dict(scales.EXAMPLE_CLICK_WEIGHTS))
+    return DiscountFunction(kind)
+
+
+@st.composite
+def mixed_scopes(draw):
+    """Configs of one scope over several metrics and discounts, each with its own instance.
+
+    Discounts of one kind are equal but distinct objects, so they must
+    group by value; MAP comes in both norms, ESL with several targets.
+    """
+    kinds = draw(st.lists(st.sampled_from(list(DiscountKind)), min_size=1, max_size=4))
+    bases = draw(st.lists(st.sampled_from(WALK_CONFIGS), min_size=1, max_size=7))
+    targets = draw(st.lists(st.sampled_from(ESL_TARGETS), min_size=len(bases),
+                            max_size=len(bases)))
+    configs = []
+    for kind in kinds:
+        for base, n in zip(bases, targets):
+            esl_n = n if base.metric is Metric.ESL else None
+            configs.append(dataclasses.replace(base, discount=discount_instance(kind),
+                                               esl_n=esl_n))
+    return configs
+
+
+class TestScoreGroup:
+    """Every config of a discount group, with parts shared across discounts or not."""
+
+    @given(random_judged_lists(), mixed_scopes())
+    def test_equals_metric_score_for_every_config(self, drawn, configs):
+        lists, cutoffs = drawn
+        shared = verdict_parts(lists, configs, cutoffs)
+        groups = {}
+        for cfg in configs:
+            groups.setdefault(cfg.discount, []).append(cfg)
+        assert len(groups) == len({cfg.discount.kind for cfg in configs})
+        for group in groups.values():
+            with_parts = score_group(lists, group, cutoffs, shared)
+            assert score_group(lists, group, cutoffs) == with_parts
+            for cfg, scores in zip(group, with_parts, strict=True):
+                assert_scores_equal_the_reference(lists, cfg, cutoffs, scores)
+
+    @pytest.mark.parametrize("scale", [RelevanceScale.SIX_POINT, RelevanceScale.R3_2])
+    @pytest.mark.parametrize("source, lenient", [(RatingSource.SAME_USER, False),
+                                                 (RatingSource.OTHER_USERS, True)])
+    def test_sweep_tables_equal_metric_score(self, scale, source, lenient):
+        # resolved tables, with lenient gaps where every other judgment is dropped
+        dataset = generate_synthetic(SynthSpec(8, 3, 5, n_preferences=12, rater_noise=0.2))
+        if lenient:
+            dataset = dataclasses.replace(dataset, judgments=dataset.judgments[::2])
+        configs = [dataclasses.replace(base, discount=discount_instance(kind), scale=scale,
+                                       rating_source=source)
+                   for kind in DiscountKind for base in WALK_CONFIGS]
+        cutoffs = (1, 4, 10)
+        for _, lists in resolve_preferences(dataset, configs[0], cutoffs, lenient):
+            shared = verdict_parts(lists, configs, cutoffs)
+            for kind in DiscountKind:
+                group = [cfg for cfg in configs if cfg.discount.kind is kind]
+                for cfg, scores in zip(group, score_group(lists, group, cutoffs, shared)):
+                    assert_scores_equal_the_reference(lists, cfg, cutoffs, scores)
 
 
 def imported_modules(path):
