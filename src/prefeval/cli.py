@@ -392,11 +392,24 @@ def cmd_synth(args) -> int:
     for name, option in (("grade_weights_a", "--grades-a"), ("grade_weights_b", "--grades-b")):
         if (text := options.pop(name, None)) is not None:
             options[name] = _parse_list(option, "a comma list of numbers", text, ",")
-    dataset = generate_synthetic(SynthSpec(**options))
+    spec = SynthSpec(**options)
+    dataset = generate_synthetic(spec)
     write_dataset(dataset, args.out)
     print(f"wrote {len(dataset.queries)} queries, {len(dataset.judgments)} judgments,"
           f" {len(dataset.preferences)} preferences, {len(dataset.sessions)} sessions"
           f" to {args.out}")
+    # Each query is judged by its verdicts' raters alone (at least one), so
+    # a query with one verdict leaves that rater no one else to read.
+    other_users = MetricConfig(Metric.PRECISION, DiscountFunction(DiscountKind.NONE),
+                               cutoff=min(spec.list_len, MAX_CUTOFF),
+                               rating_source=RatingSource.OTHER_USERS)
+    try:
+        for p in dataset.preferences:
+            judged_lists(dataset, p.query_id, p.rater_id, other_users)
+    except MissingJudgment as exc:
+        print(f"warning: --rating-source other-users cannot sweep this dataset: {exc};"
+              " give each query two or more verdicts (--preferences >= 2 x --queries)",
+              file=sys.stderr)
     return EXIT_OK
 
 

@@ -22,7 +22,13 @@ distinct id, shared by every file and record that names it.  Judgment,
 list, preference, session and click files are also accepted headerless
 with any whitespace as separator, for quick hand-built fixtures; the
 queries file always needs its header.  Files are written in a canonical
-sort order, so write -> load -> write is byte-stable.
+sort order, so write -> load -> write is byte-stable; a query text or
+information need holding a tab, LF or CR cannot be written.
+
+Reading, loading and writing run with the cyclic garbage collector
+paused (:func:`dataset.gc_paused`): they build hundreds of thousands of
+records and no reference cycles, so a collection there would only
+traverse the new records again and free nothing.
 """
 
 from __future__ import annotations
@@ -30,8 +36,9 @@ from __future__ import annotations
 import os
 import sys
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .dataset import (
     CLICK_ORDER,
@@ -49,6 +56,7 @@ from .dataset import (
     Variant,
     Verdict,
     MAX_CUTOFF,
+    gc_paused,
     validate,
 )
 from .scales import GRADE_BEST, GRADE_WORST, check_grade
@@ -283,6 +291,7 @@ def read_sessions(sessions_path: Path, clicks_path: Path) -> list[Session]:
     return out
 
 
+@gc_paused
 def read_dataset(root: Union[str, Path]) -> EvaluationDataset:
     """Parse the dataset in directory ``root``, without validating it.
 
@@ -305,6 +314,7 @@ def read_dataset(root: Union[str, Path]) -> EvaluationDataset:
     )
 
 
+@gc_paused
 def load_dataset(
     root: Union[str, Path],
     *,
@@ -323,12 +333,6 @@ def load_dataset(
     return dataset
 
 
-def _bool_str(value: Optional[bool]) -> str:
-    if value is None:
-        return "-"
-    return "true" if value else "false"
-
-
 def write_tsv(path: Union[str, Path], header: Sequence[object],
               rows: Iterable[Iterable[object]]) -> None:
     """Write ``header`` and then each row as one tab-separated UTF-8 line."""
@@ -337,28 +341,47 @@ def write_tsv(path: Union[str, Path], header: Sequence[object],
         fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
 
 
+@gc_paused
 def write_dataset(dataset: EvaluationDataset, root: Union[str, Path]) -> None:
-    """Write all record files in canonical sort order under ``root``."""
+    """Write all record files in canonical sort order under ``root``.
+
+    Each record is one line of ``str`` of its fields joined by tabs, with
+    booleans as ``true``/``false``/``-``.  A query text or information
+    need holding a tab, LF or CR would not read back as one record, so it
+    raises ValueError before any file is created.
+    """
+    queries = sorted(dataset.queries, key=attrgetter("id"))
+    for q in queries:
+        for name in ("text", "info_need"):
+            value = str(getattr(q, name))
+            if "\t" in value or "\n" in value or "\r" in value:
+                raise ValueError(f"query {q.id!r} {name} holds a tab or line break,"
+                                 " which a record file cannot hold")
     root = Path(root)
     os.makedirs(root, exist_ok=True)
 
-    def write(kind: str, rows: Iterable[Iterable[object]]) -> None:
-        write_tsv(root / FILE_NAMES[kind], (HEADER_TAG, SCHEMA_VERSION, kind), rows)
+    def write(kind: str, lines: Iterable[str]) -> None:
+        with open(root / FILE_NAMES[kind], "w", encoding="utf-8") as fh:
+            fh.write(f"{HEADER_TAG}\t{SCHEMA_VERSION}\t{kind}\n")
+            fh.writelines(lines)
 
-    write("queries", ([q.id, q.query_type.value, q.language.value, q.text, q.info_need]
-                      for q in sorted(dataset.queries, key=lambda q: q.id)))
-    write("judgments",
-          ([j.query_id, j.result_id, j.rater_id, j.grade, _bool_str(j.snippet_relevant)]
-           for j in sorted(dataset.judgments, key=lambda j: (j.query_id, j.result_id, j.rater_id))))
-    write("lists", ([pair.query_id, variant.value, rank, result_id]
-                    for pair in sorted(dataset.list_pairs, key=lambda p: p.query_id)
-                    for variant in (Variant.A, Variant.B)
-                    for rank, result_id in enumerate(pair.variant(variant), start=1)))
-    write("preferences",
-          ([p.query_id, p.rater_id, p.verdict.value]
-           for p in sorted(dataset.preferences, key=lambda p: (p.query_id, p.rater_id))))
+    write("queries", (f"{q.id}\t{q.query_type.value}\t{q.language.value}\t{q.text}\t{q.info_need}\n"
+                      for q in queries))
+    write("judgments", (
+        f"{j.query_id}\t{j.result_id}\t{j.rater_id}\t{j.grade}\t"
+        f"{'-' if j.snippet_relevant is None else 'true' if j.snippet_relevant else 'false'}\n"
+        for j in sorted(dataset.judgments, key=attrgetter("query_id", "result_id", "rater_id"))))
+    write("lists", (f"{pair.query_id}\t{variant}\t{rank}\t{result_id}\n"
+                    for pair in sorted(dataset.list_pairs, key=attrgetter("query_id"))
+                    for variant, ranking in (("A", pair.variant_a), ("B", pair.variant_b))
+                    for rank, result_id in enumerate(ranking, start=1)))
+    write("preferences", (f"{p.query_id}\t{p.rater_id}\t{p.verdict.value}\n"
+                          for p in sorted(dataset.preferences,
+                                          key=attrgetter("query_id", "rater_id"))))
     sessions = sorted(dataset.sessions, key=lambda s: (s.query_id, s.rater_id, s.variant.value))
-    write("sessions", ([s.query_id, s.rater_id, s.variant.value, s.start_ts, s.end_ts,
-                        _bool_str(s.satisfied)] for s in sessions))
-    write("clicks", ([s.query_id, s.rater_id, s.variant.value, click.rank, click.ts]
-                     for s in sessions for click in s.clicks))
+    write("sessions", (
+        f"{s.query_id}\t{s.rater_id}\t{s.variant.value}\t{s.start_ts}\t{s.end_ts}\t"
+        f"{'-' if s.satisfied is None else 'true' if s.satisfied else 'false'}\n"
+        for s in sessions))
+    write("clicks", (f"{s.query_id}\t{s.rater_id}\t{s.variant.value}\t{c.rank}\t{c.ts}\n"
+                     for s in sessions for c in s.clicks))

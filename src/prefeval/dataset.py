@@ -10,17 +10,42 @@ passes keeps the grade index built while checking it.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, wraps
 from operator import attrgetter
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
-from .scales import check_grade
+from .scales import GRADE_BEST, GRADE_WORST, check_grade
 
 # The deepest cut-off any metric is evaluated at, and every command's default one.
 MAX_CUTOFF = 10
+
+
+def gc_paused(fn: Callable) -> Callable:
+    """Run ``fn`` with the cyclic garbage collector off, as the caller had it after.
+
+    Loading, validating and writing a dataset build or walk hundreds of
+    thousands of tracked objects (records, split lines, index entries)
+    and no reference cycles, so a collection there frees nothing, while
+    each one that runs as the generations fill traverses them all again.
+    Nested calls keep it off, and a caller that turned the collector off
+    finds it off; objects made meanwhile are collected as usual once it
+    is back on.  The switch is process-wide, and the package starts no
+    threads that could find it off.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 class QueryType(str, Enum):
@@ -185,6 +210,7 @@ class ValidationError(Exception):
         super().__init__("dataset validation failed:\n" + "\n".join(lines))
 
 
+@gc_paused
 def validate(
     dataset: EvaluationDataset,
     mode: ValidationMode = ValidationMode.STRICT,
@@ -246,11 +272,13 @@ def validate(
                 f"judgment for query {j.query_id!r} references result {j.result_id!r}"
                 " absent from both variants",
             )
-        try:
-            check_grade(j.grade)
-        except ValueError as exc:
-            error("grade-range",
-                  f"judgment ({j.query_id!r}, {j.result_id!r}, {j.rater_id!r}): {exc}")
+        g = j.grade
+        if not (type(g) is int and GRADE_BEST <= g <= GRADE_WORST):
+            try:
+                check_grade(g)
+            except ValueError as exc:
+                error("grade-range",
+                      f"judgment ({j.query_id!r}, {j.result_id!r}, {j.rater_id!r}): {exc}")
         raters = grades.setdefault((j.query_id, j.result_id), {})
         if j.rater_id in raters:
             error(
@@ -287,17 +315,19 @@ def validate(
             )
         seen_verdicts.add(key)
 
+    def session_error(kind: str, s: Session, message: str) -> None:
+        error(kind, f"session ({s.query_id!r}, {s.rater_id!r}, {s.variant.value}) {message}")
+
     for s in dataset.sessions:
-        label = f"session ({s.query_id!r}, {s.rater_id!r}, {s.variant.value})"
         if s.query_id not in known:
-            error("dangling-query", f"{label} references an unknown query")
+            session_error("dangling-query", s, "references an unknown query")
         if s.start_ts > s.end_ts:
-            error("time-order", f"{label} starts after it ends")
+            session_error("time-order", s, "starts after it ends")
         for click in s.clicks:
             if click.rank < 1:
-                error("click-rank", f"{label} has a click at rank {click.rank}")
+                session_error("click-rank", s, f"has a click at rank {click.rank}")
             if not s.start_ts <= click.ts <= s.end_ts:
-                error("click-time", f"{label} has a click outside the session interval")
+                session_error("click-time", s, "has a click outside the session interval")
     for (qid, variant), group in dataset.sessions_by_query_variant.items():
         sessions_by_rater = Counter(s.rater_id for s in group)
         for rater in [r for r, n in sessions_by_rater.items() if n > 1]:

@@ -1028,6 +1028,32 @@ class TestSynthCommand:
                      "--raters", "1", "--seed", "1", "--preferences", "4"]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    def test_warns_when_other_users_cannot_sweep_the_output(self, tmp_path, capsys):
+        # one verdict per query: its rater is the query's only judge
+        data = tmp_path / "ds"
+        assert main(["synth", "--out", str(data), "--queries", "20", "--raters", "4",
+                     "--seed", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (f"wrote 20 queries, 400 judgments, 20 preferences,"
+                                f" 40 sessions to {data}\n")
+        assert captured.err == (
+            "warning: --rating-source other-users cannot sweep this dataset: no rater besides"
+            " 'u01' judged ('q001', 'q001-a01'); give each query two or more verdicts"
+            " (--preferences >= 2 x --queries)\n")
+        assert main(["sweep", str(data), "--rating-source", "other-users",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "missing judgment: no rater besides 'u01' judged ('q001', 'q001-a01')")
+
+    @pytest.mark.parametrize("seed", [901, 2010])
+    def test_study_shaped_output_sweeps_with_other_users_silently(self, tmp_path, capsys, seed):
+        data = tmp_path / "ds"
+        assert main(["synth", "--out", str(data), "--queries", "42", "--raters", "31",
+                     "--seed", str(seed), "--preferences", "147"]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["sweep", str(data), "--rating-source", "other-users", "--metrics", "ndcg",
+                     "--out", str(tmp_path / "out")]) == 0
+
 
 class TestSessionsInCli:
     def test_sessions_round_trip_through_cli_files(self, tmp_path, sample_pir_dataset):

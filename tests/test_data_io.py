@@ -1,19 +1,29 @@
 import dataclasses
+import gc
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from conftest import binary_pair_dataset, make_session, scored_pairs
+from prefeval import data_io
 from prefeval.data_io import (
     FILE_NAMES,
     ParseError,
     load_dataset,
+    read_dataset,
     read_judgments,
     read_queries,
     write_dataset,
 )
-from prefeval.dataset import ValidationError, ValidationMode, Verdict
+from prefeval.dataset import (
+    Click,
+    ValidationError,
+    ValidationMode,
+    Variant,
+    Verdict,
+    validate,
+)
 from prefeval.pir import pir
 from prefeval.config import Metric, MetricConfig
 from prefeval.scales import DiscountFunction
@@ -441,3 +451,188 @@ class TestParserEquivalence:
             load_dataset(data)
         assert str(exc.value) == f"{path}:{line}: {message}"
         assert exc.value.line == line
+
+
+def _flag(value) -> str:
+    return "-" if value is None else "true" if value else "false"
+
+
+def _reference_files(ds) -> dict[str, bytes]:
+    """Each record file's bytes, as ``"\\t".join(map(str, row))`` lines in canonical order."""
+    sessions = sorted(ds.sessions, key=lambda s: (s.query_id, s.rater_id, s.variant.value))
+    rows = {
+        "queries": [(q.id, q.query_type.value, q.language.value, q.text, q.info_need)
+                    for q in sorted(ds.queries, key=lambda q: q.id)],
+        "judgments": [(j.query_id, j.result_id, j.rater_id, j.grade, _flag(j.snippet_relevant))
+                      for j in sorted(ds.judgments,
+                                      key=lambda j: (j.query_id, j.result_id, j.rater_id))],
+        "lists": [(p.query_id, v.value, rank, rid)
+                  for p in sorted(ds.list_pairs, key=lambda p: p.query_id)
+                  for v in (Variant.A, Variant.B)
+                  for rank, rid in enumerate(p.variant(v), start=1)],
+        "preferences": [(p.query_id, p.rater_id, p.verdict.value)
+                        for p in sorted(ds.preferences, key=lambda p: (p.query_id, p.rater_id))],
+        "sessions": [(s.query_id, s.rater_id, s.variant.value, s.start_ts, s.end_ts,
+                      _flag(s.satisfied)) for s in sessions],
+        "clicks": [(s.query_id, s.rater_id, s.variant.value, c.rank, c.ts)
+                   for s in sessions for c in s.clicks],
+    }
+    return {kind: "".join("\t".join(map(str, row)) + "\n"
+                          for row in [("#prefeval", 1, kind), *body]).encode("utf-8")
+            for kind, body in rows.items()}
+
+
+def _assert_written_as_joined(ds, root: Path) -> None:
+    write_dataset(ds, root)
+    for kind, want in _reference_files(ds).items():
+        assert (root / FILE_NAMES[kind]).read_bytes() == want, kind
+
+
+class TestWriterBytes:
+    """Each written line is exactly the tab join of ``str`` of its record's fields."""
+
+    def test_optional_booleans_clicks_and_tied_timestamps(self, tmp_path, round_trip_dataset):
+        ds = round_trip_dataset
+        flags = (None, True, False)
+        judgments = tuple(dataclasses.replace(j, snippet_relevant=flags[i % 3])
+                          for i, j in enumerate(ds.judgments))
+        sessions = []
+        for i, s in enumerate(ds.sessions):
+            clicks = s.clicks
+            if i % 4 == 0:
+                clicks = ()
+            elif clicks:  # a second click at the first one's timestamp, ranked after it
+                first = clicks[0]
+                clicks = (first, Click(first.rank + 1, first.ts), *clicks[1:])
+            sessions.append(dataclasses.replace(s, satisfied=flags[i % 3], clicks=clicks))
+        ds = dataclasses.replace(ds, judgments=judgments, sessions=tuple(sessions))
+        assert validate(ds).ok
+        assert {j.snippet_relevant for j in ds.judgments} == set(flags)
+        assert {s.satisfied for s in ds.sessions} == set(flags)
+        assert any(not s.clicks for s in ds.sessions)
+        assert any(len({c.ts for c in s.clicks}) < len(s.clicks) for s in ds.sessions)
+        _assert_written_as_joined(ds, tmp_path / "out")
+        assert load_dataset(tmp_path / "out") == ds
+
+    def test_dataset_loaded_from_headerless_crlf_files(self, tmp_path, round_trip_dataset):
+        write_dataset(round_trip_dataset, tmp_path / "in")
+        for name in FILE_NAMES.values():
+            edit = lambda t: t.replace("\n", "\r\n")
+            if name != FILE_NAMES["queries"]:
+                edit = lambda t: _headerless(t).replace("\n", "\r\n")
+            _rewrite(tmp_path / "in" / name, edit)
+        loaded = load_dataset(tmp_path / "in")
+        assert loaded == round_trip_dataset
+        _assert_written_as_joined(loaded, tmp_path / "out")
+
+    @pytest.mark.parametrize("field", ["text", "info_need"])
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+    def test_line_breaking_query_text_is_refused_before_any_file(
+            self, tmp_path, round_trip_dataset, field, char):
+        queries = list(round_trip_dataset.queries)
+        queries[2] = dataclasses.replace(queries[2], **{field: f"left{char}right"})
+        ds = dataclasses.replace(round_trip_dataset, queries=tuple(queries))
+        assert validate(ds).ok
+        with pytest.raises(ValueError) as exc:
+            write_dataset(ds, tmp_path / "out")
+        assert str(exc.value) == (f"query {queries[2].id!r} {field} holds a tab or line break,"
+                                  " which a record file cannot hold")
+        assert not (tmp_path / "out").exists()
+
+
+class _SpyTuple(tuple):
+    """A tuple that records whether the collector was on whenever it is iterated."""
+
+    seen: list
+
+    def __iter__(self):
+        self.seen.append(gc.isenabled())
+        return super().__iter__()
+
+
+class TestGcPause:
+    """Loading, validating and writing run with the cyclic collector off, and restore it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.fixture
+    def data(self, tmp_path, round_trip_dataset):
+        write_dataset(round_trip_dataset, tmp_path / "ok")
+        return tmp_path
+
+    @staticmethod
+    def _break(root: Path, kind: str, edit) -> Path:
+        _rewrite(root / FILE_NAMES[kind], edit)
+        return root
+
+    CALLS = {
+        "read": lambda d, ds: read_dataset(d / "ok"),
+        "read-parse-error": lambda d, ds: read_dataset(TestGcPause._break(
+            d / "ok", "judgments", lambda t: t.replace("\t3\t", "\t7\t", 1))),
+        "read-missing": lambda d, ds: read_dataset(d / "absent"),
+        "load": lambda d, ds: load_dataset(d / "ok"),
+        "load-parse-error": lambda d, ds: load_dataset(TestGcPause._break(
+            d / "ok", "preferences", lambda t: t.replace("\tA\n", "\tMAYBE\n", 1))),
+        "load-validation-error": lambda d, ds: load_dataset(TestGcPause._break(
+            d / "ok", "queries", lambda t: t.split("\n", 2)[0] + "\n" + t.split("\n", 2)[2])),
+        "load-missing": lambda d, ds: load_dataset(d / "absent"),
+        "validate": lambda d, ds: validate(ds),
+        "write": lambda d, ds: write_dataset(ds, d / "out"),
+        "write-refused": lambda d, ds: write_dataset(dataclasses.replace(
+            ds, queries=(dataclasses.replace(ds.queries[0], text="a\tb"),) + ds.queries[1:]),
+            d / "out"),
+    }
+    RAISES = {"read-parse-error": ParseError, "read-missing": FileNotFoundError,
+              "load-parse-error": ParseError, "load-validation-error": ValidationError,
+              "load-missing": FileNotFoundError, "write-refused": ValueError}
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_collector_state_is_restored(self, data, round_trip_dataset, name, enabled):
+        (gc.enable if enabled else gc.disable)()
+        raises = self.RAISES.get(name)
+        if raises is None:
+            self.CALLS[name](data, round_trip_dataset)
+        else:
+            with pytest.raises(raises):
+                self.CALLS[name](data, round_trip_dataset)
+        assert gc.isenabled() is enabled
+
+    def test_collector_is_off_while_files_are_read_and_written(self, data, round_trip_dataset,
+                                                               monkeypatch):
+        seen = []
+
+        def spy_open(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(data_io, "open", spy_open, raising=False)
+        gc.enable()
+        load_dataset(data / "ok")
+        read_dataset(data / "ok")
+        write_dataset(round_trip_dataset, data / "out")
+        assert len(seen) == 3 * len(FILE_NAMES)
+        assert not any(seen)
+        assert gc.isenabled()
+
+    def test_collector_is_off_while_validating(self, round_trip_dataset):
+        queries = _SpyTuple(round_trip_dataset.queries)
+        queries.seen = []
+        gc.enable()
+        assert validate(dataclasses.replace(round_trip_dataset, queries=queries)).ok
+        assert queries.seen and not any(queries.seen)
+        assert gc.isenabled()
+
+    def test_paused_phases_leave_no_cycles(self, tmp_path):
+        """What the pause rests on: writing and loading create no garbage that only it frees."""
+        ds = generate_synthetic(SynthSpec(n_queries=300, n_raters=4, seed=11, n_preferences=600))
+        gc.collect()
+        write_dataset(ds, tmp_path)
+        assert gc.collect() == 0
+        loaded = load_dataset(tmp_path)
+        assert gc.collect() == 0
+        assert loaded == ds

@@ -117,6 +117,31 @@ class TestReferences:
             ds = dataclasses.replace(well_formed, judgments=well_formed.judgments + (extra,))
             assert "grade-range" in kinds(validate(ds, STRICT)), grade
 
+    def test_grade_and_session_messages(self, well_formed):
+        class Grade(int):
+            pass
+
+        rid = well_formed.pair_by_query["q1"].variant_a[0]
+        extra = tuple(GradedJudgment("q1", rid, f"r{9 + i}", grade)
+                      for i, grade in enumerate((7, 0, "3", True, 3.0, Grade(2))))
+        bad = make_session(qid="ghost", rater="r2", variant=Variant.B, start=50, end=40,
+                           click_ranks_ts=((0, 45), (2, 60)))
+        ds = dataclasses.replace(well_formed, judgments=well_formed.judgments + extra,
+                                 sessions=well_formed.sessions + (bad,))
+        judgment = f"error: grade-range: judgment ('q1', '{rid}', "
+        session = "session ('ghost', 'r2', B)"
+        assert [str(issue) for issue in validate(ds, STRICT).issues] == [
+            f"{judgment}'r9'): grade must be 1..6, got 7",
+            f"{judgment}'r10'): grade must be 1..6, got 0",
+            f"{judgment}'r11'): grade must be an integer, got '3'",
+            f"{judgment}'r12'): grade must be an integer, got True",
+            f"{judgment}'r13'): grade must be an integer, got 3.0",
+            f"error: dangling-query: {session} references an unknown query",
+            f"error: time-order: {session} starts after it ends",
+            f"error: click-rank: {session} has a click at rank 0",
+            f"error: click-time: {session} has a click outside the session interval",
+            f"error: click-time: {session} has a click outside the session interval",
+        ]
 
     @pytest.mark.parametrize("mode", [STRICT, LENIENT])
     def test_verdict_on_query_without_list_pair(self, well_formed, mode):
