@@ -32,7 +32,7 @@ from .implicit import (
 )
 from .pir import CATEGORIES, DEFAULT_THRESHOLDS, best_cell, check_grid, check_increasing, pir_sweep
 from .scales import DiscountFunction, DiscountKind, RelevanceScale, load_click_weights
-from .scoring import MissingJudgment, judged_lists, score_group
+from .scoring import MissingJudgment, judged_lists, resolve_preferences, score_group
 from .synth import SynthSpec, generate_synthetic
 
 EXIT_OK = 0
@@ -401,11 +401,9 @@ def cmd_synth(args) -> int:
     # Each query is judged by its verdicts' raters alone (at least one), so
     # a query with one verdict leaves that rater no one else to read.
     other_users = MetricConfig(Metric.PRECISION, DiscountFunction(DiscountKind.NONE),
-                               cutoff=min(spec.list_len, MAX_CUTOFF),
                                rating_source=RatingSource.OTHER_USERS)
     try:
-        for p in dataset.preferences:
-            judged_lists(dataset, p.query_id, p.rater_id, other_users)
+        resolve_preferences(dataset, other_users, (min(spec.list_len, MAX_CUTOFF),))
     except MissingJudgment as exc:
         print(f"warning: --rating-source other-users cannot sweep this dataset: {exc};"
               " give each query two or more verdicts (--preferences >= 2 x --queries)",

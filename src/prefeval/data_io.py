@@ -22,8 +22,8 @@ distinct id, shared by every file and record that names it.  Judgment,
 list, preference, session and click files are also accepted headerless
 with any whitespace as separator, for quick hand-built fixtures; the
 queries file always needs its header.  Files are written in a canonical
-sort order, so write -> load -> write is byte-stable; a query text or
-information need holding a tab, LF or CR cannot be written.
+sort order, so write -> load -> write is byte-stable; a query text,
+information need or id holding a tab, LF or CR cannot be written.
 
 Reading, loading and writing run with the cyclic garbage collector
 paused (:func:`dataset.gc_paused`): they build hundreds of thousands of
@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 import sys
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -341,22 +341,56 @@ def write_tsv(path: Union[str, Path], header: Sequence[object],
         fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
 
 
+def _breaks_a_record(value: str) -> bool:
+    return "\t" in value or "\n" in value or "\r" in value
+
+
+def _check_ids(dataset: EvaluationDataset) -> None:
+    """Refuse a query, result or rater id holding a tab, LF or CR; each distinct id is read once.
+
+    A validated dataset's grade index holds its judgments' ids without
+    the repeats, so they are read from it when validation left one.
+    """
+    get = attrgetter
+    queries, results, raters = set(), set(), set()
+    index = dataset.__dict__.get("grades")  # (query_id, result_id) -> {rater_id: grade}
+    if index is None:
+        for ids, name in ((queries, "query_id"), (results, "result_id"), (raters, "rater_id")):
+            ids.update(map(get(name), dataset.judgments))
+    else:
+        queries.update(map(itemgetter(0), index))
+        results.update(map(itemgetter(1), index))
+        raters.update(*index.values())
+    queries.update(map(get("id"), dataset.queries),
+                   *(map(get("query_id"), records)
+                     for records in (dataset.list_pairs, dataset.preferences, dataset.sessions)))
+    results.update(*map(get("variant_a"), dataset.list_pairs),
+                   *map(get("variant_b"), dataset.list_pairs))
+    raters.update(*(map(get("rater_id"), records)
+                    for records in (dataset.preferences, dataset.sessions)))
+    for kind, ids in (("query", queries), ("result", results), ("rater", raters)):
+        if _breaks_a_record("\0".join(map(str, ids))):
+            raise ValueError(f"{kind} id {min(filter(_breaks_a_record, map(str, ids)))!r} holds"
+                             " a tab or line break, which a record file cannot hold")
+
+
 @gc_paused
 def write_dataset(dataset: EvaluationDataset, root: Union[str, Path]) -> None:
     """Write all record files in canonical sort order under ``root``.
 
     Each record is one line of ``str`` of its fields joined by tabs, with
-    booleans as ``true``/``false``/``-``.  A query text or information
-    need holding a tab, LF or CR would not read back as one record, so it
-    raises ValueError before any file is created.
+    booleans as ``true``/``false``/``-``.  A query text, information need
+    or query, result or rater id holding a tab, LF or CR would not read
+    back as one record, so it raises ValueError before any file is
+    created.  Ids are checked once per distinct id, not per record.
     """
     queries = sorted(dataset.queries, key=attrgetter("id"))
     for q in queries:
         for name in ("text", "info_need"):
-            value = str(getattr(q, name))
-            if "\t" in value or "\n" in value or "\r" in value:
+            if _breaks_a_record(str(getattr(q, name))):
                 raise ValueError(f"query {q.id!r} {name} holds a tab or line break,"
                                  " which a record file cannot hold")
+    _check_ids(dataset)
     root = Path(root)
     os.makedirs(root, exist_ok=True)
 

@@ -4,10 +4,12 @@ No command runs this module.  It walks the preference judgments one by
 one, scores each list at one cut-off through :func:`metric_score`, which
 dispatches to the scalar metrics (pinned against published worked
 examples), and counts each threshold through :func:`~prefeval.pir.pir`.
-It shares with the engine only relevance resolution
-(:func:`~prefeval.scoring.judged_lists`, with its depth check) and the
-discount tables, so grid cells can be required to match exactly.  A
-verdict with a None score is left out, as the engine leaves it out.
+It resolves each verdict's lists through
+:func:`~prefeval.scoring.judged_lists`, with its depth check, where the
+engine reads per-query grade rows; the two share only the rule for a
+mean of raters' units and the discount tables, so grid cells can be
+required to match exactly.  A verdict with a None score is left out, as
+the engine leaves it out.
 """
 
 from __future__ import annotations

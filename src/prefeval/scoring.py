@@ -1,19 +1,25 @@
 """Judged relevance lists from dataset grades, and the engine that scores them.
 
-Resolution is what the engine and the reference oracle share: per-result
-unit relevance under a scale and rating source (or, with no preference
-rater, the mean over all raters), and :func:`judged_lists`, one walk down
-a query's two lists that checks their depth and yields both judged lists,
-the judged pool in first-rank order and the pool's end at every rank.
-Scoring is the engine's alone, and :func:`score_group` is the only scorer
-any command runs: :func:`resolve_preferences` pairs each verdict with its
-judged lists, resolved once for all cut-offs; :func:`verdict_parts` takes
-from them what every discount reads alike (each cut-off's NDCG ideal and
-known-relevant count, AP's and ERR's per-rank factors, the cumulated
-relevance); and :func:`score_group` scores every cut-off of both lists
-for the configs of one discount, from one list of ``rel * weight``
-products per list.  Nothing here imports the scalar reference,
-:mod:`prefeval.metrics`; only the oracle scores through it.
+Relevance has one rule: the mean of the selected raters' units in rater
+order, one ``sum()`` divided by their count (:func:`_mean`).  The oracle,
+``eval`` and the descriptive statistics resolve one lookup at a time:
+:func:`unit_relevance` gives one result's relevance for one preference
+rater (or, with none, the mean over all raters), and :func:`judged_lists`
+walks a query's two lists once, checks their depth and yields both judged
+lists, the judged pool in first-rank order and the pool's end at every
+rank.  The engine resolves per query instead, and shares only that mean
+with them: :func:`resolve_preferences` walks each query's lists once,
+builds one :func:`grade_row` per distinct result holding every rater's
+relevance, and pairs each verdict with judged lists read from those rows,
+once for all cut-offs.  Scoring is the engine's alone, and
+:func:`score_group` is the only scorer any command runs:
+:func:`verdict_parts` takes from the judged lists what every discount
+reads alike (each cut-off's NDCG ideal and known-relevant count, AP's and
+ERR's per-rank factors, the cumulated relevance); and :func:`score_group`
+scores every cut-off of both lists for the configs of one discount, from
+one list of ``rel * weight`` products per list.  Nothing here imports the
+scalar reference, :mod:`prefeval.metrics`; only the oracle scores through
+it.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from math import fsum
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .config import ERR_GRADE_MAX, ApNorm, Metric, MetricConfig, RatingSource
 from .dataset import EvaluationDataset, Verdict
@@ -36,6 +42,29 @@ class MissingJudgment(Exception):
     Raised in strict mode; lenient scoring substitutes relevance 0.0
     (the unit value of the worst grade).
     """
+
+
+def _mean(units: list[float], skip: Optional[int] = None) -> Optional[float]:
+    """The one relevance mean: ``units`` without entry ``skip``, summed once, over their count.
+
+    ``units`` are the selected raters' units in rater order, and the mean
+    is one ``sum()`` over them in that order divided by their count, so
+    every caller gets the same float for the same raters.  None when no
+    unit is left.
+    """
+    if skip is not None:
+        units = units[:skip] + units[skip + 1:]
+    return sum(units) / len(units) if units else None
+
+
+def _missing(query_id: str, result_id: str, same_user: bool,
+             rater_id: Optional[str]) -> MissingJudgment:
+    if same_user:
+        return MissingJudgment(
+            f"rater {rater_id!r} has no judgment for ({query_id!r}, {result_id!r})")
+    if rater_id is None:
+        return MissingJudgment(f"({query_id!r}, {result_id!r}) has no judgment")
+    return MissingJudgment(f"no rater besides {rater_id!r} judged ({query_id!r}, {result_id!r})")
 
 
 def unit_relevance(
@@ -59,19 +88,43 @@ def unit_relevance(
     units = UNITS[scale]
     same_user = source is RatingSource.SAME_USER and rater_id is not None
     if same_user:
-        values = [units[grades[rater_id] - 1]] if rater_id in grades else []
+        mean = _mean([units[grades[rater_id] - 1]] if rater_id in grades else [])
     else:
-        values = [units[g - 1] for r, g in grades.items() if r != rater_id]
-    if values:
-        return sum(values) / len(values)
+        mean = _mean([units[g - 1] for g in grades.values()],
+                     list(grades).index(rater_id) if rater_id in grades else None)
+    if mean is not None:
+        return mean
     if lenient:
         return 0.0
+    raise _missing(query_id, result_id, same_user, rater_id)
+
+
+def grade_row(
+    grades: Mapping[tuple[str, str], Mapping[str, int]],
+    key: tuple[str, str],
+    units: Sequence[float],
+    same_user: bool,
+) -> dict[Optional[str], Optional[float]]:
+    """Every rater's relevance of one (query, result), as :func:`unit_relevance` gives it.
+
+    ``grades`` is the dataset's grade index and ``units`` a scale's unit
+    table.  A rater reads ``row[rater]`` if the row holds them and
+    ``row[None]`` otherwise; None there means the relevance is missing.
+    Under same-user a rater's relevance is their own unit (a mean of one
+    value is that value), and ``row[None]`` is None.  Under other-users
+    it is the mean of every other rater, None for a sole judge, and
+    ``row[None]`` the mean of all raters.  Every mean is :func:`_mean`'s.
+    """
+    by_rater = grades.get(key, {})
     if same_user:
-        raise MissingJudgment(
-            f"rater {rater_id!r} has no judgment for ({query_id!r}, {result_id!r})")
-    if rater_id is None:
-        raise MissingJudgment(f"({query_id!r}, {result_id!r}) has no judgment")
-    raise MissingJudgment(f"no rater besides {rater_id!r} judged ({query_id!r}, {result_id!r})")
+        row: dict[Optional[str], Optional[float]] = {
+            rater: units[g - 1] for rater, g in by_rater.items()}
+        row[None] = None
+        return row
+    values = [units[g - 1] for g in by_rater.values()]
+    row = {rater: _mean(values, i) for i, rater in enumerate(by_rater)}
+    row[None] = _mean(values)
+    return row
 
 
 class JudgedLists(NamedTuple):
@@ -135,24 +188,62 @@ def resolve_preferences(
     """Every verdict in the config's query scope with its judged lists, resolved once.
 
     Only the config's scale, rating source and query filter matter, so
-    every config sharing them can score from the same table.  Each
-    verdict's lists are resolved once, down to ``max(cutoffs)``, with one
-    :func:`unit_relevance` lookup per distinct result; metrics ignore
-    entries beyond their cut-off, and each cut-off's pool is a prefix of
-    the deepest one.  Consecutive verdicts share equal pool ends.  Queries
-    outside the query filter are skipped.
+    every config sharing them can score from the same table.  Lists are
+    resolved down to ``max(cutoffs)``; metrics ignore entries beyond
+    their cut-off, and each cut-off's pool is a prefix of the deepest one.
+    Verdicts are walked in dataset order.  Each query is resolved once
+    per run of its verdicts: the depth check, the pool in first-rank order
+    and its ends, and one :func:`grade_row` per distinct result, A's
+    results first, then B's unseen ones.  A verdict then only reads its
+    rater's entry of each row.  Only the current query's rows are kept;
+    written and synthetic datasets list verdicts sorted by query, so
+    each of their rows is built once.  Each entry equals
+    :func:`judged_lists` for the verdict's rater, and the first missing
+    relevance raises the same MissingJudgment.  Consecutive verdicts
+    share equal pool ends.
     """
-    dataset.grades  # validates a dataset nobody validated, before any pair is read
-    deepest = config.at_cutoff(max(cutoffs))
+    grades = dataset.grades  # validates a dataset nobody validated, before any pair is read
+    depth = max(cutoffs)
+    units = UNITS[config.scale]
+    same_user = config.rating_source is RatingSource.SAME_USER
+    scope = config.query_filter
     resolved: list[tuple[Verdict, JudgedLists]] = []
+    query_id: Optional[str] = None
+    rows: Optional[list[dict]] = None
+    ends: tuple[int, ...] = ()
     for p in dataset.preferences:
-        if config.query_filter is not None:
-            if dataset.query_by_id[p.query_id].query_type not in config.query_filter:
+        if p.query_id != query_id:
+            query_id, rows = p.query_id, None
+            if scope is not None and dataset.query_by_id[query_id].query_type not in scope:
                 continue
-        lists = judged_lists(dataset, p.query_id, p.rater_id, deepest, lenient)
-        if resolved and resolved[-1][1].pool_ends == lists.pool_ends:
-            lists = lists._replace(pool_ends=resolved[-1][1].pool_ends)
-        resolved.append((p.verdict, lists))
+            pair = dataset.pair_by_query[query_id]
+            for ranked in (pair.variant_a, pair.variant_b):
+                if depth > len(ranked):
+                    raise ValueError(f"cut-off {depth} exceeds list length {len(ranked)}")
+            top_a, top_b = pair.variant_a[:depth], pair.variant_b[:depth]
+            distinct = list(dict.fromkeys((*top_a, *top_b)))
+            rows = [grade_row(grades, (query_id, rid), units, same_user) for rid in distinct]
+            at = {rid: i for i, rid in enumerate(distinct)}
+            pooled: dict[int, None] = {}  # row indexes: A1, B1, A2, B2, ..., first one kept
+            by_rank = []
+            for rid_a, rid_b in zip(top_a, top_b):
+                pooled[at[rid_a]] = pooled[at[rid_b]] = None
+                by_rank.append(len(pooled))
+            if tuple(by_rank) != ends:
+                ends = tuple(by_rank)
+            at_a, at_b = [at[rid] for rid in top_a], [at[rid] for rid in top_b]
+            at_pool = list(pooled)
+        elif rows is None:
+            continue
+        rater = p.rater_id
+        values = [row[rater] if rater in row else row[None] for row in rows]
+        if None in values:
+            if not lenient:
+                raise _missing(query_id, distinct[values.index(None)], same_user, rater)
+            values = [0.0 if v is None else v for v in values]
+        take = values.__getitem__
+        resolved.append((p.verdict, JudgedLists(list(map(take, at_a)), list(map(take, at_b)),
+                                                list(map(take, at_pool)), ends)))
     return resolved
 
 
@@ -229,8 +320,8 @@ def score_group(
     and their prefix ``math.fsum`` at each cut-off are computed once, and
     precision, NDCG and ESL all read them; AP and ERR read running totals
     of the shared parts times the weights, MRR the first relevant rank and
-    ESL the rank that reaches its target.  :func:`judged_lists` checked
-    the depth, and nothing here calls the scalar metrics.
+    ESL the rank that reaches its target.  Resolution checked the depth,
+    and nothing here calls the scalar metrics.
     """
     if parts is None:
         parts = verdict_parts(lists, configs, cutoffs)

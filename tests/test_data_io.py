@@ -539,6 +539,50 @@ class TestWriterBytes:
                                   " which a record file cannot hold")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("validated", [False, True], ids=["built", "validated"])
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+    @pytest.mark.parametrize("kind, old", [("query", "q002"), ("result", "q002-b03"),
+                                           ("rater", "u01")])
+    def test_line_breaking_id_is_refused_before_any_file(self, tmp_path, kind, old, char,
+                                                         validated):
+        # With rater u01 renamed 'u 0\t1' in every record, this dataset validates; it
+        # used to be written, and then failed to load ("needs 4 or 5 fields, got 6").
+        new = f"{old[0]} {old[1:-1]}{char}{old[-1]}"
+        ds = _rename_id(generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6)), kind, old, new)
+        assert validate(dataclasses.replace(ds)).ok
+        if validated:
+            validate(ds)  # leaves the grade index, which the check reads judgment ids from
+        assert ("grades" in ds.__dict__) is validated
+        with pytest.raises(ValueError) as exc:
+            write_dataset(ds, tmp_path / "out")
+        assert str(exc.value) == (f"{kind} id {new!r} holds a tab or line break,"
+                                  " which a record file cannot hold")
+        assert not (tmp_path / "out").exists()
+
+
+def _rename_id(ds, kind, old, new):
+    """``ds`` with the query, result or rater id ``old`` renamed ``new`` in every record."""
+    fields = {"query": ("id", "query_id"), "result": ("result_id",), "rater": ("rater_id",)}[kind]
+
+    def swap(value):
+        return new if value == old else value
+
+    def renamed(records):
+        return tuple(dataclasses.replace(r, **{f: swap(getattr(r, f))
+                                               for f in fields if hasattr(r, f)})
+                     for r in records)
+
+    ds = dataclasses.replace(
+        ds, queries=renamed(ds.queries), judgments=renamed(ds.judgments),
+        list_pairs=renamed(ds.list_pairs), preferences=renamed(ds.preferences),
+        sessions=renamed(ds.sessions))
+    if kind == "result":
+        ds = dataclasses.replace(ds, list_pairs=tuple(
+            dataclasses.replace(p, variant_a=tuple(map(swap, p.variant_a)),
+                                variant_b=tuple(map(swap, p.variant_b)))
+            for p in ds.list_pairs))
+    return ds
+
 
 class _SpyTuple(tuple):
     """A tuple that records whether the collector was on whenever it is iterated."""

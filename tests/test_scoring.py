@@ -1,10 +1,12 @@
 import ast
 import dataclasses
 import math
+import random
+import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import binary_pair_dataset, make_query, score_pair
@@ -14,6 +16,7 @@ from prefeval.dataset import (
     EvaluationDataset,
     GradedJudgment,
     PreferenceJudgment,
+    QueryType,
     RankedListPair,
     ValidationError,
     Verdict,
@@ -176,28 +179,35 @@ class TestResolvePreferences:
         _, _, pool, pool_ends = judged_lists(ds, "q1", "r1", config(cutoff=4))
         assert pool == [0.1, 0.4, 0.2, 0.3]  # a01, a04, a02, a03
         assert pool_ends == (2, 4, 4, 4)  # the pool's end at every rank
+        # the engine reads each rater's relevance from one grade row per result
+        monkeypatch.setattr(scoring, "grade_row",
+                            lambda grades, key, *rest: {None: int(key[1][-2:]) / 10})
         [(_, entry)] = resolve_preferences(ds, config(), (1, 2, 4))
         assert entry.pool == pool
         assert entry.pool_ends == (2, 4, 4, 4)
 
     def test_sweep_looks_up_each_distinct_result_once(self, overlapping, monkeypatch):
+        # one grade row per (table, query, distinct result) on a query-sorted dataset
         calls = []
-        original = scoring.unit_relevance
+        original = scoring.grade_row
 
-        def counted(*args, **kwargs):
-            calls.append(args[1:3])
-            return original(*args, **kwargs)
+        def counted(grades, key, *args):
+            calls.append(key)
+            return original(grades, key, *args)
 
-        monkeypatch.setattr(scoring, "unit_relevance", counted)
+        monkeypatch.setattr(scoring, "grade_row", counted)
         configs = [MetricConfig(metric, DiscountFunction.rank(), rating_source=source,
                                 esl_n=2.0 if metric is Metric.ESL else None)
                    for metric in Metric for source in RatingSource]
         pir_sweep(overlapping, configs, cutoffs=(2, 5, 8))
-        distinct = 0
-        for p in overlapping.preferences:
-            pair = overlapping.pair_by_query[p.query_id]
-            distinct += len({*pair.variant_a[:8], *pair.variant_b[:8]})
-        assert len(calls) == distinct * len(RatingSource)
+        query_ids = [p.query_id for p in overlapping.preferences]
+        assert query_ids == sorted(query_ids)
+        per_table = []
+        for qid in dict.fromkeys(query_ids):
+            pair = overlapping.pair_by_query[qid]
+            per_table += [(qid, rid) for rid in dict.fromkeys((*pair.variant_a[:8],
+                                                                *pair.variant_b[:8]))]
+        assert calls == per_table * len(RatingSource)
 
     def test_sweep_never_calls_the_scalar_metrics(self, overlapping, tmp_path, monkeypatch):
         # nor does eval: every command scores through score_group
@@ -225,6 +235,96 @@ class TestResolvePreferences:
         for metric in Metric:
             assert cli.main(["eval", str(tmp_path), "--metric", metric.value]) == 0
         assert calls == []
+
+
+def per_verdict_tables(dataset, config, cutoffs, lenient):
+    """The table of :func:`resolve_preferences` built verdict by verdict with judged_lists."""
+    deepest, scope = config.at_cutoff(max(cutoffs)), config.query_filter
+    return [(p.verdict, judged_lists(dataset, p.query_id, p.rater_id, deepest, lenient))
+            for p in dataset.preferences
+            if scope is None or dataset.query_by_id[p.query_id].query_type in scope]
+
+
+def exact_outcome(resolve, *args):
+    """``resolve(*args)`` as exact text (each value by ``float.hex``), or what it raised."""
+    try:
+        table = resolve(*args)
+    except (MissingJudgment, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(verdict, [[x.hex() for x in rels] for rels in lists[:3]], lists.pool_ends)
+            for verdict, lists in table]
+
+
+def perturbed(spec, seed, drop, outsider, shuffle):
+    """A synthetic dataset with a share ``drop`` of its judgments dropped at random.
+
+    With ``outsider`` a rater who judged nothing there gives a verdict on
+    one query, and with ``shuffle`` the verdicts lose their query order.
+    """
+    dataset = generate_synthetic(spec)
+    rng = random.Random(seed)
+    judgments = tuple(j for j in dataset.judgments if rng.random() >= drop)
+    preferences = list(dataset.preferences)
+    if outsider:
+        qid = rng.choice(dataset.queries).id
+        preferences.append(PreferenceJudgment(query_id=qid, rater_id="outsider",
+                                              verdict=Verdict.B))
+    if shuffle:
+        rng.shuffle(preferences)
+    return dataclasses.replace(dataset, judgments=judgments, preferences=tuple(preferences))
+
+
+@st.composite
+def perturbed_datasets(draw):
+    """Small datasets with sole judges (one verdict on a query), disagreeing raters and gaps."""
+    n_queries, n_raters = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    spec = SynthSpec(n_queries, n_raters, draw(st.integers(0, 999)),
+                     n_preferences=draw(st.integers(0, n_queries * n_raters)),
+                     rater_noise=draw(st.sampled_from([0.0, 0.1, 0.4])),
+                     overlap=draw(st.sampled_from([0.0, 0.4, 1.0])))
+    return perturbed(spec, draw(st.integers(0, 999)), draw(st.sampled_from([0.0, 0.1, 0.5])),
+                     draw(st.booleans()), draw(st.booleans()))
+
+
+NOISY = SynthSpec(4, 3, 11, n_preferences=6, rater_noise=0.1, overlap=0.4)
+
+
+class TestResolveEquivalence:
+    """The engine's per-query grade rows against the per-verdict judged_lists walk."""
+
+    @given(perturbed_datasets(),
+           st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True),
+           st.none() | st.sets(st.sampled_from(list(QueryType)), min_size=1))
+    @example(perturbed(NOISY, 1, 0.1, True, True), [1, 5, 10], None)
+    @example(perturbed(NOISY, 2, 0.0, True, False), [10], None)
+    def test_every_entry_equals_judged_lists(self, dataset, cutoffs, query_filter):
+        # strict and lenient, every scale and both sources, entry for entry by float.hex;
+        # where the walk raises, the engine raises the same first error
+        for scale in RelevanceScale:
+            for source in RatingSource:
+                cfg = MetricConfig(Metric.NDCG, DiscountFunction.none(), scale=scale,
+                                   rating_source=source, query_filter=query_filter)
+                for lenient in (False, True):
+                    args = (dataset, cfg, cutoffs, lenient)
+                    assert (exact_outcome(resolve_preferences, *args)
+                            == exact_outcome(per_verdict_tables, *args))
+
+    def test_shuffled_verdicts_raise_the_first_missing_judgment_in_dataset_order(self):
+        # q001's and q002's verdicts are split, and q004's sole judge comes before q003's
+        dataset = perturbed(NOISY, 1, 0.0, False, True)
+        assert [(p.query_id, p.rater_id) for p in dataset.preferences] == [
+            ("q002", "u01"), ("q001", "u01"), ("q002", "u03"), ("q004", "u01"),
+            ("q003", "u03"), ("q001", "u02")]
+        cfg = MetricConfig(Metric.NDCG, DiscountFunction.none(),
+                           rating_source=RatingSource.OTHER_USERS)
+        message = "no rater besides 'u01' judged ('q004', 'q004-a01')"
+        with pytest.raises(MissingJudgment, match=rf"^{re.escape(message)}$"):
+            resolve_preferences(dataset, cfg, (3, 10))
+        with pytest.raises(MissingJudgment, match=rf"^{re.escape(message)}$"):
+            per_verdict_tables(dataset, cfg, (3, 10), False)
+        lenient = (dataset, cfg, (3, 10), True)
+        assert (exact_outcome(resolve_preferences, *lenient)
+                == exact_outcome(per_verdict_tables, *lenient))
 
 
 class TestGradeIndex:
