@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 import sys
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -346,21 +346,9 @@ def _breaks_a_record(value: str) -> bool:
 
 
 def _check_ids(dataset: EvaluationDataset) -> None:
-    """Refuse a query, result or rater id holding a tab, LF or CR; each distinct id is read once.
-
-    A validated dataset's grade index holds its judgments' ids without
-    the repeats, so they are read from it when validation left one.
-    """
+    """Refuse a query, result or rater id holding a tab, LF or CR; each distinct id is read once."""
     get = attrgetter
-    queries, results, raters = set(), set(), set()
-    index = dataset.__dict__.get("grades")  # (query_id, result_id) -> {rater_id: grade}
-    if index is None:
-        for ids, name in ((queries, "query_id"), (results, "result_id"), (raters, "rater_id")):
-            ids.update(map(get(name), dataset.judgments))
-    else:
-        queries.update(map(itemgetter(0), index))
-        results.update(map(itemgetter(1), index))
-        raters.update(*index.values())
+    queries, results, raters = dataset.judgment_ids()
     queries.update(map(get("id"), dataset.queries),
                    *(map(get("query_id"), records)
                      for records in (dataset.list_pairs, dataset.preferences, dataset.sessions)))

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, wraps
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Mapping, Optional
 
 from .scales import GRADE_BEST, GRADE_WORST, check_grade
@@ -164,6 +164,22 @@ class EvaluationDataset:
         if not report.ok:
             raise ValidationError(report)
         return self.__dict__["grades"]
+
+    def judgment_ids(self) -> tuple[set[str], set[str], set[str]]:
+        """The judgments' distinct query, result and rater ids.
+
+        Read from the grade index if validation kept one, which holds
+        each (query, result) once; otherwise from the records, without
+        validating.
+        """
+        index = self.__dict__.get("grades")
+        if index is None:
+            js = self.judgments
+            return (set(map(attrgetter("query_id"), js)), set(map(attrgetter("result_id"), js)),
+                    set(map(attrgetter("rater_id"), js)))
+        raters: set[str] = set()
+        raters.update(*index.values())
+        return set(map(itemgetter(0), index)), set(map(itemgetter(1), index)), raters
 
     @cached_property
     def sessions_by_query_variant(self) -> Mapping[tuple[str, Variant], tuple[Session, ...]]:

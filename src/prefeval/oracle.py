@@ -6,9 +6,9 @@ dispatches to the scalar metrics (pinned against published worked
 examples), and counts each threshold through :func:`~prefeval.pir.pir`.
 It resolves each verdict's lists through
 :func:`~prefeval.scoring.judged_lists`, with its depth check, where the
-engine reads per-query grade rows; the two share only the rule for a
-mean of raters' units and the discount tables, so grid cells can be
-required to match exactly.  A verdict with a None score is left out, as
+engine reads per-query grade rows; the two share only the relevance
+rule (:func:`~prefeval.scoring._relevance`) and the discount tables, so
+grid cells can be required to match exactly.  A verdict with a None score is left out, as
 the engine leaves it out.
 """
 

@@ -250,9 +250,9 @@ def pir_sweep(
     - configs that share a scale, rating source and query filter share
       one table from :func:`~prefeval.scoring.resolve_preferences`: each
       verdict's judged lists, resolved once down to ``max(cutoffs)`` and
-      read from grade rows built once per query, one per distinct result
-      with every rater's relevance, and the pool of each cut-off taken
-      from the deepest one by position;
+      read from grade rows built once per query, one per distinct result,
+      each working out a rater's relevance on that rater's first read,
+      and the pool of each cut-off taken from the deepest one by position;
     - the configs of a table are grouped by discount, and each group walks
       the table once (:func:`~prefeval.scoring.score_group`), computing a
       verdict's ``rel * weight`` products and their prefix sums once for

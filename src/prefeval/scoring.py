@@ -1,25 +1,25 @@
 """Judged relevance lists from dataset grades, and the engine that scores them.
 
-Relevance has one rule: the mean of the selected raters' units in rater
-order, one ``sum()`` divided by their count (:func:`_mean`).  The oracle,
-``eval`` and the descriptive statistics resolve one lookup at a time:
-:func:`unit_relevance` gives one result's relevance for one preference
-rater (or, with none, the mean over all raters), and :func:`judged_lists`
-walks a query's two lists once, checks their depth and yields both judged
-lists, the judged pool in first-rank order and the pool's end at every
-rank.  The engine resolves per query instead, and shares only that mean
+Relevance has one rule, :func:`_relevance`: the mean of the selected
+raters' units in rater order, one ``sum()`` divided by their count.  The
+oracle, ``eval`` and the descriptive statistics resolve one lookup at a
+time: :func:`unit_relevance` gives one result's relevance for one
+preference rater (or, with none, the mean over all raters), and
+:func:`judged_lists` walks a query's two lists once, checks their depth
+and yields both judged lists, the judged pool in first-rank order and the
+pool's end at every rank.  The engine resolves per query instead, and shares only that rule
 with them: :func:`resolve_preferences` walks each query's lists once,
-builds one :func:`grade_row` per distinct result holding every rater's
-relevance, and pairs each verdict with judged lists read from those rows,
-once for all cut-offs.  Scoring is the engine's alone, and
-:func:`score_group` is the only scorer any command runs:
-:func:`verdict_parts` takes from the judged lists what every discount
-reads alike (each cut-off's NDCG ideal and known-relevant count, AP's and
-ERR's per-rank factors, the cumulated relevance); and :func:`score_group`
-scores every cut-off of both lists for the configs of one discount, from
-one list of ``rel * weight`` products per list.  Nothing here imports the
-scalar reference, :mod:`prefeval.metrics`; only the oracle scores through
-it.
+builds one :class:`GradeRow` per distinct result, which works out a
+rater's relevance on that rater's first read, and pairs each verdict with
+judged lists read from those rows, once for all cut-offs.  Scoring is the
+engine's alone, and :func:`score_group` is the only scorer any command
+runs: :func:`verdict_parts` takes from the judged lists what every
+discount reads alike (each cut-off's NDCG ideal and known-relevant count,
+AP's and ERR's per-rank factors, the cumulated relevance); and
+:func:`score_group` scores every cut-off of both lists for the configs of
+one discount, from one list of ``rel * weight`` products per list.
+Nothing here imports the scalar reference, :mod:`prefeval.metrics`; only
+the oracle scores through it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from math import fsum
-from operator import mul
+from operator import itemgetter, mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .config import ERR_GRADE_MAX, ApNorm, Metric, MetricConfig, RatingSource
@@ -44,17 +44,22 @@ class MissingJudgment(Exception):
     """
 
 
-def _mean(units: list[float], skip: Optional[int] = None) -> Optional[float]:
-    """The one relevance mean: ``units`` without entry ``skip``, summed once, over their count.
+def _relevance(by_rater: Mapping[str, int], units: Sequence[float], same_user: bool,
+               rater_id: Optional[str]) -> Optional[float]:
+    """The one relevance rule: the mean of the selected raters' units; None if none is selected.
 
-    ``units`` are the selected raters' units in rater order, and the mean
-    is one ``sum()`` over them in that order divided by their count, so
-    every caller gets the same float for the same raters.  None when no
-    unit is left.
+    ``by_rater`` holds one (query, result)'s grades and ``units`` a
+    scale's unit table.  Same-user selects ``rater_id`` alone (a mean of
+    one value is that value); otherwise every rater except ``rater_id``
+    is selected, all of them if ``rater_id`` graded nothing here or is
+    None.  The selected units, in rater order, are summed once by
+    ``sum()`` and divided by their count, so every caller gets the same
+    float for the same raters.
     """
-    if skip is not None:
-        units = units[:skip] + units[skip + 1:]
-    return sum(units) / len(units) if units else None
+    if same_user:
+        return units[by_rater[rater_id] - 1] if rater_id in by_rater else None
+    selected = [units[g - 1] for rater, g in by_rater.items() if rater != rater_id]
+    return sum(selected) / len(selected) if selected else None
 
 
 def _missing(query_id: str, result_id: str, same_user: bool,
@@ -84,47 +89,38 @@ def unit_relevance(
     there is no one to single out, and every source selects all raters.
     Validated grades are read through the scale's unit table, unchecked.
     """
-    grades = dataset.grades.get((query_id, result_id), {})
-    units = UNITS[scale]
     same_user = source is RatingSource.SAME_USER and rater_id is not None
-    if same_user:
-        mean = _mean([units[grades[rater_id] - 1]] if rater_id in grades else [])
-    else:
-        mean = _mean([units[g - 1] for g in grades.values()],
-                     list(grades).index(rater_id) if rater_id in grades else None)
-    if mean is not None:
-        return mean
+    relevance = _relevance(dataset.grades.get((query_id, result_id), {}), UNITS[scale],
+                           same_user, rater_id)
+    if relevance is not None:
+        return relevance
     if lenient:
         return 0.0
     raise _missing(query_id, result_id, same_user, rater_id)
 
 
-def grade_row(
-    grades: Mapping[tuple[str, str], Mapping[str, int]],
-    key: tuple[str, str],
-    units: Sequence[float],
-    same_user: bool,
-) -> dict[Optional[str], Optional[float]]:
-    """Every rater's relevance of one (query, result), as :func:`unit_relevance` gives it.
+class GradeRow(dict):
+    """Every rater's relevance of one (query, result), each worked out on its first read.
 
     ``grades`` is the dataset's grade index and ``units`` a scale's unit
-    table.  A rater reads ``row[rater]`` if the row holds them and
-    ``row[None]`` otherwise; None there means the relevance is missing.
-    Under same-user a rater's relevance is their own unit (a mean of one
-    value is that value), and ``row[None]`` is None.  Under other-users
-    it is the mean of every other rater, None for a sole judge, and
-    ``row[None]`` the mean of all raters.  Every mean is :func:`_mean`'s.
+    table.  ``row[rater]`` is :func:`unit_relevance`'s value for that
+    preference rater, or None where the relevance is missing: by
+    :func:`_relevance`, the rule both share, computed the first time the
+    rater reads the row and kept.  Building a row costs one lookup, so a
+    row costs one mean per distinct rater who reads it.
     """
-    by_rater = grades.get(key, {})
-    if same_user:
-        row: dict[Optional[str], Optional[float]] = {
-            rater: units[g - 1] for rater, g in by_rater.items()}
-        row[None] = None
-        return row
-    values = [units[g - 1] for g in by_rater.values()]
-    row = {rater: _mean(values, i) for i, rater in enumerate(by_rater)}
-    row[None] = _mean(values)
-    return row
+
+    __slots__ = ("_by_rater", "_units", "_same_user")
+
+    def __init__(self, grades: Mapping[tuple[str, str], Mapping[str, int]],
+                 key: tuple[str, str], units: Sequence[float], same_user: bool):
+        self._by_rater = grades.get(key, {})
+        self._units = units
+        self._same_user = same_user
+
+    def __missing__(self, rater: str) -> Optional[float]:
+        value = self[rater] = _relevance(self._by_rater, self._units, self._same_user, rater)
+        return value
 
 
 class JudgedLists(NamedTuple):
@@ -193,11 +189,13 @@ def resolve_preferences(
     their cut-off, and each cut-off's pool is a prefix of the deepest one.
     Verdicts are walked in dataset order.  Each query is resolved once
     per run of its verdicts: the depth check, the pool in first-rank order
-    and its ends, and one :func:`grade_row` per distinct result, A's
+    and its ends, and one :class:`GradeRow` per distinct result, A's
     results first, then B's unseen ones.  A verdict then only reads its
-    rater's entry of each row.  Only the current query's rows are kept;
-    written and synthetic datasets list verdicts sorted by query, so
-    each of their rows is built once.  Each entry equals
+    rater's entry of each row, and a row works out each rater's relevance
+    on that rater's first read, so no rater's costs more than once per
+    run and a rater who reads nothing costs nothing.  Only the current
+    query's rows are kept; written and synthetic datasets list verdicts
+    sorted by query, so each of their rows is built once.  Each entry equals
     :func:`judged_lists` for the verdict's rater, and the first missing
     relevance raises the same MissingJudgment.  Consecutive verdicts
     share equal pool ends.
@@ -209,7 +207,7 @@ def resolve_preferences(
     scope = config.query_filter
     resolved: list[tuple[Verdict, JudgedLists]] = []
     query_id: Optional[str] = None
-    rows: Optional[list[dict]] = None
+    rows: Optional[list[GradeRow]] = None
     ends: tuple[int, ...] = ()
     for p in dataset.preferences:
         if p.query_id != query_id:
@@ -222,7 +220,7 @@ def resolve_preferences(
                     raise ValueError(f"cut-off {depth} exceeds list length {len(ranked)}")
             top_a, top_b = pair.variant_a[:depth], pair.variant_b[:depth]
             distinct = list(dict.fromkeys((*top_a, *top_b)))
-            rows = [grade_row(grades, (query_id, rid), units, same_user) for rid in distinct]
+            rows = [GradeRow(grades, (query_id, rid), units, same_user) for rid in distinct]
             at = {rid: i for i, rid in enumerate(distinct)}
             pooled: dict[int, None] = {}  # row indexes: A1, B1, A2, B2, ..., first one kept
             by_rank = []
@@ -235,11 +233,10 @@ def resolve_preferences(
             at_pool = list(pooled)
         elif rows is None:
             continue
-        rater = p.rater_id
-        values = [row[rater] if rater in row else row[None] for row in rows]
+        values = list(map(itemgetter(p.rater_id), rows))
         if None in values:
             if not lenient:
-                raise _missing(query_id, distinct[values.index(None)], same_user, rater)
+                raise _missing(query_id, distinct[values.index(None)], same_user, p.rater_id)
             values = [0.0 if v is None else v for v in values]
         take = values.__getitem__
         resolved.append((p.verdict, JudgedLists(list(map(take, at_a)), list(map(take, at_b)),

@@ -180,8 +180,8 @@ class TestResolvePreferences:
         assert pool == [0.1, 0.4, 0.2, 0.3]  # a01, a04, a02, a03
         assert pool_ends == (2, 4, 4, 4)  # the pool's end at every rank
         # the engine reads each rater's relevance from one grade row per result
-        monkeypatch.setattr(scoring, "grade_row",
-                            lambda grades, key, *rest: {None: int(key[1][-2:]) / 10})
+        monkeypatch.setattr(scoring, "GradeRow",
+                            lambda grades, key, *rest: {"r1": int(key[1][-2:]) / 10})
         [(_, entry)] = resolve_preferences(ds, config(), (1, 2, 4))
         assert entry.pool == pool
         assert entry.pool_ends == (2, 4, 4, 4)
@@ -189,13 +189,13 @@ class TestResolvePreferences:
     def test_sweep_looks_up_each_distinct_result_once(self, overlapping, monkeypatch):
         # one grade row per (table, query, distinct result) on a query-sorted dataset
         calls = []
-        original = scoring.grade_row
 
-        def counted(grades, key, *args):
-            calls.append(key)
-            return original(grades, key, *args)
+        class Counted(scoring.GradeRow):
+            def __init__(self, grades, key, *args):
+                calls.append(key)
+                super().__init__(grades, key, *args)
 
-        monkeypatch.setattr(scoring, "grade_row", counted)
+        monkeypatch.setattr(scoring, "GradeRow", Counted)
         configs = [MetricConfig(metric, DiscountFunction.rank(), rating_source=source,
                                 esl_n=2.0 if metric is Metric.ESL else None)
                    for metric in Metric for source in RatingSource]
@@ -208,6 +208,27 @@ class TestResolvePreferences:
             per_table += [(qid, rid) for rid in dict.fromkeys((*pair.variant_a[:8],
                                                                 *pair.variant_b[:8]))]
         assert calls == per_table * len(RatingSource)
+
+    def test_rows_work_out_only_the_raters_who_read_them(self, monkeypatch):
+        # eight raters grade each query, two give verdicts: one mean per (row, reading rater)
+        graded = generate_synthetic(SynthSpec(n_queries=3, n_raters=8, seed=2, n_preferences=24))
+        readers = graded.preferences[::4]
+        dataset = dataclasses.replace(graded, preferences=readers)
+        calls = []
+        original = scoring._relevance
+
+        def counted(by_rater, units, same_user, rater_id):
+            calls.append(rater_id)
+            return original(by_rater, units, same_user, rater_id)
+
+        monkeypatch.setattr(scoring, "_relevance", counted)
+        rows = sum(len({*pair.variant_a[:10], *pair.variant_b[:10]})
+                   for pair in dataset.list_pairs)
+        for source in RatingSource:
+            calls.clear()
+            resolve_preferences(dataset, config(source=source), (10,))
+            assert len(calls) == 2 * rows  # two readers per row, not eight graders
+            assert set(calls) == {p.rater_id for p in readers}
 
     def test_sweep_never_calls_the_scalar_metrics(self, overlapping, tmp_path, monkeypatch):
         # nor does eval: every command scores through score_group
