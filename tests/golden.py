@@ -1,0 +1,167 @@
+"""Golden output digests: fixed command lines over checked-in datasets, hashed.
+
+Each command line of ``COMMANDS`` runs in-process through ``cli.main``.
+Its entry in ``fixtures/golden/digests.json`` holds its exit code and the
+SHA-256 of its stdout, its stderr and every file it wrote.  Output that
+names a path says ``{data}`` for the fixture directory and ``{out}`` for
+the command's own output directory, so an entry does not depend on where
+the tests run.  ``tests/test_golden.py`` checks every entry.
+
+    python tests/golden.py            # list the entries that moved; exit 1 if any did
+    python tests/golden.py --update   # rewrite the digest file and list what moved
+
+A change that moves an entry on purpose runs ``--update`` and says which
+entries moved and why.
+
+The datasets under ``fixtures/golden`` are written files, not generated
+at test time.  They were made by
+
+    prefeval synth --out clean --queries 8 --raters 4 --seed 7 --preferences 20
+    prefeval synth --out noisy --queries 8 --raters 4 --seed 11 --preferences 20 \\
+        --rater-noise 0.1 --overlap 0.4
+    prefeval synth --out sparse --queries 8 --raters 3 --seed 5 \\
+        --grades-a 0.05,0,0,0,0,0.95 --grades-b 0.05,0,0,0,0,0.95
+
+and ``gaps`` is ``noisy`` without any judgment of ``(q001, q001-a01)`` and
+without u03's of ``(q003, q003-b06)``.  Every dataset has sessions;
+``sparse`` is mostly grade 6, so NDCG excludes pairs, and gives each
+query one verdict, so ``other-users`` cannot sweep it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent
+DATA = ROOT / "fixtures" / "golden"
+DIGESTS = DATA / "digests.json"
+
+ALL_DISCOUNTS = "--discounts none,log5,log2,root,rank,square,click"
+METRICS = ("precision", "ndcg", "map", "err", "mrr", "esl")
+
+COMMANDS = [
+    # sweeps: all seven discounts under both sources, three scales, filters, gaps
+    *(f"sweep {{data}}/{ds} {ALL_DISCOUNTS} --rating-source {source} --plot --out {{out}}"
+      for ds in ("clean", "noisy") for source in ("same-user", "other-users")),
+    "sweep {data}/noisy --scale r3_1 --rating-source other-users --plot --out {out}",
+    "sweep {data}/noisy --scale r2_5 --norm known-relevant --n 1.5 --plot --out {out}",
+    "sweep {data}/clean --query-type informational --cutoffs 1,3,5 --thresholds 0:0.2:0.05"
+    " --out {out}",
+    "sweep {data}/sparse --plot --out {out}",
+    *(f"sweep {{data}}/gaps --lenient --rating-source {source} --out {{out}}"
+      for source in ("same-user", "other-users")),
+    # breakdowns with their series
+    "breakdown {data}/clean --metric ndcg --cutoff 5 --threshold 0.1 --series {out}/series.tsv",
+    "breakdown {data}/noisy --metric map --norm known-relevant --rating-source other-users"
+    " --cutoff 3 --threshold 0.05 --series {out}/series.tsv",
+    "breakdown {data}/sparse --metric ndcg --cutoff 2 --threshold 0",
+    # eval: every metric strict, with the click discount, on r3_1 with a filter, and lenient
+    *(f"eval {{data}}/noisy --metric {m}" for m in METRICS),
+    *(f"eval {{data}}/clean --metric {m} --discount click --cutoff 7" for m in METRICS),
+    *(f"eval {{data}}/noisy --metric {m} --scale r3_1 --query-type informational"
+      for m in METRICS),
+    *(f"eval {{data}}/gaps --metric {m} --cutoff 3 --lenient" for m in METRICS),
+    "eval {data}/sparse --metric ndcg --cutoff 3",
+    # the session measures
+    *(f"implicit {{data}}/noisy --measure {m} --out {{out}}/series.tsv"
+      for m in ("duration", "clicks", "mean-click-rank", "first-click-rank")),
+    # descriptive statistics and validation
+    "stats {data}/clean",
+    "stats {data}/sparse",
+    "stats {data}/gaps --lenient",
+    "validate {data}/clean",
+    "validate {data}/gaps --lenient",
+    # the main error exits: 1 invalid data, 2 usage, 3 nothing to evaluate
+    "validate {data}/gaps",
+    "validate {data}/absent",
+    "eval {data}/gaps --metric ndcg",
+    "sweep {data}/sparse --rating-source other-users --out {out}",
+    "eval {data}/clean",
+    "eval {data}/clean --metric ndcg --n 2",
+    "eval {data}/clean --metric ndcg --cutoff 11",
+    "sweep {data}/clean --thresholds 0:0.3:0 --out {out}",
+    "sweep {data}/clean --metrics ndcg --discounts click --click-weights {data}/absent"
+    " --out {out}",
+    "eval {data}/clean --metric ndcg --query-type meta",
+    "breakdown {data}/clean --metric ndcg --threshold 0.1 --query-type meta",
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(command: str) -> dict:
+    """One command line's exit code and the digests of its stdout, stderr and written files."""
+    from prefeval.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        out.mkdir()
+        argv = [word.format(data=DATA, out=out) for word in command.split()]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+
+        def digest(text: str) -> str:
+            return _sha(text.replace(str(out), "{out}").replace(str(DATA), "{data}").encode())
+
+        files = {str(path.relative_to(out)): _sha(path.read_bytes())
+                 for path in sorted(out.rglob("*")) if path.is_file()}
+        return {"exit": code, "stdout": digest(stdout.getvalue()),
+                "stderr": digest(stderr.getvalue()), "files": files}
+
+
+def run_all() -> dict:
+    return {command: run(command) for command in COMMANDS}
+
+
+def moved(old: dict, new: dict) -> list[str]:
+    """One line per entry that differs between two digest maps, naming the parts that moved."""
+    lines = []
+    for command in dict.fromkeys((*old, *new)):
+        if command not in new:
+            lines.append(f"removed: {command}")
+        elif command not in old:
+            lines.append(f"added: {command}")
+        elif old[command] != new[command]:
+            was, now = old[command], new[command]
+            parts = [key for key in ("exit", "stdout", "stderr") if was[key] != now[key]]
+            files = sorted(name for name in {*was["files"], *now["files"]}
+                           if was["files"].get(name) != now["files"].get(name))
+            parts += files[:3] + [f"{len(files) - 3} more files"] * (len(files) > 3)
+            lines.append(f"moved: {command} ({', '.join(parts)})")
+    return lines
+
+
+def load() -> dict:
+    return json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--update"]):
+        print(__doc__, file=sys.stderr)
+        return 2
+    old, new = load(), run_all()
+    lines = moved(old, new)
+    for line in lines:
+        print(line)
+    if argv == ["--update"]:
+        DIGESTS.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {len(new)} entries to {DIGESTS}")
+        return 0
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT.parent / "src"))
+    sys.exit(main(sys.argv[1:]))
