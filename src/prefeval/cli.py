@@ -32,7 +32,7 @@ from .implicit import (
 )
 from .pir import CATEGORIES, DEFAULT_THRESHOLDS, best_cell, check_grid, check_increasing, pir_sweep
 from .scales import DiscountFunction, DiscountKind, RelevanceScale, load_click_weights
-from .scoring import MissingJudgment, judged_lists, resolve_preferences, score_group
+from .scoring import MissingJudgment, resolve_preferences, score_group
 from .synth import SynthSpec, generate_synthetic
 
 EXIT_OK = 0
@@ -212,17 +212,17 @@ def cmd_validate(args) -> int:
 def cmd_eval(args) -> int:
     (config,) = _configs(args, [args.metric], args.discount and [args.discount], (args.cutoff,))
     dataset = _load(args, max_cutoff=config.cutoff)
+    # no preference rater: each query's lists are read as the mean over all raters
+    table = resolve_preferences(dataset, config, (config.cutoff,), args.lenient,
+                                ((pair.query_id, None, pair.query_id)
+                                 for pair in dataset.list_pairs))
     rows, excluded = [], 0
-    for pair in dataset.list_pairs:
-        if config.query_filter is not None:
-            if dataset.query_by_id[pair.query_id].query_type not in config.query_filter:
-                continue
-        lists = judged_lists(dataset, pair.query_id, None, config, args.lenient)
+    for query_id, lists in table:
         [((score_a,), (score_b,))] = score_group(lists, [config], (config.cutoff,))
         if score_a is None:
             excluded += 1
         else:
-            rows.append((pair.query_id, score_a, score_b))
+            rows.append((query_id, score_a, score_b))
 
     print("query\tA\tB")
     for qid, score_a, score_b in rows:

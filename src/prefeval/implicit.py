@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
-from .config import RatingSource
 from .dataset import CLICK_ORDER, EvaluationDataset, Session, Variant, Verdict
 from .pir import PirCell, check_increasing, pir_cells
-from .scales import RelevanceScale
-from .scoring import unit_relevance
+from .scales import UNITS, RelevanceScale
+from .scoring import _relevance
 
 NO_CLICK_RANK = 21
 
@@ -164,6 +163,7 @@ def _variant_stats(dataset: EvaluationDataset, variant: Variant) -> VariantStats
     satisfaction = [s.satisfied for s in sessions if s.satisfied is not None]
     mean_satisfaction = sum(satisfaction) / len(satisfaction) if satisfaction else None
 
+    six_point = UNITS[RelevanceScale.SIX_POINT]
     rel_by_rank: dict[int, list[float]] = {}
     grades_by_rank: dict[int, Counter] = {}
     for pair in dataset.list_pairs:
@@ -171,9 +171,7 @@ def _variant_stats(dataset: EvaluationDataset, variant: Variant) -> VariantStats
             grades = dataset.grades.get((pair.query_id, result_id), {})
             if not grades:
                 continue
-            rel_by_rank.setdefault(rank, []).append(unit_relevance(
-                dataset, pair.query_id, result_id, RelevanceScale.SIX_POINT,
-                RatingSource.SAME_USER, None))
+            rel_by_rank.setdefault(rank, []).append(_relevance(grades, six_point, False, None))
             grades_by_rank.setdefault(rank, Counter()).update(grades.values())
 
     return VariantStats(

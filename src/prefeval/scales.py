@@ -9,9 +9,11 @@ of rank discount functions shared by all list metrics.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import Mapping, Optional
 
 GRADE_BEST = 1
@@ -188,25 +190,32 @@ class DiscountFunction:
 def load_click_weights(path) -> dict[int, float]:
     """Read a click-weight table from a two-column text file (rank, weight).
 
-    Blank lines and lines starting with ``#`` are skipped.
+    Blank lines and lines starting with ``#`` are skipped.  The file is
+    UTF-8; a byte that is not raises ValueError naming its line and offset.
     """
     table: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'rank weight', got {line!r}")
-            try:
-                rank = int(parts[0])
-                weight = float(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed rank/weight {line!r}") from None
-            if rank in table:
-                raise ValueError(f"{path}:{lineno}: duplicate rank {rank}")
-            table[rank] = weight
+    data = Path(path).read_bytes()
+    try:
+        lines = io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: not valid UTF-8 (byte {data[exc.start]:#04x}"
+                         f" at offset {exc.start}: {exc.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'rank weight', got {line!r}")
+        try:
+            rank = int(parts[0])
+            weight = float(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed rank/weight {line!r}") from None
+        if rank in table:
+            raise ValueError(f"{path}:{lineno}: duplicate rank {rank}")
+        table[rank] = weight
     if not table:
         raise ValueError(f"{path}: empty click-weight table")
     return table

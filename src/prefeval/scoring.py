@@ -1,25 +1,20 @@
 """Judged relevance lists from dataset grades, and the engine that scores them.
 
 Relevance has one rule, :func:`_relevance`: the mean of the selected
-raters' units in rater order, one ``sum()`` divided by their count.  The
-oracle, ``eval`` and the descriptive statistics resolve one lookup at a
-time: :func:`unit_relevance` gives one result's relevance for one
-preference rater (or, with none, the mean over all raters), and
-:func:`judged_lists` walks a query's two lists once, checks their depth
-and yields both judged lists, the judged pool in first-rank order and the
-pool's end at every rank.  The engine resolves per query instead, and shares only that rule
-with them: :func:`resolve_preferences` walks each query's lists once,
-builds one :class:`GradeRow` per distinct result, which works out a
-rater's relevance on that rater's first read, and pairs each verdict with
-judged lists read from those rows, once for all cut-offs.  Scoring is the
-engine's alone, and :func:`score_group` is the only scorer any command
-runs: :func:`verdict_parts` takes from the judged lists what every
-discount reads alike (each cut-off's NDCG ideal and known-relevant count,
-AP's and ERR's per-rank factors, the cumulated relevance); and
+raters' units in rater order, one ``sum()`` divided by their count.
+Every command turns grades into judged lists through one walk,
+:func:`resolve_preferences`: it walks each query's lists once, builds one
+:class:`GradeRow` per distinct result, which works out a reader's
+relevance on that reader's first read, and gives each reader (a verdict's
+rater, or ``eval``'s mean over all raters) judged lists for all cut-offs.
+Scoring is the engine's alone, and :func:`score_group` is the only scorer
+any command runs: :func:`verdict_parts` takes from the judged lists what
+every discount reads alike (each cut-off's NDCG ideal and known-relevant
+count, AP's and ERR's per-rank factors, the cumulated relevance); and
 :func:`score_group` scores every cut-off of both lists for the configs of
 one discount, from one list of ``rel * weight`` products per list.
 Nothing here imports the scalar reference, :mod:`prefeval.metrics`; only
-the oracle scores through it.
+the oracle scores through it, from judged lists it walks itself.
 """
 
 from __future__ import annotations
@@ -29,11 +24,11 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from math import fsum
 from operator import itemgetter, mul
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .config import ERR_GRADE_MAX, ApNorm, Metric, MetricConfig, RatingSource
-from .dataset import EvaluationDataset, Verdict
-from .scales import UNITS, RelevanceScale
+from .dataset import EvaluationDataset
+from .scales import UNITS
 
 
 class MissingJudgment(Exception):
@@ -49,14 +44,14 @@ def _relevance(by_rater: Mapping[str, int], units: Sequence[float], same_user: b
     """The one relevance rule: the mean of the selected raters' units; None if none is selected.
 
     ``by_rater`` holds one (query, result)'s grades and ``units`` a
-    scale's unit table.  Same-user selects ``rater_id`` alone (a mean of
-    one value is that value); otherwise every rater except ``rater_id``
-    is selected, all of them if ``rater_id`` graded nothing here or is
-    None.  The selected units, in rater order, are summed once by
-    ``sum()`` and divided by their count, so every caller gets the same
-    float for the same raters.
+    scale's unit table.  A None rater selects every rater, under either
+    source.  Otherwise same-user selects ``rater_id`` alone (a mean of one
+    value is that value), and other-users every rater but ``rater_id``.
+    The selected units, in rater order, are summed once by ``sum()`` and
+    divided by their count, so every caller gets the same float for the
+    same raters.
     """
-    if same_user:
+    if same_user and rater_id is not None:
         return units[by_rater[rater_id] - 1] if rater_id in by_rater else None
     selected = [units[g - 1] for rater, g in by_rater.items() if rater != rater_id]
     return sum(selected) / len(selected) if selected else None
@@ -64,50 +59,22 @@ def _relevance(by_rater: Mapping[str, int], units: Sequence[float], same_user: b
 
 def _missing(query_id: str, result_id: str, same_user: bool,
              rater_id: Optional[str]) -> MissingJudgment:
+    if rater_id is None:
+        return MissingJudgment(f"({query_id!r}, {result_id!r}) has no judgment")
     if same_user:
         return MissingJudgment(
             f"rater {rater_id!r} has no judgment for ({query_id!r}, {result_id!r})")
-    if rater_id is None:
-        return MissingJudgment(f"({query_id!r}, {result_id!r}) has no judgment")
     return MissingJudgment(f"no rater besides {rater_id!r} judged ({query_id!r}, {result_id!r})")
 
 
-def unit_relevance(
-    dataset: EvaluationDataset,
-    query_id: str,
-    result_id: str,
-    scale: RelevanceScale,
-    source: RatingSource,
-    rater_id: Optional[str],
-    lenient: bool = False,
-) -> float:
-    """Unit relevance of one result as seen by one preference rater.
-
-    The mean of the selected raters' grades, each conflated onto the scale
-    first, in rater order.  SAME_USER selects ``rater_id`` alone,
-    OTHER_USERS every rater except ``rater_id``.  With no rater (``None``)
-    there is no one to single out, and every source selects all raters.
-    Validated grades are read through the scale's unit table, unchecked.
-    """
-    same_user = source is RatingSource.SAME_USER and rater_id is not None
-    relevance = _relevance(dataset.grades.get((query_id, result_id), {}), UNITS[scale],
-                           same_user, rater_id)
-    if relevance is not None:
-        return relevance
-    if lenient:
-        return 0.0
-    raise _missing(query_id, result_id, same_user, rater_id)
-
-
 class GradeRow(dict):
-    """Every rater's relevance of one (query, result), each worked out on its first read.
+    """Every reader's relevance of one (query, result), each worked out on its first read.
 
     ``grades`` is the dataset's grade index and ``units`` a scale's unit
-    table.  ``row[rater]`` is :func:`unit_relevance`'s value for that
-    preference rater, or None where the relevance is missing: by
-    :func:`_relevance`, the rule both share, computed the first time the
-    rater reads the row and kept.  Building a row costs one lookup, so a
-    row costs one mean per distinct rater who reads it.
+    table.  ``row[rater]`` is that reader's :func:`_relevance`, or None
+    where it is missing, computed the first time the reader reads the row
+    and kept.  Building a row costs one lookup, so a row costs one mean
+    per distinct reader.
     """
 
     __slots__ = ("_by_rater", "_units", "_same_user")
@@ -118,7 +85,7 @@ class GradeRow(dict):
         self._units = units
         self._same_user = same_user
 
-    def __missing__(self, rater: str) -> Optional[float]:
+    def __missing__(self, rater: Optional[str]) -> Optional[float]:
         value = self[rater] = _relevance(self._by_rater, self._units, self._same_user, rater)
         return value
 
@@ -137,81 +104,43 @@ class JudgedLists(NamedTuple):
     pool_ends: tuple[int, ...]
 
 
-def judged_lists(
-    dataset: EvaluationDataset,
-    query_id: str,
-    rater_id: Optional[str],
-    config: MetricConfig,
-    lenient: bool = False,
-) -> JudgedLists:
-    """Judged lists of both variants at the configured cut-off, plus the pool.
-
-    Relevance is as :func:`unit_relevance` gives it for ``rater_id``; a
-    ``rater_id`` of ``None`` gives the mean over all raters, as plain
-    metric tables use it.  A variant shorter than the cut-off raises
-    ValueError.  One walk down the ranks builds the pool (A1, B1, A2, B2,
-    ..., first occurrence kept) and its end at every rank; NDCG
-    normalization and the known-relevant count of classical AP use it as
-    a multiset.  Each distinct result is looked up once, A's results
-    first, then B's unseen ones.
-    """
-    pair = dataset.pair_by_query[query_id]
-    depth = config.cutoff
-    for ranked in (pair.variant_a, pair.variant_b):
-        if depth > len(ranked):
-            raise ValueError(f"cut-off {depth} exceeds list length {len(ranked)}")
-    top_a, top_b = pair.variant_a[:depth], pair.variant_b[:depth]
-    pooled: dict[str, None] = {}
-    ends = []
-    for rid_a, rid_b in zip(top_a, top_b):
-        pooled[rid_a] = pooled[rid_b] = None
-        ends.append(len(pooled))
-    values = {
-        rid: unit_relevance(dataset, query_id, rid, config.scale, config.rating_source,
-                            rater_id, lenient)
-        for rid in dict.fromkeys((*top_a, *top_b))
-    }
-    return JudgedLists([values[rid] for rid in top_a], [values[rid] for rid in top_b],
-                       [values[rid] for rid in pooled], tuple(ends))
-
-
 def resolve_preferences(
     dataset: EvaluationDataset,
     config: MetricConfig,
     cutoffs: Sequence[int],
     lenient: bool = False,
-) -> list[tuple[Verdict, JudgedLists]]:
-    """Every verdict in the config's query scope with its judged lists, resolved once.
+    readers: Optional[Iterable[tuple[str, Optional[str], Any]]] = None,
+) -> list[tuple[Any, JudgedLists]]:
+    """``(tag, judged lists)`` for each reader in the config's query scope, resolved once.
 
-    Only the config's scale, rating source and query filter matter, so
-    every config sharing them can score from the same table.  Lists are
-    resolved down to ``max(cutoffs)``; metrics ignore entries beyond
-    their cut-off, and each cut-off's pool is a prefix of the deepest one.
-    Verdicts are walked in dataset order.  Each query is resolved once
-    per run of its verdicts: the depth check, the pool in first-rank order
-    and its ends, and one :class:`GradeRow` per distinct result, A's
-    results first, then B's unseen ones.  A verdict then only reads its
-    rater's entry of each row, and a row works out each rater's relevance
-    on that rater's first read, so no rater's costs more than once per
-    run and a rater who reads nothing costs nothing.  Only the current
-    query's rows are kept; written and synthetic datasets list verdicts
-    sorted by query, so each of their rows is built once.  Each entry equals
-    :func:`judged_lists` for the verdict's rater, and the first missing
-    relevance raises the same MissingJudgment.  Consecutive verdicts
+    A reader is ``(query id, rater id or None, tag)``; by default each
+    verdict of the dataset, tagged by its verdict.  Only the config's
+    scale, rating source and query filter matter, so configs sharing them
+    share the table.  Lists reach ``max(cutoffs)``; metrics ignore entries
+    beyond their cut-off.  Each run of a query's readers resolves the
+    query once: the depth check, the pool in first-rank order (A1, B1, A2,
+    B2, ..., first occurrence kept) and its ends, and one
+    :class:`GradeRow` per distinct result, A's first, then B's unseen
+    ones, which each reader then reads.  Only the current query's rows are
+    kept; written and synthetic datasets list verdicts by query, so each
+    row is built once.  The first missing relevance raises
+    MissingJudgment, or reads 0.0 when ``lenient``.  Consecutive entries
     share equal pool ends.
     """
     grades = dataset.grades  # validates a dataset nobody validated, before any pair is read
+    if readers is None:
+        readers = ((p.query_id, p.rater_id, p.verdict) for p in dataset.preferences)
     depth = max(cutoffs)
     units = UNITS[config.scale]
     same_user = config.rating_source is RatingSource.SAME_USER
     scope = config.query_filter
-    resolved: list[tuple[Verdict, JudgedLists]] = []
+    resolved: list[tuple[Any, JudgedLists]] = []
     query_id: Optional[str] = None
     rows: Optional[list[GradeRow]] = None
     ends: tuple[int, ...] = ()
-    for p in dataset.preferences:
-        if p.query_id != query_id:
-            query_id, rows = p.query_id, None
+    for query, rater, tag in readers:
+        if query != query_id:
+            query_id, rows = query, None
             if scope is not None and dataset.query_by_id[query_id].query_type not in scope:
                 continue
             pair = dataset.pair_by_query[query_id]
@@ -222,7 +151,7 @@ def resolve_preferences(
             distinct = list(dict.fromkeys((*top_a, *top_b)))
             rows = [GradeRow(grades, (query_id, rid), units, same_user) for rid in distinct]
             at = {rid: i for i, rid in enumerate(distinct)}
-            pooled: dict[int, None] = {}  # row indexes: A1, B1, A2, B2, ..., first one kept
+            pooled: dict[int, None] = {}  # row indexes in first-rank order
             by_rank = []
             for rid_a, rid_b in zip(top_a, top_b):
                 pooled[at[rid_a]] = pooled[at[rid_b]] = None
@@ -233,14 +162,14 @@ def resolve_preferences(
             at_pool = list(pooled)
         elif rows is None:
             continue
-        values = list(map(itemgetter(p.rater_id), rows))
+        values = list(map(itemgetter(rater), rows))
         if None in values:
             if not lenient:
-                raise _missing(query_id, distinct[values.index(None)], same_user, p.rater_id)
+                raise _missing(query_id, distinct[values.index(None)], same_user, rater)
             values = [0.0 if v is None else v for v in values]
         take = values.__getitem__
-        resolved.append((p.verdict, JudgedLists(list(map(take, at_a)), list(map(take, at_b)),
-                                                list(map(take, at_pool)), ends)))
+        resolved.append((tag, JudgedLists(list(map(take, at_a)), list(map(take, at_b)),
+                                          list(map(take, at_pool)), ends)))
     return resolved
 
 

@@ -18,8 +18,8 @@ from prefeval.dataset import (
     Variant,
     Verdict,
 )
-from prefeval.oracle import metric_score
-from prefeval.scoring import judged_lists, resolve_preferences, score_group
+from prefeval.oracle import judged_lists, metric_score
+from prefeval.scoring import resolve_preferences, score_group
 
 settings.register_profile(
     "suite",
@@ -35,7 +35,7 @@ RATER = "r1"
 
 def score_pair(dataset, config, query_id, rater_id):
     """Reference scores (variant A, variant B) of one (query, preference rater)."""
-    rels_a, rels_b, pool, _ = judged_lists(dataset, query_id, rater_id, config)
+    rels_a, rels_b, pool = judged_lists(dataset, query_id, rater_id, config)
     return metric_score(rels_a, pool, config), metric_score(rels_b, pool, config)
 
 

@@ -15,10 +15,9 @@ from prefeval.data_io import FILE_NAMES, load_dataset, write_dataset
 from prefeval.dataset import ValidationMode, Variant
 from prefeval.implicit import ImplicitMeasure, SessionEndpoint, implicit_pir
 from prefeval.metrics import ApNorm, esl
-from prefeval.oracle import metric_score, oracle_pir
+from prefeval.oracle import judged_lists, metric_score, oracle_pir
 from prefeval.pir import CATEGORIES, DEFAULT_CUTOFFS, DEFAULT_THRESHOLDS, pir_sweep
 from prefeval.scales import DiscountFunction, DiscountKind, RelevanceScale
-from prefeval.scoring import judged_lists
 from prefeval.synth import SynthSpec, generate_synthetic
 
 # `eval --metric ndcg --cutoff 5` on the synth_dir dataset (three raters)
@@ -197,7 +196,7 @@ class TestEvalCommand:
                                    esl_n=2.5 if metric is Metric.ESL else None)
                 want = []
                 for pair in ds.list_pairs:
-                    rels_a, rels_b, pool, _ = judged_lists(ds, pair.query_id, None, cfg)
+                    rels_a, rels_b, pool = judged_lists(ds, pair.query_id, None, cfg)
                     scores = [metric_score(rels, pool, cfg) for rels in (rels_a, rels_b)]
                     if scores[0] is None:
                         assert scores[1] is None
@@ -232,14 +231,15 @@ class TestEvalCommand:
         assert capsys.readouterr() == (EVAL_NDCG_C5_LENIENT_GAP, "")
 
     def test_looks_up_each_distinct_result_once(self, synth_dir, monkeypatch):
+        # one grade row per (query, distinct result), A's results first, then B's unseen ones
         calls = []
-        original = scoring.unit_relevance
 
-        def counted(*args, **kwargs):
-            calls.append(args[1:3])
-            return original(*args, **kwargs)
+        class Counted(scoring.GradeRow):
+            def __init__(self, grades, key, *args):
+                calls.append(key)
+                super().__init__(grades, key, *args)
 
-        monkeypatch.setattr(scoring, "unit_relevance", counted)
+        monkeypatch.setattr(scoring, "GradeRow", Counted)
         assert main(["eval", str(synth_dir), "--metric", "ndcg", "--cutoff", "5"]) == 0
         assert calls == [
             (pair.query_id, rid)
@@ -447,6 +447,25 @@ class TestSweepCommand:
                 [str(c)] + [stat(grid.row(cfg, c)) for cfg in configs] for c in cutoffs]
         for name in ("best_threshold_pir", "zero_threshold_pir"):
             assert (out / f"{name}.svg").read_text().count("<polyline") == len(configs)
+
+
+class TestClickTableEncoding:
+    @pytest.mark.parametrize("command", ["eval", "sweep", "breakdown"])
+    def test_non_utf8_table_exits_two_naming_file_line_and_byte(self, synth_dir, tmp_path,
+                                                                 capsys, command):
+        weights = tmp_path / "weights.txt"
+        weights.write_bytes(b"1 1.0\n2 0.5\n# r\xe9sum\xe9\n3 0.4\n")
+        argv = {
+            "eval": ["eval", synth_dir, "--metric", "ndcg", "--discount", "click"],
+            "sweep": ["sweep", synth_dir, "--discounts", "click", "--out", tmp_path / "out"],
+            "breakdown": ["breakdown", synth_dir, "--metric", "map", "--discount", "click",
+                          "--threshold", "0"],
+        }[command]
+        capsys.readouterr()
+        assert main([*map(str, argv), "--click-weights", str(weights)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"usage error: {weights}:3: not valid UTF-8"
+            " (byte 0xe9 at offset 15: invalid continuation byte)\n"))
 
 
 class TestShortClickTable:

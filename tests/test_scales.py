@@ -4,7 +4,7 @@ import math
 import pytest
 
 from conftest import RATER, binary_pair_dataset
-from prefeval.config import Metric, MetricConfig, RatingSource
+from prefeval.config import Metric, MetricConfig
 from prefeval.dataset import ValidationError, Verdict
 from prefeval.scales import (
     EXAMPLE_CLICK_WEIGHTS,
@@ -15,7 +15,7 @@ from prefeval.scales import (
     check_grade,
     load_click_weights,
 )
-from prefeval.scoring import unit_relevance
+from prefeval.scoring import resolve_preferences
 
 ALL_KINDS = [
     DiscountFunction.none(),
@@ -91,8 +91,9 @@ class TestConflate:
         ds = binary_pair_dataset([("q1", 1, 1, Verdict.A)], list_len=1)
         bad_judgment = dataclasses.replace(ds.judgments[0], grade=bad)
         ds = dataclasses.replace(ds, judgments=(bad_judgment, *ds.judgments[1:]))
+        cfg = MetricConfig(Metric.PRECISION, DiscountFunction.none(), scale=scale)
         with pytest.raises(ValidationError, match="grade-range"):
-            unit_relevance(ds, "q1", bad_judgment.result_id, scale, RatingSource.SAME_USER, RATER)
+            resolve_preferences(ds, cfg, (1,), readers=[("q1", RATER, None)])
 
 
 class TestDiscounts:

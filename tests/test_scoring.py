@@ -24,16 +24,14 @@ from prefeval.dataset import (
 from prefeval import cli, metrics, oracle, scales, scoring
 from prefeval.implicit import descriptive_stats
 from prefeval.metrics import ApNorm
-from prefeval.oracle import metric_score
+from prefeval.oracle import judged_lists, metric_score
 from prefeval.pir import pir_sweep
 from prefeval.scales import UNITS, DiscountFunction, DiscountKind, RelevanceScale
 from prefeval.scoring import (
     JudgedLists,
     MissingJudgment,
-    judged_lists,
     resolve_preferences,
     score_group,
-    unit_relevance,
     verdict_parts,
 )
 from prefeval.synth import SynthSpec, generate_synthetic
@@ -61,27 +59,33 @@ def config(metric=Metric.PRECISION, source=RatingSource.SAME_USER, cutoff=2, **k
                         rating_source=source, cutoff=cutoff, **kw)
 
 
+def unit_relevance(ds, result_id, scale, source, rater, lenient=False):
+    """The engine's relevance of one of q1's variant-A results, as one reader reads it."""
+    cfg = config(source=source, scale=scale)
+    [(_, lists)] = resolve_preferences(ds, cfg, (2,), lenient, [("q1", rater, None)])
+    return lists.rels_a[ds.pair_by_query["q1"].variant_a.index(result_id)]
+
+
 class TestUnitRelevance:
+    """One result's relevance for one reader, read from the engine's grade rows."""
+
     def test_same_user_takes_own_grade(self):
         ds = multi_rater_dataset({"r1": dict(a1=1, a2=3, b1=6, b2=6),
                                   "r2": dict(a1=6, a2=6, b1=1, b2=1)})
-        got = unit_relevance(ds, "q1", "a1", RelevanceScale.SIX_POINT,
-                             RatingSource.SAME_USER, "r1")
+        got = unit_relevance(ds, "a1", RelevanceScale.SIX_POINT, RatingSource.SAME_USER, "r1")
         assert got == 1.0
 
     def test_other_users_mean_of_singleton(self):
         ds = multi_rater_dataset({"r1": dict(a1=1, a2=1, b1=1, b2=1),
                                   "r2": dict(a1=3, a2=3, b1=3, b2=3)})
-        got = unit_relevance(ds, "q1", "a1", RelevanceScale.SIX_POINT,
-                             RatingSource.OTHER_USERS, "r1")
+        got = unit_relevance(ds, "a1", RelevanceScale.SIX_POINT, RatingSource.OTHER_USERS, "r1")
         assert got == pytest.approx(0.6)
 
     def test_other_users_mean_of_two(self):
         ds = multi_rater_dataset({"r1": dict(a1=1, a2=1, b1=1, b2=1),
                                   "r2": dict(a1=2, a2=2, b1=2, b2=2),
                                   "r3": dict(a1=6, a2=6, b1=6, b2=6)})
-        got = unit_relevance(ds, "q1", "a1", RelevanceScale.SIX_POINT,
-                             RatingSource.OTHER_USERS, "r3")
+        got = unit_relevance(ds, "a1", RelevanceScale.SIX_POINT, RatingSource.OTHER_USERS, "r3")
         assert got == pytest.approx((1.0 + 0.8) / 2) == pytest.approx(0.9)
 
     def test_conflation_happens_before_averaging(self):
@@ -90,48 +94,47 @@ class TestUnitRelevance:
         ds = multi_rater_dataset({"r1": dict(a1=1, a2=1, b1=1, b2=1),
                                   "r2": dict(a1=3, a2=3, b1=3, b2=3),
                                   "r3": dict(a1=6, a2=6, b1=6, b2=6)})
-        got = unit_relevance(ds, "q1", "a1", RelevanceScale.R2_3,
-                             RatingSource.OTHER_USERS, "r3")
+        got = unit_relevance(ds, "a1", RelevanceScale.R2_3, RatingSource.OTHER_USERS, "r3")
         assert got == 1.0
 
     def test_missing_same_user_strict_and_lenient(self):
         ds = multi_rater_dataset({"r1": dict(a1=1, a2=1, b1=1, b2=1)})
-        with pytest.raises(MissingJudgment):
-            unit_relevance(ds, "q1", "a1", RelevanceScale.SIX_POINT,
-                           RatingSource.SAME_USER, "r2")
-        got = unit_relevance(ds, "q1", "a1", RelevanceScale.SIX_POINT,
-                             RatingSource.SAME_USER, "r2", lenient=True)
+        with pytest.raises(MissingJudgment,
+                           match=r"^rater 'r2' has no judgment for \('q1', 'a1'\)$"):
+            unit_relevance(ds, "a1", RelevanceScale.SIX_POINT, RatingSource.SAME_USER, "r2")
+        got = unit_relevance(ds, "a1", RelevanceScale.SIX_POINT, RatingSource.SAME_USER, "r2",
+                             lenient=True)
         assert got == 0.0
 
     def test_missing_other_users_strict_and_lenient(self):
         ds = multi_rater_dataset({"r1": dict(a1=1, a2=1, b1=1, b2=1)})
-        with pytest.raises(MissingJudgment):
-            unit_relevance(ds, "q1", "a1", RelevanceScale.SIX_POINT,
-                           RatingSource.OTHER_USERS, "r1")
-        got = unit_relevance(ds, "q1", "a1", RelevanceScale.SIX_POINT,
-                             RatingSource.OTHER_USERS, "r1", lenient=True)
+        with pytest.raises(MissingJudgment,
+                           match=r"^no rater besides 'r1' judged \('q1', 'a1'\)$"):
+            unit_relevance(ds, "a1", RelevanceScale.SIX_POINT, RatingSource.OTHER_USERS, "r1")
+        got = unit_relevance(ds, "a1", RelevanceScale.SIX_POINT, RatingSource.OTHER_USERS, "r1",
+                             lenient=True)
         assert got == 0.0
 
 
 class TestJudgedLists:
+    """The oracle's own walk: one reader's judged lists at one cut-off."""
+
     def test_single_rater_same_user_lists(self):
         ds = multi_rater_dataset({"r1": dict(a1=1, a2=3, b1=4, b2=6)})
-        rels_a, rels_b, pool, _ = judged_lists(ds, "q1", "r1", config())
+        rels_a, rels_b, pool = judged_lists(ds, "q1", "r1", config())
         assert rels_a == [1.0, 0.6]
         assert rels_b == [0.4, 0.0]
         assert sorted(pool, reverse=True) == [1.0, 0.6, 0.4, 0.0]
 
     def test_shared_result_counted_once_in_pool(self):
         ds = binary_pair_dataset([("q1", 2, 2, Verdict.A)], list_len=3, shared_results=True)
-        rels_a, rels_b, pool, _ = judged_lists(
-            ds, "q1", "r1", config(cutoff=3)
-        )
+        rels_a, rels_b, pool = judged_lists(ds, "q1", "r1", config(cutoff=3))
         assert len(pool) == 3  # variant B is a permutation of the same results
         assert sorted(rels_a) == sorted(rels_b)
 
     def test_cutoff_truncates(self):
         ds = multi_rater_dataset({"r1": dict(a1=1, a2=3, b1=4, b2=6)})
-        rels_a, rels_b, pool, _ = judged_lists(ds, "q1", "r1", config(cutoff=1))
+        rels_a, rels_b, pool = judged_lists(ds, "q1", "r1", config(cutoff=1))
         assert rels_a == [1.0]
         assert rels_b == [0.4]
         assert len(pool) == 2
@@ -165,26 +168,22 @@ class TestResolvePreferences:
         for p, (verdict, entry) in zip(overlapping.preferences, resolved):
             assert verdict is p.verdict
             for c in cutoffs:
-                rels_a, rels_b, pool, _ = judged_lists(overlapping, p.query_id, p.rater_id,
-                                                       cfg.at_cutoff(c))
+                rels_a, rels_b, pool = judged_lists(overlapping, p.query_id, p.rater_id,
+                                                    cfg.at_cutoff(c))
                 assert entry.rels_a[:c] == rels_a
                 assert entry.rels_b[:c] == rels_b
                 assert entry.pool[: entry.pool_ends[c - 1]] == pool
 
-    def test_pool_is_in_first_rank_order(self, monkeypatch):
+    def test_pool_is_in_first_rank_order(self):
         ds = binary_pair_dataset([("q1", 2, 2, Verdict.A)], list_len=4, shared_results=True)
-        # A = a01 a02 a03 a04, B = a04 a03 a02 a01; relevance k/10 tells a0k apart
-        monkeypatch.setattr(scoring, "unit_relevance",
-                            lambda ds, qid, rid, *rest: int(rid[-2:]) / 10)
-        _, _, pool, pool_ends = judged_lists(ds, "q1", "r1", config(cutoff=4))
-        assert pool == [0.1, 0.4, 0.2, 0.3]  # a01, a04, a02, a03
-        assert pool_ends == (2, 4, 4, 4)  # the pool's end at every rank
-        # the engine reads each rater's relevance from one grade row per result
-        monkeypatch.setattr(scoring, "GradeRow",
-                            lambda grades, key, *rest: {"r1": int(key[1][-2:]) / 10})
+        # A = a01 a02 a03 a04, B = a04 a03 a02 a01; grade k tells a0k apart
+        ds = dataclasses.replace(ds, judgments=tuple(
+            dataclasses.replace(j, grade=int(j.result_id[-2:])) for j in ds.judgments))
+        _, _, pool = judged_lists(ds, "q1", "r1", config(cutoff=4))
+        assert pool == [1.0, 0.4, 0.8, 0.6]  # a01, a04, a02, a03
         [(_, entry)] = resolve_preferences(ds, config(), (1, 2, 4))
         assert entry.pool == pool
-        assert entry.pool_ends == (2, 4, 4, 4)
+        assert entry.pool_ends == (2, 4, 4, 4)  # the pool's end at every rank
 
     def test_sweep_looks_up_each_distinct_result_once(self, overlapping, monkeypatch):
         # one grade row per (table, query, distinct result) on a query-sorted dataset
@@ -258,12 +257,28 @@ class TestResolvePreferences:
         assert calls == []
 
 
-def per_verdict_tables(dataset, config, cutoffs, lenient):
-    """The table of :func:`resolve_preferences` built verdict by verdict with judged_lists."""
-    deepest, scope = config.at_cutoff(max(cutoffs)), config.query_filter
-    return [(p.verdict, judged_lists(dataset, p.query_id, p.rater_id, deepest, lenient))
-            for p in dataset.preferences
-            if scope is None or dataset.query_by_id[p.query_id].query_type in scope]
+def engine_by_cutoff(dataset, config, cutoffs, lenient):
+    """Each :func:`resolve_preferences` entry cut at every cut-off c: lists to c, pool to its end."""
+    return [(verdict, [(lists.rels_a[:c], lists.rels_b[:c], lists.pool[: lists.pool_ends[c - 1]])
+                       for c in cutoffs])
+            for verdict, lists in resolve_preferences(dataset, config, cutoffs, lenient)]
+
+
+def oracle_by_cutoff(dataset, config, cutoffs, lenient):
+    """The same, verdict by verdict, from the oracle's walk at each cut-off.
+
+    Each verdict is walked first at the deepest cut-off, which the engine
+    resolves to, so both raise the same first error; each cut-off's pool
+    is then built afresh, independent of the engine's pool ends.
+    """
+    scope, table = config.query_filter, []
+    for p in dataset.preferences:
+        if scope is None or dataset.query_by_id[p.query_id].query_type in scope:
+            judged_lists(dataset, p.query_id, p.rater_id, config.at_cutoff(max(cutoffs)), lenient)
+            table.append((p.verdict, [judged_lists(dataset, p.query_id, p.rater_id,
+                                                   config.at_cutoff(c), lenient)
+                                      for c in cutoffs]))
+    return table
 
 
 def exact_outcome(resolve, *args):
@@ -272,8 +287,8 @@ def exact_outcome(resolve, *args):
         table = resolve(*args)
     except (MissingJudgment, ValueError) as exc:
         return type(exc).__name__, str(exc)
-    return [(verdict, [[x.hex() for x in rels] for rels in lists[:3]], lists.pool_ends)
-            for verdict, lists in table]
+    return [(verdict, [[[x.hex() for x in part] for part in cut] for cut in cuts])
+            for verdict, cuts in table]
 
 
 def perturbed(spec, seed, drop, outsider, shuffle):
@@ -311,7 +326,7 @@ NOISY = SynthSpec(4, 3, 11, n_preferences=6, rater_noise=0.1, overlap=0.4)
 
 
 class TestResolveEquivalence:
-    """The engine's per-query grade rows against the per-verdict judged_lists walk."""
+    """The engine's per-query grade rows against the oracle's per-verdict walk, cut-off by cut-off."""
 
     @given(perturbed_datasets(),
            st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True),
@@ -319,16 +334,16 @@ class TestResolveEquivalence:
     @example(perturbed(NOISY, 1, 0.1, True, True), [1, 5, 10], None)
     @example(perturbed(NOISY, 2, 0.0, True, False), [10], None)
     def test_every_entry_equals_judged_lists(self, dataset, cutoffs, query_filter):
-        # strict and lenient, every scale and both sources, entry for entry by float.hex;
-        # where the walk raises, the engine raises the same first error
+        # strict and lenient, every scale and both sources, each entry's prefix at every
+        # cut-off by float.hex; where the walk raises, the engine raises the same first error
         for scale in RelevanceScale:
             for source in RatingSource:
                 cfg = MetricConfig(Metric.NDCG, DiscountFunction.none(), scale=scale,
                                    rating_source=source, query_filter=query_filter)
                 for lenient in (False, True):
                     args = (dataset, cfg, cutoffs, lenient)
-                    assert (exact_outcome(resolve_preferences, *args)
-                            == exact_outcome(per_verdict_tables, *args))
+                    assert (exact_outcome(engine_by_cutoff, *args)
+                            == exact_outcome(oracle_by_cutoff, *args))
 
     def test_shuffled_verdicts_raise_the_first_missing_judgment_in_dataset_order(self):
         # q001's and q002's verdicts are split, and q004's sole judge comes before q003's
@@ -342,10 +357,10 @@ class TestResolveEquivalence:
         with pytest.raises(MissingJudgment, match=rf"^{re.escape(message)}$"):
             resolve_preferences(dataset, cfg, (3, 10))
         with pytest.raises(MissingJudgment, match=rf"^{re.escape(message)}$"):
-            per_verdict_tables(dataset, cfg, (3, 10), False)
+            oracle_by_cutoff(dataset, cfg, (3, 10), False)
         lenient = (dataset, cfg, (3, 10), True)
-        assert (exact_outcome(resolve_preferences, *lenient)
-                == exact_outcome(per_verdict_tables, *lenient))
+        assert (exact_outcome(engine_by_cutoff, *lenient)
+                == exact_outcome(oracle_by_cutoff, *lenient))
 
 
 class TestGradeIndex:
@@ -435,24 +450,51 @@ class TestScorePair:
         assert score_b == 0.0
 
 
+def consensus(dataset, config, lenient=False):
+    """The engine's judged lists of every query for a None reader, as ``eval`` reads them."""
+    readers = [(pair.query_id, None, pair.query_id) for pair in dataset.list_pairs]
+    return resolve_preferences(dataset, config, (config.cutoff,), lenient, readers)
+
+
 class TestConsensusLists:
     def test_mean_over_all_raters(self):
         ds = multi_rater_dataset({"r1": dict(a1=1, a2=1, b1=6, b2=6),
                                   "r2": dict(a1=3, a2=3, b1=6, b2=6)})
-        rels_a, rels_b, pool, pool_ends = judged_lists(ds, "q1", None, config())
-        assert rels_a == [pytest.approx(0.8), pytest.approx(0.8)]
-        assert rels_b == [0.0, 0.0]
+        [(query_id, lists)] = consensus(ds, config())
+        assert query_id == "q1"
+        assert lists.rels_a == [pytest.approx(0.8), pytest.approx(0.8)]
+        assert lists.rels_b == [0.0, 0.0]
         # without a preference rater the rating source has no one to single out
-        other = judged_lists(ds, "q1", None, config(source=RatingSource.OTHER_USERS))
-        assert other == (rels_a, rels_b, pool, pool_ends)
+        assert consensus(ds, config(source=RatingSource.OTHER_USERS)) == [("q1", lists)]
 
     def test_missing_judgment_strict(self):
         ds = multi_rater_dataset({"r1": dict(a1=1, a2=1, b1=6, b2=6)})
         trimmed = dataclasses.replace(ds, judgments=ds.judgments[:-1])
-        with pytest.raises(MissingJudgment, match=r"^\('q1', 'b2'\) has no judgment$"):
-            judged_lists(trimmed, "q1", None, config())
-        rels_a, rels_b, _, _ = judged_lists(trimmed, "q1", None, config(), lenient=True)
-        assert rels_b[-1] == 0.0
+        for source in RatingSource:
+            with pytest.raises(MissingJudgment, match=r"^\('q1', 'b2'\) has no judgment$"):
+                consensus(trimmed, config(source=source))
+            [(_, lists)] = consensus(trimmed, config(source=source), lenient=True)
+            assert lists.rels_b[-1] == 0.0
+
+    @pytest.mark.parametrize("source", list(RatingSource))
+    def test_none_reader_reads_the_mean_over_all_raters(self, source):
+        # every scale, by float.hex, against each result's units summed in rater order
+        dataset = generate_synthetic(SynthSpec(4, 3, 6, n_preferences=8, rater_noise=0.3,
+                                               overlap=0.4))
+        for scale in RelevanceScale:
+            units = UNITS[scale]
+
+            def mean(qid, rid):
+                values = [units[j.grade - 1] for j in dataset.judgments
+                          if (j.query_id, j.result_id) == (qid, rid)]
+                return (sum(values) / len(values)).hex()
+
+            cfg = config(source=source, scale=scale, cutoff=10)
+            for pair, (qid, lists) in zip(dataset.list_pairs, consensus(dataset, cfg),
+                                          strict=True):
+                assert qid == pair.query_id
+                assert [x.hex() for x in lists.rels_a] == [mean(qid, r) for r in pair.variant_a]
+                assert [x.hex() for x in lists.rels_b] == [mean(qid, r) for r in pair.variant_b]
 
 
 class TestMetricScoreDispatch:
