@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from math import isfinite
@@ -398,12 +399,16 @@ def cmd_synth(args) -> int:
     print(f"wrote {len(dataset.queries)} queries, {len(dataset.judgments)} judgments,"
           f" {len(dataset.preferences)} preferences, {len(dataset.sessions)} sessions"
           f" to {args.out}")
-    # Each query is judged by its verdicts' raters alone (at least one), so
-    # a query with one verdict leaves that rater no one else to read.
+    # Each query is judged by its verdicts' raters alone (at least one), and
+    # each judge grades every result, so only a query with one verdict
+    # leaves its rater no one else to read: only those verdicts are resolved.
     other_users = MetricConfig(Metric.PRECISION, DiscountFunction(DiscountKind.NONE),
                                rating_source=RatingSource.OTHER_USERS)
+    per_query = Counter(p.query_id for p in dataset.preferences)
+    lone = ((p.query_id, p.rater_id, p.verdict) for p in dataset.preferences
+            if per_query[p.query_id] == 1)
     try:
-        resolve_preferences(dataset, other_users, (min(spec.list_len, MAX_CUTOFF),))
+        resolve_preferences(dataset, other_users, (min(spec.list_len, MAX_CUTOFF),), readers=lone)
     except MissingJudgment as exc:
         print(f"warning: --rating-source other-users cannot sweep this dataset: {exc};"
               " give each query two or more verdicts (--preferences >= 2 x --queries)",

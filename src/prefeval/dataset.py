@@ -27,9 +27,9 @@ MAX_CUTOFF = 10
 def gc_paused(fn: Callable) -> Callable:
     """Run ``fn`` with the cyclic garbage collector off, as the caller had it after.
 
-    Loading, validating and writing a dataset build or walk hundreds of
-    thousands of tracked objects (records, split lines, index entries)
-    and no reference cycles, so a collection there frees nothing, while
+    Generating, loading, validating and writing a dataset build or walk
+    hundreds of thousands of tracked objects (records, split lines, index
+    entries) and no reference cycles, so a collection there frees nothing, while
     each one that runs as the generations fill traverses them all again.
     Nested calls keep it off, and a caller that turned the collector off
     finds it off; objects made meanwhile are collected as usual once it

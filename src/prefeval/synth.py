@@ -9,13 +9,22 @@ Grade frequencies follow the configured per-variant distributions by
 exact quota (largest remainder), so the marginals match the spec exactly
 whenever the counts divide evenly; the quota grades are then laid out
 over the ranks by the order-noise model.
+
+Draws follow a fixed order, query after query (:func:`generate_synthetic`
+lists it).  Records come out in the order :func:`data_io.write_dataset`
+writes them: queries and list pairs by query id (``q1000`` sorts between
+``q100`` and ``q101``), judgments by (query, result, rater), verdicts by
+(query, rater) and sessions by (query, rater, variant).  So a generated
+dataset equals the one read back from its files.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from math import inf, isfinite
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .dataset import (
@@ -30,6 +39,7 @@ from .dataset import (
     Session,
     Variant,
     Verdict,
+    gc_paused,
 )
 from .scales import UNITS, RelevanceScale
 
@@ -144,118 +154,115 @@ def _place_grades(grades: list[int], order_noise: float, rng: random.Random) -> 
     return out
 
 
-def _attention_mean(units: Sequence[float]) -> float:
-    """Mean relevance weighted toward early ranks (what a scanning user sees)."""
-    weights = [rank ** -0.5 for rank in range(1, len(units) + 1)]
-    return sum(u * w for u, w in zip(units, weights)) / sum(weights)
+def _attention_mean(units: Sequence[float], ranked: Sequence[int],
+                    weights: Sequence[float], total: float) -> float:
+    """Mean of ``units`` read in ``ranked`` order, weighted toward early ranks.
+
+    This is what a scanning user sees: ``weights`` are the ranks'
+    attention and ``total`` their sum.
+    """
+    return sum(units[i] * w for i, w in zip(ranked, weights)) / total
 
 
+@gc_paused
 def generate_synthetic(spec: SynthSpec) -> EvaluationDataset:
-    """Build a strict-valid dataset from ``spec``; deterministic in (spec, seed)."""
-    rng = random.Random(spec.seed)
-    raters = [f"u{i:02d}" for i in range(1, spec.n_raters + 1)]
+    """Build a strict-valid dataset from ``spec``; deterministic in (spec, seed).
 
-    queries: list[Query] = []
-    pairs: list[RankedListPair] = []
-    judgments: list[GradedJudgment] = []
-    preferences: list[PreferenceJudgment] = []
-    sessions: list[Session] = []
+    Each query's draws come in a fixed order: its terms, the shared
+    results and variant B's shuffle, the two grade layouts, each judge's
+    rater noise over the results in id order, then each judge's sessions,
+    variant A before B.  The query's records are built in the order
+    :func:`data_io.write_dataset` writes them, so the dataset is equal to
+    the one read back from its files.
+    """
+    rng = random.Random(spec.seed)
+    draw, choice, randint = rng.random, rng.choice, rng.randint
+    n_raters, list_len = spec.n_raters, spec.list_len
+    raters = [f"u{i:02d}" for i in range(1, n_raters + 1)]
+    six = UNITS[RelevanceScale.SIX_POINT]
+    quota_a = _quota_grades(spec.grade_weights_a, list_len)
+    quota_b = _quota_grades(spec.grade_weights_b, list_len)
+    n_shared = round(spec.overlap * list_len)
+    noise, click_rate, margin = spec.rater_noise, spec.click_rate, spec.equal_margin
+    # A scanning user's attention to each rank, and its total.
+    attention = [rank ** -0.5 for rank in range(1, list_len + 1)]
+    attention_sum = sum(attention)
 
     n_pref = spec.n_preferences if spec.n_preferences is not None else spec.n_queries
     base_pref, extra_pref = divmod(n_pref, spec.n_queries)
 
+    blocks = []  # per query: (id, query, pair, judgments, verdicts, sessions)
     for qi in range(spec.n_queries):
         qid = f"q{qi + 1:03d}"
-        terms = rng.sample(_WORDS, rng.randint(2, 3))
-        queries.append(
-            Query(
-                id=qid,
-                text=" ".join(terms),
-                info_need=f"Background information about {' and '.join(terms)}",
-                language=Language.EN if qi % 2 == 0 else Language.DE,
-                query_type=_TYPE_PATTERN[qi % len(_TYPE_PATTERN)],
-            )
-        )
+        terms = rng.sample(_WORDS, randint(2, 3))
+        query = Query(qid, " ".join(terms), f"Background information about {' and '.join(terms)}",
+                      Language.EN if qi % 2 == 0 else Language.DE,
+                      _TYPE_PATTERN[qi % len(_TYPE_PATTERN)])
 
-        results_a = [f"{qid}-a{r:02d}" for r in range(1, spec.list_len + 1)]
-        n_shared = round(spec.overlap * spec.list_len)
-        shared = rng.sample(results_a, n_shared)
-        fresh = [f"{qid}-b{r:02d}" for r in range(1, spec.list_len - n_shared + 1)]
-        results_b = shared + fresh
+        results_a = [f"{qid}-a{r:02d}" for r in range(1, list_len + 1)]
+        results_b = rng.sample(results_a, n_shared)
+        results_b += [f"{qid}-b{r:02d}" for r in range(1, list_len - n_shared + 1)]
         rng.shuffle(results_b)
-        pairs.append(RankedListPair(query_id=qid, variant_a=tuple(results_a), variant_b=tuple(results_b)))
+        pair = RankedListPair(qid, tuple(results_a), tuple(results_b))
 
-        grades_a = _place_grades(
-            _quota_grades(spec.grade_weights_a, spec.list_len), spec.order_noise_a, rng
-        )
-        base_grade = dict(zip(results_a, grades_a))
-        grades_b = _place_grades(
-            _quota_grades(spec.grade_weights_b, spec.list_len), spec.order_noise_b, rng
-        )
-        for result_id, grade in zip(results_b, grades_b):
-            if result_id not in base_grade:  # shared results keep their variant-A grade
-                base_grade[result_id] = grade
+        base_grade = dict(zip(results_a, _place_grades(quota_a, spec.order_noise_a, rng)))
+        for result_id, grade in zip(results_b, _place_grades(quota_b, spec.order_noise_b, rng)):
+            base_grade.setdefault(result_id, grade)  # shared results keep their variant-A grade
+        results = sorted(base_grade)
+        base = [base_grade[rid] for rid in results]
+        at = {rid: i for i, rid in enumerate(results)}
+        at_a, at_b = [at[rid] for rid in results_a], [at[rid] for rid in results_b]
 
         n_verdicts = base_pref + (1 if qi < extra_pref else 0)
         n_judges = max(1, n_verdicts)
-        start = (qi * n_judges) % spec.n_raters
-        judges = [raters[(start + k) % spec.n_raters] for k in range(n_judges)]
+        start = (qi * n_judges) % n_raters
+        judges = [raters[(start + k) % n_raters] for k in range(n_judges)]
+        by_id = sorted(range(n_judges), key=judges.__getitem__)  # judge indexes in rater-id order
 
-        rater_rel: dict[tuple[str, str], float] = {}  # each rater's unit relevance
-        for rater in judges:
-            for result_id in sorted(base_grade):
-                grade = base_grade[result_id]
-                if spec.rater_noise and rng.random() < spec.rater_noise:
-                    grade = min(6, max(1, grade + rng.choice((-1, 1))))
-                rater_rel[(rater, result_id)] = UNITS[RelevanceScale.SIX_POINT][grade - 1]
-                judgments.append(
-                    GradedJudgment(
-                        query_id=qid, result_id=result_id, rater_id=rater,
-                        grade=grade, snippet_relevant=grade <= 3,
-                    )
-                )
+        # Each judge's grades of ``results``, drawn judge by judge, and their units.
+        graded = [[min(6, max(1, g + choice((-1, 1)))) if noise and draw() < noise else g
+                   for g in base] for _ in judges]
+        rels = [[six[g - 1] for g in grades] for grades in graded]
+        judgments = [GradedJudgment(qid, rid, judges[j], g, g <= 3)
+                     for rid, column in zip(results, zip(*(graded[j] for j in by_id)))
+                     for j, g in zip(by_id, column)]
 
-        for rater in judges[:n_verdicts]:
-            seen_a = _attention_mean([rater_rel[(rater, rid)] for rid in results_a])
-            seen_b = _attention_mean([rater_rel[(rater, rid)] for rid in results_b])
-            diff = seen_a - seen_b
-            if diff > spec.equal_margin:
-                verdict = Verdict.A
-            elif diff < -spec.equal_margin:
-                verdict = Verdict.B
-            else:
-                verdict = Verdict.EQUAL
-            preferences.append(PreferenceJudgment(query_id=qid, rater_id=rater, verdict=verdict))
+        verdicts = []
+        for j in by_id:
+            if j >= n_verdicts:  # judges[:n_verdicts] give verdicts
+                continue
+            diff = (_attention_mean(rels[j], at_a, attention, attention_sum)
+                    - _attention_mean(rels[j], at_b, attention, attention_sum))
+            verdict = (Verdict.A if diff > margin else Verdict.B if diff < -margin
+                       else Verdict.EQUAL)
+            verdicts.append(PreferenceJudgment(qid, judges[j], verdict))
 
+        judge_sessions = []  # per judge, in draw order: its (A, B) sessions
         for ri, rater in enumerate(judges):
-            for variant, ranking in ((Variant.A, results_a), (Variant.B, results_b)):
-                start_ts = 1_500_000_000 + (qi * spec.n_raters + ri) * 3600 + (0 if variant is Variant.A else 1800)
+            units = rels[ri]
+            both = []
+            for variant, at_v, offset in ((Variant.A, at_a, 0), (Variant.B, at_b, 1800)):
+                start_ts = ts = 1_500_000_000 + (qi * n_raters + ri) * 3600 + offset
                 clicks = []
-                ts = start_ts
-                for rank, result_id in enumerate(ranking, start=1):
-                    rel = rater_rel[(rater, result_id)]
-                    attention = rank ** -0.5
-                    if rng.random() < spec.click_rate * rel * attention:
-                        ts += rng.randint(4, 12)
-                        clicks.append(Click(rank=rank, ts=ts))
-                end_ts = (clicks[-1].ts if clicks else start_ts) + rng.randint(8, 30)
-                top = ranking[: min(3, len(ranking))]
-                satisfied = sum(rater_rel[(rater, rid)] for rid in top) / len(top) >= 0.5
-                sessions.append(
-                    Session(
-                        query_id=qid, rater_id=rater, variant=variant,
-                        start_ts=start_ts, end_ts=end_ts,
-                        clicks=tuple(clicks), satisfied=satisfied,
-                    )
-                )
+                for rank, (i, weight) in enumerate(zip(at_v, attention), start=1):
+                    if draw() < click_rate * units[i] * weight:
+                        ts += randint(4, 12)
+                        clicks.append(Click(rank, ts))
+                end_ts = ts + randint(8, 30)
+                top = [units[i] for i in at_v[:3]]
+                both.append(Session(qid, rater, variant, start_ts, end_ts, tuple(clicks),
+                                    sum(top) / len(top) >= 0.5))
+            judge_sessions.append(both)
+        sessions = [s for j in by_id for s in judge_sessions[j]]
 
-    judgments.sort(key=lambda j: (j.query_id, j.result_id, j.rater_id))
-    preferences.sort(key=lambda p: (p.query_id, p.rater_id))
-    sessions.sort(key=lambda s: (s.query_id, s.rater_id, s.variant.value))
+        blocks.append((qid, query, pair, judgments, verdicts, sessions))
+
+    blocks.sort(key=itemgetter(0))  # q1000 sorts between q100 and q101
+    _, queries, pairs, judgments, verdicts, sessions = zip(*blocks)
     return EvaluationDataset(
-        queries=tuple(queries),
-        judgments=tuple(judgments),
-        list_pairs=tuple(pairs),
-        preferences=tuple(preferences),
-        sessions=tuple(sessions),
+        queries=queries,
+        judgments=tuple(chain.from_iterable(judgments)),
+        list_pairs=pairs,
+        preferences=tuple(chain.from_iterable(verdicts)),
+        sessions=tuple(chain.from_iterable(sessions)),
     )

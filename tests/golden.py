@@ -14,15 +14,10 @@ A change that moves an entry on purpose runs ``--update`` and says which
 entries moved and why.
 
 The datasets under ``fixtures/golden`` are written files, not generated
-at test time.  They were made by
-
-    prefeval synth --out clean --queries 8 --raters 4 --seed 7 --preferences 20
-    prefeval synth --out noisy --queries 8 --raters 4 --seed 11 --preferences 20 \\
-        --rater-noise 0.1 --overlap 0.4
-    prefeval synth --out sparse --queries 8 --raters 3 --seed 5 \\
-        --grades-a 0.05,0,0,0,0,0.95 --grades-b 0.05,0,0,0,0,0.95
-
-and ``gaps`` is ``noisy`` without any judgment of ``(q001, q001-a01)`` and
+at test time.  ``clean``, ``noisy`` and ``sparse`` were written by the
+``synth`` lines in ``FIXTURES``; ``COMMANDS`` pins those lines too, and
+``tests/test_golden.py`` checks that they still write those files.
+``gaps`` is ``noisy`` without any judgment of ``(q001, q001-a01)`` and
 without u03's of ``(q003, q003-b06)``.  Every dataset has sessions;
 ``sparse`` is mostly grade 6, so NDCG excludes pairs, and gives each
 query one verdict, so ``other-users`` cannot sweep it.
@@ -44,6 +39,15 @@ DIGESTS = DATA / "digests.json"
 
 ALL_DISCOUNTS = "--discounts none,log5,log2,root,rank,square,click"
 METRICS = ("precision", "ndcg", "map", "err", "mrr", "esl")
+
+# The synth lines that wrote the generated fixtures, by directory name.
+FIXTURES = {
+    "clean": "synth --out {out} --queries 8 --raters 4 --seed 7 --preferences 20",
+    "noisy": "synth --out {out} --queries 8 --raters 4 --seed 11 --preferences 20"
+             " --rater-noise 0.1 --overlap 0.4",
+    "sparse": "synth --out {out} --queries 8 --raters 3 --seed 5"
+              " --grades-a 0.05,0,0,0,0,0.95 --grades-b 0.05,0,0,0,0,0.95",
+}
 
 COMMANDS = [
     # sweeps: all seven discounts under both sources, three scales, filters, gaps
@@ -90,6 +94,11 @@ COMMANDS = [
     " --out {out}",
     "eval {data}/clean --metric ndcg --query-type meta",
     "breakdown {data}/clean --metric ndcg --threshold 0.1 --query-type meta",
+    # synthetic datasets: the fixture recipes, every model switched on, 1,001 query ids
+    *FIXTURES.values(),
+    "synth --out {out} --queries 12 --raters 5 --seed 3 --list-len 12 --overlap 1"
+    " --click-rate 1 --order-noise-a 0 --rater-noise 0.9",
+    "synth --out {out} --queries 1001 --raters 2 --seed 1",
 ]
 
 

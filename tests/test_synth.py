@@ -1,9 +1,13 @@
+import tempfile
 from collections import Counter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import scored_pairs
 from prefeval.config import Metric, MetricConfig, RatingSource
+from prefeval.data_io import read_dataset, write_dataset
 from prefeval.dataset import ValidationMode, Verdict, validate
 from prefeval.pir import pir
 from prefeval.scales import DiscountFunction
@@ -19,6 +23,31 @@ class TestDeterminism:
         a = generate_synthetic(SynthSpec(n_queries=8, n_raters=4, seed=1))
         b = generate_synthetic(SynthSpec(n_queries=8, n_raters=4, seed=2))
         assert a != b
+
+
+@st.composite
+def small_specs(draw):
+    """Small specs with every model drawn: noise, overlap, list length, verdict count, clicks."""
+    n_queries, n_raters = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    most = n_queries * n_raters  # one verdict per (query, rater)
+    n_preferences = draw(st.sampled_from((None, 0, most)) | st.integers(0, most))
+    unit = st.floats(0, 1)
+    return SynthSpec(
+        n_queries, n_raters, draw(st.integers(0, 2 ** 32)),
+        list_len=draw(st.integers(1, 12)), n_preferences=n_preferences,
+        order_noise_a=draw(unit), order_noise_b=draw(unit), overlap=draw(unit),
+        rater_noise=draw(unit), click_rate=draw(st.sampled_from((0.0, 1.0)) | unit),
+    )
+
+
+class TestRoundTrip:
+    @given(small_specs())
+    @example(SynthSpec(1001, 2, 1))  # q1000 sorts between q100 and q101
+    def test_generated_dataset_equals_its_written_files(self, spec):
+        dataset = generate_synthetic(spec)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_dataset(dataset, tmp)
+            assert read_dataset(tmp) == dataset
 
 
 class TestStrictValidity:
