@@ -96,13 +96,14 @@ def _read_rows(path: Path, kind: str) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line number, fields)`` for each non-blank record line of ``path``.
 
     The file is read as a stream of text-mode lines, so CR LF and a lone
-    CR end a line as LF does.  Each record must have an accepted field
-    count and non-empty ids; its id fields come back interned.
+    CR end a line as LF does, and a leading UTF-8 byte-order mark is
+    dropped.  Each record must have an accepted field count and non-empty
+    ids; its id fields come back interned.
     """
     record, counts, ids = _RECORDS[kind]
     intern = sys.intern
     try:
-        with open(path, encoding="utf-8", newline=None) as fh:
+        with open(path, encoding="utf-8-sig", newline=None) as fh:
             first = fh.readline()
             if first.startswith(HEADER_TAG):
                 header = first.rstrip("\n")
@@ -133,7 +134,8 @@ def _read_rows(path: Path, kind: str) -> Iterator[tuple[int, list[str]]]:
                     f[i] = intern(f[i])
                 yield lineno, f
     except UnicodeDecodeError:
-        # Text mode decodes in blocks, so the error's offset is not the file's.
+        # Text mode decodes in blocks after any byte-order mark, so the error's
+        # offset is not the file's.
         data = path.read_bytes()
         try:
             data.decode("utf-8")

@@ -12,9 +12,10 @@ baseline, 1.0 means every stated preference is recognized.  Verdicts of
 equal quality stay out of the ratio (the user is no better or worse off
 either way) but are tracked in the five-category breakdown.
 
-:func:`pir_sweep` walks each scope's verdicts once per discount group,
-sharing each verdict's discount-independent parts across the groups, and
-counts each row from one sort (:func:`pir_cells`).
+:func:`pir_sweep` walks each scope's verdicts once, scoring every
+discount group from one computation of each verdict's
+discount-independent parts, and counts each row from one sort
+(:func:`pir_cells`).
 """
 
 from __future__ import annotations
@@ -249,22 +250,18 @@ def pir_sweep(
 
     - configs that share a scale, rating source and query filter share
       one table from :func:`~prefeval.scoring.resolve_preferences`: each
-      verdict's judged lists, resolved once down to ``max(cutoffs)`` and
-      read from grade rows built once per query, one per distinct result,
-      each working out a rater's relevance on that rater's first read,
-      and the pool of each cut-off taken from the deepest one by position;
-    - the configs of a table are grouped by discount, and each group walks
-      the table once (:func:`~prefeval.scoring.score_group`), computing a
-      verdict's ``rel * weight`` products and their prefix sums once for
-      all its configs and cut-offs;
-    - when two or more groups read a table, each verdict's
+      verdict's judged lists, resolved once down to ``max(cutoffs)``, one
+      relevance per distinct result of its query, and the pool of each
+      cut-off taken from the deepest one by position;
+    - each scope walks its table once: per verdict, the
       discount-independent parts (:func:`~prefeval.scoring.verdict_parts`)
-      are computed once and kept for the table; with one group they are
-      computed inline and nothing is kept;
+      are computed once for all the scope's configs, and each discount
+      group is scored from them (:func:`~prefeval.scoring.score_group`),
+      which computes the ``rel * weight`` products and their prefix sums
+      once for all the group's configs and cut-offs;
     - a config keeps its score differences in one array, a verdict's
       cut-offs side by side, and takes each cut-off's row from it by
-      stride at the end of its group, so one group's differences are
-      alive at a time;
+      stride once the walk is done;
     - :func:`pir_cells` sorts a row's differences once and counts each
       threshold cell by bisection.
     """
@@ -281,23 +278,23 @@ def pir_sweep(
         (config.label(), c) for config in configs for c in cutoffs)
     for scope_configs in scopes.values():
         table = resolve_preferences(dataset, scope_configs[0], cutoffs, lenient)
-        verdicts = [verdict for verdict, _ in table]
         groups: dict[DiscountFunction, list[MetricConfig]] = {}
         for config in scope_configs:
             groups.setdefault(config.discount, []).append(config)
-        shared = ([verdict_parts(lists, scope_configs, cutoffs) for _, lists in table]
-                  if len(groups) > 1 else [None] * len(table))
-        for group in groups.values():
-            # per config, each verdict's differences at every cut-off in a row; NaN
-            # stands for a score the config excludes (scores are finite otherwise)
-            flats = [array("d") for _ in group]
-            for (_, lists), parts in zip(table, shared):
-                scored = score_group(lists, group, cutoffs, parts)
-                for flat, (scores_a, scores_b) in zip(flats, scored):
+        # per config, each verdict's differences at every cut-off in a row; NaN
+        # stands for a score the config excludes (scores are finite otherwise)
+        flats = [(group, [array("d") for _ in group]) for group in groups.values()]
+        for _, lists in table:
+            parts = verdict_parts(lists, scope_configs, cutoffs)
+            for group, group_flats in flats:
+                for flat, (scores_a, scores_b) in zip(group_flats,
+                                                      score_group(lists, group, cutoffs, parts)):
                     flat.extend(map(sub, scores_a, scores_b) if None not in scores_a
                                 else [nan if a is None else a - b
                                       for a, b in zip(scores_a, scores_b)])
-            for config, flat in zip(group, flats):
+        verdicts = [verdict for verdict, _ in table]
+        for group, group_flats in flats:
+            for config, flat in zip(group, group_flats):
                 label = config.label()
                 for k, c in enumerate(cutoffs):
                     column, kept = flat[k::len(cutoffs)], verdicts

@@ -191,12 +191,14 @@ def load_click_weights(path) -> dict[int, float]:
     """Read a click-weight table from a two-column text file (rank, weight).
 
     Blank lines and lines starting with ``#`` are skipped.  The file is
-    UTF-8; a byte that is not raises ValueError naming its line and offset.
+    UTF-8, a leading byte-order mark dropped; a byte that is not UTF-8
+    raises ValueError naming its line and file offset.
     """
     table: dict[int, float] = {}
     data = Path(path).read_bytes()
     try:
-        lines = io.StringIO(data.decode("utf-8"), newline=None)
+        # decoded whole as plain UTF-8, so an error's offset counts any mark
+        lines = io.StringIO(data.decode("utf-8").removeprefix("\ufeff"), newline=None)
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{lineno}: not valid UTF-8 (byte {data[exc.start]:#04x}"

@@ -3,10 +3,9 @@
 Relevance has one rule, :func:`_relevance`: the mean of the selected
 raters' units in rater order, one ``sum()`` divided by their count.
 Every command turns grades into judged lists through one walk,
-:func:`resolve_preferences`: it walks each query's lists once, builds one
-:class:`GradeRow` per distinct result, which works out a reader's
-relevance on that reader's first read, and gives each reader (a verdict's
-rater, or ``eval``'s mean over all raters) judged lists for all cut-offs.
+:func:`resolve_preferences`: it walks each query's lists once, and gives
+each reader (a verdict's rater, or ``eval``'s mean over all raters) one
+relevance per distinct result and judged lists for all cut-offs.
 Scoring is the engine's alone, and :func:`score_group` is the only scorer
 any command runs: :func:`verdict_parts` takes from the judged lists what
 every discount reads alike (each cut-off's NDCG ideal and known-relevant
@@ -23,7 +22,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from math import fsum
-from operator import itemgetter, mul
+from operator import mul
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .config import ERR_GRADE_MAX, ApNorm, Metric, MetricConfig, RatingSource
@@ -67,29 +66,6 @@ def _missing(query_id: str, result_id: str, same_user: bool,
     return MissingJudgment(f"no rater besides {rater_id!r} judged ({query_id!r}, {result_id!r})")
 
 
-class GradeRow(dict):
-    """Every reader's relevance of one (query, result), each worked out on its first read.
-
-    ``grades`` is the dataset's grade index and ``units`` a scale's unit
-    table.  ``row[rater]`` is that reader's :func:`_relevance`, or None
-    where it is missing, computed the first time the reader reads the row
-    and kept.  Building a row costs one lookup, so a row costs one mean
-    per distinct reader.
-    """
-
-    __slots__ = ("_by_rater", "_units", "_same_user")
-
-    def __init__(self, grades: Mapping[tuple[str, str], Mapping[str, int]],
-                 key: tuple[str, str], units: Sequence[float], same_user: bool):
-        self._by_rater = grades.get(key, {})
-        self._units = units
-        self._same_user = same_user
-
-    def __missing__(self, rater: Optional[str]) -> Optional[float]:
-        value = self[rater] = _relevance(self._by_rater, self._units, self._same_user, rater)
-        return value
-
-
 class JudgedLists(NamedTuple):
     """Both variants' judged lists of one query down to a depth, and their pool.
 
@@ -111,7 +87,7 @@ def resolve_preferences(
     lenient: bool = False,
     readers: Optional[Iterable[tuple[str, Optional[str], Any]]] = None,
 ) -> list[tuple[Any, JudgedLists]]:
-    """``(tag, judged lists)`` for each reader in the config's query scope, resolved once.
+    """``(tag, judged lists)`` for each reader in the config's query scope, in one pass.
 
     A reader is ``(query id, rater id or None, tag)``; by default each
     verdict of the dataset, tagged by its verdict.  Only the config's
@@ -119,13 +95,12 @@ def resolve_preferences(
     share the table.  Lists reach ``max(cutoffs)``; metrics ignore entries
     beyond their cut-off.  Each run of a query's readers resolves the
     query once: the depth check, the pool in first-rank order (A1, B1, A2,
-    B2, ..., first occurrence kept) and its ends, and one
-    :class:`GradeRow` per distinct result, A's first, then B's unseen
-    ones, which each reader then reads.  Only the current query's rows are
-    kept; written and synthetic datasets list verdicts by query, so each
-    row is built once.  The first missing relevance raises
-    MissingJudgment, or reads 0.0 when ``lenient``.  Consecutive entries
-    share equal pool ends.
+    B2, ..., first occurrence kept) and its ends, and the grade index's
+    ``{rater: grade}`` of each distinct result, A's first, then B's unseen
+    ones.  Each reader then takes one :func:`_relevance` per distinct
+    result; validation allows one verdict per (query, rater), so nothing
+    is kept for a later reader.  The first missing relevance raises
+    MissingJudgment, or reads 0.0 when ``lenient``.
     """
     grades = dataset.grades  # validates a dataset nobody validated, before any pair is read
     if readers is None:
@@ -136,11 +111,10 @@ def resolve_preferences(
     scope = config.query_filter
     resolved: list[tuple[Any, JudgedLists]] = []
     query_id: Optional[str] = None
-    rows: Optional[list[GradeRow]] = None
-    ends: tuple[int, ...] = ()
+    graded: Optional[list[Mapping[str, int]]] = None  # None: the query is out of scope
     for query, rater, tag in readers:
         if query != query_id:
-            query_id, rows = query, None
+            query_id, graded = query, None
             if scope is not None and dataset.query_by_id[query_id].query_type not in scope:
                 continue
             pair = dataset.pair_by_query[query_id]
@@ -149,20 +123,19 @@ def resolve_preferences(
                     raise ValueError(f"cut-off {depth} exceeds list length {len(ranked)}")
             top_a, top_b = pair.variant_a[:depth], pair.variant_b[:depth]
             distinct = list(dict.fromkeys((*top_a, *top_b)))
-            rows = [GradeRow(grades, (query_id, rid), units, same_user) for rid in distinct]
+            graded = [grades.get((query_id, rid), {}) for rid in distinct]
             at = {rid: i for i, rid in enumerate(distinct)}
-            pooled: dict[int, None] = {}  # row indexes in first-rank order
+            pooled: dict[int, None] = {}  # distinct-result indexes in first-rank order
             by_rank = []
             for rid_a, rid_b in zip(top_a, top_b):
                 pooled[at[rid_a]] = pooled[at[rid_b]] = None
                 by_rank.append(len(pooled))
-            if tuple(by_rank) != ends:
-                ends = tuple(by_rank)
+            ends = tuple(by_rank)
             at_a, at_b = [at[rid] for rid in top_a], [at[rid] for rid in top_b]
             at_pool = list(pooled)
-        elif rows is None:
+        elif graded is None:
             continue
-        values = list(map(itemgetter(rater), rows))
+        values = [_relevance(by_rater, units, same_user, rater) for by_rater in graded]
         if None in values:
             if not lenient:
                 raise _missing(query_id, distinct[values.index(None)], same_user, rater)
@@ -241,12 +214,12 @@ def score_group(
     of that variant at ``cutoffs[k]`` bit for bit, or is None where the
     config excludes the lists there (where the scalar metric returns None
     too), for both variants alike.  ``parts`` are :func:`verdict_parts` of
-    a superset of ``configs``, shared by every discount of a sweep; without
-    them they are computed here.  Per list, the ``rel * weight`` products
-    and their prefix ``math.fsum`` at each cut-off are computed once, and
-    precision, NDCG and ESL all read them; AP and ERR read running totals
-    of the shared parts times the weights, MRR the first relevant rank and
-    ESL the rank that reaches its target.  Resolution checked the depth,
+    a superset of ``configs``, as a sweep computes them once per verdict
+    for all its discounts; without them they are computed here.  Per
+    list, the ``rel * weight`` products and their prefix ``math.fsum`` at
+    each cut-off are computed once, and precision, NDCG and ESL all read
+    them; AP and ERR read running totals of the parts times the weights,
+    MRR the first relevant rank and ESL the rank that reaches its target.  Resolution checked the depth,
     and nothing here calls the scalar metrics.
     """
     if parts is None:

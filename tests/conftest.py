@@ -52,6 +52,22 @@ def scored_pairs(dataset, config, lenient=False):
     return pairs, excluded
 
 
+def count_grade_reads(dataset, calls):
+    """Replace ``dataset``'s validated grade index by a copy that logs every key read into ``calls``."""
+
+    class Counted(dict):
+        def get(self, key, default=None):
+            calls.append(key)
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            calls.append(key)
+            return super().__getitem__(key)
+
+    dataset.__dict__["grades"] = Counted(dataset.grades)
+    return dataset
+
+
 def make_query(qid: str, query_type: QueryType = QueryType.INFORMATIONAL) -> Query:
     return Query(
         id=qid,

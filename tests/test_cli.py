@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import prefeval
-from conftest import make_session
-from prefeval import cli, data_io, scoring
+from conftest import count_grade_reads, make_session
+from prefeval import cli, data_io
 from prefeval.cli import main
 from prefeval.config import Metric, MetricConfig
 from prefeval.data_io import FILE_NAMES, load_dataset, write_dataset
@@ -231,15 +231,12 @@ class TestEvalCommand:
         assert capsys.readouterr() == (EVAL_NDCG_C5_LENIENT_GAP, "")
 
     def test_looks_up_each_distinct_result_once(self, synth_dir, monkeypatch):
-        # one grade row per (query, distinct result), A's results first, then B's unseen ones
+        # one grade-index read per (query, distinct result), A's results first, then B's unseen
         calls = []
-
-        class Counted(scoring.GradeRow):
-            def __init__(self, grades, key, *args):
-                calls.append(key)
-                super().__init__(grades, key, *args)
-
-        monkeypatch.setattr(scoring, "GradeRow", Counted)
+        original = cli.load_dataset
+        monkeypatch.setattr(cli, "load_dataset",
+                            lambda *args, **kwargs: count_grade_reads(original(*args, **kwargs),
+                                                                      calls))
         assert main(["eval", str(synth_dir), "--metric", "ndcg", "--cutoff", "5"]) == 0
         assert calls == [
             (pair.query_id, rid)
@@ -466,6 +463,24 @@ class TestClickTableEncoding:
         assert capsys.readouterr() == ("", (
             f"usage error: {weights}:3: not valid UTF-8"
             " (byte 0xe9 at offset 15: invalid continuation byte)\n"))
+
+    def test_byte_order_mark_is_dropped(self, synth_dir, tmp_path, capsys):
+        # as the reader of every dataset file drops it; the offset of a bad byte still counts it
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        table = b"1 1.0\n2 0.5\n3 0.4\n4 0.3\n5 0.2\n6 0.2\n7 0.1\n8 0.1\n9 0.1\n10 0.1\n"
+        plain.write_bytes(table)
+        marked.write_bytes(b"\xef\xbb\xbf" + table)
+        argv = ["eval", str(synth_dir), "--metric", "ndcg", "--discount", "click"]
+        capsys.readouterr()
+        assert main([*argv, "--click-weights", str(plain)]) == 0
+        want = capsys.readouterr()
+        assert main([*argv, "--click-weights", str(marked)]) == 0
+        assert capsys.readouterr() == want
+        marked.write_bytes(b"\xef\xbb\xbf1 1.0\n# r\xe9sum\xe9\n")
+        assert main([*argv, "--click-weights", str(marked)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"usage error: {marked}:2: not valid UTF-8"
+            " (byte 0xe9 at offset 12: invalid continuation byte)\n"))
 
 
 class TestShortClickTable:

@@ -296,6 +296,17 @@ class TestStreamingReader:
         assert str(exc.value) == (f"{judgments}:{lineno}: not valid UTF-8 "
                                   f"(byte 0xff at offset {offset}: invalid start byte)")
 
+    def test_non_utf8_byte_after_a_byte_order_mark_reports_its_file_offset(self, judgments):
+        data = b"\xef\xbb\xbf" + judgments.read_bytes()
+        start = data.index(b"\n", 3 * 8192) + 1
+        lineno = data.count(b"\n", 0, start) + 1
+        offset = data.index(b"\t", start) + 1  # counted from the file's first byte, the mark's
+        judgments.write_bytes(data[:offset] + b"\xff" + data[offset:])
+        with pytest.raises(ParseError) as exc:
+            read_judgments(judgments)
+        assert str(exc.value) == (f"{judgments}:{lineno}: not valid UTF-8 "
+                                  f"(byte 0xff at offset {offset}: invalid start byte)")
+
     def test_blank_queries_file_lacks_its_header_and_an_empty_one_holds_none(self, tmp_path):
         path = tmp_path / FILE_NAMES["queries"]
         path.write_text("\n", encoding="utf-8")
@@ -381,8 +392,11 @@ class TestParserEquivalence:
         (ALL, _blank_lines),
         (HEADERLESS_OK, _headerless),
         (HEADERLESS_OK, lambda t: _headerless(t).replace("\n", "\r\n")),
+        (ALL, lambda t: "\ufeff" + t),
+        (HEADERLESS_OK, lambda t: "\ufeff" + _headerless(t)),
     ], ids=["crlf", "cr", "no-final-newline", "crlf-no-final-newline", "blank-lines",
-            "headerless-whitespace", "headerless-crlf"])
+            "headerless-whitespace", "headerless-crlf", "byte-order-mark",
+            "headerless-byte-order-mark"])
     def test_accepted_spellings_load_equal(self, data, round_trip_dataset, kinds, edit):
         for kind in kinds:
             _rewrite(data / FILE_NAMES[kind], edit)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import binary_pair_dataset, scored_pairs
-from prefeval.config import Metric, MetricConfig, RatingSource
+from prefeval.config import ApNorm, Metric, MetricConfig, RatingSource
 from prefeval.dataset import Verdict
 from prefeval.oracle import collect_pairs, oracle_grid, oracle_pir
 from prefeval.pir import (
@@ -19,7 +20,7 @@ from prefeval.pir import (
     pir_sweep,
     pref,
 )
-from prefeval.scales import DiscountFunction
+from prefeval.scales import DiscountFunction, RelevanceScale
 from prefeval.synth import SynthSpec, generate_synthetic
 
 PRECISION_NONE = MetricConfig(Metric.PRECISION, DiscountFunction.none())
@@ -317,6 +318,56 @@ class TestSweep:
     def test_duplicate_cutoffs_rejected(self, sample_pir_dataset):
         with pytest.raises(ValueError, match="duplicate cut-off 2"):
             pir_sweep(sample_pir_dataset, [PRECISION_NONE], thresholds=(0.0,), cutoffs=(2, 1, 2))
+
+
+DISCOUNTS = [DiscountFunction.none(), DiscountFunction.log2(), DiscountFunction.log5(),
+             DiscountFunction.root(), DiscountFunction.rank(), DiscountFunction.square()]
+
+
+def every_metric(discount: DiscountFunction, scale, source) -> list[MetricConfig]:
+    """All six metrics under one discount, with MAP under both norms and ESL at two targets."""
+    kw = dict(scale=scale, rating_source=source)
+    return [MetricConfig(Metric.PRECISION, discount, **kw),
+            MetricConfig(Metric.NDCG, discount, **kw),
+            MetricConfig(Metric.MAP, discount, **kw),
+            MetricConfig(Metric.MAP, discount, ap_norm=ApNorm.BY_KNOWN_RELEVANT, **kw),
+            MetricConfig(Metric.ERR, discount, **kw),
+            MetricConfig(Metric.MRR, discount, **kw),
+            MetricConfig(Metric.ESL, discount, esl_n=1.0, **kw),
+            MetricConfig(Metric.ESL, discount, esl_n=2.5, **kw)]
+
+
+@st.composite
+def gapped_datasets(draw):
+    """Small synthetic datasets with disagreeing raters, shared results and dropped judgments."""
+    n_queries, n_raters = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dataset = generate_synthetic(SynthSpec(
+        n_queries, n_raters, draw(st.integers(0, 999)),
+        n_preferences=draw(st.integers(1, n_queries * n_raters)),
+        rater_noise=draw(st.sampled_from([0.0, 0.1, 0.4])),
+        overlap=draw(st.sampled_from([0.0, 0.4, 1.0]))))
+    rng, drop = random.Random(draw(st.integers(0, 999))), draw(st.sampled_from([0.0, 0.1, 0.5]))
+    return dataclasses.replace(dataset, judgments=tuple(
+        j for j in dataset.judgments if rng.random() >= drop))
+
+
+class TestCompanionConfigs:
+    """A config's rows are the same whichever configs share its sweep."""
+
+    @given(gapped_datasets(),
+           st.lists(st.sampled_from(DISCOUNTS), min_size=2, max_size=3, unique=True),
+           st.sampled_from(list(RelevanceScale)), st.sampled_from(list(RatingSource)),
+           st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True))
+    def test_rows_equal_the_config_swept_alone(self, dataset, discounts, scale, source,
+                                               cutoffs):
+        configs = [config for discount in discounts
+                   for config in every_metric(discount, scale, source)]
+        thresholds = (0.0, 0.05, 0.2)
+        grid = pir_sweep(dataset, configs, thresholds, cutoffs, lenient=True)
+        for config in configs:
+            alone = pir_sweep(dataset, [config], thresholds, cutoffs, lenient=True)
+            for c in cutoffs:
+                assert grid.row(config, c) == alone.row(config, c)
 
 
 class TestOracle:

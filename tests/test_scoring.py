@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import binary_pair_dataset, make_query, score_pair
+from conftest import binary_pair_dataset, count_grade_reads, make_query, score_pair
 from prefeval.config import Metric, MetricConfig, RatingSource
 from prefeval.data_io import load_dataset, write_dataset
 from prefeval.dataset import (
@@ -185,16 +185,10 @@ class TestResolvePreferences:
         assert entry.pool == pool
         assert entry.pool_ends == (2, 4, 4, 4)  # the pool's end at every rank
 
-    def test_sweep_looks_up_each_distinct_result_once(self, overlapping, monkeypatch):
-        # one grade row per (table, query, distinct result) on a query-sorted dataset
+    def test_sweep_looks_up_each_distinct_result_once(self, overlapping):
+        # one grade-index read per (table, query, distinct result) on a query-sorted dataset
         calls = []
-
-        class Counted(scoring.GradeRow):
-            def __init__(self, grades, key, *args):
-                calls.append(key)
-                super().__init__(grades, key, *args)
-
-        monkeypatch.setattr(scoring, "GradeRow", Counted)
+        count_grade_reads(overlapping, calls)
         configs = [MetricConfig(metric, DiscountFunction.rank(), rating_source=source,
                                 esl_n=2.0 if metric is Metric.ESL else None)
                    for metric in Metric for source in RatingSource]
@@ -209,7 +203,7 @@ class TestResolvePreferences:
         assert calls == per_table * len(RatingSource)
 
     def test_rows_work_out_only_the_raters_who_read_them(self, monkeypatch):
-        # eight raters grade each query, two give verdicts: one mean per (row, reading rater)
+        # eight raters grade each query, two give verdicts: one mean per (verdict, result)
         graded = generate_synthetic(SynthSpec(n_queries=3, n_raters=8, seed=2, n_preferences=24))
         readers = graded.preferences[::4]
         dataset = dataclasses.replace(graded, preferences=readers)
@@ -226,7 +220,7 @@ class TestResolvePreferences:
         for source in RatingSource:
             calls.clear()
             resolve_preferences(dataset, config(source=source), (10,))
-            assert len(calls) == 2 * rows  # two readers per row, not eight graders
+            assert len(calls) == 2 * rows  # two readers per result, not eight graders
             assert set(calls) == {p.rater_id for p in readers}
 
     def test_sweep_never_calls_the_scalar_metrics(self, overlapping, tmp_path, monkeypatch):
@@ -326,7 +320,7 @@ NOISY = SynthSpec(4, 3, 11, n_preferences=6, rater_noise=0.1, overlap=0.4)
 
 
 class TestResolveEquivalence:
-    """The engine's per-query grade rows against the oracle's per-verdict walk, cut-off by cut-off."""
+    """The engine's per-query walk against the oracle's per-verdict walk, cut-off by cut-off."""
 
     @given(perturbed_datasets(),
            st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True),
