@@ -33,7 +33,7 @@ from .implicit import (
 )
 from .pir import CATEGORIES, DEFAULT_THRESHOLDS, best_cell, check_grid, check_increasing, pir_sweep
 from .scales import DiscountFunction, DiscountKind, RelevanceScale, load_click_weights
-from .scoring import MissingJudgment, resolve_preferences, score_group
+from .scoring import MissingJudgment, resolve_preferences, scorer
 from .synth import SynthSpec, generate_synthetic
 
 EXIT_OK = 0
@@ -217,9 +217,10 @@ def cmd_eval(args) -> int:
     table = resolve_preferences(dataset, config, (config.cutoff,), args.lenient,
                                 ((pair.query_id, None, pair.query_id)
                                  for pair in dataset.list_pairs))
+    score = scorer([config], (config.cutoff,))
     rows, excluded = [], 0
     for query_id, lists in table:
-        [((score_a,), (score_b,))] = score_group(lists, [config], (config.cutoff,))
+        [((score_a,), (score_b,))] = score(lists)
         if score_a is None:
             excluded += 1
         else:

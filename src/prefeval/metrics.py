@@ -6,10 +6,10 @@ cut-off, i.e. how many top results take part.  Entries beyond ``c`` are
 ignored, so a list may be passed at full length for any cut-off.  This
 is the reference: the worked examples pin these functions, and only the
 oracle scores through them (:func:`prefeval.oracle.metric_score`).  The
-engine, :func:`prefeval.scoring.score_group`, is what every command
-scores with; it scores each list once for all cut-offs and every config
-of a discount, and imports nothing from here: both read ``ERR_GRADE_MAX``
-and ``ApNorm`` from the config.
+engine, the function :func:`prefeval.scoring.scorer` builds for a
+scope, is what every command scores with; it scores each list once for
+all cut-offs and every config of each discount, and imports nothing from
+here: both read ``ERR_GRADE_MAX`` and ``ApNorm`` from the config.
 
 Normalization against an ideal ordering (NDCG) takes a judged pool, from
 which the best achievable ranking is formed.  The scoring layer passes

@@ -13,8 +13,8 @@ equal quality stay out of the ratio (the user is no better or worse off
 either way) but are tracked in the five-category breakdown.
 
 :func:`pir_sweep` walks each scope's verdicts once, scoring every
-discount group from one computation of each verdict's
-discount-independent parts, and counts each row from one sort
+verdict once through a scorer built for the scope
+(:func:`~prefeval.scoring.scorer`), and counts each row from one sort
 (:func:`pir_cells`).
 """
 
@@ -27,12 +27,11 @@ from fractions import Fraction
 from itertools import compress
 from math import isfinite, isnan, nan
 from operator import sub
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import MetricConfig, check_cutoffs
 from .dataset import MAX_CUTOFF, EvaluationDataset, Verdict
-from .scales import DiscountFunction
-from .scoring import resolve_preferences, score_group, verdict_parts
+from .scoring import resolve_preferences, scorer
 
 ScoredPair = tuple[float, float, Verdict]  # (score_a, score_b, verdict), as pir() counts them
 
@@ -197,11 +196,10 @@ class PirGrid:
     cutoffs: tuple[int, ...]
     rows: Mapping[tuple[str, int], PirRow]
 
-    def row(self, config: Union[MetricConfig, str], cutoff: int) -> PirRow:
-        label = config.label() if isinstance(config, MetricConfig) else config
-        return self.rows[(label, cutoff)]
+    def row(self, config: MetricConfig, cutoff: int) -> PirRow:
+        return self.rows[(config.label(), cutoff)]
 
-    def cell(self, config: Union[MetricConfig, str], cutoff: int, t: float) -> PirCell:
+    def cell(self, config: MetricConfig, cutoff: int, t: float) -> PirCell:
         row = self.row(config, cutoff)
         for cell in row.cells:
             if cell.threshold == t:
@@ -253,12 +251,12 @@ def pir_sweep(
       verdict's judged lists, resolved once down to ``max(cutoffs)``, one
       relevance per distinct result of its query, and the pool of each
       cut-off taken from the deepest one by position;
-    - each scope walks its table once: per verdict, the
-      discount-independent parts (:func:`~prefeval.scoring.verdict_parts`)
-      are computed once for all the scope's configs, and each discount
-      group is scored from them (:func:`~prefeval.scoring.score_group`),
-      which computes the ``rel * weight`` products and their prefix sums
-      once for all the group's configs and cut-offs;
+    - each scope builds one :func:`~prefeval.scoring.scorer`, which
+      groups its configs by discount once, and walks its table once: per
+      verdict, the scorer computes the discount-independent parts once
+      for all the scope's configs, and per discount the ``rel * weight``
+      products and their prefix sums once for all its configs and
+      cut-offs;
     - a config keeps its score differences in one array, a verdict's
       cut-offs side by side, and takes each cut-off's row from it by
       stride once the walk is done;
@@ -278,29 +276,23 @@ def pir_sweep(
         (config.label(), c) for config in configs for c in cutoffs)
     for scope_configs in scopes.values():
         table = resolve_preferences(dataset, scope_configs[0], cutoffs, lenient)
-        groups: dict[DiscountFunction, list[MetricConfig]] = {}
-        for config in scope_configs:
-            groups.setdefault(config.discount, []).append(config)
+        score = scorer(scope_configs, cutoffs)
         # per config, each verdict's differences at every cut-off in a row; NaN
         # stands for a score the config excludes (scores are finite otherwise)
-        flats = [(group, [array("d") for _ in group]) for group in groups.values()]
+        flats = [array("d") for _ in scope_configs]
         for _, lists in table:
-            parts = verdict_parts(lists, scope_configs, cutoffs)
-            for group, group_flats in flats:
-                for flat, (scores_a, scores_b) in zip(group_flats,
-                                                      score_group(lists, group, cutoffs, parts)):
-                    flat.extend(map(sub, scores_a, scores_b) if None not in scores_a
-                                else [nan if a is None else a - b
-                                      for a, b in zip(scores_a, scores_b)])
+            for flat, (scores_a, scores_b) in zip(flats, score(lists)):
+                flat.extend(map(sub, scores_a, scores_b) if None not in scores_a
+                            else [nan if a is None else a - b
+                                  for a, b in zip(scores_a, scores_b)])
         verdicts = [verdict for verdict, _ in table]
-        for group, group_flats in flats:
-            for config, flat in zip(group, group_flats):
-                label = config.label()
-                for k, c in enumerate(cutoffs):
-                    column, kept = flat[k::len(cutoffs)], verdicts
-                    excluded = sum(map(isnan, column))
-                    if excluded:
-                        keep = [not isnan(x) for x in column]
-                        column, kept = list(compress(column, keep)), list(compress(kept, keep))
-                    rows[(label, c)] = PirRow(pir_cells(column, kept, thresholds), excluded)
+        for config, flat in zip(scope_configs, flats):
+            label = config.label()
+            for k, c in enumerate(cutoffs):
+                column, kept = flat[k::len(cutoffs)], verdicts
+                excluded = sum(map(isnan, column))
+                if excluded:
+                    keep = [not isnan(x) for x in column]
+                    column, kept = list(compress(column, keep)), list(compress(kept, keep))
+                rows[(label, c)] = PirRow(pir_cells(column, kept, thresholds), excluded)
     return PirGrid(cutoffs=cutoffs, rows=rows)

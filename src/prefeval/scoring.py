@@ -6,12 +6,14 @@ Every command turns grades into judged lists through one walk,
 :func:`resolve_preferences`: it walks each query's lists once, and gives
 each reader (a verdict's rater, or ``eval``'s mean over all raters) one
 relevance per distinct result and judged lists for all cut-offs.
-Scoring is the engine's alone, and :func:`score_group` is the only scorer
-any command runs: :func:`verdict_parts` takes from the judged lists what
-every discount reads alike (each cut-off's NDCG ideal and known-relevant
-count, AP's and ERR's per-rank factors, the cumulated relevance); and
-:func:`score_group` scores every cut-off of both lists for the configs of
-one discount, from one list of ``rel * weight`` products per list.
+Scoring is the engine's alone, and :func:`scorer` is the only scorer any
+command runs.  Built once per scope, it groups the scope's configs by
+discount and binds each discount's weights; the function it returns
+scores every cut-off of both of a verdict's lists for every config,
+taking what every discount reads alike (each cut-off's NDCG ideal and
+known-relevant count, AP's and ERR's per-rank factors, the cumulated
+relevance) once, and one list of ``rel * weight`` products per list and
+discount.
 Nothing here imports the scalar reference, :mod:`prefeval.metrics`; only
 the oracle scores through it, from judged lists it walks itself.
 """
@@ -23,11 +25,11 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from math import fsum
 from operator import mul
-from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .config import ERR_GRADE_MAX, ApNorm, Metric, MetricConfig, RatingSource
 from .dataset import EvaluationDataset
-from .scales import UNITS
+from .scales import UNITS, DiscountFunction
 
 
 class MissingJudgment(Exception):
@@ -146,7 +148,7 @@ def resolve_preferences(
     return resolved
 
 
-class ListParts(NamedTuple):
+class _ListParts(NamedTuple):
     """One judged list's discount-independent parts by rank; None where no metric reads them."""
 
     cumulated: Optional[array]  # relevance summed through each rank (MAP, MRR, ESL)
@@ -155,22 +157,15 @@ class ListParts(NamedTuple):
     continued: Optional[array]  # ERR: chance that no earlier rank satisfied
 
 
-class VerdictParts(NamedTuple):
-    """What every discount reads alike from one verdict's judged lists."""
-
-    ideals: Optional[list[list[float]]]  # NDCG: the ideal top-c of the cut-off's pool
-    known: Optional[list[int]]  # classical AP: the pool's known-relevant count
-    a: ListParts
-    b: ListParts
-
-
 # Enum members bound once: an enum class attribute costs ten plain name lookups.
 _PRECISION, _NDCG, _MAP, _ERR, _MRR, _ESL = (
     Metric.PRECISION, Metric.NDCG, Metric.MAP, Metric.ERR, Metric.MRR, Metric.ESL)
 _KNOWN_RELEVANT = ApNorm.BY_KNOWN_RELEVANT
 
+Scores = list[tuple[list[Optional[float]], list[Optional[float]]]]
 
-def _list_parts(rels: Sequence[float], metrics: list[Metric]) -> ListParts:
+
+def _list_parts(rels: Sequence[float], metrics: frozenset[Metric]) -> _ListParts:
     cumulated = rel_running = satisfied = continued = None
     if _MAP in metrics or _MRR in metrics or _ESL in metrics:
         cumulated = array("d", accumulate(rels))
@@ -180,58 +175,67 @@ def _list_parts(rels: Sequence[float], metrics: list[Metric]) -> ListParts:
         denom = 2.0 ** ERR_GRADE_MAX
         satisfied = array("d", [(2.0 ** (ERR_GRADE_MAX * rel) - 1.0) / denom for rel in rels])
         continued = array("d", accumulate([1.0 - s for s in satisfied], mul, initial=1.0))
-    return ListParts(cumulated, rel_running, satisfied, continued)
+    return _ListParts(cumulated, rel_running, satisfied, continued)
 
 
-def verdict_parts(lists: JudgedLists, configs: Sequence[MetricConfig],
-                  cutoffs: Sequence[int]) -> VerdictParts:
-    """The parts of ``lists`` that ``configs`` read, whatever their discounts.
+def scorer(configs: Sequence[MetricConfig],
+           cutoffs: Sequence[int]) -> Callable[[JudgedLists], Scores]:
+    """The one scorer of every command: judged lists to each config's scores at every cut-off.
 
-    Each cut-off's pool is sorted into its NDCG ideal once, for both variants.
+    Built once per scope, it groups ``configs`` by discount value and
+    takes each discount's weights, the set of metrics and whether any
+    classical AP needs a known-relevant count.  The function it returns
+    maps one verdict's :class:`JudgedLists` to one ``(scores_a,
+    scores_b)`` per config, in order.  Entry ``k`` of each list equals
+    the reference :func:`prefeval.oracle.metric_score` of that variant at
+    ``cutoffs[k]`` bit for bit, or is None where the config excludes the
+    lists there (where the scalar metric returns None too), for both
+    variants alike.
+
+    Per call, what every discount reads alike is computed once and shared
+    by the discount groups: each cut-off's NDCG ideal (its pool sorted
+    once) and known-relevant count, and per list the cumulated relevance
+    and AP's and ERR's per-rank factors.  Per discount and list, the
+    ``rel * weight`` products and their prefix ``math.fsum`` at each
+    cut-off are computed once, and precision, NDCG and ESL all read them;
+    AP and ERR read running totals of the parts times the weights, MRR
+    the first relevant rank and ESL the rank that reaches its target.
+    Resolution checked the depth, and nothing here calls the scalar
+    metrics.
     """
-    metrics = [config.metric for config in configs]
-    ideals = known = None
-    if _NDCG in metrics:
-        ideals = [sorted(lists.pool[: lists.pool_ends[c - 1]], reverse=True)[:c]
-                  for c in cutoffs]
-    if any(config.metric is _MAP and config.ap_norm is _KNOWN_RELEVANT for config in configs):
-        positives = list(accumulate((v > 0 for v in lists.pool), initial=0))
-        known = [positives[lists.pool_ends[c - 1]] for c in cutoffs]
-    return VerdictParts(ideals, known, _list_parts(lists.rels_a, metrics),
-                        _list_parts(lists.rels_b, metrics))
+    cutoffs = tuple(cutoffs)
+    metrics = frozenset(config.metric for config in configs)
+    known_relevant = any(config.metric is _MAP and config.ap_norm is _KNOWN_RELEVANT
+                         for config in configs)
+    groups: dict[DiscountFunction, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(config.discount, []).append(i)
+    # per discount: its weights, where its configs sit in ``configs``, and the configs
+    bound = [(discount.weights(max(cutoffs)), at, [configs[i] for i in at])
+             for discount, at in groups.items()]
+
+    def score(lists: JudgedLists) -> Scores:
+        ideals = known = None
+        if _NDCG in metrics:
+            ideals = [sorted(lists.pool[: lists.pool_ends[c - 1]], reverse=True)[:c]
+                      for c in cutoffs]
+        if known_relevant:
+            positives = list(accumulate((v > 0 for v in lists.pool), initial=0))
+            known = [positives[lists.pool_ends[c - 1]] for c in cutoffs]
+        parts_a, parts_b = _list_parts(lists.rels_a, metrics), _list_parts(lists.rels_b, metrics)
+        scored: list = [None] * len(configs)
+        for weights, at, group in bound:
+            weighted = ideals and [fsum(map(mul, best, weights)) for best in ideals]
+            scored_a = _score_list(lists.rels_a, parts_a, group, cutoffs, weights, weighted, known)
+            scored_b = _score_list(lists.rels_b, parts_b, group, cutoffs, weights, weighted, known)
+            for i, scores in zip(at, zip(scored_a, scored_b)):
+                scored[i] = scores
+        return scored
+
+    return score
 
 
-def score_group(
-    lists: JudgedLists,
-    configs: Sequence[MetricConfig],
-    cutoffs: Sequence[int],
-    parts: Optional[VerdictParts] = None,
-) -> list[tuple[list[Optional[float]], list[Optional[float]]]]:
-    """Both lists' scores at every cut-off, for configs sharing one discount.
-
-    Returns one ``(scores_a, scores_b)`` per config, in order.  Entry ``k``
-    of each list equals the reference :func:`prefeval.oracle.metric_score`
-    of that variant at ``cutoffs[k]`` bit for bit, or is None where the
-    config excludes the lists there (where the scalar metric returns None
-    too), for both variants alike.  ``parts`` are :func:`verdict_parts` of
-    a superset of ``configs``, as a sweep computes them once per verdict
-    for all its discounts; without them they are computed here.  Per
-    list, the ``rel * weight`` products and their prefix ``math.fsum`` at
-    each cut-off are computed once, and precision, NDCG and ESL all read
-    them; AP and ERR read running totals of the parts times the weights,
-    MRR the first relevant rank and ESL the rank that reaches its target.  Resolution checked the depth,
-    and nothing here calls the scalar metrics.
-    """
-    if parts is None:
-        parts = verdict_parts(lists, configs, cutoffs)
-    weights = configs[0].discount.weights(max(cutoffs))
-    ideals = parts.ideals and [fsum(map(mul, best, weights)) for best in parts.ideals]
-    return list(zip(
-        _score_list(lists.rels_a, parts.a, configs, cutoffs, weights, ideals, parts.known),
-        _score_list(lists.rels_b, parts.b, configs, cutoffs, weights, ideals, parts.known)))
-
-
-def _score_list(rels, parts: ListParts, configs, cutoffs, weights, ideals, known) -> list:
+def _score_list(rels, parts: _ListParts, configs, cutoffs, weights, ideals, known) -> list:
     products = list(map(mul, rels, weights))
     gains: list[float] = []  # fsum of the products through each cut-off, once read
     scored = []

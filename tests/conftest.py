@@ -19,7 +19,7 @@ from prefeval.dataset import (
     Verdict,
 )
 from prefeval.oracle import judged_lists, metric_score
-from prefeval.scoring import resolve_preferences, score_group
+from prefeval.scoring import resolve_preferences, scorer
 
 settings.register_profile(
     "suite",
@@ -42,9 +42,10 @@ def score_pair(dataset, config, query_id, rater_id):
 def scored_pairs(dataset, config, lenient=False):
     """(score pairs, excluded count) of one config at its own cut-off, in dataset order."""
     cutoffs = (config.cutoff,)
+    score = scorer([config], cutoffs)
     pairs, excluded = [], 0
     for verdict, lists in resolve_preferences(dataset, config, cutoffs, lenient):
-        [((score_a,), (score_b,))] = score_group(lists, [config], cutoffs)
+        [((score_a,), (score_b,))] = score(lists)
         if score_a is None:
             excluded += 1
         else:

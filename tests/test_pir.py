@@ -20,7 +20,7 @@ from prefeval.pir import (
     pir_sweep,
     pref,
 )
-from prefeval.scales import DiscountFunction, RelevanceScale
+from prefeval.scales import DiscountFunction, DiscountKind, RelevanceScale
 from prefeval.synth import SynthSpec, generate_synthetic
 
 PRECISION_NONE = MetricConfig(Metric.PRECISION, DiscountFunction.none())
@@ -439,3 +439,28 @@ class TestRatingSourceDirection:
             rows += len(same_user)
         assert rows == 300
         assert wins >= 0.85 * rows  # 286 of 300 when this was written
+
+
+
+class TestAgreeingRaters:
+    """Where every rater gives the same grades, the rating source cannot move a cell."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: leave-one-out means of equal units are not correctly rounded, "
+        "so float rounding moves cells between the rating sources"))
+    def test_same_user_and_other_users_give_identical_cells(self):
+        dataset = generate_synthetic(SynthSpec(12, 10, 3, n_preferences=40))
+        discounts = [DiscountFunction.click_based() if kind is DiscountKind.CLICK_BASED
+                     else DiscountFunction(kind) for kind in DiscountKind]
+        by_source = []  # each source's cells, keyed by (metric, discount, cut-off)
+        for source in (RatingSource.SAME_USER, RatingSource.OTHER_USERS):
+            configs = [MetricConfig(metric, discount, rating_source=source,
+                                    esl_n=2.5 if metric is Metric.ESL else None)
+                       for metric in Metric for discount in discounts]
+            grid = pir_sweep(dataset, configs)
+            by_source.append({(config.metric, config.discount.kind, c): grid.row(config, c).cells
+                              for config in configs for c in grid.cutoffs})
+        same, other = by_source
+        assert len(same) == 6 * 7 * len(DEFAULT_CUTOFFS)
+        differ = sum(a != b for key, cells in same.items() for a, b in zip(cells, other[key]))
+        assert differ == 0

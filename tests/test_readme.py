@@ -1,10 +1,12 @@
-"""README's "Library use" example runs as printed."""
+"""README's "Library use" example runs as printed, and its golden count holds."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import golden
 import prefeval
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -23,3 +25,9 @@ def test_library_use_example_runs():
     rows = [line.split() for line in proc.stdout.splitlines()]
     assert [int(row[0]) for row in rows] == list(range(1, 11))
     assert all(len(row) == 3 for row in rows)
+
+
+def test_golden_command_count_matches_the_suite():
+    stated = re.findall(r"`tests/test_golden\.py` runs (\d+) fixed command lines",
+                        README.read_text())
+    assert stated == [str(len(golden.COMMANDS))]

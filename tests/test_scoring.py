@@ -31,8 +31,7 @@ from prefeval.scoring import (
     JudgedLists,
     MissingJudgment,
     resolve_preferences,
-    score_group,
-    verdict_parts,
+    scorer,
 )
 from prefeval.synth import SynthSpec, generate_synthetic
 
@@ -224,7 +223,7 @@ class TestResolvePreferences:
             assert set(calls) == {p.rater_id for p in readers}
 
     def test_sweep_never_calls_the_scalar_metrics(self, overlapping, tmp_path, monkeypatch):
-        # nor does eval: every command scores through score_group
+        # nor does eval: every command scores through scoring.scorer
         write_dataset(overlapping, tmp_path)
         calls = []
 
@@ -566,8 +565,8 @@ def assert_scores_equal_the_reference(lists, config, cutoffs, scores):
 
 
 def scores_of(lists, config, cutoffs):
-    """(scores_a, scores_b) of one config, scored as a one-config group."""
-    [scores] = score_group(lists, [config], cutoffs)
+    """(scores_a, scores_b) of one config, from a one-config scorer."""
+    [scores] = scorer([config], cutoffs)(lists)
     return scores
 
 
@@ -626,21 +625,33 @@ def mixed_scopes(draw):
 
 
 class TestScoreGroup:
-    """Every config of a discount group, with parts shared across discounts or not."""
+    """A scope's scorer: every config of every discount group, in the configs' order."""
 
     @given(random_judged_lists(), mixed_scopes())
     def test_equals_metric_score_for_every_config(self, drawn, configs):
         lists, cutoffs = drawn
-        shared = verdict_parts(lists, configs, cutoffs)
-        groups = {}
-        for cfg in configs:
-            groups.setdefault(cfg.discount, []).append(cfg)
-        assert len(groups) == len({cfg.discount.kind for cfg in configs})
-        for group in groups.values():
-            with_parts = score_group(lists, group, cutoffs, shared)
-            assert score_group(lists, group, cutoffs) == with_parts
-            for cfg, scores in zip(group, with_parts, strict=True):
-                assert_scores_equal_the_reference(lists, cfg, cutoffs, scores)
+        for cfg, scores in zip(configs, scorer(configs, cutoffs)(lists), strict=True):
+            assert_scores_equal_the_reference(lists, cfg, cutoffs, scores)
+
+    def test_weights_are_taken_once_per_discount_value(self, monkeypatch):
+        # equal discounts built apart form one group; scoring a verdict takes no weights
+        taken = []
+        original = DiscountFunction.weights
+
+        def counted(discount, c):
+            taken.append(discount.kind)
+            return original(discount, c)
+
+        monkeypatch.setattr(DiscountFunction, "weights", counted)
+        configs = [dataclasses.replace(base, discount=discount_instance(kind))
+                   for base in WALK_CONFIGS for kind in DiscountKind]
+        score = scorer(configs, (1, 4, 10))
+        assert sorted(taken) == sorted(DiscountKind)
+        taken.clear()
+        lists = JudgedLists([1.0, 0.4] * 5, [0.0, 0.6] * 5, [1.0, 0.0, 0.4, 0.6], (2,) + (4,) * 9)
+        for _ in range(3):
+            assert len(score(lists)) == len(configs)
+        assert taken == []
 
     @pytest.mark.parametrize("scale", [RelevanceScale.SIX_POINT, RelevanceScale.R3_2])
     @pytest.mark.parametrize("source, lenient", [(RatingSource.SAME_USER, False),
@@ -654,12 +665,10 @@ class TestScoreGroup:
                                        rating_source=source)
                    for kind in DiscountKind for base in WALK_CONFIGS]
         cutoffs = (1, 4, 10)
+        score = scorer(configs, cutoffs)
         for _, lists in resolve_preferences(dataset, configs[0], cutoffs, lenient):
-            shared = verdict_parts(lists, configs, cutoffs)
-            for kind in DiscountKind:
-                group = [cfg for cfg in configs if cfg.discount.kind is kind]
-                for cfg, scores in zip(group, score_group(lists, group, cutoffs, shared)):
-                    assert_scores_equal_the_reference(lists, cfg, cutoffs, scores)
+            for cfg, scores in zip(configs, score(lists), strict=True):
+                assert_scores_equal_the_reference(lists, cfg, cutoffs, scores)
 
 
 def imported_modules(path):
@@ -699,3 +708,18 @@ class TestLayering:
                     importers.add(path.stem)
         assert "data_io" in importers  # the scan sees the parser's check
         assert importers <= {"dataset", "data_io"}
+
+    def test_other_modules_import_only_the_engine_entry_points(self):
+        # one scorer entry point, so a second one cannot come back unseen
+        names = set()
+        for path in Path(scoring.__file__).parent.glob("*.py"):
+            if path.stem == "scoring":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module in ("scoring",
+                                                                        "prefeval.scoring"):
+                    names |= {a.name for a in node.names}
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):  # the whole module
+                    names |= {a.name for a in node.names if a.name.endswith("scoring")}
+        assert names == {"MissingJudgment", "resolve_preferences", "scorer", "_relevance",
+                         "_missing"}
