@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import plotsvg
 from .config import ApNorm, Metric, MetricConfig, RatingSource, check_cutoffs
-from .data_io import ParseError, load_dataset, read_dataset, write_dataset, write_tsv
+from .data_io import ParseError, load_click_weights, load_dataset, read_dataset, write_dataset, write_tsv
 from .dataset import MAX_CUTOFF, QueryType, ValidationError, ValidationMode, validate
 from .implicit import (
     DEFAULT_THRESHOLD_GRIDS,
@@ -32,7 +32,7 @@ from .implicit import (
     implicit_pir,
 )
 from .pir import CATEGORIES, DEFAULT_THRESHOLDS, best_cell, check_grid, check_increasing, pir_sweep
-from .scales import DiscountFunction, DiscountKind, RelevanceScale, load_click_weights
+from .scales import DiscountFunction, DiscountKind, RelevanceScale
 from .scoring import MissingJudgment, resolve_preferences, scorer
 from .synth import SynthSpec, generate_synthetic
 

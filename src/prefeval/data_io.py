@@ -1,4 +1,4 @@
-"""Reading and writing datasets as plain text record files.
+"""Reading and writing datasets as plain text record files, and reading click-weight tables.
 
 A dataset is one directory of tab-separated files with the fixed names
 below, one record per line, each starting with a one-line header naming
@@ -22,8 +22,10 @@ distinct id, shared by every file and record that names it.  Judgment,
 list, preference, session and click files are also accepted headerless
 with any whitespace as separator, for quick hand-built fixtures; the
 queries file always needs its header.  Files are written in a canonical
-sort order, so write -> load -> write is byte-stable; a query text,
-information need or id holding a tab, LF or CR cannot be written.
+sort order, and a session's clicks in the order the session holds them,
+which is the order they load back in; so write -> load -> write is
+byte-stable for any dataset that loads.  An empty id, or a query text,
+information need or id holding a tab, LF or CR, cannot be written.
 
 Reading, loading and writing run with the cyclic garbage collector
 paused (:func:`dataset.gc_paused`): they build hundreds of thousands of
@@ -33,6 +35,7 @@ traverse the new records again and free nothing.
 
 from __future__ import annotations
 
+import io
 import os
 import sys
 from itertools import chain
@@ -41,7 +44,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
 from .dataset import (
-    CLICK_ORDER,
     Click,
     EvaluationDataset,
     GradedJudgment,
@@ -140,11 +142,14 @@ def _read_rows(path: Path, kind: str) -> Iterator[tuple[int, list[str]]]:
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(
-                path, data.count(b"\n", 0, exc.start) + 1,
-                f"not valid UTF-8 (byte {data[exc.start]:#04x} at offset {exc.start}: {exc.reason})",
-            ) from None
+            raise ParseError(path, *_byte_fault(data, exc)) from None
         raise
+
+
+def _byte_fault(data: bytes, exc: UnicodeDecodeError) -> tuple[int, str]:
+    """Line number and message naming the byte of ``data`` that ``exc`` failed on."""
+    return (data.count(b"\n", 0, exc.start) + 1,
+            f"not valid UTF-8 (byte {data[exc.start]:#04x} at offset {exc.start}: {exc.reason})")
 
 
 def _parse_int(value: str, path: Path, lineno: int, field: str) -> int:
@@ -278,7 +283,7 @@ def read_sessions(sessions_path: Path, clicks_path: Path) -> list[Session]:
         satisfied = (None if len(f) == 5
                      else _lookup(_BOOLS, f[5], sessions_path, lineno, "satisfied", "true/false/-"))
         entry = clicks.pop(key, None)
-        session_clicks = () if entry is None else tuple(sorted(entry[1], key=CLICK_ORDER))
+        session_clicks = () if entry is None else tuple(entry[1])
         out.append(
             Session(
                 key[0], key[1], variant,
@@ -335,6 +340,42 @@ def load_dataset(
     return dataset
 
 
+def load_click_weights(path) -> dict[int, float]:
+    """Read a click-weight table from a two-column text file (rank, weight).
+
+    Blank lines and lines starting with ``#`` are skipped.  The file is
+    UTF-8, a leading byte-order mark dropped.  Any fault, a byte that is
+    not UTF-8 included, raises ValueError naming the line: a usage error,
+    not a dataset's ParseError.
+    """
+    table: dict[int, float] = {}
+    data = Path(path).read_bytes()
+    try:
+        # decoded whole as plain UTF-8, so an error's offset counts any mark
+        lines = io.StringIO(data.decode("utf-8").removeprefix("\ufeff"), newline=None)
+    except UnicodeDecodeError as exc:
+        lineno, message = _byte_fault(data, exc)
+        raise ValueError(f"{path}:{lineno}: {message}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'rank weight', got {line!r}")
+        try:
+            rank = int(parts[0])
+            weight = float(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed rank/weight {line!r}") from None
+        if rank in table:
+            raise ValueError(f"{path}:{lineno}: duplicate rank {rank}")
+        table[rank] = weight
+    if not table:
+        raise ValueError(f"{path}: empty click-weight table")
+    return table
+
+
 def write_tsv(path: Union[str, Path], header: Sequence[object],
               rows: Iterable[Iterable[object]]) -> None:
     """Write ``header`` and then each row as one tab-separated UTF-8 line."""
@@ -348,7 +389,7 @@ def _breaks_a_record(value: str) -> bool:
 
 
 def _check_ids(dataset: EvaluationDataset) -> None:
-    """Refuse a query, result or rater id holding a tab, LF or CR; each distinct id is read once."""
+    """Refuse an empty query, result or rater id, or one holding a tab, LF or CR; once per id."""
     get = attrgetter
     queries, results, raters = dataset.judgment_ids()
     queries.update(map(get("id"), dataset.queries),
@@ -359,6 +400,8 @@ def _check_ids(dataset: EvaluationDataset) -> None:
     raters.update(*(map(get("rater_id"), records)
                     for records in (dataset.preferences, dataset.sessions)))
     for kind, ids in (("query", queries), ("result", results), ("rater", raters)):
+        if "" in ids:
+            raise ValueError(f"{kind} id is empty, which a record file cannot load")
         if _breaks_a_record("\0".join(map(str, ids))):
             raise ValueError(f"{kind} id {min(filter(_breaks_a_record, map(str, ids)))!r} holds"
                              " a tab or line break, which a record file cannot hold")
@@ -369,9 +412,9 @@ def write_dataset(dataset: EvaluationDataset, root: Union[str, Path]) -> None:
     """Write all record files in canonical sort order under ``root``.
 
     Each record is one line of ``str`` of its fields joined by tabs, with
-    booleans as ``true``/``false``/``-``.  A query text, information need
-    or query, result or rater id holding a tab, LF or CR would not read
-    back as one record, so it raises ValueError before any file is
+    booleans as ``true``/``false``/``-``.  An empty id would not load, and a
+    query text, information need or id holding a tab, LF or CR would not
+    read back as one record, so each raises ValueError before any file is
     created.  Ids are checked once per distinct id, not per record.
     """
     queries = sorted(dataset.queries, key=attrgetter("id"))

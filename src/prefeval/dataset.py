@@ -124,7 +124,7 @@ class Click:
     ts: int
 
 
-# A session's clicks in time order, ties to the lower rank; the loader stores them so.
+# Clicks in time order, ties to the lower rank; a session keeps its clicks as given.
 CLICK_ORDER = attrgetter("ts", "rank")
 
 

@@ -61,7 +61,8 @@ def measure_session(
     explicit feedback can see), so a click-free session has no LAST_CLICK
     duration.  CLICK_COUNT counts repeat clicks on a rank each time.
     FIRST_CLICK_RANK is the rank of the first click in ``CLICK_ORDER``, not
-    the lowest rank clicked.  ``endpoint`` applies to DURATION only.
+    the lowest rank clicked nor the first click stored: no measure depends
+    on the order of ``s.clicks``.  ``endpoint`` applies to DURATION only.
     """
     clicks = s.clicks
     if measure is ImplicitMeasure.DURATION:

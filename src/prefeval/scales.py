@@ -4,16 +4,15 @@ Individual results are graded on a six-point school scale (1 best, 6
 worst).  Metrics consume unit relevance in [0, 1]; this module owns the
 one grade-to-unit table per scale, ``UNITS``, read unchecked once
 validation's :func:`check_grade` has passed each grade, and the catalog
-of rank discount functions shared by all list metrics.
+of rank discount functions shared by all list metrics.  A discount is a
+plain value; click-weight tables are read from files by ``data_io``.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Mapping, Optional
 
 GRADE_BEST = 1
@@ -91,10 +90,12 @@ class DiscountFunction:
 
     ``click_weights`` is required iff ``kind`` is CLICK_BASED and must map
     every rank the caller will evaluate; rank 1 must carry weight 1.
+    Equality compares the kind and the click table; the hash reads the
+    kind alone, so equal discounts hash alike without hashing a dict.
     """
 
     kind: DiscountKind
-    click_weights: Optional[Mapping[int, float]] = field(default=None)
+    click_weights: Optional[Mapping[int, float]] = field(default=None, hash=False)
 
     def __post_init__(self) -> None:
         if self.kind is DiscountKind.CLICK_BASED:
@@ -113,10 +114,6 @@ class DiscountFunction:
             object.__setattr__(self, "click_weights", table)
         elif self.click_weights is not None:
             raise ValueError(f"{self.kind.value} discount takes no click_weights table")
-
-    def __hash__(self) -> int:
-        """From the kind and the sorted click table, so equal discounts hash alike."""
-        return hash((self.kind, self.click_weights and tuple(sorted(self.click_weights.items()))))
 
     def weight(self, rank: int) -> float:
         """Weight of ``rank``; every kind yields 1.0 at rank 1."""
@@ -142,16 +139,8 @@ class DiscountFunction:
             raise ValueError(f"click table has no weight for rank {rank}") from None
 
     def weights(self, c: int) -> tuple[float, ...]:
-        """Weights of ranks 1..``c`` (at least), computed once per instance.
-
-        Entry ``i`` is ``weight(i + 1)``; the table may be longer than
-        ``c``.
-        """
-        table = self.__dict__.get("_weights", ())
-        if len(table) < c:
-            table = tuple(self.weight(rank) for rank in range(1, c + 1))
-            object.__setattr__(self, "_weights", table)
-        return table
+        """Weights of ranks 1..``c``: entry ``i`` is ``weight(i + 1)``."""
+        return tuple(map(self.weight, range(1, c + 1)))
 
     def label(self) -> str:
         return self.kind.value
@@ -185,39 +174,3 @@ class DiscountFunction:
         if weights is None:
             weights = EXAMPLE_CLICK_WEIGHTS
         return cls(DiscountKind.CLICK_BASED, weights)
-
-
-def load_click_weights(path) -> dict[int, float]:
-    """Read a click-weight table from a two-column text file (rank, weight).
-
-    Blank lines and lines starting with ``#`` are skipped.  The file is
-    UTF-8, a leading byte-order mark dropped; a byte that is not UTF-8
-    raises ValueError naming its line and file offset.
-    """
-    table: dict[int, float] = {}
-    data = Path(path).read_bytes()
-    try:
-        # decoded whole as plain UTF-8, so an error's offset counts any mark
-        lines = io.StringIO(data.decode("utf-8").removeprefix("\ufeff"), newline=None)
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{lineno}: not valid UTF-8 (byte {data[exc.start]:#04x}"
-                         f" at offset {exc.start}: {exc.reason})") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'rank weight', got {line!r}")
-        try:
-            rank = int(parts[0])
-            weight = float(parts[1])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed rank/weight {line!r}") from None
-        if rank in table:
-            raise ValueError(f"{path}:{lineno}: duplicate rank {rank}")
-        table[rank] = weight
-    if not table:
-        raise ValueError(f"{path}: empty click-weight table")
-    return table

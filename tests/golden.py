@@ -14,13 +14,16 @@ A change that moves an entry on purpose runs ``--update`` and says which
 entries moved and why.
 
 The datasets under ``fixtures/golden`` are written files, not generated
-at test time.  ``clean``, ``noisy`` and ``sparse`` were written by the
-``synth`` lines in ``FIXTURES``; ``COMMANDS`` pins those lines too, and
-``tests/test_golden.py`` checks that they still write those files.
+at test time.  ``clean``, ``noisy``, ``sparse`` and ``tens`` were written
+by the ``synth`` lines in ``FIXTURES``; ``COMMANDS`` pins those lines too,
+and ``tests/test_golden.py`` checks that they still write those files.
 ``gaps`` is ``noisy`` without any judgment of ``(q001, q001-a01)`` and
 without u03's of ``(q003, q003-b06)``.  Every dataset has sessions;
 ``sparse`` is mostly grade 6, so NDCG excludes pairs, and gives each
-query one verdict, so ``other-users`` cannot sweep it.
+query one verdict, so ``other-users`` cannot sweep it.  ``tens`` has no
+rater noise and ten judges per query, so each ``other-users`` relevance
+is a mean of nine equal units, which float summation does not round
+correctly: its sweep is the entry that a correctly rounded mean moves.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ FIXTURES = {
              " --rater-noise 0.1 --overlap 0.4",
     "sparse": "synth --out {out} --queries 8 --raters 3 --seed 5"
               " --grades-a 0.05,0,0,0,0,0.95 --grades-b 0.05,0,0,0,0,0.95",
+    "tens": "synth --out {out} --queries 4 --raters 10 --seed 1 --preferences 40",
 }
 
 COMMANDS = [
@@ -60,6 +64,8 @@ COMMANDS = [
     "sweep {data}/sparse --plot --out {out}",
     *(f"sweep {{data}}/gaps --lenient --rating-source {source} --out {{out}}"
       for source in ("same-user", "other-users")),
+    # ten noise-free judges per query: leave-one-out means of nine equal units
+    "sweep {data}/tens --rating-source other-users --out {out}",
     # breakdowns with their series
     "breakdown {data}/clean --metric ndcg --cutoff 5 --threshold 0.1 --series {out}/series.tsv",
     "breakdown {data}/noisy --metric map --norm known-relevant --rating-source other-users"

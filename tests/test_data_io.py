@@ -49,6 +49,20 @@ class TestRoundTrip:
         for name in FILE_NAMES.values():
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
+    def test_clicks_out_of_time_order_round_trip(self, tmp_path):
+        """Clicks load in file order, so a session's clicks in any order round-trip."""
+        ds = generate_synthetic(SynthSpec(6, 3, 3, n_preferences=12))
+        ds = dataclasses.replace(ds, sessions=tuple(
+            dataclasses.replace(s, clicks=(Click(rank=9, ts=s.clicks[0].ts), *s.clicks)[::-1])
+            if s.clicks else s for s in ds.sessions))
+        assert any(len(s.clicks) > 2 for s in ds.sessions)
+        write_dataset(ds, tmp_path / "one")
+        loaded = load_dataset(tmp_path / "one")
+        assert loaded == ds
+        write_dataset(loaded, tmp_path / "two")
+        for name in FILE_NAMES.values():
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
     def test_table_fixture_round_trip(self, tmp_path, sample_pir_dataset):
         write_dataset(sample_pir_dataset, tmp_path)
         loaded = load_dataset(tmp_path)
@@ -571,6 +585,22 @@ class TestWriterBytes:
             write_dataset(ds, tmp_path / "out")
         assert str(exc.value) == (f"{kind} id {new!r} holds a tab or line break,"
                                   " which a record file cannot hold")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("validated", [False, True], ids=["built", "validated"])
+    @pytest.mark.parametrize("kind, old", [("query", "q002"), ("result", "q002-b03"),
+                                           ("rater", "u01")])
+    def test_empty_id_is_refused_before_any_file(self, tmp_path, kind, old, validated):
+        # With rater u01 renamed '' in every record, this dataset validates; it used to
+        # be written, and then failed to load ("judgments.tsv:2: rater_id is empty").
+        ds = _rename_id(generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6)), kind, old, "")
+        assert validate(dataclasses.replace(ds)).ok
+        if validated:
+            validate(ds)  # leaves the grade index, which the check reads judgment ids from
+        assert ("grades" in ds.__dict__) is validated
+        with pytest.raises(ValueError) as exc:
+            write_dataset(ds, tmp_path / "out")
+        assert str(exc.value) == f"{kind} id is empty, which a record file cannot load"
         assert not (tmp_path / "out").exists()
 
 

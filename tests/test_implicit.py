@@ -88,7 +88,7 @@ class TestClickMeasures:
         assert measure_session(s, FIRST_RANK) == 2
 
     def test_tied_click_timestamps_score_the_same_after_a_round_trip(self, tmp_path):
-        """A library-built dataset scores as its written-and-loaded copy, whose clicks are sorted."""
+        """A library-built dataset scores as its written-and-loaded copy, clicks in file order."""
         ds = generate_synthetic(SynthSpec(6, 3, 3, n_preferences=12))
         ds = dataclasses.replace(ds, sessions=tuple(
             dataclasses.replace(s, clicks=(Click(rank=9, ts=s.clicks[0].ts), *s.clicks))

@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import binary_pair_dataset, scored_pairs
+from conftest import RATER, binary_pair_dataset, make_query, scored_pairs
 from prefeval.config import ApNorm, Metric, MetricConfig, RatingSource
-from prefeval.dataset import Verdict
+from prefeval.dataset import (
+    EvaluationDataset,
+    GradedJudgment,
+    PreferenceJudgment,
+    RankedListPair,
+    Verdict,
+)
 from prefeval.oracle import collect_pairs, oracle_grid, oracle_pir
 from prefeval.pir import (
     DEFAULT_CUTOFFS,
@@ -464,3 +470,27 @@ class TestAgreeingRaters:
         assert len(same) == 6 * 7 * len(DEFAULT_CUTOFFS)
         differ = sum(a != b for key, cells in same.items() for a, b in zip(cells, other[key]))
         assert differ == 0
+
+
+class TestEqualGradeGaps:
+    """Verdicts whose lists differ by the same grade gap meet every threshold alike."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: whether |delta| > t is decided by float rounding, so one grade "
+        "apart on the six-point scale clears t = 0.2 at 2 vs 3 but not at 1 vs 2"))
+    def test_equal_grade_gaps_give_equal_outcomes(self):
+        # query g: variant A's one result graded g, B's graded g + 1, verdict A
+        counts = []
+        for g in range(1, 6):
+            q = f"q{g}"
+            dataset = EvaluationDataset(
+                queries=(make_query(q),),
+                judgments=(GradedJudgment(q, f"{q}-a", RATER, g),
+                           GradedJudgment(q, f"{q}-b", RATER, g + 1)),
+                list_pairs=(RankedListPair(q, (f"{q}-a",), (f"{q}-b",)),),
+                preferences=(PreferenceJudgment(q, RATER, Verdict.A),),
+            )
+            row = pir_sweep(dataset, [PRECISION_NONE], cutoffs=(1,)).row(PRECISION_NONE, 1)
+            assert [cell.threshold for cell in row.cells] == list(DEFAULT_THRESHOLDS)
+            counts.append([cell[2:] for cell in row.cells])
+        assert counts == [counts[0]] * 5

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import RATER, binary_pair_dataset
 from prefeval.config import Metric, MetricConfig
+from prefeval.data_io import load_click_weights
 from prefeval.dataset import ValidationError, Verdict
 from prefeval.scales import (
     EXAMPLE_CLICK_WEIGHTS,
@@ -13,7 +14,6 @@ from prefeval.scales import (
     DiscountKind,
     RelevanceScale,
     check_grade,
-    load_click_weights,
 )
 from prefeval.scoring import resolve_preferences
 
@@ -167,7 +167,7 @@ class TestDiscounts:
 
 
 class TestDiscountHash:
-    """Discounts, click tables included, hash by value, so equal ones key one dict entry."""
+    """Discounts hash by kind and compare click tables, so equal ones key one dict entry."""
 
     def test_equal_click_discounts_hash_equal_and_key_a_dict(self):
         first = DiscountFunction.click_based()

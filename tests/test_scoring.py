@@ -723,3 +723,26 @@ class TestLayering:
                     names |= {a.name for a in node.names if a.name.endswith("scoring")}
         assert names == {"MissingJudgment", "resolve_preferences", "scorer", "_relevance",
                          "_missing"}
+
+    def test_only_data_io_reads_a_file(self):
+        # datasets and click tables are read in one module, so their byte-fault rule is one
+        readers = set()
+        for path in Path(scoring.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and (
+                        isinstance(node.func, ast.Name) and node.func.id == "open"
+                        or isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("open", "read_bytes", "read_text")):
+                    readers.add(path.stem)
+        assert readers == {"data_io"}
+
+    def test_only_the_session_measures_read_click_order(self):
+        # the loader keeps clicks in file order; measure_session alone orders them
+        namers = set()
+        for path in Path(scoring.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Name) and node.id == "CLICK_ORDER"
+                        or isinstance(node, ast.Attribute) and node.attr == "CLICK_ORDER"
+                        or isinstance(node, ast.alias) and node.name == "CLICK_ORDER"):
+                    namers.add(path.stem)
+        assert namers == {"dataset", "implicit"}
