@@ -21,11 +21,13 @@ interned at load, so a loaded dataset holds one string object per
 distinct id, shared by every file and record that names it.  Judgment,
 list, preference, session and click files are also accepted headerless
 with any whitespace as separator, for quick hand-built fixtures; the
-queries file always needs its header.  Files are written in a canonical
-sort order, and a session's clicks in the order the session holds them,
-which is the order they load back in; so write -> load -> write is
-byte-stable for any dataset that loads.  An empty id, or a query text,
-information need or id holding a tab, LF or CR, cannot be written.
+queries file always needs its header.  Records are written in the order
+the dataset holds them, a session's clicks in its own order, so the writer
+is the reader's inverse: for any dataset that loads, the written files load
+back as the dataset and write -> load -> write is byte-stable.  Files are
+canonical when the dataset's order is, as ``synth``'s is.  An empty id, or
+a query text, information need or id holding a tab, LF or CR, cannot be
+written.
 
 Reading, loading and writing run with the cyclic garbage collector
 paused (:func:`dataset.gc_paused`): they build hundreds of thousands of
@@ -409,16 +411,16 @@ def _check_ids(dataset: EvaluationDataset) -> None:
 
 @gc_paused
 def write_dataset(dataset: EvaluationDataset, root: Union[str, Path]) -> None:
-    """Write all record files in canonical sort order under ``root``.
+    """Write all record files under ``root``, records in the order the dataset holds them.
 
+    Nothing is sorted, so :func:`read_dataset` of the files gives back the dataset.
     Each record is one line of ``str`` of its fields joined by tabs, with
     booleans as ``true``/``false``/``-``.  An empty id would not load, and a
     query text, information need or id holding a tab, LF or CR would not
     read back as one record, so each raises ValueError before any file is
     created.  Ids are checked once per distinct id, not per record.
     """
-    queries = sorted(dataset.queries, key=attrgetter("id"))
-    for q in queries:
+    for q in dataset.queries:
         for name in ("text", "info_need"):
             if _breaks_a_record(str(getattr(q, name))):
                 raise ValueError(f"query {q.id!r} {name} holds a tab or line break,"
@@ -433,22 +435,20 @@ def write_dataset(dataset: EvaluationDataset, root: Union[str, Path]) -> None:
             fh.writelines(lines)
 
     write("queries", (f"{q.id}\t{q.query_type.value}\t{q.language.value}\t{q.text}\t{q.info_need}\n"
-                      for q in queries))
+                      for q in dataset.queries))
     write("judgments", (
         f"{j.query_id}\t{j.result_id}\t{j.rater_id}\t{j.grade}\t"
         f"{'-' if j.snippet_relevant is None else 'true' if j.snippet_relevant else 'false'}\n"
-        for j in sorted(dataset.judgments, key=attrgetter("query_id", "result_id", "rater_id"))))
+        for j in dataset.judgments))
     write("lists", (f"{pair.query_id}\t{variant}\t{rank}\t{result_id}\n"
-                    for pair in sorted(dataset.list_pairs, key=attrgetter("query_id"))
+                    for pair in dataset.list_pairs
                     for variant, ranking in (("A", pair.variant_a), ("B", pair.variant_b))
                     for rank, result_id in enumerate(ranking, start=1)))
     write("preferences", (f"{p.query_id}\t{p.rater_id}\t{p.verdict.value}\n"
-                          for p in sorted(dataset.preferences,
-                                          key=attrgetter("query_id", "rater_id"))))
-    sessions = sorted(dataset.sessions, key=lambda s: (s.query_id, s.rater_id, s.variant.value))
+                          for p in dataset.preferences))
     write("sessions", (
         f"{s.query_id}\t{s.rater_id}\t{s.variant.value}\t{s.start_ts}\t{s.end_ts}\t"
         f"{'-' if s.satisfied is None else 'true' if s.satisfied else 'false'}\n"
-        for s in sessions))
+        for s in dataset.sessions))
     write("clicks", (f"{s.query_id}\t{s.rater_id}\t{s.variant.value}\t{c.rank}\t{c.ts}\n"
-                     for s in sessions for c in s.clicks))
+                     for s in dataset.sessions for c in s.clicks))

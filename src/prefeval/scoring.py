@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import fsum
-from operator import mul
+from operator import itemgetter, mul
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .config import ERR_GRADE_MAX, ApNorm, Metric, MetricConfig, RatingSource
@@ -95,14 +95,15 @@ def resolve_preferences(
     verdict of the dataset, tagged by its verdict.  Only the config's
     scale, rating source and query filter matter, so configs sharing them
     share the table.  Lists reach ``max(cutoffs)``; metrics ignore entries
-    beyond their cut-off.  Each run of a query's readers resolves the
-    query once: the depth check, the pool in first-rank order (A1, B1, A2,
-    B2, ..., first occurrence kept) and its ends, and the grade index's
+    beyond their cut-off.  Readers go in runs of one query id (``groupby``):
+    a run outside the query filter is skipped, any other resolves its query
+    once: the depth check, the pool in first-rank order (A1, B1, A2, B2,
+    ..., first occurrence kept) and its ends, and the grade index's
     ``{rater: grade}`` of each distinct result, A's first, then B's unseen
-    ones.  Each reader then takes one :func:`_relevance` per distinct
-    result; validation allows one verdict per (query, rater), so nothing
-    is kept for a later reader.  The first missing relevance raises
-    MissingJudgment, or reads 0.0 when ``lenient``.
+    ones.  Each reader of the run then takes one :func:`_relevance` per
+    distinct result; validation allows one verdict per (query, rater), so
+    nothing is kept for a later run.  Entries come in reader order, and the
+    first missing relevance raises MissingJudgment, or reads 0.0 when ``lenient``.
     """
     grades = dataset.grades  # validates a dataset nobody validated, before any pair is read
     if readers is None:
@@ -112,39 +113,34 @@ def resolve_preferences(
     same_user = config.rating_source is RatingSource.SAME_USER
     scope = config.query_filter
     resolved: list[tuple[Any, JudgedLists]] = []
-    query_id: Optional[str] = None
-    graded: Optional[list[Mapping[str, int]]] = None  # None: the query is out of scope
-    for query, rater, tag in readers:
-        if query != query_id:
-            query_id, graded = query, None
-            if scope is not None and dataset.query_by_id[query_id].query_type not in scope:
-                continue
-            pair = dataset.pair_by_query[query_id]
-            for ranked in (pair.variant_a, pair.variant_b):
-                if depth > len(ranked):
-                    raise ValueError(f"cut-off {depth} exceeds list length {len(ranked)}")
-            top_a, top_b = pair.variant_a[:depth], pair.variant_b[:depth]
-            distinct = list(dict.fromkeys((*top_a, *top_b)))
-            graded = [grades.get((query_id, rid), {}) for rid in distinct]
-            at = {rid: i for i, rid in enumerate(distinct)}
-            pooled: dict[int, None] = {}  # distinct-result indexes in first-rank order
-            by_rank = []
-            for rid_a, rid_b in zip(top_a, top_b):
-                pooled[at[rid_a]] = pooled[at[rid_b]] = None
-                by_rank.append(len(pooled))
-            ends = tuple(by_rank)
-            at_a, at_b = [at[rid] for rid in top_a], [at[rid] for rid in top_b]
-            at_pool = list(pooled)
-        elif graded is None:
+    for query_id, run in groupby(readers, itemgetter(0)):
+        if scope is not None and dataset.query_by_id[query_id].query_type not in scope:
             continue
-        values = [_relevance(by_rater, units, same_user, rater) for by_rater in graded]
-        if None in values:
-            if not lenient:
-                raise _missing(query_id, distinct[values.index(None)], same_user, rater)
-            values = [0.0 if v is None else v for v in values]
-        take = values.__getitem__
-        resolved.append((tag, JudgedLists(list(map(take, at_a)), list(map(take, at_b)),
-                                          list(map(take, at_pool)), ends)))
+        pair = dataset.pair_by_query[query_id]
+        for ranked in (pair.variant_a, pair.variant_b):
+            if depth > len(ranked):
+                raise ValueError(f"cut-off {depth} exceeds list length {len(ranked)}")
+        top_a, top_b = pair.variant_a[:depth], pair.variant_b[:depth]
+        distinct = list(dict.fromkeys((*top_a, *top_b)))
+        graded = [grades.get((query_id, rid), {}) for rid in distinct]
+        at = {rid: i for i, rid in enumerate(distinct)}
+        pooled: dict[int, None] = {}  # distinct-result indexes in first-rank order
+        by_rank = []
+        for rid_a, rid_b in zip(top_a, top_b):
+            pooled[at[rid_a]] = pooled[at[rid_b]] = None
+            by_rank.append(len(pooled))
+        ends = tuple(by_rank)
+        at_a, at_b = [at[rid] for rid in top_a], [at[rid] for rid in top_b]
+        at_pool = list(pooled)
+        for _, rater, tag in run:
+            values = [_relevance(by_rater, units, same_user, rater) for by_rater in graded]
+            if None in values:
+                if not lenient:
+                    raise _missing(query_id, distinct[values.index(None)], same_user, rater)
+                values = [0.0 if v is None else v for v in values]
+            take = values.__getitem__
+            resolved.append((tag, JudgedLists(list(map(take, at_a)), list(map(take, at_b)),
+                                              list(map(take, at_pool)), ends)))
     return resolved
 
 

@@ -11,11 +11,12 @@ whenever the counts divide evenly; the quota grades are then laid out
 over the ranks by the order-noise model.
 
 Draws follow a fixed order, query after query (:func:`generate_synthetic`
-lists it).  Records come out in the order :func:`data_io.write_dataset`
-writes them: queries and list pairs by query id (``q1000`` sorts between
-``q100`` and ``q101``), judgments by (query, result, rater), verdicts by
-(query, rater) and sessions by (query, rater, variant).  So a generated
-dataset equals the one read back from its files.
+lists it).  Records come out in canonical order, and
+:func:`data_io.write_dataset` keeps the order it is given, so the files it
+writes from them are canonical: queries and list pairs by query id
+(``q1000`` sorts between ``q100`` and ``q101``), judgments by (query,
+result, rater), verdicts by (query, rater) and sessions by (query, rater,
+variant).
 """
 
 from __future__ import annotations
@@ -171,9 +172,9 @@ def generate_synthetic(spec: SynthSpec) -> EvaluationDataset:
     Each query's draws come in a fixed order: its terms, the shared
     results and variant B's shuffle, the two grade layouts, each judge's
     rater noise over the results in id order, then each judge's sessions,
-    variant A before B.  The query's records are built in the order
-    :func:`data_io.write_dataset` writes them, so the dataset is equal to
-    the one read back from its files.
+    variant A before B.  The query's records are built in canonical order
+    (the module docstring gives it), since :func:`data_io.write_dataset`
+    keeps the order it is given: that is what makes the files canonical.
     """
     rng = random.Random(spec.seed)
     draw, choice, randint = rng.random, rng.choice, rng.randint

@@ -63,6 +63,19 @@ class TestRoundTrip:
         for name in FILE_NAMES.values():
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
+    def test_writer_is_the_readers_inverse_for_records_out_of_canonical_order(self, tmp_path):
+        """Records are written in the order the dataset holds them, so they load back in it."""
+        ds = generate_synthetic(SynthSpec(6, 3, 3, n_preferences=12))
+        ds = dataclasses.replace(ds, **{
+            field.name: getattr(ds, field.name)[::-1] for field in dataclasses.fields(ds)})
+        assert ds.sessions and ds.queries[0].id > ds.queries[-1].id
+        write_dataset(ds, tmp_path / "one")
+        loaded = load_dataset(tmp_path / "one")
+        assert loaded == ds
+        write_dataset(loaded, tmp_path / "two")
+        for name in FILE_NAMES.values():
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
     def test_table_fixture_round_trip(self, tmp_path, sample_pir_dataset):
         write_dataset(sample_pir_dataset, tmp_path)
         loaded = load_dataset(tmp_path)

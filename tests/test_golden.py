@@ -8,6 +8,7 @@ import pytest
 
 import golden
 from prefeval.cli import main
+from prefeval.data_io import read_dataset, write_dataset
 
 DIGESTS = golden.load()
 
@@ -26,6 +27,19 @@ def test_command_matches_its_digest(command):
 def test_fixture_recipe_writes_the_checked_in_files(name, tmp_path):
     assert main(golden.FIXTURES[name].format(out=tmp_path).split()) == 0
     fixture = golden.DATA / name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in fixture.iterdir())
+    for path in fixture.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+# every checked-in dataset: the two hand-built worked examples and the golden ones
+CHECKED_IN = [golden.ROOT / "fixtures" / "pir_sample", golden.ROOT / "fixtures" / "map_sample",
+              *sorted(path for path in golden.DATA.iterdir() if path.is_dir())]
+
+
+@pytest.mark.parametrize("fixture", CHECKED_IN, ids=lambda path: path.name)
+def test_checked_in_dataset_is_a_fixed_point_of_read_and_write(fixture, tmp_path):
+    write_dataset(read_dataset(fixture), tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in fixture.iterdir())
     for path in fixture.iterdir():
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name

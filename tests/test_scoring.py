@@ -355,6 +355,15 @@ class TestResolveEquivalence:
         assert (exact_outcome(engine_by_cutoff, *lenient)
                 == exact_outcome(oracle_by_cutoff, *lenient))
 
+    def test_a_shuffled_dataset_and_its_written_copy_sweep_alike(self, tmp_path, capsys):
+        # the written copy keeps the verdicts' order, so its sweep names the same judgment
+        write_dataset(perturbed(NOISY, 1, 0.0, False, True), tmp_path / "ds")
+        code = cli.main(["sweep", str(tmp_path / "ds"), "--rating-source", "other-users",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "missing judgment: no rater besides 'u01' judged ('q004', 'q004-a01')\n")
+
 
 class TestGradeIndex:
     """One grade index, built and checked by validation, read unchecked by the engine."""
