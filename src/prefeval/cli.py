@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 validation, data or file failure, 2 usage error,
 report this per cell instead of failing).  Each failure is one stderr
 line, except a validation report; a malformed or out-of-range option is
 rejected before any dataset file is read.  All numbers are printed with
-four decimals; computation keeps full precision.
+four decimals; computation keeps full precision.  Only ``validate``,
+``implicit`` and ``stats`` read ``sessions.tsv`` and ``clicks.tsv``.
 """
 
 from __future__ import annotations
@@ -139,10 +140,16 @@ def _add_config_args(parser: argparse.ArgumentParser, single_metric: bool,
                         help="restrict to these query types (repeatable)")
 
 
-def _load(args, max_cutoff: int):
+def _mode(args, max_cutoff: int) -> ValidationMode:
+    """The mode ``--lenient`` selects, once ``max_cutoff`` is checked; it reads no file."""
     check_cutoffs((max_cutoff,))
-    mode = ValidationMode.LENIENT if args.lenient else ValidationMode.STRICT
-    return load_dataset(args.dataset, mode=mode, max_cutoff=max_cutoff)
+    return ValidationMode.LENIENT if args.lenient else ValidationMode.STRICT
+
+
+def _load(args, max_cutoff: int, sessions: bool = True):
+    # looked up as cli.load_dataset, where perfbench/tracer.py times the load
+    return load_dataset(args.dataset, mode=_mode(args, max_cutoff), max_cutoff=max_cutoff,
+                        sessions=sessions)
 
 
 def _configs(args, metrics: Sequence[str], kinds: Optional[Sequence[str]],
@@ -197,8 +204,7 @@ def _configs(args, metrics: Sequence[str], kinds: Optional[Sequence[str]],
 
 
 def cmd_validate(args) -> int:
-    check_cutoffs((args.max_cutoff,))
-    mode = ValidationMode.LENIENT if args.lenient else ValidationMode.STRICT
+    mode = _mode(args, args.max_cutoff)
     dataset = read_dataset(args.dataset)
     report = validate(dataset, mode=mode, max_cutoff=args.max_cutoff)
     for issue in report.issues:
@@ -212,7 +218,7 @@ def cmd_validate(args) -> int:
 
 def cmd_eval(args) -> int:
     (config,) = _configs(args, [args.metric], args.discount and [args.discount], (args.cutoff,))
-    dataset = _load(args, max_cutoff=config.cutoff)
+    dataset = _load(args, max_cutoff=config.cutoff, sessions=False)
     # no preference rater: each query's lists are read as the mean over all raters
     table = resolve_preferences(dataset, config, (config.cutoff,), args.lenient,
                                 ((pair.query_id, None, pair.query_id)
@@ -247,7 +253,7 @@ def cmd_sweep(args) -> int:
                        args.discounts.split(",") if args.discounts is not None else None,
                        cutoffs)
     check_grid(configs, thresholds)
-    dataset = _load(args, max_cutoff=max(cutoffs))
+    dataset = _load(args, max_cutoff=max(cutoffs), sessions=False)
     grid = pir_sweep(dataset, configs, thresholds, cutoffs, lenient=args.lenient)
 
     out = Path(args.out)
@@ -305,7 +311,7 @@ def cmd_breakdown(args) -> int:
         thresholds = tuple(sorted({*thresholds, threshold}))
     (config,) = _configs(args, [args.metric], args.discount and [args.discount], (args.cutoff,))
     check_grid([config], thresholds)
-    dataset = _load(args, max_cutoff=config.cutoff)
+    dataset = _load(args, max_cutoff=config.cutoff, sessions=False)
     grid = pir_sweep(dataset, [config], thresholds, (config.cutoff,), args.lenient)
     row = grid.row(config, config.cutoff)
     at = grid.cell(config, config.cutoff, threshold)

@@ -301,13 +301,15 @@ def read_sessions(sessions_path: Path, clicks_path: Path) -> list[Session]:
 
 
 @gc_paused
-def read_dataset(root: Union[str, Path]) -> EvaluationDataset:
+def read_dataset(root: Union[str, Path], *, sessions: bool = True) -> EvaluationDataset:
     """Parse the dataset in directory ``root``, without validating it.
 
     The files carry the names in FILE_NAMES.  Query, judgment and list
     files must exist (FileNotFoundError names the first one missing);
     absent preference, session and click files load as empty.  Raises
     ParseError for malformed files and for a click without its session.
+    ``sessions=False`` opens neither session nor click file and gives
+    ``sessions=()``, so nothing downstream checks or holds a session.
     """
     paths = {kind: Path(root) / name for kind, name in FILE_NAMES.items()}
     for kind in ("queries", "judgments", "lists"):
@@ -319,7 +321,7 @@ def read_dataset(root: Union[str, Path]) -> EvaluationDataset:
         list_pairs=tuple(read_list_pairs(paths["lists"])),
         preferences=(tuple(read_preferences(paths["preferences"]))
                      if paths["preferences"].exists() else ()),
-        sessions=tuple(read_sessions(paths["sessions"], paths["clicks"])),
+        sessions=tuple(read_sessions(paths["sessions"], paths["clicks"])) if sessions else (),
     )
 
 
@@ -329,13 +331,15 @@ def load_dataset(
     *,
     mode: ValidationMode = ValidationMode.STRICT,
     max_cutoff: int = MAX_CUTOFF,
+    sessions: bool = True,
 ) -> EvaluationDataset:
     """:func:`read_dataset` of directory ``root``, then validation in the given mode.
 
-    Raises ParseError for malformed files and ValidationError when
-    validation fails in the given mode.
+    ``sessions`` is passed on to :func:`read_dataset`.  Raises ParseError
+    for malformed files and ValidationError when validation fails in the
+    given mode.
     """
-    dataset = read_dataset(root)
+    dataset = read_dataset(root, sessions=sessions)
     report = validate(dataset, mode=mode, max_cutoff=max_cutoff)
     if not report.ok:
         raise ValidationError(report)

@@ -141,7 +141,7 @@ def reciprocal_rank(rels: Sequence[float], c: int, discount: DiscountFunction) -
     _check_cutoff(rels, c)
     for i in range(c):
         if rels[i] > 0:
-            return discount.weights(i + 1)[i]
+            return discount.weight(i + 1)
     return 0.0
 
 

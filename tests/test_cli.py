@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -1102,3 +1104,67 @@ class TestSessionsInCli:
         )
         write_dataset(ds, tmp_path)
         assert load_dataset(tmp_path) == ds
+
+
+GOLDEN_CLEAN = Path(__file__).resolve().parent / "fixtures" / "golden" / "clean"
+
+
+def _malformed_session(root):
+    path = root / FILE_NAMES["sessions"]
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].split("\t", 1)[0] + "\n"  # a session record of one field
+    path.write_text("".join(lines))
+
+
+def _orphan_click(root):
+    with open(root / FILE_NAMES["clicks"], "a") as fh:
+        fh.write("q001\tnobody\tA\t1\t1500000012\n")
+
+
+def _non_utf8_click(root):
+    path = root / FILE_NAMES["clicks"]
+    path.write_bytes(path.read_bytes().replace(b"\tA\t", b"\t\xffA\t", 1))
+
+
+SESSION_FAULTS = {"malformed-session": ("sessions", _malformed_session),
+                  "orphan-click": ("clicks", _orphan_click),
+                  "non-utf8-click": ("clicks", _non_utf8_click)}
+
+
+class TestSessionFilesAreReadOnlyByTheCommandsThatUseThem:
+    """A damaged session or click file fails validate/implicit/stats and no scoring command."""
+
+    def run(self, tmp_path, capsys, command, fault=None):
+        """Exit code, stdout, stderr and written bytes of ``command`` on a copy of ``clean``."""
+        data, out = tmp_path / f"data-{fault}", tmp_path / f"out-{fault}"
+        shutil.copytree(GOLDEN_CLEAN, data)
+        out.mkdir()
+        if fault is not None:
+            SESSION_FAULTS[fault][1](data)
+        code = main([word.format(data=data, out=out) for word in command.split()])
+        captured = capsys.readouterr()
+        files = {path.relative_to(out): path.read_bytes()
+                 for path in sorted(out.rglob("*")) if path.is_file()}
+        return (code, captured.out.replace(str(out), "{out}"),
+                captured.err.replace(str(out), "{out}"), files)
+
+    @pytest.mark.parametrize("fault", SESSION_FAULTS)
+    @pytest.mark.parametrize("command", [
+        "sweep {data} --plot --out {out}",
+        "eval {data} --metric ndcg --cutoff 5",
+        "breakdown {data} --metric ndcg --cutoff 5 --threshold 0.1 --series {out}/series.tsv",
+    ])
+    def test_scoring_commands_do_not_see_the_fault(self, tmp_path, capsys, command, fault):
+        clean = self.run(tmp_path, capsys, command)
+        assert clean[0] == 0
+        assert self.run(tmp_path, capsys, command, fault) == clean
+
+    @pytest.mark.parametrize("fault", SESSION_FAULTS)
+    @pytest.mark.parametrize("command", [
+        "validate {data}", "implicit {data} --measure clicks", "stats {data}",
+    ])
+    def test_session_commands_fail_on_one_located_line(self, tmp_path, capsys, command, fault):
+        code, stdout, stderr, _ = self.run(tmp_path, capsys, command, fault)
+        path = tmp_path / f"data-{fault}" / FILE_NAMES[SESSION_FAULTS[fault][0]]
+        assert (code, stdout) == (1, "")
+        assert re.fullmatch(re.escape(str(path)) + r":\d+: [^\n]+\n", stderr), stderr

@@ -277,6 +277,16 @@ class TestLoadBehavior:
         assert loaded.preferences == ()
         assert loaded.sessions == ()
 
+    def test_without_sessions_neither_session_file_is_opened(self, tmp_path, round_trip_dataset):
+        write_dataset(round_trip_dataset, tmp_path)
+        (tmp_path / FILE_NAMES["sessions"]).write_text("not\ta session\n")
+        (tmp_path / FILE_NAMES["clicks"]).write_bytes(b"\xff\n")
+        loaded = load_dataset(tmp_path, sessions=False)
+        assert loaded == dataclasses.replace(round_trip_dataset, sessions=())
+        assert round_trip_dataset.sessions
+        with pytest.raises(ParseError):
+            load_dataset(tmp_path)
+
     def test_missing_required_file(self, tmp_path):
         ds = binary_pair_dataset([("q1", 2, 1, Verdict.A)], list_len=3)
         write_dataset(ds, tmp_path)
