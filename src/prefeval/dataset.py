@@ -5,14 +5,17 @@ A dataset bundles, per query, the two competing ranked result lists
 per-rater preference verdicts between the variants, and single-list
 interaction sessions.  Datasets are treated as immutable once built;
 validation reports rather than mutates, except that a dataset that
-passes keeps the grade index built while checking it.
+passes keeps the grade index built while checking it.  The six record
+types build through their slots' descriptors (``record``): a frozen
+dataclass ``__init__`` pays an ``object.__setattr__`` call per field.
 """
 
 from __future__ import annotations
 
 import gc
+import inspect
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cached_property, wraps
 from operator import attrgetter, itemgetter
@@ -48,6 +51,31 @@ def gc_paused(fn: Callable) -> Callable:
     return paused
 
 
+def record(cls: type) -> type:
+    """``dataclass(frozen=True, slots=True)``, built by an ``__init__`` that sets the slots.
+
+    The generated ``__init__`` stores each argument through its slot's
+    member descriptor, bound when the class is made, and does nothing
+    else; so a class whose ``__init__`` must do more (``__post_init__``,
+    a ``default_factory``, an ``InitVar``) raises ``TypeError``.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    declared = fields(cls)
+    names = [f.name for f in declared]
+    # An InitVar or an init=False field makes the dataclass __init__'s parameters differ.
+    if (hasattr(cls, "__post_init__") or any(f.default_factory is not MISSING for f in declared)
+            or list(inspect.signature(cls.__init__).parameters)[1:] != names):
+        raise TypeError(f"record {cls.__name__}: __init__ may only store the fields")
+    ns = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
+    ns.update({f"_default_{f.name}": f.default for f in declared if f.default is not MISSING})
+    params = ", ".join(f.name if f.default is MISSING else f"{f.name}=_default_{f.name}"
+                       for f in declared)
+    exec(f"def __init__(self, {params}):\n" + "".join(f"    _set_{n}(self, {n})\n" for n in names), ns)
+    ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = ns["__init__"]
+    return cls
+
+
 class QueryType(str, Enum):
     INFORMATIONAL = "informational"
     TRANSACTIONAL = "transactional"
@@ -77,7 +105,7 @@ class ValidationMode(str, Enum):
     LENIENT = "lenient"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Query:
     id: str
     text: str
@@ -86,7 +114,7 @@ class Query:
     query_type: QueryType
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GradedJudgment:
     """One rater's six-point grade (1 best) for one (query, result) pair."""
 
@@ -97,7 +125,7 @@ class GradedJudgment:
     snippet_relevant: Optional[bool] = None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RankedListPair:
     """The two competing ranked result lists for one query."""
 
@@ -109,7 +137,7 @@ class RankedListPair:
         return self.variant_a if which is Variant.A else self.variant_b
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PreferenceJudgment:
     """One rater's verdict for one query: variant A better, B better, or equal."""
 
@@ -118,7 +146,7 @@ class PreferenceJudgment:
     verdict: Verdict
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Click:
     rank: int
     ts: int
@@ -128,7 +156,7 @@ class Click:
 CLICK_ORDER = attrgetter("ts", "rank")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Session:
     """One rater's interaction log with a single result-list variant."""
 

@@ -1,9 +1,12 @@
+import copy
 import dataclasses
+import inspect
 import pickle
 
 import pytest
 
 from conftest import binary_pair_dataset, make_query, make_session
+from prefeval import dataset
 from prefeval.data_io import load_dataset, write_dataset
 from prefeval.dataset import (
     Click,
@@ -275,6 +278,53 @@ class TestRecordTypes:
 
     def test_pickle_round_trip(self, record):
         assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_signature_is_the_fields_with_their_defaults(self, record):
+        params = inspect.signature(type(record)).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(record)]
+
+    def test_positional_and_keyword_construction_agree(self, record):
+        values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+        assert type(record)(*values.values()) == type(record)(**values) == record
+
+    def test_omitted_defaults_equal_the_field_defaults(self, record):
+        fields = dataclasses.fields(record)
+        built = type(record)(**{f.name: getattr(record, f.name) for f in fields
+                                if f.default is dataclasses.MISSING})
+        assert [getattr(built, f.name) for f in fields] == [
+            getattr(record, f.name) if f.default is dataclasses.MISSING else f.default
+            for f in fields]
+
+    @pytest.mark.parametrize("round_trip", [lambda r: pickle.loads(pickle.dumps(r, 0)),
+                                            copy.copy, copy.deepcopy],
+                             ids=["pickle-0", "copy", "deepcopy"])
+    def test_copies_are_equal(self, record, round_trip):
+        copied = round_trip(record)
+        assert copied == record and type(copied) is type(record)
+
+    def test_missing_or_unknown_argument_raises(self, record):
+        values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+        first = next(iter(values))
+        with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{first}'"):
+            type(record)(**{n: v for n, v in values.items() if n != first})
+        with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+            type(record)(**values, bogus=1)
+        with pytest.raises(TypeError, match="positional arguments"):
+            type(record)(*values.values(), 1)
+
+
+@pytest.mark.parametrize("annotations, attrs", [
+    ({}, {"__post_init__": lambda self: None}),
+    ({"b": list}, {"b": dataclasses.field(default_factory=list)}),
+    ({"b": dataclasses.InitVar[int]}, {}),
+], ids=["post-init", "default-factory", "init-var"])
+def test_record_refuses_what_its_init_would_skip(annotations, attrs):
+    namespace = {"__annotations__": {"a": int, **annotations}, **attrs}
+    with pytest.raises(TypeError, match="Throwaway: __init__ may only store the fields"):
+        dataset.record(type("Throwaway", (), namespace))
+    assert dataset.record(type("Throwaway", (), {"__annotations__": {"a": int}}))(a=1).a == 1
 
 
 def test_loaded_dataset_pickles_equal(tmp_path, well_formed):
