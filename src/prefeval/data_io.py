@@ -25,9 +25,9 @@ queries file always needs its header.  Records are written in the order
 the dataset holds them, a session's clicks in its own order, so the writer
 is the reader's inverse: for any dataset that loads, the written files load
 back as the dataset and write -> load -> write is byte-stable.  Files are
-canonical when the dataset's order is, as ``synth``'s is.  An empty id, or
-a query text, information need or id holding a tab, LF or CR, cannot be
-written.
+canonical when the dataset's order is, as ``synth``'s is.  An id ``validate``
+reports as ``bad-id``, or a query text or information need that holds a tab,
+LF or CR or does not encode as UTF-8, cannot be written.
 
 Reading, loading and writing run with the cyclic garbage collector
 paused (:func:`dataset.gc_paused`): they build hundreds of thousands of
@@ -41,7 +41,6 @@ import io
 import os
 import sys
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -60,7 +59,9 @@ from .dataset import (
     Variant,
     Verdict,
     MAX_CUTOFF,
+    field_fault,
     gc_paused,
+    id_faults,
     validate,
 )
 from .scales import GRADE_BEST, GRADE_WORST, check_grade
@@ -390,46 +391,23 @@ def write_tsv(path: Union[str, Path], header: Sequence[object],
         fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
 
 
-def _breaks_a_record(value: str) -> bool:
-    return "\t" in value or "\n" in value or "\r" in value
-
-
-def _check_ids(dataset: EvaluationDataset) -> None:
-    """Refuse an empty query, result or rater id, or one holding a tab, LF or CR; once per id."""
-    get = attrgetter
-    queries, results, raters = dataset.judgment_ids()
-    queries.update(map(get("id"), dataset.queries),
-                   *(map(get("query_id"), records)
-                     for records in (dataset.list_pairs, dataset.preferences, dataset.sessions)))
-    results.update(*map(get("variant_a"), dataset.list_pairs),
-                   *map(get("variant_b"), dataset.list_pairs))
-    raters.update(*(map(get("rater_id"), records)
-                    for records in (dataset.preferences, dataset.sessions)))
-    for kind, ids in (("query", queries), ("result", results), ("rater", raters)):
-        if "" in ids:
-            raise ValueError(f"{kind} id is empty, which a record file cannot load")
-        if _breaks_a_record("\0".join(map(str, ids))):
-            raise ValueError(f"{kind} id {min(filter(_breaks_a_record, map(str, ids)))!r} holds"
-                             " a tab or line break, which a record file cannot hold")
-
-
 @gc_paused
 def write_dataset(dataset: EvaluationDataset, root: Union[str, Path]) -> None:
     """Write all record files under ``root``, records in the order the dataset holds them.
 
     Nothing is sorted, so :func:`read_dataset` of the files gives back the dataset.
     Each record is one line of ``str`` of its fields joined by tabs, with
-    booleans as ``true``/``false``/``-``.  An empty id would not load, and a
-    query text, information need or id holding a tab, LF or CR would not
-    read back as one record, so each raises ValueError before any file is
-    created.  Ids are checked once per distinct id, not per record.
+    booleans as ``true``/``false``/``-``.  A query text or information need
+    holding a tab, LF or CR or not encoding as UTF-8 (:func:`dataset.field_fault`),
+    or an id that breaks the id rule (:func:`dataset.id_faults`, run here only if
+    no validation passed the dataset), raises ValueError before any file is created.
     """
     for q in dataset.queries:
         for name in ("text", "info_need"):
-            if _breaks_a_record(str(getattr(q, name))):
-                raise ValueError(f"query {q.id!r} {name} holds a tab or line break,"
-                                 " which a record file cannot hold")
-    _check_ids(dataset)
+            if fault := field_fault(str(getattr(q, name))):
+                raise ValueError(f"query {q.id!r} {name} {fault}, which a record file cannot hold")
+    if faults := id_faults(dataset):
+        raise ValueError(faults[0])
     root = Path(root)
     os.makedirs(root, exist_ok=True)
 

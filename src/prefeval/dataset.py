@@ -193,22 +193,6 @@ class EvaluationDataset:
             raise ValidationError(report)
         return self.__dict__["grades"]
 
-    def judgment_ids(self) -> tuple[set[str], set[str], set[str]]:
-        """The judgments' distinct query, result and rater ids.
-
-        Read from the grade index if validation kept one, which holds
-        each (query, result) once; otherwise from the records, without
-        validating.
-        """
-        index = self.__dict__.get("grades")
-        if index is None:
-            js = self.judgments
-            return (set(map(attrgetter("query_id"), js)), set(map(attrgetter("result_id"), js)),
-                    set(map(attrgetter("rater_id"), js)))
-        raters: set[str] = set()
-        raters.update(*index.values())
-        return set(map(itemgetter(0), index)), set(map(itemgetter(1), index)), raters
-
     @cached_property
     def sessions_by_query_variant(self) -> Mapping[tuple[str, Variant], tuple[Session, ...]]:
         index: dict[tuple[str, Variant], list[Session]] = {}
@@ -254,6 +238,50 @@ class ValidationError(Exception):
         super().__init__("dataset validation failed:\n" + "\n".join(lines))
 
 
+def field_fault(value: str) -> Optional[str]:
+    """Why a record file cannot hold ``value`` as one field, or None if it can."""
+    if "\t" in value or "\n" in value or "\r" in value:
+        return "holds a tab or line break"
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        return "does not encode as UTF-8"
+    return None
+
+
+def id_faults(dataset: EvaluationDataset, grades: Optional[Mapping] = None) -> list[str]:
+    """One message per kind of id (query, result, rater) that breaks the id rule.
+
+    An id must be non-empty, hold no tab, LF or CR and encode as UTF-8, so a
+    record file can hold it; a message names its kind's smallest offender.
+    ``grades`` is validation's grade index, with each judged (query, result)
+    once.  Without it, a dataset that validation passed (its kept index shows
+    it) has no fault, and any other has its judgments' ids read from records.
+    """
+    get = attrgetter
+    if grades is not None:
+        queries, results = set(map(itemgetter(0), grades)), set(map(itemgetter(1), grades))
+        raters = set().union(*grades.values())
+    elif "grades" in dataset.__dict__:
+        return []
+    else:
+        queries, results, raters = (set(map(get(name), dataset.judgments))
+                                    for name in ("query_id", "result_id", "rater_id"))
+    pairs, others = dataset.list_pairs, (dataset.preferences, dataset.sessions)
+    queries.update(map(get("id"), dataset.queries), map(get("query_id"), pairs),
+                   *(map(get("query_id"), records) for records in others))
+    results.update(*map(get("variant_a"), pairs), *map(get("variant_b"), pairs))
+    raters.update(*(map(get("rater_id"), records) for records in others))
+    faults = []
+    for kind, ids in (("query", queries), ("result", results), ("rater", raters)):
+        if "" in ids:
+            faults.append(f"{kind} id is empty, which a record file cannot load")
+        elif fault := field_fault("\0".join(map(str, ids))):
+            bad = min(i for i in map(str, ids) if field_fault(i) == fault)
+            faults.append(f"{kind} id {bad!r} {fault}, which a record file cannot hold")
+    return faults
+
+
 @gc_paused
 def validate(
     dataset: EvaluationDataset,
@@ -264,11 +292,12 @@ def validate(
 
     Malformed records (bad grades, click ranks below 1, inverted
     timestamps, duplicates, dangling references, a verdict on a query
-    without a list pair) are errors in both modes.  A listed result at
-    rank <= ``max_cutoff`` without any judgment is an error in strict
-    mode and a warning in lenient mode, where downstream scoring
-    substitutes relevance 0 for it.  When the report has no error, the
-    grade index built while checking is kept as the dataset's ``grades``.
+    without a list pair) are errors in both modes, and so, last, is each
+    :func:`id_faults` message (``bad-id``).  A listed result at rank <=
+    ``max_cutoff`` without any judgment is an error in strict mode and a
+    warning in lenient mode, where downstream scoring substitutes
+    relevance 0 for it.  When the report has no error, the grade index
+    built while checking is kept as the dataset's ``grades``.
     """
     issues: list[ValidationIssue] = []
 
@@ -378,6 +407,8 @@ def validate(
             error("duplicate-session", f"rater {rater!r} has more than one"
                   f" {variant.value} session for query {qid!r}")
 
+    for message in id_faults(dataset, grades):
+        error("bad-id", message)
     report = ValidationReport(mode=mode, issues=tuple(issues))
     if report.ok:
         dataset.__dict__["grades"] = grades

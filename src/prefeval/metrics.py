@@ -24,7 +24,7 @@ import math
 from typing import Iterable, Optional, Sequence
 
 from .config import ERR_GRADE_MAX, ApNorm
-from .scales import DiscountFunction
+from .scales import DiscountFunction, DiscountKind
 
 
 def _check_cutoff(rels: Sequence[float], c: int) -> None:
@@ -37,7 +37,7 @@ def _check_cutoff(rels: Sequence[float], c: int) -> None:
 def precision_at(
     rels: Sequence[float],
     c: int,
-    discount: DiscountFunction = DiscountFunction.none(),
+    discount: DiscountFunction = DiscountFunction(DiscountKind.NONE),
 ) -> float:
     """Mean (optionally discounted) relevance of the top ``c`` results.
 

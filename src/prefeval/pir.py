@@ -93,9 +93,6 @@ class PirCell(NamedTuple):
     def empty_denominator(self) -> bool:
         return self.n_preferences == 0
 
-    def counts(self) -> dict[str, int]:
-        return dict(zip(CATEGORIES, self[2:]))
-
     def shares(self) -> dict[str, Fraction]:
         """Exact category shares over all evaluated pairs; they sum to 1."""
         total = self.total_pairs

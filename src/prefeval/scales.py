@@ -146,30 +146,6 @@ class DiscountFunction:
         return self.kind.value
 
     @classmethod
-    def none(cls) -> "DiscountFunction":
-        return cls(DiscountKind.NONE)
-
-    @classmethod
-    def log5(cls) -> "DiscountFunction":
-        return cls(DiscountKind.LOG5)
-
-    @classmethod
-    def log2(cls) -> "DiscountFunction":
-        return cls(DiscountKind.LOG2)
-
-    @classmethod
-    def root(cls) -> "DiscountFunction":
-        return cls(DiscountKind.ROOT)
-
-    @classmethod
-    def rank(cls) -> "DiscountFunction":
-        return cls(DiscountKind.RANK)
-
-    @classmethod
-    def square(cls) -> "DiscountFunction":
-        return cls(DiscountKind.SQUARE)
-
-    @classmethod
     def click_based(cls, weights: Optional[Mapping[int, float]] = None) -> "DiscountFunction":
         if weights is None:
             weights = EXAMPLE_CLICK_WEIGHTS

@@ -25,11 +25,11 @@ from prefeval.dataset import Verdict
 from prefeval.metrics import ApNorm, average_precision, dcg
 from prefeval.oracle import oracle_grid, oracle_pir
 from prefeval.pir import DEFAULT_CUTOFFS, DEFAULT_THRESHOLDS, pir, pir_sweep
-from prefeval.scales import DiscountFunction, RelevanceScale
+from prefeval.scales import DiscountFunction, DiscountKind, RelevanceScale
 from prefeval.synth import SynthSpec, generate_synthetic
 
-RANK = DiscountFunction.rank()
-LOG2 = DiscountFunction.log2()
+RANK = DiscountFunction(DiscountKind.RANK)
+LOG2 = DiscountFunction(DiscountKind.LOG2)
 
 
 def report(number: int, label: str, ok: bool) -> None:
@@ -70,7 +70,7 @@ def test_criterion_2_dcg_worked_example():
 
 def test_criterion_3_pir_worked_example(sample_pir_dataset):
     started = time.perf_counter()
-    config = MetricConfig(Metric.PRECISION, DiscountFunction.none())
+    config = MetricConfig(Metric.PRECISION, DiscountFunction(DiscountKind.NONE))
     grid = pir_sweep(sample_pir_dataset, [config], thresholds=(0.0, 0.15, 0.35),
                      cutoffs=(10,))
     values = [cell.pir for cell in grid.row(config, 10).cells]
@@ -81,7 +81,7 @@ def test_criterion_3_pir_worked_example(sample_pir_dataset):
 
 def test_criterion_4_oracle_equivalence():
     configs = [
-        MetricConfig(Metric.PRECISION, DiscountFunction.none()),
+        MetricConfig(Metric.PRECISION, DiscountFunction(DiscountKind.NONE)),
         MetricConfig(Metric.NDCG, LOG2, rating_source=RatingSource.OTHER_USERS),
         MetricConfig(Metric.MAP, RANK, scale=RelevanceScale.R2_3,
                      ap_norm=ApNorm.BY_KNOWN_RELEVANT),
@@ -152,7 +152,7 @@ def test_criterion_6_direction_smoke_on_dominant_variant():
     dataset = generate_synthetic(spec)
     assert all(p.verdict is not Verdict.B for p in dataset.preferences)
     configs = [
-        MetricConfig(Metric.PRECISION, DiscountFunction.none()),
+        MetricConfig(Metric.PRECISION, DiscountFunction(DiscountKind.NONE)),
         MetricConfig(Metric.NDCG, LOG2),
         MetricConfig(Metric.MAP, RANK),
         MetricConfig(Metric.ERR, RANK),

@@ -194,7 +194,7 @@ class TestEvalCommand:
                 assert main(["eval", str(synth_dir), "--metric", metric.value, *esl_n, *ap_norm,
                              "--discount", "rank", "--cutoff", "10"]) == 0
                 out = capsys.readouterr().out
-                cfg = MetricConfig(metric, DiscountFunction.rank(), ap_norm=norm,
+                cfg = MetricConfig(metric, DiscountFunction(DiscountKind.RANK), ap_norm=norm,
                                    esl_n=2.5 if metric is Metric.ESL else None)
                 want = []
                 for pair in ds.list_pairs:
@@ -205,7 +205,8 @@ class TestEvalCommand:
                         continue
                     want.append("\t".join([pair.query_id, *(f"{v:.4f}" for v in scores)]))
                     if metric is Metric.ESL and pair is ds.list_pairs[0]:
-                        assert scores[0] == esl(rels_a, 10, DiscountFunction.rank(), n=2.5)
+                        assert scores[0] == esl(rels_a, 10, DiscountFunction(DiscountKind.RANK),
+                                                n=2.5)
                 got = out.splitlines()[1:-1]
                 assert got == want, (metric, norm)  # the CLI prints the reference values verbatim
                 assert got
@@ -378,7 +379,8 @@ class TestSweepCommand:
         out = tmp_path / "sweep"
         assert main(["sweep", str(synth_dir), "--out", str(out), "--metrics", "ndcg",
                      "--scale", "r2_3"]) == 0
-        cfg = MetricConfig(Metric.NDCG, DiscountFunction.log2(), scale=RelevanceScale.R2_3)
+        cfg = MetricConfig(Metric.NDCG, DiscountFunction(DiscountKind.LOG2),
+                           scale=RelevanceScale.R2_3)
         ds = load_dataset(synth_dir)
         rows = (out / f"grid_{cfg.label()}.tsv").read_text().splitlines()[1:]
         assert len(rows) == len(DEFAULT_THRESHOLDS)

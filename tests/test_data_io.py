@@ -1,9 +1,12 @@
 import dataclasses
 import gc
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from conftest import binary_pair_dataset, make_session, scored_pairs
 from prefeval import data_io
@@ -26,8 +29,12 @@ from prefeval.dataset import (
 )
 from prefeval.pir import pir
 from prefeval.config import Metric, MetricConfig
-from prefeval.scales import DiscountFunction
+from prefeval.scales import DiscountFunction, DiscountKind
 from prefeval.synth import SynthSpec, generate_synthetic
+
+
+# Every id the id rule accepts: non-empty, no tab, LF or CR, no lone surrogate.
+ID = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"), min_size=1)
 
 
 @pytest.fixture
@@ -265,7 +272,8 @@ class TestLoadBehavior:
         write_dataset(ds, tmp_path)
         loaded = load_dataset(tmp_path, max_cutoff=3)
         assert loaded.preferences == ()
-        pairs, _ = scored_pairs(loaded, MetricConfig(Metric.PRECISION, DiscountFunction.none(), cutoff=3))
+        pairs, _ = scored_pairs(loaded, MetricConfig(Metric.PRECISION,
+                                                     DiscountFunction(DiscountKind.NONE), cutoff=3))
         assert pir(pairs, 0.0).empty_denominator
 
     def test_missing_optional_files_default_to_empty(self, tmp_path):
@@ -577,7 +585,8 @@ class TestWriterBytes:
         _assert_written_as_joined(loaded, tmp_path / "out")
 
     @pytest.mark.parametrize("field", ["text", "info_need"])
-    @pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r", "\udc80"],
+                             ids=["tab", "lf", "cr", "surrogate"])
     def test_line_breaking_query_text_is_refused_before_any_file(
             self, tmp_path, round_trip_dataset, field, char):
         queries = list(round_trip_dataset.queries)
@@ -586,7 +595,8 @@ class TestWriterBytes:
         assert validate(ds).ok
         with pytest.raises(ValueError) as exc:
             write_dataset(ds, tmp_path / "out")
-        assert str(exc.value) == (f"query {queries[2].id!r} {field} holds a tab or line break,"
+        fault = "does not encode as UTF-8" if char == "\udc80" else "holds a tab or line break"
+        assert str(exc.value) == (f"query {queries[2].id!r} {field} {fault},"
                                   " which a record file cannot hold")
         assert not (tmp_path / "out").exists()
 
@@ -596,14 +606,12 @@ class TestWriterBytes:
                                            ("rater", "u01")])
     def test_line_breaking_id_is_refused_before_any_file(self, tmp_path, kind, old, char,
                                                          validated):
-        # With rater u01 renamed 'u 0\t1' in every record, this dataset validates; it
-        # used to be written, and then failed to load ("needs 4 or 5 fields, got 6").
+        # With rater u01 renamed 'u 0\t1' in every record, this dataset was once written,
+        # and then failed to load ("needs 4 or 5 fields, got 6").
         new = f"{old[0]} {old[1:-1]}{char}{old[-1]}"
         ds = _rename_id(generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6)), kind, old, new)
-        assert validate(dataclasses.replace(ds)).ok
         if validated:
-            validate(ds)  # leaves the grade index, which the check reads judgment ids from
-        assert ("grades" in ds.__dict__) is validated
+            validate(ds)  # fails, so it keeps no grade index and the writer runs the id rule
         with pytest.raises(ValueError) as exc:
             write_dataset(ds, tmp_path / "out")
         assert str(exc.value) == (f"{kind} id {new!r} holds a tab or line break,"
@@ -614,17 +622,78 @@ class TestWriterBytes:
     @pytest.mark.parametrize("kind, old", [("query", "q002"), ("result", "q002-b03"),
                                            ("rater", "u01")])
     def test_empty_id_is_refused_before_any_file(self, tmp_path, kind, old, validated):
-        # With rater u01 renamed '' in every record, this dataset validates; it used to
-        # be written, and then failed to load ("judgments.tsv:2: rater_id is empty").
+        # With rater u01 renamed '' in every record, this dataset was once written, and
+        # then failed to load ("judgments.tsv:2: rater_id is empty").
         ds = _rename_id(generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6)), kind, old, "")
-        assert validate(dataclasses.replace(ds)).ok
         if validated:
-            validate(ds)  # leaves the grade index, which the check reads judgment ids from
-        assert ("grades" in ds.__dict__) is validated
+            validate(ds)  # fails, so it keeps no grade index and the writer runs the id rule
         with pytest.raises(ValueError) as exc:
             write_dataset(ds, tmp_path / "out")
         assert str(exc.value) == f"{kind} id is empty, which a record file cannot load"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("validated", [False, True], ids=["built", "validated"])
+    @pytest.mark.parametrize("bad", ["", "\t", "\n", "\r", "\ud800"],
+                             ids=["empty", "tab", "lf", "cr", "surrogate"])
+    @pytest.mark.parametrize("kind, old", [("query", "q002"), ("result", "q002-b03"),
+                                           ("rater", "u01")])
+    def test_validate_reports_each_id_the_writer_refuses(self, tmp_path, kind, old, bad,
+                                                         validated):
+        new = bad and f"{old[:-1]}{bad}{old[-1]}"
+        ds = _rename_id(generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6)), kind, old, new)
+
+        def refusal():
+            with pytest.raises(ValueError) as exc:
+                write_dataset(ds, tmp_path / "out")
+            return str(exc.value)
+
+        if validated:
+            report = validate(ds)
+            refused = refusal()
+        else:
+            refused = refusal()
+            report = validate(ds)
+        assert [(i.kind, i.message) for i in report.issues] == [("bad-id", refused)]
+        fault = {"": None, "\ud800": "does not encode as UTF-8"}.get(bad, "holds a tab or line break")
+        assert refused == (f"{kind} id {new!r} {fault}, which a record file cannot hold" if fault
+                           else f"{kind} id is empty, which a record file cannot load")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("records, field, kind", [
+        ("queries", "id", "query"), ("judgments", "query_id", "query"),
+        ("judgments", "result_id", "result"), ("judgments", "rater_id", "rater"),
+        ("list_pairs", "query_id", "query"), ("list_pairs", "variant_a", "result"),
+        ("preferences", "query_id", "query"), ("preferences", "rater_id", "rater"),
+        ("sessions", "query_id", "query"), ("sessions", "rater_id", "rater")])
+    def test_an_id_in_any_record_is_checked(self, tmp_path, records, field, kind):
+        # one more record whose id breaks the rule, whatever else it breaks
+        ds = generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6))
+        first = getattr(ds, records)[0]
+        new = "x\ty"
+        extra = dataclasses.replace(
+            first, **{field: (new, *first.variant_a[1:]) if field == "variant_a" else new})
+        ds = dataclasses.replace(ds, **{records: (*getattr(ds, records), extra)})
+        reported = [i.message for i in validate(ds).errors if i.kind == "bad-id"]
+        with pytest.raises(ValueError) as exc:
+            write_dataset(ds, tmp_path / "out")
+        assert reported == [str(exc.value)] == [
+            f"{kind} id {new!r} holds a tab or line break, which a record file cannot hold"]
+        assert not (tmp_path / "out").exists()
+
+    @given(query=ID, result=ID, rater=ID)
+    @example(query=" q 2 ", result="\x85", rater="\u2028")
+    @example(query="#prefeval", result=" r\x0b ", rater="#prefeval\x0b1")
+    def test_every_id_validate_accepts_round_trips(self, query, result, rater):
+        ds = generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6))
+        assume(query not in ds.query_by_id and rater not in {j.rater_id for j in ds.judgments}
+               and result not in {j.result_id for j in ds.judgments})
+        for kind, old, new in (("query", "q002", query), ("result", "q002-b03", result),
+                               ("rater", "u01", rater)):
+            ds = _rename_id(ds, kind, old, new)
+        assert validate(ds).ok
+        with tempfile.TemporaryDirectory() as tmp:
+            write_dataset(ds, tmp)
+            assert load_dataset(tmp) == ds
 
 
 def _rename_id(ds, kind, old, new):

@@ -16,12 +16,12 @@ from prefeval.metrics import (
     precision_at,
     reciprocal_rank,
 )
-from prefeval.scales import DiscountFunction
+from prefeval.scales import DiscountFunction, DiscountKind
 
-NONE = DiscountFunction.none()
-LOG2 = DiscountFunction.log2()
-RANK = DiscountFunction.rank()
-SQUARE = DiscountFunction.square()
+NONE = DiscountFunction(DiscountKind.NONE)
+LOG2 = DiscountFunction(DiscountKind.LOG2)
+RANK = DiscountFunction(DiscountKind.RANK)
+SQUARE = DiscountFunction(DiscountKind.SQUARE)
 
 ROW_A = [1.0, 1.0, 0.0, 1.0, 0.0]
 ROW_B = [0.0, 1.0, 1.0, 1.0, 0.0]  # the CG/DCG companion row

@@ -18,6 +18,7 @@ from prefeval.dataset import (
 )
 from prefeval.oracle import collect_pairs, oracle_grid, oracle_pir
 from prefeval.pir import (
+    CATEGORIES,
     DEFAULT_CUTOFFS,
     DEFAULT_THRESHOLDS,
     PirRow,
@@ -29,7 +30,7 @@ from prefeval.pir import (
 from prefeval.scales import DiscountFunction, DiscountKind, RelevanceScale
 from prefeval.synth import SynthSpec, generate_synthetic
 
-PRECISION_NONE = MetricConfig(Metric.PRECISION, DiscountFunction.none())
+PRECISION_NONE = MetricConfig(Metric.PRECISION, DiscountFunction(DiscountKind.NONE))
 
 SAMPLE_PAIRS = [
     (0.4, 0.7, Verdict.B),
@@ -205,7 +206,7 @@ class TestDetailedBreakdown:
         row = one_row(sample_pir_dataset, PRECISION_NONE, (0.0,))
         (cell,) = row.cells
         assert row.excluded_pairs == 0
-        assert cell.counts() == {
+        assert dict(zip(CATEGORIES, cell[2:])) == {
             "correct_pref": 3,
             "correct_equal": 0,
             "false_pref": 1,
@@ -244,7 +245,7 @@ class TestScorePairsOnDataset:
         ds = binary_pair_dataset(
             [("q1", 0, 0, Verdict.A), ("q2", 3, 1, Verdict.A)], list_len=10
         )
-        cfg = MetricConfig(Metric.NDCG, DiscountFunction.log2())
+        cfg = MetricConfig(Metric.NDCG, DiscountFunction(DiscountKind.LOG2))
         pairs, excluded = scored_pairs(ds, cfg)
         assert excluded == 1
         assert len(pairs) == 1
@@ -300,8 +301,8 @@ class TestSweep:
         ds = generate_synthetic(SynthSpec(n_queries=8, n_raters=3, seed=3, n_preferences=16))
         configs = [
             PRECISION_NONE,
-            MetricConfig(Metric.NDCG, DiscountFunction.log2()),
-            MetricConfig(Metric.ESL, DiscountFunction.rank(), esl_n=2.5),
+            MetricConfig(Metric.NDCG, DiscountFunction(DiscountKind.LOG2)),
+            MetricConfig(Metric.ESL, DiscountFunction(DiscountKind.RANK), esl_n=2.5),
         ]
         grid = pir_sweep(ds, configs)
         cells = sum(len(row.cells) for row in grid.rows.values())
@@ -326,8 +327,9 @@ class TestSweep:
             pir_sweep(sample_pir_dataset, [PRECISION_NONE], thresholds=(0.0,), cutoffs=(2, 1, 2))
 
 
-DISCOUNTS = [DiscountFunction.none(), DiscountFunction.log2(), DiscountFunction.log5(),
-             DiscountFunction.root(), DiscountFunction.rank(), DiscountFunction.square()]
+DISCOUNTS = [DiscountFunction(DiscountKind.NONE), DiscountFunction(DiscountKind.LOG2),
+             DiscountFunction(DiscountKind.LOG5), DiscountFunction(DiscountKind.ROOT),
+             DiscountFunction(DiscountKind.RANK), DiscountFunction(DiscountKind.SQUARE)]
 
 
 def every_metric(discount: DiscountFunction, scale, source) -> list[MetricConfig]:
@@ -387,7 +389,7 @@ class TestOracle:
 
     def test_grid_agrees_with_per_cell_oracle(self):
         ds = generate_synthetic(SynthSpec(n_queries=5, n_raters=3, seed=21, n_preferences=10))
-        cfg = MetricConfig(Metric.MAP, DiscountFunction.rank())
+        cfg = MetricConfig(Metric.MAP, DiscountFunction(DiscountKind.RANK))
         grid = oracle_grid(ds, cfg, (0.0, 0.05, 0.2), (1, 4, 7))
         for (cutoff, t), value in grid.items():
             assert value == oracle_pir(ds, cfg, t, cutoff=cutoff)
@@ -398,7 +400,7 @@ class TestOracle:
         )
         for cfg in (
             PRECISION_NONE,
-            MetricConfig(Metric.NDCG, DiscountFunction.log2(),
+            MetricConfig(Metric.NDCG, DiscountFunction(DiscountKind.LOG2),
                          rating_source=RatingSource.OTHER_USERS),
         ):
             grid = pir_sweep(ds, [cfg])
@@ -412,7 +414,7 @@ class TestOracle:
         ds = generate_synthetic(
             SynthSpec(n_queries=50, n_raters=5, seed=50, n_preferences=100)
         )
-        cfg = MetricConfig(Metric.ESL, DiscountFunction.rank(), esl_n=2.5)
+        cfg = MetricConfig(Metric.ESL, DiscountFunction(DiscountKind.RANK), esl_n=2.5)
         grid = pir_sweep(ds, [cfg])
         reference = oracle_grid(ds, cfg, DEFAULT_THRESHOLDS, DEFAULT_CUTOFFS)
         for cutoff in DEFAULT_CUTOFFS:
@@ -433,7 +435,7 @@ class TestRatingSourceDirection:
             ds = generate_synthetic(SynthSpec(42, 31, seed, n_preferences=147, rater_noise=0.2))
             best = []
             for source in (RatingSource.SAME_USER, RatingSource.OTHER_USERS):
-                configs = [MetricConfig(metric, DiscountFunction.rank(),
+                configs = [MetricConfig(metric, DiscountFunction(DiscountKind.RANK),
                                         esl_n=2.5 if metric is Metric.ESL else None,
                                         rating_source=source)
                            for metric in Metric]

@@ -20,7 +20,7 @@ from prefeval.dataset import (
 )
 from prefeval.metrics import err, esl, ndcg, reciprocal_rank
 from prefeval.pir import DEFAULT_THRESHOLDS, pir, pir_sweep, pref
-from prefeval.scales import DiscountFunction
+from prefeval.scales import DiscountFunction, DiscountKind
 
 from conftest import make_query, score_pair
 
@@ -31,9 +31,9 @@ scored_pairs = st.lists(st.tuples(score, score, verdict), min_size=1, max_size=2
 threshold = st.sampled_from(DEFAULT_THRESHOLDS)
 
 STRICT_DISCOUNTS = [
-    DiscountFunction.root(),
-    DiscountFunction.rank(),
-    DiscountFunction.square(),
+    DiscountFunction(DiscountKind.ROOT),
+    DiscountFunction(DiscountKind.RANK),
+    DiscountFunction(DiscountKind.SQUARE),
     DiscountFunction.click_based({r: 0.9 ** (r - 1) for r in range(1, 11)}),
 ]
 
@@ -86,9 +86,9 @@ class TestSwapSymmetry:
     def test_swapping_variants_and_verdicts_changes_no_cell(self, case):
         ds, list_len = case
         configs = [
-            MetricConfig(Metric.PRECISION, DiscountFunction.none(), cutoff=1),
-            MetricConfig(Metric.NDCG, DiscountFunction.log2(), cutoff=1),
-            MetricConfig(Metric.ESL, DiscountFunction.rank(), esl_n=1.0, cutoff=1),
+            MetricConfig(Metric.PRECISION, DiscountFunction(DiscountKind.NONE), cutoff=1),
+            MetricConfig(Metric.NDCG, DiscountFunction(DiscountKind.LOG2), cutoff=1),
+            MetricConfig(Metric.ESL, DiscountFunction(DiscountKind.RANK), esl_n=1.0, cutoff=1),
         ]
         cutoffs = tuple(range(1, list_len + 1))
         thresholds = (0.0, 0.05, 0.1, 0.2)
@@ -141,8 +141,9 @@ class TestPirQuantization:
 
 class TestNdcgRange:
     @given(st.lists(unit_rel, min_size=1, max_size=10), st.lists(unit_rel, max_size=6),
-           st.sampled_from([DiscountFunction.none(), DiscountFunction.log2(),
-                            DiscountFunction.rank(), DiscountFunction.click_based()]))
+           st.sampled_from([DiscountFunction(DiscountKind.NONE),
+                            DiscountFunction(DiscountKind.LOG2),
+                            DiscountFunction(DiscountKind.RANK), DiscountFunction.click_based()]))
     def test_within_unit_interval(self, rels, extra, discount):
         pool = rels + extra
         value = ndcg(rels, pool, len(rels), discount)
@@ -152,8 +153,9 @@ class TestNdcgRange:
         assert 0.0 <= value <= 1.0
 
     @given(st.lists(unit_rel, min_size=1, max_size=10),
-           st.sampled_from([DiscountFunction.none(), DiscountFunction.log2(),
-                            DiscountFunction.rank()]))
+           st.sampled_from([DiscountFunction(DiscountKind.NONE),
+                            DiscountFunction(DiscountKind.LOG2),
+                            DiscountFunction(DiscountKind.RANK)]))
     def test_perfect_order_scores_exactly_one(self, pool, discount):
         if not any(pool):
             return
@@ -163,16 +165,18 @@ class TestNdcgRange:
 
 class TestEslEndpoints:
     @given(st.lists(unit_rel, max_size=9),
-           st.sampled_from([DiscountFunction.none(), DiscountFunction.rank(),
-                            DiscountFunction.square()]),
+           st.sampled_from([DiscountFunction(DiscountKind.NONE),
+                            DiscountFunction(DiscountKind.RANK),
+                            DiscountFunction(DiscountKind.SQUARE)]),
            st.sampled_from([0.25, 0.5, 1.0]))
     def test_perfect_first_result_scores_one(self, tail, discount, n):
         rels = [1.0] + tail
         assert esl(rels, len(rels), discount, n=n) == 1.0
 
     @given(st.integers(1, 10),
-           st.sampled_from([DiscountFunction.none(), DiscountFunction.log2(),
-                            DiscountFunction.rank()]),
+           st.sampled_from([DiscountFunction(DiscountKind.NONE),
+                            DiscountFunction(DiscountKind.LOG2),
+                            DiscountFunction(DiscountKind.RANK)]),
            st.sampled_from([0.5, 1.0, 2.5]))
     def test_all_irrelevant_scores_zero(self, c, discount, n):
         assert esl([0.0] * c, c, discount, n=n) == 0.0
@@ -180,7 +184,7 @@ class TestEslEndpoints:
     @given(st.integers(1, 10))
     def test_half_relevant_unreached_target_scores_half(self, c):
         rels = [0.5] * c
-        assert esl(rels, c, DiscountFunction.none(), n=0.5 * c + 1) == 0.5
+        assert esl(rels, c, DiscountFunction(DiscountKind.NONE), n=0.5 * c + 1) == 0.5
 
 
 class TestMrrDiscountChoiceInvariance:
@@ -207,7 +211,7 @@ class TestErrMonotonicity:
         bumped[index] = data.draw(
             st.sampled_from([v / 5 for v in range(int(rels[index] * 5) + 1, 6)])
         )
-        f = DiscountFunction.rank()
+        f = DiscountFunction(DiscountKind.RANK)
         assert err(bumped, len(bumped), f) >= err(rels, len(rels), f) - 1e-12
 
 
@@ -218,8 +222,8 @@ class TestPrecisionNdcgAgreement:
         # which both variants share, so the preferred list is the same;
         # mathematical ties may land a last-bit apart, hence the noise floor
         ds, list_len = case
-        prec = MetricConfig(Metric.PRECISION, DiscountFunction.none(), cutoff=list_len)
-        ndcg_cfg = MetricConfig(Metric.NDCG, DiscountFunction.none(), cutoff=list_len)
+        prec = MetricConfig(Metric.PRECISION, DiscountFunction(DiscountKind.NONE), cutoff=list_len)
+        ndcg_cfg = MetricConfig(Metric.NDCG, DiscountFunction(DiscountKind.NONE), cutoff=list_len)
         for p in ds.preferences:
             pa, pb = score_pair(ds, prec, p.query_id, p.rater_id)
             na, nb = score_pair(ds, ndcg_cfg, p.query_id, p.rater_id)

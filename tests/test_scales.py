@@ -18,12 +18,12 @@ from prefeval.scales import (
 from prefeval.scoring import resolve_preferences
 
 ALL_KINDS = [
-    DiscountFunction.none(),
-    DiscountFunction.log5(),
-    DiscountFunction.log2(),
-    DiscountFunction.root(),
-    DiscountFunction.rank(),
-    DiscountFunction.square(),
+    DiscountFunction(DiscountKind.NONE),
+    DiscountFunction(DiscountKind.LOG5),
+    DiscountFunction(DiscountKind.LOG2),
+    DiscountFunction(DiscountKind.ROOT),
+    DiscountFunction(DiscountKind.RANK),
+    DiscountFunction(DiscountKind.SQUARE),
     DiscountFunction.click_based(),
 ]
 
@@ -91,28 +91,28 @@ class TestConflate:
         ds = binary_pair_dataset([("q1", 1, 1, Verdict.A)], list_len=1)
         bad_judgment = dataclasses.replace(ds.judgments[0], grade=bad)
         ds = dataclasses.replace(ds, judgments=(bad_judgment, *ds.judgments[1:]))
-        cfg = MetricConfig(Metric.PRECISION, DiscountFunction.none(), scale=scale)
+        cfg = MetricConfig(Metric.PRECISION, DiscountFunction(DiscountKind.NONE), scale=scale)
         with pytest.raises(ValidationError, match="grade-range"):
             resolve_preferences(ds, cfg, (1,), readers=[("q1", RATER, None)])
 
 
 class TestDiscounts:
     def test_log2_at_1024_is_one_tenth(self):
-        assert DiscountFunction.log2().weight(1024) == pytest.approx(0.1)
+        assert DiscountFunction(DiscountKind.LOG2).weight(1024) == pytest.approx(0.1)
 
     def test_square_third_result_one_ninth(self):
-        assert DiscountFunction.square().weight(3) == pytest.approx(1 / 9)
+        assert DiscountFunction(DiscountKind.SQUARE).weight(3) == pytest.approx(1 / 9)
 
     def test_none_is_identity(self):
-        assert DiscountFunction.none().weight(7) == 1.0
+        assert DiscountFunction(DiscountKind.NONE).weight(7) == 1.0
 
     def test_log5_flat_through_its_base(self):
-        f = DiscountFunction.log5()
+        f = DiscountFunction(DiscountKind.LOG5)
         assert [f.weight(r) for r in range(1, 6)] == [1.0] * 5
         assert f.weight(25) == pytest.approx(1 / math.log(25, 5)) == pytest.approx(0.5)
 
     def test_log2_flat_prefix_and_continuity(self):
-        f = DiscountFunction.log2()
+        f = DiscountFunction(DiscountKind.LOG2)
         assert f.weight(1) == 1.0
         assert f.weight(2) == 1.0
         assert f.weight(3) == pytest.approx(1 / math.log2(3))
@@ -136,21 +136,25 @@ class TestDiscounts:
         # square <= rank <= root <= log5 <= none and rank <= log2 <= log5 hold
         # at every rank; root and log2 cross twice (ranks 4 and 16), so that
         # pair is only approximately ordered.
-        square, rank_, root = DiscountFunction.square(), DiscountFunction.rank(), DiscountFunction.root()
-        log2_, log5_, none = DiscountFunction.log2(), DiscountFunction.log5(), DiscountFunction.none()
+        square, rank_, root = (DiscountFunction(DiscountKind.SQUARE),
+                               DiscountFunction(DiscountKind.RANK),
+                               DiscountFunction(DiscountKind.ROOT))
+        log2_, log5_, none = (DiscountFunction(DiscountKind.LOG2),
+                              DiscountFunction(DiscountKind.LOG5),
+                              DiscountFunction(DiscountKind.NONE))
         for r in range(2, 201):
             assert square.weight(r) <= rank_.weight(r) <= root.weight(r)
             assert root.weight(r) <= log5_.weight(r) <= none.weight(r)
             assert rank_.weight(r) <= log2_.weight(r) <= log5_.weight(r)
 
     def test_root_log2_crossing(self):
-        root, log2_ = DiscountFunction.root(), DiscountFunction.log2()
+        root, log2_ = DiscountFunction(DiscountKind.ROOT), DiscountFunction(DiscountKind.LOG2)
         assert root.weight(9) > log2_.weight(9)
         assert root.weight(3) < log2_.weight(3)
 
     def test_rank_below_one_rejected(self):
         with pytest.raises(ValueError):
-            DiscountFunction.rank().weight(0)
+            DiscountFunction(DiscountKind.RANK).weight(0)
 
     @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.label())
     def test_weight_table_matches_weight(self, f):
@@ -175,7 +179,8 @@ class TestDiscountHash:
         assert first is not second and first == second
         assert hash(first) == hash(second)
         assert {first: "click"}[second] == "click"
-        assert len({first, second, DiscountFunction.rank(), DiscountFunction.rank()}) == 2
+        assert len({first, second, DiscountFunction(DiscountKind.RANK),
+                    DiscountFunction(DiscountKind.RANK)}) == 2
 
     def test_configs_with_click_discounts_hash(self):
         configs = [MetricConfig(Metric.NDCG, DiscountFunction.click_based()) for _ in range(2)]

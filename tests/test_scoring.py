@@ -54,7 +54,7 @@ def multi_rater_dataset(grades_by_rater):
 
 
 def config(metric=Metric.PRECISION, source=RatingSource.SAME_USER, cutoff=2, **kw):
-    return MetricConfig(metric=metric, discount=DiscountFunction.none(),
+    return MetricConfig(metric=metric, discount=DiscountFunction(DiscountKind.NONE),
                         rating_source=source, cutoff=cutoff, **kw)
 
 
@@ -188,7 +188,7 @@ class TestResolvePreferences:
         # one grade-index read per (table, query, distinct result) on a query-sorted dataset
         calls = []
         count_grade_reads(overlapping, calls)
-        configs = [MetricConfig(metric, DiscountFunction.rank(), rating_source=source,
+        configs = [MetricConfig(metric, DiscountFunction(DiscountKind.RANK), rating_source=source,
                                 esl_n=2.0 if metric is Metric.ESL else None)
                    for metric in Metric for source in RatingSource]
         pir_sweep(overlapping, configs, cutoffs=(2, 5, 8))
@@ -240,7 +240,7 @@ class TestResolvePreferences:
         for name in ("precision_at", "dcg", "ideal_ranking", "ndcg", "average_precision",
                      "err", "reciprocal_rank", "esl"):
             patch(metrics, name)
-        configs = [MetricConfig(metric, DiscountFunction.rank(), rating_source=source,
+        configs = [MetricConfig(metric, DiscountFunction(DiscountKind.RANK), rating_source=source,
                                 esl_n=2.0 if metric is Metric.ESL else None)
                    for metric in Metric for source in RatingSource]
         grid = pir_sweep(overlapping, configs)
@@ -331,7 +331,7 @@ class TestResolveEquivalence:
         # cut-off by float.hex; where the walk raises, the engine raises the same first error
         for scale in RelevanceScale:
             for source in RatingSource:
-                cfg = MetricConfig(Metric.NDCG, DiscountFunction.none(), scale=scale,
+                cfg = MetricConfig(Metric.NDCG, DiscountFunction(DiscountKind.NONE), scale=scale,
                                    rating_source=source, query_filter=query_filter)
                 for lenient in (False, True):
                     args = (dataset, cfg, cutoffs, lenient)
@@ -344,7 +344,7 @@ class TestResolveEquivalence:
         assert [(p.query_id, p.rater_id) for p in dataset.preferences] == [
             ("q002", "u01"), ("q001", "u01"), ("q002", "u03"), ("q004", "u01"),
             ("q003", "u03"), ("q001", "u02")]
-        cfg = MetricConfig(Metric.NDCG, DiscountFunction.none(),
+        cfg = MetricConfig(Metric.NDCG, DiscountFunction(DiscountKind.NONE),
                            rating_source=RatingSource.OTHER_USERS)
         message = "no rater besides 'u01' judged ('q004', 'q004-a01')"
         with pytest.raises(MissingJudgment, match=rf"^{re.escape(message)}$"):
@@ -368,7 +368,7 @@ class TestResolveEquivalence:
 class TestGradeIndex:
     """One grade index, built and checked by validation, read unchecked by the engine."""
 
-    CONFIGS = [MetricConfig(Metric.NDCG, DiscountFunction.log2(), scale=scale,
+    CONFIGS = [MetricConfig(Metric.NDCG, DiscountFunction(DiscountKind.LOG2), scale=scale,
                             rating_source=source)
                for scale in (RelevanceScale.SIX_POINT, RelevanceScale.R3_2)
                for source in RatingSource]
@@ -504,27 +504,28 @@ class TestMetricScoreDispatch:
         rels, pool = [1.0, 0.4], [1.0, 0.4, 0.2]
         for metric in Metric:
             kw = {"esl_n": 1.0} if metric is Metric.ESL else {}
-            cfg = MetricConfig(metric=metric, discount=DiscountFunction.rank(),
+            cfg = MetricConfig(metric=metric, discount=DiscountFunction(DiscountKind.RANK),
                                cutoff=2, **kw)
             value = metric_score(rels, pool, cfg)
             assert isinstance(value, float)
 
     def test_esl_requires_target(self):
         with pytest.raises(ValueError):
-            MetricConfig(metric=Metric.ESL, discount=DiscountFunction.rank())
+            MetricConfig(metric=Metric.ESL, discount=DiscountFunction(DiscountKind.RANK))
         for esl_n in (math.inf, math.nan):
             with pytest.raises(ValueError, match="must be finite"):
-                MetricConfig(metric=Metric.ESL, discount=DiscountFunction.rank(), esl_n=esl_n)
+                MetricConfig(metric=Metric.ESL, discount=DiscountFunction(DiscountKind.RANK),
+                             esl_n=esl_n)
 
     def test_esl_n_rejected_elsewhere(self):
         with pytest.raises(ValueError):
-            MetricConfig(metric=Metric.MAP, discount=DiscountFunction.rank(), esl_n=1.0)
+            MetricConfig(metric=Metric.MAP, discount=DiscountFunction(DiscountKind.RANK), esl_n=1.0)
 
     def test_cutoff_range_enforced(self):
         with pytest.raises(ValueError):
-            MetricConfig(metric=Metric.MAP, discount=DiscountFunction.rank(), cutoff=11)
+            MetricConfig(metric=Metric.MAP, discount=DiscountFunction(DiscountKind.RANK), cutoff=11)
         with pytest.raises(ValueError):
-            MetricConfig(metric=Metric.MAP, discount=DiscountFunction.rank(), cutoff=0)
+            MetricConfig(metric=Metric.MAP, discount=DiscountFunction(DiscountKind.RANK), cutoff=0)
 
 
 SIX_POINT_UNITS = UNITS[RelevanceScale.SIX_POINT]
@@ -532,13 +533,14 @@ CONFLATED_UNITS = (1.0, 0.5, 0.0)
 DISCOUNTS = [DiscountFunction.click_based() if kind is DiscountKind.CLICK_BASED
              else DiscountFunction(kind) for kind in DiscountKind]
 WALK_CONFIGS = [
-    MetricConfig(Metric.PRECISION, DiscountFunction.none()),
-    MetricConfig(Metric.NDCG, DiscountFunction.none()),
-    MetricConfig(Metric.MAP, DiscountFunction.none(), ap_norm=ApNorm.BY_EVALUATED_COUNT),
-    MetricConfig(Metric.MAP, DiscountFunction.none(), ap_norm=ApNorm.BY_KNOWN_RELEVANT),
-    MetricConfig(Metric.ERR, DiscountFunction.none()),
-    MetricConfig(Metric.MRR, DiscountFunction.none()),
-    MetricConfig(Metric.ESL, DiscountFunction.none(), esl_n=1.0),
+    MetricConfig(Metric.PRECISION, DiscountFunction(DiscountKind.NONE)),
+    MetricConfig(Metric.NDCG, DiscountFunction(DiscountKind.NONE)),
+    MetricConfig(Metric.MAP, DiscountFunction(DiscountKind.NONE),
+                 ap_norm=ApNorm.BY_EVALUATED_COUNT),
+    MetricConfig(Metric.MAP, DiscountFunction(DiscountKind.NONE), ap_norm=ApNorm.BY_KNOWN_RELEVANT),
+    MetricConfig(Metric.ERR, DiscountFunction(DiscountKind.NONE)),
+    MetricConfig(Metric.MRR, DiscountFunction(DiscountKind.NONE)),
+    MetricConfig(Metric.ESL, DiscountFunction(DiscountKind.NONE), esl_n=1.0),
 ]
 ESL_TARGETS = (0.5, 1.0, 2.5, 4.0)
 
@@ -594,13 +596,13 @@ class TestScoreCutoffs:
     def test_partial_unsorted_cutoffs_follow_the_given_order(self):
         lists = JudgedLists([1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
                             [0.0] * 7, [1.0, 0.0, 1.0, 1.0], (1, 2, 2, 3, 3, 4, 4))
-        cfg = MetricConfig(Metric.PRECISION, DiscountFunction.none())
+        cfg = MetricConfig(Metric.PRECISION, DiscountFunction(DiscountKind.NONE))
         assert scores_of(lists, cfg, (7, 3)) == ([3 / 7, 2 / 3], [0.0, 0.0])
 
     def test_ndcg_exclusion_is_per_cutoff(self):
         # the pool holds no relevant result at c=1, one from c=3 on
         lists = JudgedLists([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], (1, 2, 3))
-        cfg = MetricConfig(Metric.NDCG, DiscountFunction.none())
+        cfg = MetricConfig(Metric.NDCG, DiscountFunction(DiscountKind.NONE))
         scores_a, scores_b = scores_of(lists, cfg, (1, 3))
         assert scores_a == [None, 1.0]
         assert scores_b == [None, 0.0]
@@ -717,6 +719,24 @@ class TestLayering:
                     importers.add(path.stem)
         assert "data_io" in importers  # the scan sees the parser's check
         assert importers <= {"dataset", "data_io"}
+
+    def test_only_validate_and_the_writer_run_the_id_rule(self):
+        # one id rule, so validate and write_dataset cannot disagree on the ids a file holds
+        definers, callers, importers = set(), set(), set()
+        for path in Path(scoring.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and node.name == "id_faults":
+                    definers.add(path.stem)
+                elif isinstance(node, ast.FunctionDef) and any(
+                        isinstance(n, ast.Name) and n.id == "id_faults"
+                        or isinstance(n, ast.Attribute) and n.attr == "id_faults"
+                        for n in ast.walk(node)):
+                    callers.add((path.stem, node.name))
+                elif isinstance(node, ast.alias) and node.name == "id_faults":
+                    importers.add(path.stem)
+        assert definers == {"dataset"}
+        assert callers == {("dataset", "validate"), ("data_io", "write_dataset")}
+        assert importers == {"data_io"}
 
     def test_other_modules_import_only_the_engine_entry_points(self):
         # one scorer entry point, so a second one cannot come back unseen

@@ -10,7 +10,7 @@ from prefeval.config import Metric, MetricConfig, RatingSource
 from prefeval.data_io import read_dataset, write_dataset
 from prefeval.dataset import ValidationMode, Verdict, validate
 from prefeval.pir import pir
-from prefeval.scales import DiscountFunction
+from prefeval.scales import DiscountFunction, DiscountKind
 from prefeval.synth import SynthSpec, generate_synthetic
 
 
@@ -77,7 +77,7 @@ class TestStrictValidity:
         for source in RatingSource:
             for metric in Metric:
                 kw = {"esl_n": 1.5} if metric is Metric.ESL else {}
-                cfg = MetricConfig(metric=metric, discount=DiscountFunction.log2(),
+                cfg = MetricConfig(metric=metric, discount=DiscountFunction(DiscountKind.LOG2),
                                    rating_source=source, cutoff=5, **kw)
                 pairs, _ = scored_pairs(ds, cfg)
                 pir(pairs, 0.0)
@@ -118,7 +118,8 @@ class TestPreferenceModel:
                          grade_weights_b=(1, 0, 0, 0, 0, 0))
         ds = generate_synthetic(spec)
         assert {p.verdict for p in ds.preferences} == {Verdict.EQUAL}
-        pairs, _ = scored_pairs(ds, MetricConfig(Metric.PRECISION, DiscountFunction.none()))
+        pairs, _ = scored_pairs(ds, MetricConfig(Metric.PRECISION,
+                                                 DiscountFunction(DiscountKind.NONE)))
         cell = pir(pairs, 0.0)
         assert cell.empty_denominator
         assert cell.pir == 0.5
