@@ -406,7 +406,7 @@ def write_dataset(dataset: EvaluationDataset, root: Union[str, Path]) -> None:
         for name in ("text", "info_need"):
             if fault := field_fault(str(getattr(q, name))):
                 raise ValueError(f"query {q.id!r} {name} {fault}, which a record file cannot hold")
-    if faults := id_faults(dataset):
+    if "grades" not in dataset.__dict__ and (faults := id_faults(dataset)):
         raise ValueError(faults[0])
     root = Path(root)
     os.makedirs(root, exist_ok=True)

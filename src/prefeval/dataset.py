@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cached_property, wraps
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Mapping, Optional
 
 from .scales import GRADE_BEST, GRADE_WORST, check_grade
@@ -249,24 +249,15 @@ def field_fault(value: str) -> Optional[str]:
     return None
 
 
-def id_faults(dataset: EvaluationDataset, grades: Optional[Mapping] = None) -> list[str]:
+def id_faults(dataset: EvaluationDataset) -> list[str]:
     """One message per kind of id (query, result, rater) that breaks the id rule.
 
     An id must be non-empty, hold no tab, LF or CR and encode as UTF-8, so a
     record file can hold it; a message names its kind's smallest offender.
-    ``grades`` is validation's grade index, with each judged (query, result)
-    once.  Without it, a dataset that validation passed (its kept index shows
-    it) has no fault, and any other has its judgments' ids read from records.
     """
     get = attrgetter
-    if grades is not None:
-        queries, results = set(map(itemgetter(0), grades)), set(map(itemgetter(1), grades))
-        raters = set().union(*grades.values())
-    elif "grades" in dataset.__dict__:
-        return []
-    else:
-        queries, results, raters = (set(map(get(name), dataset.judgments))
-                                    for name in ("query_id", "result_id", "rater_id"))
+    queries, results, raters = (set(map(get(name), dataset.judgments))
+                                for name in ("query_id", "result_id", "rater_id"))
     pairs, others = dataset.list_pairs, (dataset.preferences, dataset.sessions)
     queries.update(map(get("id"), dataset.queries), map(get("query_id"), pairs),
                    *(map(get("query_id"), records) for records in others))
@@ -299,6 +290,7 @@ def validate(
     relevance 0 for it.  When the report has no error, the grade index
     built while checking is kept as the dataset's ``grades``.
     """
+    bad_ids = id_faults(dataset)  # before the grade index, so its sets add nothing to the peak
     issues: list[ValidationIssue] = []
 
     def error(kind: str, message: str) -> None:
@@ -407,7 +399,7 @@ def validate(
             error("duplicate-session", f"rater {rater!r} has more than one"
                   f" {variant.value} session for query {qid!r}")
 
-    for message in id_faults(dataset, grades):
+    for message in bad_ids:
         error("bad-id", message)
     report = ValidationReport(mode=mode, issues=tuple(issues))
     if report.ok:
