@@ -25,9 +25,8 @@ queries file always needs its header.  Records are written in the order
 the dataset holds them, a session's clicks in its own order, so the writer
 is the reader's inverse: for any dataset that loads, the written files load
 back as the dataset and write -> load -> write is byte-stable.  Files are
-canonical when the dataset's order is, as ``synth``'s is.  An id ``validate``
-reports as ``bad-id``, or a query text or information need that holds a tab,
-LF or CR or does not encode as UTF-8, cannot be written.
+canonical when the dataset's order is, as ``synth``'s is.  A field ``validate``
+reports as ``bad-field`` or ``bad-id`` cannot be written.
 
 Reading, loading and writing run with the cyclic garbage collector
 paused (:func:`dataset.gc_paused`): they build hundreds of thousands of
@@ -59,9 +58,8 @@ from .dataset import (
     Variant,
     Verdict,
     MAX_CUTOFF,
-    field_fault,
     gc_paused,
-    id_faults,
+    record_faults,
     validate,
 )
 from .scales import GRADE_BEST, GRADE_WORST, check_grade
@@ -397,17 +395,12 @@ def write_dataset(dataset: EvaluationDataset, root: Union[str, Path]) -> None:
 
     Nothing is sorted, so :func:`read_dataset` of the files gives back the dataset.
     Each record is one line of ``str`` of its fields joined by tabs, with
-    booleans as ``true``/``false``/``-``.  A query text or information need
-    holding a tab, LF or CR or not encoding as UTF-8 (:func:`dataset.field_fault`),
-    or an id that breaks the id rule (:func:`dataset.id_faults`, run here only if
-    no validation passed the dataset), raises ValueError before any file is created.
+    booleans as ``true``/``false``/``-``.  The first fault :func:`dataset.record_faults`
+    finds (run here only if no validation passed the dataset) raises ValueError
+    before any file is created.
     """
-    for q in dataset.queries:
-        for name in ("text", "info_need"):
-            if fault := field_fault(str(getattr(q, name))):
-                raise ValueError(f"query {q.id!r} {name} {fault}, which a record file cannot hold")
-    if "grades" not in dataset.__dict__ and (faults := id_faults(dataset)):
-        raise ValueError(faults[0])
+    if "grades" not in dataset.__dict__ and (faults := record_faults(dataset)):
+        raise ValueError(faults[0][1])
     root = Path(root)
     os.makedirs(root, exist_ok=True)
 

@@ -238,8 +238,10 @@ class ValidationError(Exception):
         super().__init__("dataset validation failed:\n" + "\n".join(lines))
 
 
-def field_fault(value: str) -> Optional[str]:
+def field_fault(value: object) -> Optional[str]:
     """Why a record file cannot hold ``value`` as one field, or None if it can."""
+    if type(value) is not str:
+        return "is not a string"
     if "\t" in value or "\n" in value or "\r" in value:
         return "holds a tab or line break"
     try:
@@ -249,13 +251,25 @@ def field_fault(value: str) -> Optional[str]:
     return None
 
 
-def id_faults(dataset: EvaluationDataset) -> list[str]:
-    """One message per kind of id (query, result, rater) that breaks the id rule.
+def record_faults(dataset: EvaluationDataset) -> list[tuple[str, str]]:
+    """``(kind, message)`` for each field of ``dataset`` that a record file cannot hold.
 
-    An id must be non-empty, hold no tab, LF or CR and encode as UTF-8, so a
-    record file can hold it; a message names its kind's smallest offender.
+    First ``bad-field``: each query text or information need :func:`field_fault` refuses,
+    then each enum field holding a non-member, naming the first.  Then ``bad-id``, once per
+    kind of id (query, result, rater) naming its smallest offender: an id is a string,
+    non-empty, holds no tab, LF or CR and encodes as UTF-8.
     """
+    faults = [("bad-field", f"query {q.id!r} {name} {fault}, which a record file cannot hold")
+              for q in dataset.queries for name in ("text", "info_need")
+              if (fault := field_fault(getattr(q, name)))]
     get = attrgetter
+    for records, name, enum in ((dataset.queries, "query_type", QueryType),
+                                (dataset.queries, "language", Language),
+                                (dataset.preferences, "verdict", Verdict),
+                                (dataset.sessions, "variant", Variant)):
+        if set(map(type, map(get(name), records))) - {enum}:  # one pass in C per field
+            bad = next(v for v in map(get(name), records) if type(v) is not enum)
+            faults.append(("bad-field", f"{name} {bad!r} is not a {enum.__name__}"))
     queries, results, raters = (set(map(get(name), dataset.judgments))
                                 for name in ("query_id", "result_id", "rater_id"))
     pairs, others = dataset.list_pairs, (dataset.preferences, dataset.sessions)
@@ -263,13 +277,13 @@ def id_faults(dataset: EvaluationDataset) -> list[str]:
                    *(map(get("query_id"), records) for records in others))
     results.update(*map(get("variant_a"), pairs), *map(get("variant_b"), pairs))
     raters.update(*(map(get("rater_id"), records) for records in others))
-    faults = []
     for kind, ids in (("query", queries), ("result", results), ("rater", raters)):
-        if "" in ids:
-            faults.append(f"{kind} id is empty, which a record file cannot load")
-        elif fault := field_fault("\0".join(map(str, ids))):
-            bad = min(i for i in map(str, ids) if field_fault(i) == fault)
-            faults.append(f"{kind} id {bad!r} {fault}, which a record file cannot hold")
+        strings = set(map(type, ids)) <= {str}
+        if strings and "" in ids:
+            faults.append(("bad-id", f"{kind} id is empty, which a record file cannot load"))
+        elif fault := (field_fault("\0".join(ids)) if strings else "is not a string"):
+            bad = min((i for i in ids if field_fault(i) == fault), key=str)
+            faults.append(("bad-id", f"{kind} id {bad!r} {fault}, which a record file cannot hold"))
     return faults
 
 
@@ -284,13 +298,13 @@ def validate(
     Malformed records (bad grades, click ranks below 1, inverted
     timestamps, duplicates, dangling references, a verdict on a query
     without a list pair) are errors in both modes, and so, last, is each
-    :func:`id_faults` message (``bad-id``).  A listed result at rank <=
-    ``max_cutoff`` without any judgment is an error in strict mode and a
-    warning in lenient mode, where downstream scoring substitutes
-    relevance 0 for it.  When the report has no error, the grade index
+    :func:`record_faults` fault (``bad-field``, ``bad-id``).  A listed
+    result at rank <= ``max_cutoff`` without any judgment is an error in
+    strict mode and a warning in lenient mode, where downstream scoring
+    substitutes relevance 0 for it.  When the report has no error, the grade index
     built while checking is kept as the dataset's ``grades``.
     """
-    bad_ids = id_faults(dataset)  # before the grade index, so its sets add nothing to the peak
+    faults = record_faults(dataset)  # before the grade index, so its sets add nothing to the peak
     issues: list[ValidationIssue] = []
 
     def error(kind: str, message: str) -> None:
@@ -352,8 +366,8 @@ def validate(
             )
         raters[j.rater_id] = j.grade
 
-    for qid, pair in dataset.pair_by_query.items():
-        for result_id in sorted({*pair.variant_a[:max_cutoff], *pair.variant_b[:max_cutoff]}):
+    for qid, pair in dataset.pair_by_query.items():  # key=str sorts a bad-id non-string too
+        for result_id in sorted({*pair.variant_a[:max_cutoff], *pair.variant_b[:max_cutoff]}, key=str):
             if (qid, result_id) not in grades:
                 missing = (
                     f"result {result_id!r} of query {qid!r} appears at rank"
@@ -381,7 +395,8 @@ def validate(
         seen_verdicts.add(key)
 
     def session_error(kind: str, s: Session, message: str) -> None:
-        error(kind, f"session ({s.query_id!r}, {s.rater_id!r}, {s.variant.value}) {message}")
+        variant = getattr(s.variant, "value", s.variant)  # a bad-field variant has no value
+        error(kind, f"session ({s.query_id!r}, {s.rater_id!r}, {variant}) {message}")
 
     for s in dataset.sessions:
         if s.query_id not in known:
@@ -397,10 +412,10 @@ def validate(
         sessions_by_rater = Counter(s.rater_id for s in group)
         for rater in [r for r, n in sessions_by_rater.items() if n > 1]:
             error("duplicate-session", f"rater {rater!r} has more than one"
-                  f" {variant.value} session for query {qid!r}")
+                  f" {getattr(variant, 'value', variant)} session for query {qid!r}")
 
-    for message in bad_ids:
-        error("bad-id", message)
+    for kind, message in faults:
+        error(kind, message)
     report = ValidationReport(mode=mode, issues=tuple(issues))
     if report.ok:
         dataset.__dict__["grades"] = grades

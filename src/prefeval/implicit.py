@@ -197,11 +197,12 @@ def descriptive_stats(dataset: EvaluationDataset) -> DescriptiveStats:
     Per-rank relevance averages each result over its raters first, then
     averages those result means across queries.
     """
+    variants = {v: _variant_stats(dataset, v) for v in (Variant.A, Variant.B)}  # validates first
     by_type: dict[str, list[int]] = {}
     for q in dataset.queries:
         by_type.setdefault(q.query_type.value, []).append(len(q.text.split()))
     return DescriptiveStats(
-        variants={v: _variant_stats(dataset, v) for v in (Variant.A, Variant.B)},
+        variants=variants,
         query_types={
             qt: QueryTypeStats(queries=len(lengths), mean_terms=sum(lengths) / len(lengths))
             for qt, lengths in sorted(by_type.items())

@@ -21,20 +21,28 @@ from prefeval.data_io import (
 )
 from prefeval.dataset import (
     Click,
+    Language,
+    QueryType,
     ValidationError,
     ValidationMode,
     Variant,
     Verdict,
     validate,
 )
+from prefeval.implicit import descriptive_stats
 from prefeval.pir import pir
 from prefeval.config import Metric, MetricConfig
 from prefeval.scales import DiscountFunction, DiscountKind
 from prefeval.synth import SynthSpec, generate_synthetic
 
 
-# Every id the id rule accepts: non-empty, no tab, LF or CR, no lone surrogate.
-ID = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"), min_size=1)
+# Every character a record field can hold: no tab, LF or CR, no lone surrogate.
+FIELD_CHARS = st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r")
+# Every query text or information need, and every id the id rule accepts (non-empty).
+TEXT = st.text(FIELD_CHARS)
+ID = st.text(FIELD_CHARS, min_size=1)
+# (kind, id) of one id of each kind in a SynthSpec(3, 2, 1) dataset
+ID_KINDS = [("query", "q002"), ("result", "q002-b03"), ("rater", "u01")]
 
 
 @pytest.fixture
@@ -592,48 +600,92 @@ class TestWriterBytes:
         queries = list(round_trip_dataset.queries)
         queries[2] = dataclasses.replace(queries[2], **{field: f"left{char}right"})
         ds = dataclasses.replace(round_trip_dataset, queries=tuple(queries))
-        assert validate(ds).ok
-        with pytest.raises(ValueError) as exc:
-            write_dataset(ds, tmp_path / "out")
         fault = "does not encode as UTF-8" if char == "\udc80" else "holds a tab or line break"
-        assert str(exc.value) == (f"query {queries[2].id!r} {field} {fault},"
-                                  " which a record file cannot hold")
-        assert not (tmp_path / "out").exists()
+        assert _refused_alike(ds, tmp_path / "out", "bad-field") == (
+            f"query {queries[2].id!r} {field} {fault}, which a record file cannot hold")
+
+    @pytest.mark.parametrize("field", ["text", "info_need"])
+    def test_query_text_that_is_not_a_string_is_refused_before_any_file(
+            self, tmp_path, round_trip_dataset, field):
+        queries = list(round_trip_dataset.queries)
+        queries[2] = dataclasses.replace(queries[2], **{field: None})
+        ds = dataclasses.replace(round_trip_dataset, queries=tuple(queries))
+        assert _refused_alike(ds, tmp_path / "out", "bad-field") == (
+            f"query {queries[2].id!r} {field} is not a string, which a record file cannot hold")
 
     @pytest.mark.parametrize("char", ["\t", "\n", "\r", "\ud800"],
                              ids=["tab", "lf", "cr", "surrogate"])
-    @pytest.mark.parametrize("kind, old", [("query", "q002"), ("result", "q002-b03"),
-                                           ("rater", "u01")])
+    @pytest.mark.parametrize("kind, old", ID_KINDS)
     def test_line_breaking_id_is_refused_before_any_file(self, tmp_path, kind, old, char):
         # With rater u01 renamed 'u 0\t1' in every record, this dataset was once written,
         # and then failed to load ("needs 4 or 5 fields, got 6"); with 'u 0\ud8001', the
         # writer left queries.tsv and part of judgments.tsv behind.
         new = f"{old[0]} {old[1:-1]}{char}{old[-1]}"
         ds = _rename_id(generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6)), kind, old, new)
-        report = validate(ds)  # fails, so it keeps no grade index and the writer runs the rule
-        with pytest.raises(ValueError) as exc:
-            write_dataset(ds, tmp_path / "out")
         fault = "does not encode as UTF-8" if char == "\ud800" else "holds a tab or line break"
-        assert str(exc.value) == f"{kind} id {new!r} {fault}, which a record file cannot hold"
-        assert [(i.kind, i.message) for i in report.issues] == [("bad-id", str(exc.value))]
-        assert not (tmp_path / "out").exists()
+        assert _refused_alike(ds, tmp_path / "out", "bad-id") == (
+            f"{kind} id {new!r} {fault}, which a record file cannot hold")
 
-    @pytest.mark.parametrize("kind, old", [("query", "q002"), ("result", "q002-b03"),
-                                           ("rater", "u01")])
+    @pytest.mark.parametrize("kind, old", ID_KINDS)
     def test_empty_id_is_refused_before_any_file(self, tmp_path, kind, old):
         # With rater u01 renamed '' in every record, this dataset was once written, and
         # then failed to load ("judgments.tsv:2: rater_id is empty").
         ds = _rename_id(generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6)), kind, old, "")
-        report = validate(ds)  # fails, so it keeps no grade index and the writer runs the rule
+        assert _refused_alike(ds, tmp_path / "out", "bad-id") == (
+            f"{kind} id is empty, which a record file cannot load")
+
+    @pytest.mark.parametrize("kind, old", ID_KINDS)
+    def test_id_that_is_not_a_string_is_refused_before_any_file(self, tmp_path, kind, old):
+        # With rater u01 renamed to the int 7 in every record, this dataset validated and was
+        # written, and loaded back with rater '7'; with result q002-b03 renamed 7, validate
+        # raised TypeError sorting the list's result ids.
+        ds = _rename_id(generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6)), kind, old, 7)
+        assert _refused_alike(ds, tmp_path / "out", "bad-id") == (
+            f"{kind} id 7 is not a string, which a record file cannot hold")
+
+    @pytest.mark.parametrize("records, field, enum", [
+        ("queries", "query_type", QueryType), ("queries", "language", Language),
+        ("preferences", "verdict", Verdict), ("sessions", "variant", Variant)])
+    def test_enum_field_holding_a_plain_string_is_refused_before_any_file(
+            self, tmp_path, records, field, enum):
+        # With each verdict its plain string value, this dataset validated, PIR counted every
+        # verdict as a missed preference (verdicts are compared by identity), and the writer
+        # left four files behind before raising AttributeError.
+        ds = generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6))
+        plain = tuple(dataclasses.replace(r, **{field: getattr(r, field).value})
+                      for r in getattr(ds, records))
+        ds = dataclasses.replace(ds, **{records: plain})
+        assert _refused_alike(ds, tmp_path / "out", "bad-field") == (
+            f"{field} {getattr(plain[0], field)!r} is not a {enum.__name__}")
+        with pytest.raises(ValidationError):  # before it reads a query type
+            descriptive_stats(ds)
+
+    def test_a_text_fault_comes_before_an_id_fault(self, tmp_path):
+        # the writer checked texts before ids, so its first message stays the text's
+        ds = _rename_id(generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6)), "rater", "u01", "")
+        first, *rest = ds.queries
+        ds = dataclasses.replace(ds, queries=(
+            first, dataclasses.replace(rest[0], info_need="a\tb"), *rest[1:]))
+        report = validate(ds)
         with pytest.raises(ValueError) as exc:
             write_dataset(ds, tmp_path / "out")
-        assert str(exc.value) == f"{kind} id is empty, which a record file cannot load"
-        assert [(i.kind, i.message) for i in report.issues] == [("bad-id", str(exc.value))]
-        assert not (tmp_path / "out").exists()
-        with pytest.raises(ValidationError) as refused:  # scoring validates leniently, too
-            ds.grades
-        assert [(i.kind, i.message) for i in refused.value.report.errors] == [
-            ("bad-id", str(exc.value))]
+        assert str(exc.value) == (f"query {rest[0].id!r} info_need holds a tab or line break,"
+                                  " which a record file cannot hold")
+        assert [(i.kind, i.message) for i in report.issues] == [
+            ("bad-field", str(exc.value)),
+            ("bad-id", "rater id is empty, which a record file cannot load")]
+
+    def test_plain_string_session_variant_keeps_the_session_messages(self):
+        # validate raised AttributeError naming such a session in its own message
+        ds = generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6))
+        first = ds.sessions[0]
+        broken = dataclasses.replace(first, variant=first.variant.value, start_ts=first.end_ts + 1)
+        sessions = (broken, *ds.sessions[1:])
+        report = validate(dataclasses.replace(ds, sessions=sessions))
+        assert [(i.kind, i.message) for i in report.issues] == [
+            ("time-order", f"session ({first.query_id!r}, {first.rater_id!r},"
+                           f" {first.variant.value}) starts after it ends"),
+            ("bad-field", f"variant {first.variant.value!r} is not a Variant")]
 
     @pytest.mark.parametrize("records, field, kind", [
         ("queries", "id", "query"), ("judgments", "query_id", "query"),
@@ -670,6 +722,48 @@ class TestWriterBytes:
         with tempfile.TemporaryDirectory() as tmp:
             write_dataset(ds, tmp)
             assert load_dataset(tmp) == ds
+
+    @given(text=TEXT, info_need=TEXT)
+    @example(text="", info_need="")
+    @example(text=" \x85 \u2028", info_need="#prefeval\x0b\ufeff ")
+    def test_every_text_validate_accepts_round_trips(self, text, info_need):
+        ds = generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6))
+        first, *rest = ds.queries
+        ds = dataclasses.replace(ds, queries=(
+            first, dataclasses.replace(rest[0], text=text, info_need=info_need), *rest[1:]))
+        assert validate(ds).ok
+        with tempfile.TemporaryDirectory() as tmp:
+            write_dataset(ds, tmp)
+            assert load_dataset(tmp) == ds
+
+    @given(text=TEXT, at=st.integers(min_value=0), char=st.sampled_from("\t\n\r\ud800"),
+           field=st.sampled_from(["text", "info_need"]))
+    def test_every_text_validate_refuses_the_writer_refuses(self, text, at, char, field):
+        ds = generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6))
+        at %= len(text) + 1
+        first, *rest = ds.queries
+        broken = dataclasses.replace(rest[0], **{field: text[:at] + char + text[at:]})
+        ds = dataclasses.replace(ds, queries=(first, broken, *rest[1:]))
+        fault = "does not encode as UTF-8" if char == "\ud800" else "holds a tab or line break"
+        with tempfile.TemporaryDirectory() as tmp:
+            assert _refused_alike(ds, Path(tmp) / "out", "bad-field") == (
+                f"query {rest[0].id!r} {field} {fault}, which a record file cannot hold")
+
+
+def _refused_alike(ds, out: Path, kind: str) -> str:
+    """The writer's ValueError text for ``ds``, checked to be ``validate``'s one error, of ``kind``.
+
+    Also checks that the writer created nothing at ``out`` and that scoring refuses ``ds``.
+    """
+    report = validate(ds)
+    with pytest.raises(ValueError) as exc:
+        write_dataset(ds, out)
+    assert [(i.kind, i.message) for i in report.issues] == [(kind, str(exc.value))]
+    assert not out.exists()
+    with pytest.raises(ValidationError) as refused:  # scoring validates leniently, too
+        ds.grades
+    assert refused.value.report.errors == report.errors
+    return str(exc.value)
 
 
 def _rename_id(ds, kind, old, new):

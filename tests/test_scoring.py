@@ -721,22 +721,33 @@ class TestLayering:
         assert importers <= {"dataset", "data_io"}
 
     def test_only_validate_and_the_writer_run_the_id_rule(self):
-        # one id rule, so validate and write_dataset cannot disagree on the ids a file holds
+        # one rule for what a record file can hold, so validate and write_dataset cannot disagree
         definers, callers, importers = set(), set(), set()
         for path in Path(scoring.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.FunctionDef) and node.name == "id_faults":
+                if isinstance(node, ast.FunctionDef) and node.name == "record_faults":
                     definers.add(path.stem)
                 elif isinstance(node, ast.FunctionDef) and any(
-                        isinstance(n, ast.Name) and n.id == "id_faults"
-                        or isinstance(n, ast.Attribute) and n.attr == "id_faults"
+                        isinstance(n, ast.Name) and n.id == "record_faults"
+                        or isinstance(n, ast.Attribute) and n.attr == "record_faults"
                         for n in ast.walk(node)):
                     callers.add((path.stem, node.name))
-                elif isinstance(node, ast.alias) and node.name == "id_faults":
+                elif isinstance(node, ast.alias) and node.name == "record_faults":
                     importers.add(path.stem)
         assert definers == {"dataset"}
         assert callers == {("dataset", "validate"), ("data_io", "write_dataset")}
         assert importers == {"data_io"}
+
+    def test_only_the_record_rule_checks_a_field(self):
+        # the writer keeps no field loop of its own beside the rule
+        namers = set()
+        for path in Path(scoring.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Name) and node.id == "field_fault"
+                        or isinstance(node, ast.Attribute) and node.attr == "field_fault"
+                        or isinstance(node, ast.alias) and node.name == "field_fault"):
+                    namers.add(path.stem)
+        assert namers == {"dataset"}
 
     def test_other_modules_import_only_the_engine_entry_points(self):
         # one scorer entry point, so a second one cannot come back unseen
