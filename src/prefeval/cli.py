@@ -32,7 +32,7 @@ from .implicit import (
     descriptive_stats,
     implicit_pir,
 )
-from .pir import CATEGORIES, DEFAULT_THRESHOLDS, best_cell, check_grid, check_increasing, pir_sweep
+from .pir import CATEGORIES, DEFAULT_THRESHOLDS, check_grid, check_increasing, pir_sweep
 from .scales import DiscountFunction, DiscountKind, RelevanceScale
 from .scoring import MissingJudgment, resolve_preferences, scorer
 from .synth import SynthSpec, generate_synthetic
@@ -271,13 +271,13 @@ def cmd_sweep(args) -> int:
                   zip(t_texts, *pir_texts))
         counts = []
         for k, (cutoff, row, pirs) in enumerate(zip(cutoffs, rows, pir_texts)):
-            best = thresholds.index(row.best_threshold()[0])
+            best = row.best_index()
             for table, text in zip(summaries.values(), (pirs[best], t_texts[best], pirs[0])):
                 table[k].append(text)
-            counts += ([cutoff, t, pir, *cell[2:], row.excluded_pairs]
+            counts += ([cutoff, t, pir, *cell[2:], row.excluded]
                        for t, pir, cell in zip(t_texts, pirs, row.cells))
             empty_cells += sum(cell.empty_denominator for cell in row.cells)
-            total_excluded += row.excluded_pairs
+            total_excluded += row.excluded
         write_tsv(out / f"counts_{label}.tsv",
                   ["cutoff", "threshold", "pir", *CATEGORIES, "excluded_pairs"], counts)
         if args.plot:
@@ -324,8 +324,8 @@ def cmd_breakdown(args) -> int:
     for name, share in at.shares().items():
         print(f"{name}\t{getattr(at, name)}\t{_fmt(float(share))}")
     print(f"pir\t{_fmt(at.pir)}")
-    if row.excluded_pairs:
-        print(f"excluded pairs: {row.excluded_pairs}", file=sys.stderr)
+    if row.excluded:
+        print(f"excluded pairs: {row.excluded}", file=sys.stderr)
     if args.series:
         rows = [[_fmt(cell.threshold), *(_fmt(float(share)) for share in cell.shares().values()),
                  _fmt(cell.pir)] for cell in row.cells]
@@ -358,10 +358,10 @@ def cmd_implicit(args) -> int:
     print("threshold\tpir")
     for line in lines:
         print("\t".join(line))
-    t_text, pir_text = lines[thresholds.index(best_cell(series.cells).threshold)]
+    t_text, pir_text = lines[series.best_index()]
     print(f"best\t{t_text} -> {pir_text}")
-    if series.excluded_queries:
-        print(f"excluded queries: {series.excluded_queries}", file=sys.stderr)
+    if series.excluded:
+        print(f"excluded queries: {series.excluded}", file=sys.stderr)
     if args.out:
         write_tsv(args.out, ["threshold", "pir"], lines)
     return EXIT_OK

@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cached_property, wraps
 from operator import attrgetter
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .scales import GRADE_BEST, GRADE_WORST, check_grade
 
@@ -255,29 +255,32 @@ def record_faults(dataset: EvaluationDataset) -> list[tuple[str, str]]:
     """``(kind, message)`` for each field of ``dataset`` that a record file cannot hold.
 
     First ``bad-field``: each query text or information need :func:`field_fault` refuses,
-    then each enum field holding a non-member, naming the first.  Then ``bad-id``, once per
-    kind of id (query, result, rater) naming its smallest offender: an id is a string,
-    non-empty, holds no tab, LF or CR and encodes as UTF-8.
+    then each enum, int or optional bool field holding another type (a bool is no int), naming
+    the first.  Then ``bad-id``, once per kind of id (query, result, rater) naming its smallest
+    offender: an id is a string, non-empty, holds no tab, LF or CR and encodes as UTF-8.
     """
     faults = [("bad-field", f"query {q.id!r} {name} {fault}, which a record file cannot hold")
               for q in dataset.queries for name in ("text", "info_need")
               if (fault := field_fault(getattr(q, name)))]
     get = attrgetter
-    for records, name, enum in ((dataset.queries, "query_type", QueryType),
-                                (dataset.queries, "language", Language),
-                                (dataset.preferences, "verdict", Verdict),
-                                (dataset.sessions, "variant", Variant)):
-        if set(map(type, map(get(name), records))) - {enum}:  # one pass in C per field
-            bad = next(v for v in map(get(name), records) if type(v) is not enum)
-            faults.append(("bad-field", f"{name} {bad!r} is not a {enum.__name__}"))
-    queries, results, raters = (set(map(get(name), dataset.judgments))
-                                for name in ("query_id", "result_id", "rater_id"))
-    pairs, others = dataset.list_pairs, (dataset.preferences, dataset.sessions)
-    queries.update(map(get("id"), dataset.queries), map(get("query_id"), pairs),
-                   *(map(get("query_id"), records) for records in others))
-    results.update(*map(get("variant_a"), pairs), *map(get("variant_b"), pairs))
-    raters.update(*(map(get("rater_id"), records) for records in others))
-    for kind, ids in (("query", queries), ("result", results), ("rater", raters)):
+    clicks, flag = [c for s in dataset.sessions for c in s.clicks], {bool, type(None)}
+    for records, name, types, what in (
+            (dataset.queries, "query_type", {QueryType}, "a QueryType"),
+            (dataset.queries, "language", {Language}, "a Language"),
+            (dataset.preferences, "verdict", {Verdict}, "a Verdict"),
+            (dataset.sessions, "variant", {Variant}, "a Variant"),
+            (dataset.sessions, "start_ts", {int}, "an int"), (dataset.sessions, "end_ts", {int}, "an int"),
+            (clicks, "rank", {int}, "an int"), (clicks, "ts", {int}, "an int"),
+            (dataset.sessions, "satisfied", flag, "a bool or None"),
+            (dataset.judgments, "snippet_relevant", flag, "a bool or None")):
+        if set(map(type, map(get(name), records))) - types:  # one pass in C per field
+            bad = next(v for v in map(get(name), records) if type(v) not in types)
+            faults.append(("bad-field", f"{name} {bad!r} is not {what}"))
+    for kind, sources in _ids(dataset).items():
+        try:
+            ids = set().union(*sources)
+        except TypeError:  # an unhashable id, which no set holds
+            ids = [i for source in _ids(dataset)[kind] for i in source]
         strings = set(map(type, ids)) <= {str}
         if strings and "" in ids:
             faults.append(("bad-id", f"{kind} id is empty, which a record file cannot load"))
@@ -285,6 +288,17 @@ def record_faults(dataset: EvaluationDataset) -> list[tuple[str, str]]:
             bad = min((i for i in ids if field_fault(i) == fault), key=str)
             faults.append(("bad-id", f"{kind} id {bad!r} {fault}, which a record file cannot hold"))
     return faults
+
+
+def _ids(dataset: EvaluationDataset) -> dict[str, tuple[Iterable, ...]]:
+    """The iterables over each kind of id (query, result, rater) that ``dataset``'s records hold."""
+    get, pairs = attrgetter, dataset.list_pairs
+    holders = (dataset.judgments, dataset.preferences, dataset.sessions)
+    return {"query": (map(get("id"), dataset.queries), map(get("query_id"), pairs),
+                      *(map(get("query_id"), records) for records in holders)),
+            "result": (map(get("result_id"), dataset.judgments),
+                       *map(get("variant_a"), pairs), *map(get("variant_b"), pairs)),
+            "rater": tuple(map(get("rater_id"), records) for records in holders)}
 
 
 @gc_paused
@@ -301,10 +315,25 @@ def validate(
     :func:`record_faults` fault (``bad-field``, ``bad-id``).  A listed
     result at rank <= ``max_cutoff`` without any judgment is an error in
     strict mode and a warning in lenient mode, where downstream scoring
-    substitutes relevance 0 for it.  When the report has no error, the grade index
+    substitutes relevance 0 for it.  A mistyped field that a check cannot compare or key on
+    leaves the record faults as the only errors.  When the report has no error, the grade index
     built while checking is kept as the dataset's ``grades``.
     """
     faults = record_faults(dataset)  # before the grade index, so its sets add nothing to the peak
+    try:
+        issues, grades = _check_records(dataset, mode, max_cutoff)
+    except TypeError:  # a mistyped field, which the faults name
+        if not faults:
+            raise
+        issues, grades = [], None
+    report = ValidationReport(mode, tuple(issues + [ValidationIssue("error", *f) for f in faults]))
+    if report.ok:
+        dataset.__dict__["grades"] = grades
+    return report
+
+
+def _check_records(dataset: EvaluationDataset, mode: ValidationMode, max_cutoff: int) -> tuple:
+    """:func:`validate`'s checks but the record rule: the issues, and the grade index."""
     issues: list[ValidationIssue] = []
 
     def error(kind: str, message: str) -> None:
@@ -414,9 +443,4 @@ def validate(
             error("duplicate-session", f"rater {rater!r} has more than one"
                   f" {getattr(variant, 'value', variant)} session for query {qid!r}")
 
-    for kind, message in faults:
-        error(kind, message)
-    report = ValidationReport(mode=mode, issues=tuple(issues))
-    if report.ok:
-        dataset.__dict__["grades"] = grades
-    return report
+    return issues, grades

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Mapping, Optional, Sequence
 
 from .dataset import CLICK_ORDER, EvaluationDataset, Session, Variant, Verdict
-from .pir import PirCell, check_increasing, pir_cells
+from .pir import PirRow, check_increasing, pir_cells
 from .scales import UNITS, RelevanceScale
 from .scoring import _relevance
 
@@ -78,14 +78,6 @@ def measure_session(
     raise ValueError(f"unknown measure {measure!r}")
 
 
-@dataclass(frozen=True)
-class ImplicitSeries:
-    """PIR across thresholds for one session measure."""
-
-    cells: tuple[PirCell, ...]
-    excluded_queries: int
-
-
 def implicit_pir(
     dataset: EvaluationDataset,
     measure: ImplicitMeasure,
@@ -93,20 +85,22 @@ def implicit_pir(
     direction: Direction = Direction.LOWER_BETTER,
     thresholds: Optional[Sequence[float]] = None,
     band: Optional[tuple[float, float]] = None,
-) -> ImplicitSeries:
+) -> PirRow:
     """PIR of a session measure across a strictly increasing grid of thresholds in its unit.
 
     A variant scores a query by the mean of ``measure_session`` over all
     raters' sessions of that variant that have a value and, when ``band``
     is given, whose value lies in [lo, hi] (bounds included).  A query
     with no such session on either side is excluded: none of its
-    verdicts is compared, and it counts once in ``excluded_queries``.
+    verdicts is compared, and it counts once in the row's ``excluded``.
     LOWER_BETTER negates both means, so every query's difference A - B
-    feeds the standard higher-is-better PIR aggregation.
+    feeds the standard higher-is-better PIR aggregation.  A dataset no
+    validation passed is validated leniently first, as scoring does.
     """
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLD_GRIDS[measure]
     check_increasing(thresholds)
+    dataset.grades  # validates a dataset nobody validated, before any verdict is read
     sign = -1.0 if direction is Direction.LOWER_BETTER else 1.0
     sessions = dataset.sessions_by_query_variant
     diff_by_query: dict[str, Optional[float]] = {}
@@ -126,7 +120,7 @@ def implicit_pir(
             differences.append(diff_by_query[qid])
             verdicts.append(p.verdict)
     excluded = sum(diff is None for diff in diff_by_query.values())
-    return ImplicitSeries(pir_cells(differences, verdicts, thresholds), excluded)
+    return PirRow(pir_cells(differences, verdicts, thresholds), excluded)
 
 
 @dataclass(frozen=True)

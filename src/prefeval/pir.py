@@ -15,7 +15,8 @@ either way) but are tracked in the five-category breakdown.
 :func:`pir_sweep` walks each scope's verdicts once, scoring every
 verdict once through a scorer built for the scope
 (:func:`~prefeval.scoring.scorer`), and counts each row from one sort
-(:func:`pir_cells`).
+(:func:`pir_cells`).  A :class:`PirRow` is one threshold series, of a config or of
+a session measure, and :meth:`PirRow.best_index` its one best-threshold rule.
 """
 
 from __future__ import annotations
@@ -164,25 +165,24 @@ def pir_cells(
     return tuple(cells)
 
 
-def best_cell(cells: Sequence[PirCell]) -> PirCell:
-    """The first cell of maximal PIR, so on an increasing grid ties go to the lowest t."""
-    best = cells[0]
-    for cell in cells[1:]:
-        if cell.pir > best.pir:
-            best = cell
-    return best
-
-
 @dataclass(frozen=True)
 class PirRow:
-    """All threshold cells of one configuration at one cut-off."""
+    """The threshold cells of one config at one cut-off, or of one session measure.
+
+    ``excluded`` counts the verdicts (a config) or queries (a session measure) left out.
+    """
 
     cells: tuple[PirCell, ...]
-    excluded_pairs: int
+    excluded: int
+
+    def best_index(self) -> int:
+        """The first cell of maximal PIR, so on an increasing grid ties go to the lowest t."""
+        pirs = [cell.pir for cell in self.cells]
+        return pirs.index(max(pirs))
 
     def best_threshold(self) -> tuple[float, float]:
-        """(threshold, PIR) of the maximal cell, ties broken toward the lowest t."""
-        best = best_cell(self.cells)
+        """(threshold, PIR) of the :meth:`best_index` cell."""
+        best = self.cells[self.best_index()]
         return best.threshold, best.pir
 
 

@@ -419,7 +419,7 @@ class TestSweepCommand:
              for kind, ext in (("grid", "tsv"), ("counts", "tsv"), ("grid", "svg"))]
             + [f"{name}.tsv" for name in summaries]
             + ["best_threshold_pir.svg", "zero_threshold_pir.svg"])
-        excluded = {c: grid.row(configs[0], c).excluded_pairs for c in cutoffs}
+        excluded = {c: grid.row(configs[0], c).excluded for c in cutoffs}
         assert excluded[7] == 0 < excluded[3]
 
         def table(name):
@@ -434,7 +434,7 @@ class TestSweepCommand:
                 ["cutoff", "threshold", "pir", *CATEGORIES, "excluded_pairs"]] + [
                 [str(c), f"{cell.threshold:.4f}", f"{cell.pir:.4f}"]
                 + [str(getattr(cell, name)) for name in CATEGORIES]
-                + [str(rows[c].excluded_pairs)]
+                + [str(rows[c].excluded)]
                 for c in cutoffs for cell in rows[c].cells]
             svg = (out / f"grid_{cfg.label()}.svg").read_text()
             assert svg.count("<polyline") == len(cutoffs)

@@ -634,14 +634,16 @@ class TestWriterBytes:
         assert _refused_alike(ds, tmp_path / "out", "bad-id") == (
             f"{kind} id is empty, which a record file cannot load")
 
+    @pytest.mark.parametrize("new", [7, ["u", "01"]], ids=["int", "list"])
     @pytest.mark.parametrize("kind, old", ID_KINDS)
-    def test_id_that_is_not_a_string_is_refused_before_any_file(self, tmp_path, kind, old):
+    def test_id_that_is_not_a_string_is_refused_before_any_file(self, tmp_path, kind, old, new):
         # With rater u01 renamed to the int 7 in every record, this dataset validated and was
         # written, and loaded back with rater '7'; with result q002-b03 renamed 7, validate
-        # raised TypeError sorting the list's result ids.
-        ds = _rename_id(generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6)), kind, old, 7)
+        # raised TypeError sorting the list's result ids.  Renamed ['u', '01'], an id no set
+        # can hold, validate raised TypeError building its id sets.
+        ds = _rename_id(generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6)), kind, old, new)
         assert _refused_alike(ds, tmp_path / "out", "bad-id") == (
-            f"{kind} id 7 is not a string, which a record file cannot hold")
+            f"{kind} id {new!r} is not a string, which a record file cannot hold")
 
     @pytest.mark.parametrize("records, field, enum", [
         ("queries", "query_type", QueryType), ("queries", "language", Language),
@@ -659,6 +661,36 @@ class TestWriterBytes:
             f"{field} {getattr(plain[0], field)!r} is not a {enum.__name__}")
         with pytest.raises(ValidationError):  # before it reads a query type
             descriptive_stats(ds)
+
+    @pytest.mark.parametrize("records, field, change, message", [
+        ("sessions", "end_ts", lambda v: v + 0.5, "end_ts {!r} is not an int"),
+        ("sessions", "end_ts", lambda v: "17", "end_ts '17' is not an int"),
+        ("sessions", "start_ts", lambda v: True, "start_ts True is not an int"),
+        ("clicks", "rank", lambda v: "1", "rank '1' is not an int"),
+        ("clicks", "ts", float, "ts {!r} is not an int"),
+        ("sessions", "satisfied", lambda v: "yes", "satisfied 'yes' is not a bool or None"),
+        ("judgments", "snippet_relevant", lambda v: "yes",
+         "snippet_relevant 'yes' is not a bool or None"),
+    ], ids=["end-float", "end-text", "start-bool", "rank-text", "ts-float", "satisfied-text",
+            "snippet-text"])
+    def test_int_or_bool_field_of_another_type_is_refused_before_any_file(
+            self, tmp_path, records, field, change, message):
+        # With the first session's end_ts raised by 0.5, this dataset validated and was
+        # written, and then failed to load; with end_ts '17', validate raised TypeError
+        # comparing it; with snippet_relevant 'yes', it was written as true.
+        ds = generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6))
+        if records == "clicks":
+            i, session = next((i, s) for i, s in enumerate(ds.sessions) if s.clicks)
+            first, *rest = session.clicks
+            bad = dataclasses.replace(first, **{field: change(getattr(first, field))})
+            session = dataclasses.replace(session, clicks=(bad, *rest))
+            ds = dataclasses.replace(ds, sessions=(*ds.sessions[:i], session, *ds.sessions[i + 1:]))
+        else:
+            first, *rest = getattr(ds, records)
+            bad = dataclasses.replace(first, **{field: change(getattr(first, field))})
+            ds = dataclasses.replace(ds, **{records: (bad, *rest)})
+        assert _refused_alike(ds, tmp_path / "out", "bad-field") == (
+            message.format(getattr(bad, field)))
 
     def test_a_text_fault_comes_before_an_id_fault(self, tmp_path):
         # the writer checked texts before ids, so its first message stays the text's

@@ -144,7 +144,7 @@ class TestImplicitPir:
             dict(qid="q2", variant=Variant.B, start=0, end=20),
         ])
         series = implicit_pir(ds, ImplicitMeasure.DURATION)
-        assert series.excluded_queries == 1
+        assert series.excluded == 1
         assert series.cells[0].total_pairs == 1
 
     def test_last_click_endpoint_excludes_clickless_variants(self):
@@ -156,7 +156,7 @@ class TestImplicitPir:
         ])
         series = implicit_pir(ds, ImplicitMeasure.DURATION,
                               endpoint=SessionEndpoint.LAST_CLICK)
-        assert series.excluded_queries == 1
+        assert series.excluded == 1
 
     def test_band_keeps_its_bounds_and_excludes_each_query_once(self):
         ds = binary_pair_dataset(
@@ -175,12 +175,12 @@ class TestImplicitPir:
         ])
         series = implicit_pir(ds, DURATION, thresholds=(0.0, 10.0), band=(30.0, 60.0))
         # q2 and its three verdicts drop out; q1 prefers A by 30 s, q3 by 50 - 40 = 10 s.
-        assert series.excluded_queries == 1
+        assert series.excluded == 1
         assert [(c.total_pairs, c.correct_pref, c.missed_pref) for c in series.cells] == [
             (2, 2, 0), (2, 1, 1)]
         assert [c.pir for c in series.cells] == [1.0, 0.75]
         unbanded = implicit_pir(ds, DURATION, thresholds=(0.0,))
-        assert unbanded.excluded_queries == 0
+        assert unbanded.excluded == 0
         assert unbanded.cells[0].total_pairs == 5
 
     def test_variant_scores_average_over_raters(self):
@@ -194,7 +194,7 @@ class TestImplicitPir:
         ])
         series = implicit_pir(ds, DURATION, direction=Direction.LOWER_BETTER,
                               thresholds=(0.0, 59.0, 60.0))
-        assert series.excluded_queries == 0
+        assert series.excluded == 0
         # q1: mean(30, 50) = 40 s against 100 s, a 60 s gap for A; q2 ties and misses its B.
         assert [(c.correct_pref, c.missed_pref) for c in series.cells] == [(1, 1), (1, 1), (0, 2)]
         assert [c.pir for c in series.cells] == [0.75, 0.75, 0.5]
@@ -221,7 +221,7 @@ class TestImplicitPir:
                 else:
                     pairs.append((score_a, score_b, p.verdict))
             series = implicit_pir(ds, measure, endpoint, direction)
-            assert series.excluded_queries == len(excluded), (endpoint, direction, measure)
+            assert series.excluded == len(excluded), (endpoint, direction, measure)
             for cell in series.cells:
                 assert cell == pir(pairs, cell.threshold), (endpoint, direction, measure)
 

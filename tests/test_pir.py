@@ -205,7 +205,7 @@ class TestDetailedBreakdown:
     def test_worked_example_categories_at_zero(self, sample_pir_dataset):
         row = one_row(sample_pir_dataset, PRECISION_NONE, (0.0,))
         (cell,) = row.cells
-        assert row.excluded_pairs == 0
+        assert row.excluded == 0
         assert dict(zip(CATEGORIES, cell[2:])) == {
             "correct_pref": 3,
             "correct_equal": 0,
@@ -225,7 +225,7 @@ class TestDetailedBreakdown:
     def test_breakdown_row_covers_grid(self, sample_pir_dataset):
         row = one_row(sample_pir_dataset, PRECISION_NONE)
         assert len(row.cells) == len(DEFAULT_THRESHOLDS)
-        assert row.excluded_pairs == 0
+        assert row.excluded == 0
 
 
 class TestScorePairsOnDataset:
@@ -267,19 +267,25 @@ class TestBestThreshold:
             threshold=t, pir=v, correct_pref=0, correct_equal=0, false_pref=0,
             missed_pref=0, reversed_pref=0,
         ) for t, v in mapping)
-        return PirRow(cells=cells, excluded_pairs=0)
+        return PirRow(cells=cells, excluded=0)
 
     def test_picks_maximum(self):
         row = self.row([(0.0, 0.75), (0.15, 0.875), (0.35, 0.625)])
         assert row.best_threshold() == (0.15, 0.875)
+        best = row.cells[row.best_index()]
+        assert (best.threshold, best.pir) == (0.15, 0.875)
 
     def test_constant_row_breaks_tie_to_zero(self):
         row = self.row([(0.0, 0.7), (0.1, 0.7), (0.2, 0.7)])
         assert row.best_threshold() == (0.0, 0.7)
+        best = row.cells[row.best_index()]
+        assert (best.threshold, best.pir) == (0.0, 0.7)
 
     def test_tie_goes_to_lowest_threshold(self):
         row = self.row([(0.0, 0.8), (0.01, 0.8), (0.02, 0.7)])
         assert row.best_threshold() == (0.0, 0.8)
+        best = row.cells[row.best_index()]
+        assert (best.threshold, best.pir) == (0.0, 0.8)
 
 
 class TestSweep:

@@ -96,7 +96,7 @@ class TestSwapSymmetry:
         swapped = pir_sweep(swap_variants(ds), configs, thresholds, cutoffs)
         for key, row in grid.rows.items():
             assert swapped.rows[key].cells == row.cells
-            assert swapped.rows[key].excluded_pairs == row.excluded_pairs
+            assert swapped.rows[key].excluded == row.excluded
 
 
 class TestSignAndOffsetInvariance:

@@ -22,7 +22,7 @@ from prefeval.dataset import (
     Verdict,
 )
 from prefeval import cli, metrics, oracle, scales, scoring
-from prefeval.implicit import descriptive_stats
+from prefeval.implicit import ImplicitMeasure, descriptive_stats, implicit_pir
 from prefeval.metrics import ApNorm
 from prefeval.oracle import judged_lists, metric_score
 from prefeval.pir import pir_sweep
@@ -365,6 +365,21 @@ class TestResolveEquivalence:
             "missing judgment: no rater besides 'u01' judged ('q004', 'q004-a01')\n")
 
 
+# Every public analysis that takes a dataset, as the gate test runs it; the layering
+# guard checks that no other public function takes one.
+GATED_ANALYSES = {
+    "pir_sweep": lambda ds, cfg: pir_sweep(ds, [cfg]),
+    "resolve_preferences": lambda ds, cfg: resolve_preferences(ds, cfg, (cfg.cutoff,)),
+    "implicit_pir": lambda ds, cfg: implicit_pir(ds, ImplicitMeasure.CLICK_COUNT),
+    "descriptive_stats": lambda ds, cfg: descriptive_stats(ds),
+    "judged_lists": lambda ds, cfg: judged_lists(ds, ds.preferences[0].query_id,
+                                                 ds.preferences[0].rater_id, cfg),
+    "collect_pairs": lambda ds, cfg: oracle.collect_pairs(ds, cfg),
+    "oracle_pir": lambda ds, cfg: oracle.oracle_pir(ds, cfg, 0.0),
+    "oracle_grid": lambda ds, cfg: oracle.oracle_grid(ds, cfg, (0.0, 0.1), (1, 2)),
+}
+
+
 class TestGradeIndex:
     """One grade index, built and checked by validation, read unchecked by the engine."""
 
@@ -427,6 +442,18 @@ class TestGradeIndex:
         with pytest.raises(ValidationError) as info:
             run(unpaired, self.CONFIGS[0])
         assert [issue.kind for issue in info.value.report.errors] == ["unpaired-preference"]
+
+    @pytest.mark.parametrize("name", GATED_ANALYSES)
+    def test_plain_string_verdict_is_a_validation_error_everywhere(self, name):
+        # implicit_pir once read no grade, so it counted these verdicts (compared by identity)
+        # as (6, 0, 0, 6, 0) at t = 0 where the enum verdicts count (0, 2, 4, 4, 2)
+        ds = generate_synthetic(SynthSpec(6, 3, 4, n_preferences=12))
+        plain = dataclasses.replace(ds, preferences=tuple(
+            dataclasses.replace(p, verdict=p.verdict.value) for p in ds.preferences))
+        with pytest.raises(ValidationError) as info:
+            GATED_ANALYSES[name](plain, self.CONFIGS[0])
+        assert [(i.kind, i.message) for i in info.value.report.errors] == [
+            ("bad-field", f"verdict {plain.preferences[0].verdict!r} is not a Verdict")]
 
 
 class TestScorePair:
@@ -763,6 +790,18 @@ class TestLayering:
                     names |= {a.name for a in node.names if a.name.endswith("scoring")}
         assert names == {"MissingJudgment", "resolve_preferences", "scorer", "_relevance",
                          "_missing"}
+
+    def test_every_dataset_analysis_is_in_the_gate_test(self):
+        # each public function that takes a dataset, but the gate and the writer, validates it
+        # first; a new one cannot skip that unseen
+        takers = set()
+        for path in Path(scoring.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and node.args.args and node.args.args[0].arg == "dataset"):
+                    takers.add(node.name)
+        assert "pir_sweep" in takers  # the scan sees the engine
+        assert takers - {"validate", "record_faults", "write_dataset"} == set(GATED_ANALYSES)
 
     def test_only_data_io_reads_a_file(self):
         # datasets and click tables are read in one module, so their byte-fault rule is one
