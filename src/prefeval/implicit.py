@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 from .dataset import CLICK_ORDER, EvaluationDataset, Session, Variant, Verdict
 from .pir import PirRow, check_increasing, pir_cells
-from .scales import UNITS, RelevanceScale
+from .scales import UNIT_NUMERATORS, RelevanceScale
 from .scoring import _relevance
 
 NO_CLICK_RANK = 21
@@ -158,7 +158,7 @@ def _variant_stats(dataset: EvaluationDataset, variant: Variant) -> VariantStats
     satisfaction = [s.satisfied for s in sessions if s.satisfied is not None]
     mean_satisfaction = sum(satisfaction) / len(satisfaction) if satisfaction else None
 
-    six_point = UNITS[RelevanceScale.SIX_POINT]
+    six_point = UNIT_NUMERATORS[RelevanceScale.SIX_POINT]
     rel_by_rank: dict[int, list[float]] = {}
     grades_by_rank: dict[int, Counter] = {}
     for pair in dataset.list_pairs:
@@ -166,7 +166,8 @@ def _variant_stats(dataset: EvaluationDataset, variant: Variant) -> VariantStats
             grades = dataset.grades.get((pair.query_id, result_id), {})
             if not grades:
                 continue
-            rel_by_rank.setdefault(rank, []).append(_relevance(grades, six_point, False, None))
+            mean = _relevance((grades, None), six_point, False, None)
+            rel_by_rank.setdefault(rank, []).append(mean)
             grades_by_rank.setdefault(rank, Counter()).update(grades.values())
 
     return VariantStats(

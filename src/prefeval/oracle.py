@@ -20,7 +20,7 @@ from . import metrics
 from .config import ApNorm, Metric, MetricConfig, RatingSource
 from .dataset import EvaluationDataset
 from .pir import ScoredPair, pir
-from .scales import UNITS
+from .scales import UNIT_NUMERATORS
 from .scoring import _missing, _relevance
 
 
@@ -43,8 +43,8 @@ def judged_lists(dataset: EvaluationDataset, query_id: str, rater_id: Optional[s
     same_user = config.rating_source is RatingSource.SAME_USER
     values = {}
     for rid in dict.fromkeys((*top_a, *top_b)):
-        value = _relevance(dataset.grades.get((query_id, rid), {}), UNITS[config.scale],
-                           same_user, rater_id)
+        value = _relevance((dataset.grades.get((query_id, rid), {}), None),
+                           UNIT_NUMERATORS[config.scale], same_user, rater_id)
         if value is None and not lenient:
             raise _missing(query_id, rid, same_user, rater_id)
         values[rid] = 0.0 if value is None else value

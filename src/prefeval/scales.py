@@ -2,10 +2,13 @@
 
 Individual results are graded on a six-point school scale (1 best, 6
 worst).  Metrics consume unit relevance in [0, 1]; this module owns the
-one grade-to-unit table per scale, ``UNITS``, read unchecked once
-validation's :func:`check_grade` has passed each grade, and the catalog
-of rank discount functions shared by all list metrics.  A discount is a
-plain value; click-weight tables are read from files by ``data_io``.
+one grade-to-unit table per scale, ``UNIT_NUMERATORS``: integer
+numerators over one denominator, so a mean of units is an integer sum
+divided once (``UNITS`` holds the same units as doubles).  Both are read
+unchecked once validation's :func:`check_grade` has passed each grade.
+It also holds the catalog of rank discount functions shared by all list
+metrics.  A discount is a plain value; click-weight tables are read from
+files by ``data_io``.
 """
 
 from __future__ import annotations
@@ -54,14 +57,22 @@ def check_grade(grade: int) -> None:
         raise ValueError(f"grade must be {GRADE_BEST}..{GRADE_WORST}, got {grade}")
 
 
-# Unit relevance of grades 1..6 under each scale, unchecked: ``UNITS[scale][grade - 1]``.
+# Unit relevance of grades 1..6 under each scale as integer numerators over one
+# denominator, unchecked: grade g's unit is ``numerators[g - 1] / denominator``.
+UNIT_NUMERATORS: Mapping[RelevanceScale, tuple[tuple[int, ...], int]] = {
+    RelevanceScale.SIX_POINT: ((5, 4, 3, 2, 1, 0), 5),  # 6 - grade
+    RelevanceScale.R2_1: ((1, 0, 0, 0, 0, 0), 1),
+    RelevanceScale.R2_3: ((1, 1, 1, 0, 0, 0), 1),
+    RelevanceScale.R2_5: ((1, 1, 1, 1, 1, 0), 1),
+    RelevanceScale.R3_2: ((2, 2, 1, 1, 0, 0), 2),
+    RelevanceScale.R3_1: ((2, 1, 1, 1, 1, 0), 2),
+}
+
+# The same units as doubles, unchecked: ``UNITS[scale][grade - 1]``.  Each is one
+# correctly rounded division, so 4 / 5 is the double the literal 0.8 reads.
 UNITS: Mapping[RelevanceScale, tuple[float, ...]] = {
-    RelevanceScale.SIX_POINT: (1.0, 0.8, 0.6, 0.4, 0.2, 0.0),  # (6 - grade) / 5
-    RelevanceScale.R2_1: (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    RelevanceScale.R2_3: (1.0, 1.0, 1.0, 0.0, 0.0, 0.0),
-    RelevanceScale.R2_5: (1.0, 1.0, 1.0, 1.0, 1.0, 0.0),
-    RelevanceScale.R3_2: (1.0, 1.0, 0.5, 0.5, 0.0, 0.0),
-    RelevanceScale.R3_1: (1.0, 0.5, 0.5, 0.5, 0.5, 0.0),
+    scale: tuple(k / denominator for k in numerators)
+    for scale, (numerators, denominator) in UNIT_NUMERATORS.items()
 }
 
 

@@ -1,11 +1,12 @@
 """Judged relevance lists from dataset grades, and the engine that scores them.
 
-Relevance has one rule, :func:`_relevance`: the mean of the selected
-raters' units in rater order, one ``sum()`` divided by their count.
+Relevance has one rule, :func:`_relevance`: the exact mean of the
+selected raters' units, an integer sum of unit numerators divided once.
 Every command turns grades into judged lists through one walk,
-:func:`resolve_preferences`: it walks each query's lists once, and gives
-each reader (a verdict's rater, or ``eval``'s mean over all raters) one
-relevance per distinct result and judged lists for all cut-offs.
+:func:`resolve_preferences`: it resolves each query once, sums each
+distinct result's numerators once, and gives each reader (a verdict's
+rater, or ``eval``'s mean over all raters) one O(1) relevance per
+distinct result and judged lists for all cut-offs.
 Scoring is the engine's alone, and :func:`scorer` is the only scorer any
 command runs.  Built once per scope, it groups the scope's configs by
 discount and binds each discount's weights; the function it returns
@@ -22,14 +23,14 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, groupby
+from itertools import accumulate
 from math import fsum
-from operator import itemgetter, mul
+from operator import mul
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .config import ERR_GRADE_MAX, ApNorm, Metric, MetricConfig, RatingSource
 from .dataset import EvaluationDataset
-from .scales import UNITS, DiscountFunction
+from .scales import UNIT_NUMERATORS, DiscountFunction
 
 
 class MissingJudgment(Exception):
@@ -40,22 +41,31 @@ class MissingJudgment(Exception):
     """
 
 
-def _relevance(by_rater: Mapping[str, int], units: Sequence[float], same_user: bool,
+def _relevance(graded: tuple[Mapping[str, int], Optional[int]],
+               scale: tuple[Sequence[int], int], same_user: bool,
                rater_id: Optional[str]) -> Optional[float]:
-    """The one relevance rule: the mean of the selected raters' units; None if none is selected.
+    """The one relevance rule: the exact mean of the selected raters' units; None if none.
 
-    ``by_rater`` holds one (query, result)'s grades and ``units`` a
-    scale's unit table.  A None rater selects every rater, under either
-    source.  Otherwise same-user selects ``rater_id`` alone (a mean of one
-    value is that value), and other-users every rater but ``rater_id``.
-    The selected units, in rater order, are summed once by ``sum()`` and
-    divided by their count, so every caller gets the same float for the
-    same raters.
+    ``graded`` holds one (query, result)'s ``{rater: grade}`` and the sum S
+    of its graders' unit numerators, or None for this call to sum them;
+    ``scale`` is a scale's numerators and denominator (``UNIT_NUMERATORS``).
+    A None rater selects every rater, under either source.  Otherwise
+    same-user selects ``rater_id`` alone, and other-users every rater but
+    ``rater_id``.  The mean of n selected units is one correctly rounded
+    integer division, ``(S - own numerator) / (den * n)``, so it depends on
+    the grades alone: raters who agree give every reader the same float.
     """
+    by_rater, total = graded
+    numerators, den = scale
+    own = by_rater.get(rater_id)
     if same_user and rater_id is not None:
-        return units[by_rater[rater_id] - 1] if rater_id in by_rater else None
-    selected = [units[g - 1] for rater, g in by_rater.items() if rater != rater_id]
-    return sum(selected) / len(selected) if selected else None
+        return None if own is None else numerators[own - 1] / den
+    if total is None:
+        total = sum([numerators[g - 1] for g in by_rater.values()])
+    n = len(by_rater)
+    if own is not None:
+        total, n = total - numerators[own - 1], n - 1
+    return total / (den * n) if n else None
 
 
 def _missing(query_id: str, result_id: str, same_user: bool,
@@ -95,53 +105,66 @@ def resolve_preferences(
     verdict of the dataset, tagged by its verdict.  Only the config's
     scale, rating source and query filter matter, so configs sharing them
     share the table.  Lists reach ``max(cutoffs)``; metrics ignore entries
-    beyond their cut-off.  Readers go in runs of one query id (``groupby``):
-    a run outside the query filter is skipped, any other resolves its query
-    once: the depth check, the pool in first-rank order (A1, B1, A2, B2,
-    ..., first occurrence kept) and its ends, and the grade index's
-    ``{rater: grade}`` of each distinct result, A's first, then B's unseen
-    ones.  Each reader of the run then takes one :func:`_relevance` per
-    distinct result; validation allows one verdict per (query, rater), so
-    nothing is kept for a later run.  Entries come in reader order, and the
-    first missing relevance raises MissingJudgment, or reads 0.0 when ``lenient``.
+    beyond their cut-off.  Readers are grouped by query id, whatever their
+    order: a query outside the query filter is skipped, any other is
+    resolved once: the depth check, the pool in first-rank order (A1, B1,
+    A2, B2, ..., first occurrence kept) and its ends, and each distinct
+    result's ``{rater: grade}`` from the grade index, A's first, then B's
+    unseen ones, with its numerator sum unless the scope is same-user.
+    Each reader then takes one O(1) :func:`_relevance` per distinct
+    result.  Entries come in reader order; the first missing relevance in
+    reader order raises MissingJudgment, or reads 0.0 when ``lenient``.
     """
     grades = dataset.grades  # validates a dataset nobody validated, before any pair is read
     if readers is None:
         readers = ((p.query_id, p.rater_id, p.verdict) for p in dataset.preferences)
     depth = max(cutoffs)
-    units = UNITS[config.scale]
+    scale = UNIT_NUMERATORS[config.scale]
+    numerators = scale[0]
     same_user = config.rating_source is RatingSource.SAME_USER
     scope = config.query_filter
-    resolved: list[tuple[Any, JudgedLists]] = []
-    for query_id, run in groupby(readers, itemgetter(0)):
-        if scope is not None and dataset.query_by_id[query_id].query_type not in scope:
-            continue
-        pair = dataset.pair_by_query[query_id]
-        for ranked in (pair.variant_a, pair.variant_b):
-            if depth > len(ranked):
-                raise ValueError(f"cut-off {depth} exceeds list length {len(ranked)}")
-        top_a, top_b = pair.variant_a[:depth], pair.variant_b[:depth]
-        distinct = list(dict.fromkeys((*top_a, *top_b)))
-        graded = [grades.get((query_id, rid), {}) for rid in distinct]
-        at = {rid: i for i, rid in enumerate(distinct)}
-        pooled: dict[int, None] = {}  # distinct-result indexes in first-rank order
-        by_rank = []
-        for rid_a, rid_b in zip(top_a, top_b):
-            pooled[at[rid_a]] = pooled[at[rid_b]] = None
-            by_rank.append(len(pooled))
-        ends = tuple(by_rank)
-        at_a, at_b = [at[rid] for rid in top_a], [at[rid] for rid in top_b]
-        at_pool = list(pooled)
-        for _, rater, tag in run:
-            values = [_relevance(by_rater, units, same_user, rater) for by_rater in graded]
-            if None in values:
-                if not lenient:
-                    raise _missing(query_id, distinct[values.index(None)], same_user, rater)
-                values = [0.0 if v is None else v for v in values]
-            take = values.__getitem__
-            resolved.append((tag, JudgedLists(list(map(take, at_a)), list(map(take, at_b)),
-                                              list(map(take, at_pool)), ends)))
-    return resolved
+    by_query: dict[str, list] = {}  # each query's readers as (position, rater, tag)
+    for i, (query_id, rater, tag) in enumerate(readers):
+        by_query.setdefault(query_id, []).append((i, rater, tag))
+    resolved: list = [None] * sum(map(len, by_query.values()))
+    try:
+        for query_id, run in by_query.items():
+            if scope is not None and dataset.query_by_id[query_id].query_type not in scope:
+                continue
+            pair = dataset.pair_by_query[query_id]
+            for ranked in (pair.variant_a, pair.variant_b):
+                if depth > len(ranked):
+                    raise ValueError(f"cut-off {depth} exceeds list length {len(ranked)}")
+            top_a, top_b = pair.variant_a[:depth], pair.variant_b[:depth]
+            distinct = list(dict.fromkeys((*top_a, *top_b)))
+            graded = [(by_rater, None if same_user
+                       else sum([numerators[g - 1] for g in by_rater.values()]))
+                      for by_rater in (grades.get((query_id, rid), {}) for rid in distinct)]
+            at = {rid: i for i, rid in enumerate(distinct)}
+            pooled: dict[int, None] = {}  # distinct-result indexes in first-rank order
+            by_rank = []
+            for rid_a, rid_b in zip(top_a, top_b):
+                pooled[at[rid_a]] = pooled[at[rid_b]] = None
+                by_rank.append(len(pooled))
+            ends = tuple(by_rank)
+            at_a, at_b = [at[rid] for rid in top_a], [at[rid] for rid in top_b]
+            at_pool = list(pooled)
+            for i, rater, tag in run:
+                values = [_relevance(summary, scale, same_user, rater) for summary in graded]
+                if None in values:
+                    if not lenient:
+                        raise _missing(query_id, distinct[values.index(None)], same_user, rater)
+                    values = [0.0 if v is None else v for v in values]
+                take = values.__getitem__
+                resolved[i] = (tag, JudgedLists(list(map(take, at_a)), list(map(take, at_b)),
+                                                list(map(take, at_pool)), ends))
+    except (MissingJudgment, ValueError):
+        if len(by_query) > 1:  # one reader at a time, so the first fault in reader order raises
+            for _, query_id, rater, tag in sorted((i, query_id, rater, tag) for query_id, run
+                                                  in by_query.items() for i, rater, tag in run):
+                resolve_preferences(dataset, config, cutoffs, lenient, [(query_id, rater, tag)])
+        raise
+    return [entry for entry in resolved if entry is not None]
 
 
 class _ListParts(NamedTuple):

@@ -42,7 +42,6 @@ from .dataset import (
     Verdict,
     gc_paused,
 )
-from .scales import UNITS, RelevanceScale
 
 _WORDS = (
     "alpine", "battery", "census", "drought", "estuary", "fresco", "granite",
@@ -180,7 +179,6 @@ def generate_synthetic(spec: SynthSpec) -> EvaluationDataset:
     draw, choice, randint = rng.random, rng.choice, rng.randint
     n_raters, list_len = spec.n_raters, spec.list_len
     raters = [f"u{i:02d}" for i in range(1, n_raters + 1)]
-    six = UNITS[RelevanceScale.SIX_POINT]
     quota_a = _quota_grades(spec.grade_weights_a, list_len)
     quota_b = _quota_grades(spec.grade_weights_b, list_len)
     n_shared = round(spec.overlap * list_len)
@@ -220,10 +218,10 @@ def generate_synthetic(spec: SynthSpec) -> EvaluationDataset:
         judges = [raters[(start + k) % n_raters] for k in range(n_judges)]
         by_id = sorted(range(n_judges), key=judges.__getitem__)  # judge indexes in rater-id order
 
-        # Each judge's grades of ``results``, drawn judge by judge, and their units.
+        # Each judge's grades of ``results``, drawn judge by judge, and their six-point units.
         graded = [[min(6, max(1, g + choice((-1, 1)))) if noise and draw() < noise else g
                    for g in base] for _ in judges]
-        rels = [[six[g - 1] for g in grades] for grades in graded]
+        rels = [[(6 - g) / 5 for g in grades] for grades in graded]
         judgments = [GradedJudgment(qid, rid, judges[j], g, g <= 3)
                      for rid, column in zip(results, zip(*(graded[j] for j in by_id)))
                      for j, g in zip(by_id, column)]

@@ -22,8 +22,10 @@ without u03's of ``(q003, q003-b06)``.  Every dataset has sessions;
 ``sparse`` is mostly grade 6, so NDCG excludes pairs, and gives each
 query one verdict, so ``other-users`` cannot sweep it.  ``tens`` has no
 rater noise and ten judges per query, so each ``other-users`` relevance
-is a mean of nine equal units, which float summation does not round
-correctly: its sweep is the entry that a correctly rounded mean moves.
+is a mean of nine equal units.  The mean is exact (integer unit
+numerators summed and divided once), so it reads the unit itself, where
+float summation read 0.7999999999999999 for nine 0.8s: its sweep shows
+that the rating source alone does not move a cell.
 """
 
 from __future__ import annotations

@@ -459,9 +459,6 @@ class TestRatingSourceDirection:
 class TestAgreeingRaters:
     """Where every rater gives the same grades, the rating source cannot move a cell."""
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2: leave-one-out means of equal units are not correctly rounded, "
-        "so float rounding moves cells between the rating sources"))
     def test_same_user_and_other_users_give_identical_cells(self):
         dataset = generate_synthetic(SynthSpec(12, 10, 3, n_preferences=40))
         discounts = [DiscountFunction.click_based() if kind is DiscountKind.CLICK_BASED

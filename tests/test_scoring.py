@@ -3,6 +3,7 @@ import dataclasses
 import math
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -479,6 +480,54 @@ class TestScorePair:
         assert score_b == 0.0
 
 
+# Each scale's grade -> unit rule as exact fractions, written from the scale's definition
+# rather than read from ``scales``: relevance must be the float nearest their exact mean.
+EXACT_UNITS = {
+    RelevanceScale.SIX_POINT: lambda g: Fraction(6 - g, 5),
+    RelevanceScale.R2_1: lambda g: Fraction(g <= 1),
+    RelevanceScale.R2_3: lambda g: Fraction(g <= 3),
+    RelevanceScale.R2_5: lambda g: Fraction(g <= 5),
+    RelevanceScale.R3_2: lambda g: Fraction((g <= 2) + (g <= 4), 2),
+    RelevanceScale.R3_1: lambda g: Fraction((g <= 1) + (g <= 5), 2),
+}
+
+
+class TestExactMean:
+    """Every reader's relevance is the exact mean of its raters' units, correctly rounded."""
+
+    @given(st.lists(st.tuples(*[st.integers(1, 6)] * 4), min_size=1, max_size=12),
+           st.sampled_from(list(RelevanceScale)), st.sampled_from(list(RatingSource)),
+           st.none() | st.integers(0, 11))
+    # equal units whose float mean is not the unit: nine 0.8s (leave one out of ten) sum to
+    # 7.199999999999999, and six (all of six) to 4.8, which over 6 is 0.7999999999999999
+    @example([(2, 2, 3, 5)] * 10, RelevanceScale.SIX_POINT, RatingSource.OTHER_USERS, 0)
+    @example([(2, 2, 3, 5)] * 6, RelevanceScale.SIX_POINT, RatingSource.SAME_USER, None)
+    def test_relevance_is_the_exact_mean_rounded_once(self, rows, scale, source, reader):
+        # one to twelve raters grade q1's four results; a reader is a rater or None
+        raters = [f"r{i:02d}" for i in range(len(rows))]
+        results = ("a1", "a2", "b1", "b2")
+        ds = multi_rater_dataset({r: dict(zip(results, row)) for r, row in zip(raters, rows)})
+        if reader is not None:
+            reader %= len(rows)
+        if reader is None:
+            selected = rows
+        elif source is RatingSource.SAME_USER:
+            selected = [rows[reader]]
+        else:
+            selected = rows[:reader] + rows[reader + 1:]
+        rater = None if reader is None else raters[reader]
+        cfg = config(source=source, scale=scale)
+        if not selected:
+            with pytest.raises(MissingJudgment):
+                resolve_preferences(ds, cfg, (2,), readers=[("q1", rater, None)])
+            return
+        [(_, lists)] = resolve_preferences(ds, cfg, (2,), readers=[("q1", rater, None)])
+        unit = EXACT_UNITS[scale]
+        means = [float(sum(unit(row[k]) for row in selected) / len(selected))
+                 for k in range(len(results))]
+        assert [x.hex() for x in (*lists.rels_a, *lists.rels_b)] == [x.hex() for x in means]
+
+
 def consensus(dataset, config, lenient=False):
     """The engine's judged lists of every query for a None reader, as ``eval`` reads them."""
     readers = [(pair.query_id, None, pair.query_id) for pair in dataset.list_pairs]
@@ -507,16 +556,16 @@ class TestConsensusLists:
 
     @pytest.mark.parametrize("source", list(RatingSource))
     def test_none_reader_reads_the_mean_over_all_raters(self, source):
-        # every scale, by float.hex, against each result's units summed in rater order
+        # every scale, by float.hex, against the exact mean of each result's units, rounded once
         dataset = generate_synthetic(SynthSpec(4, 3, 6, n_preferences=8, rater_noise=0.3,
                                                overlap=0.4))
         for scale in RelevanceScale:
-            units = UNITS[scale]
+            unit = EXACT_UNITS[scale]
 
             def mean(qid, rid):
-                values = [units[j.grade - 1] for j in dataset.judgments
+                values = [unit(j.grade) for j in dataset.judgments
                           if (j.query_id, j.result_id) == (qid, rid)]
-                return (sum(values) / len(values)).hex()
+                return float(sum(values) / len(values)).hex()
 
             cfg = config(source=source, scale=scale, cutoff=10)
             for pair, (qid, lists) in zip(dataset.list_pairs, consensus(dataset, cfg),
@@ -790,6 +839,41 @@ class TestLayering:
                     names |= {a.name for a in node.names if a.name.endswith("scoring")}
         assert names == {"MissingJudgment", "resolve_preferences", "scorer", "_relevance",
                          "_missing"}
+
+    def test_only_scoring_divides_to_make_a_relevance(self):
+        # the unit tables are named only where they are written, read or handed to _relevance,
+        # and only scales (a numerator over its denominator) and scoring (the rule's mean)
+        # divide anything bound from a grade or a table, such as a count of graders: a second
+        # mean beside the one rule cannot come back unseen
+        tables = {"UNITS", "UNIT_NUMERATORS"}
+        namers, dividers = set(), set()
+        for path in Path(scoring.__file__).parent.glob("*.py"):
+            nodes = list(ast.walk(ast.parse(path.read_text())))
+            if tables & {getattr(n, "id", getattr(n, "attr", getattr(n, "name", None)))
+                         for n in nodes}:
+                namers.add(path.stem)
+            bindings = [(n.targets, n.value) for n in nodes if isinstance(n, ast.Assign)]
+            bindings += [([n.target], n.iter) for n in nodes
+                         if isinstance(n, (ast.For, ast.comprehension))]
+            from_grades = set(tables)  # names bound, at any depth, from a grade or a unit table
+
+            def reads_grades(node):
+                return any(isinstance(n, ast.Name) and n.id in from_grades
+                           or isinstance(n, ast.Attribute) and n.attr in ("grade", "grades")
+                           for n in ast.walk(node))
+
+            while True:
+                bound = {n.id for targets, value in bindings if reads_grades(value)
+                         for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name)}
+                if bound <= from_grades:
+                    break
+                from_grades |= bound
+            if any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div) and reads_grades(n)
+                   for n in nodes):
+                dividers.add(path.stem)
+        assert namers == {"scales", "scoring", "oracle", "implicit"}
+        assert dividers == {"scales", "scoring"}  # the scan sees both
 
     def test_every_dataset_analysis_is_in_the_gate_test(self):
         # each public function that takes a dataset, but the gate and the writer, validates it
