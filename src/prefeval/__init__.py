@@ -4,7 +4,6 @@ from .config import ApNorm, Metric, MetricConfig, RatingSource
 from .dataset import (
     Click,
     EvaluationDataset,
-    GradedJudgment,
     Language,
     PreferenceJudgment,
     Query,
@@ -28,7 +27,6 @@ __all__ = [
     "DiscountFunction",
     "DiscountKind",
     "EvaluationDataset",
-    "GradedJudgment",
     "Language",
     "Metric",
     "MetricConfig",

@@ -209,7 +209,7 @@ def cmd_validate(args) -> int:
     report = validate(dataset, mode=mode, max_cutoff=args.max_cutoff)
     for issue in report.issues:
         print(issue, file=sys.stderr)
-    print(f"queries={len(dataset.queries)} judgments={len(dataset.judgments)}"
+    print(f"queries={len(dataset.queries)} judgments={sum(map(len, dataset.judgments.values()))}"
           f" pairs={len(dataset.list_pairs)} preferences={len(dataset.preferences)}"
           f" sessions={len(dataset.sessions)}"
           f" errors={len(report.errors)} warnings={len(report.warnings)}")
@@ -403,7 +403,7 @@ def cmd_synth(args) -> int:
     spec = SynthSpec(**options)
     dataset = generate_synthetic(spec)
     write_dataset(dataset, args.out)
-    print(f"wrote {len(dataset.queries)} queries, {len(dataset.judgments)} judgments,"
+    print(f"wrote {len(dataset.queries)} queries, {sum(map(len, dataset.judgments.values()))} judgments,"
           f" {len(dataset.preferences)} preferences, {len(dataset.sessions)} sessions"
           f" to {args.out}")
     # Each query is judged by its verdicts' raters alone (at least one), and

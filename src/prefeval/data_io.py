@@ -21,17 +21,19 @@ interned at load, so a loaded dataset holds one string object per
 distinct id, shared by every file and record that names it.  Judgment,
 list, preference, session and click files are also accepted headerless
 with any whitespace as separator, for quick hand-built fixtures; the
-queries file always needs its header.  Records are written in the order
-the dataset holds them, a session's clicks in its own order, so the writer
-is the reader's inverse: for any dataset that loads, the written files load
-back as the dataset and write -> load -> write is byte-stable.  Files are
-canonical when the dataset's order is, as ``synth``'s is.  A field ``validate``
-reports as ``bad-field`` or ``bad-id`` cannot be written.
+queries file always needs its header.  Judgments load as the grade index,
+so a second line for one (query, result, rater) is malformed.  Records are
+written in the order the dataset holds them, so the writer is the reader's
+inverse: for any dataset that loads, the written files load back as the
+dataset, and write -> load -> write is byte-stable once a first write has
+grouped any interleaved (query, result) lines.  Files are canonical when the
+dataset's order is, as ``synth``'s is.  A field ``validate`` reports as
+``bad-field`` or ``bad-id`` cannot be written.
 
 Reading, loading and writing run with the cyclic garbage collector
 paused (:func:`dataset.gc_paused`): they build hundreds of thousands of
-records and no reference cycles, so a collection there would only
-traverse the new records again and free nothing.
+objects and no reference cycles, so a collection there would only
+traverse the new objects again and free nothing.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from typing import Iterable, Iterator, Sequence, Union
 from .dataset import (
     Click,
     EvaluationDataset,
-    GradedJudgment,
     Language,
     PreferenceJudgment,
     Query,
@@ -188,6 +189,7 @@ _VARIANTS = {m.value: m for m in Variant}
 _VERDICTS = {m.value: m for m in Verdict}
 _GRADES = {str(g): g for g in range(GRADE_BEST, GRADE_WORST + 1)}
 _BOOLS = {"-": None, "": None, "true": True, "false": False}
+_FLAGS = {None: "-", True: "true", False: "false"}  # how the writer spells an optional bool
 
 
 def read_queries(path: Path) -> list[Query]:
@@ -205,14 +207,24 @@ def read_queries(path: Path) -> list[Query]:
     return out
 
 
-def read_judgments(path: Path) -> list[GradedJudgment]:
-    out = []
+def read_judgments(path: Path) -> tuple[dict, dict]:
+    """``path``'s grade index and snippet flags (those a line gives), in first-line order.
+
+    A second line for one (query, result, rater) raises ParseError.
+    """
+    grades, snippets = {}, {}
     for lineno, f in _read_rows(path, "judgments"):
         grade = _GRADES.get(f[3]) or _parse_grade(f[3], path, lineno)
-        snippet = (None if len(f) == 4
-                   else _lookup(_BOOLS, f[4], path, lineno, "snippet_relevant", "true/false/-"))
-        out.append(GradedJudgment(f[0], f[1], f[2], grade, snippet))
-    return out
+        key, rater = (f[0], f[1]), f[2]
+        raters = grades.setdefault(key, {})
+        if rater in raters:
+            raise ParseError(path, lineno, f"rater {rater!r} judged {key!r} twice")
+        raters[rater] = grade
+        flag = (None if len(f) == 4
+                else _lookup(_BOOLS, f[4], path, lineno, "snippet_relevant", "true/false/-"))
+        if flag is not None:
+            snippets.setdefault(key, {})[rater] = flag
+    return grades, snippets
 
 
 def read_list_pairs(path: Path) -> list[RankedListPair]:
@@ -314,13 +326,16 @@ def read_dataset(root: Union[str, Path], *, sessions: bool = True) -> Evaluation
     for kind in ("queries", "judgments", "lists"):
         if not paths[kind].exists():
             raise FileNotFoundError(paths[kind])
+    queries = tuple(read_queries(paths["queries"]))
+    judgments, snippets = read_judgments(paths["judgments"])
     return EvaluationDataset(
-        queries=tuple(read_queries(paths["queries"])),
-        judgments=tuple(read_judgments(paths["judgments"])),
+        queries=queries,
+        judgments=judgments,
         list_pairs=tuple(read_list_pairs(paths["lists"])),
         preferences=(tuple(read_preferences(paths["preferences"]))
                      if paths["preferences"].exists() else ()),
         sessions=tuple(read_sessions(paths["sessions"], paths["clicks"])) if sessions else (),
+        snippets=snippets,
     )
 
 
@@ -395,9 +410,9 @@ def write_dataset(dataset: EvaluationDataset, root: Union[str, Path]) -> None:
 
     Nothing is sorted, so :func:`read_dataset` of the files gives back the dataset.
     Each record is one line of ``str`` of its fields joined by tabs, with
-    booleans as ``true``/``false``/``-``.  The first fault :func:`dataset.record_faults`
-    finds (run here only if no validation passed the dataset) raises ValueError
-    before any file is created.
+    booleans as ``true``/``false``/``-``; a judgment line is a (query, result, rater)
+    of the grade index.  The first fault :func:`record_faults` finds (run
+    here only if no validation passed the dataset) raises ValueError before any file.
     """
     if "grades" not in dataset.__dict__ and (faults := record_faults(dataset)):
         raise ValueError(faults[0][1])
@@ -411,10 +426,10 @@ def write_dataset(dataset: EvaluationDataset, root: Union[str, Path]) -> None:
 
     write("queries", (f"{q.id}\t{q.query_type.value}\t{q.language.value}\t{q.text}\t{q.info_need}\n"
                       for q in dataset.queries))
-    write("judgments", (
-        f"{j.query_id}\t{j.result_id}\t{j.rater_id}\t{j.grade}\t"
-        f"{'-' if j.snippet_relevant is None else 'true' if j.snippet_relevant else 'false'}\n"
-        for j in dataset.judgments))
+    write("judgments", ("".join([f"{head}{rater}\t{grade}\t{_FLAGS[flags.get(rater)]}\n"
+                                 for rater, grade in raters.items()])  # per (query, result)
+                        for key, raters in dataset.judgments.items()
+                        for head, flags in [("%s\t%s\t" % key, dataset.snippets.get(key, {}))]))
     write("lists", (f"{pair.query_id}\t{variant}\t{rank}\t{result_id}\n"
                     for pair in dataset.list_pairs
                     for variant, ranking in (("A", pair.variant_a), ("B", pair.variant_b))
@@ -423,7 +438,7 @@ def write_dataset(dataset: EvaluationDataset, root: Union[str, Path]) -> None:
                           for p in dataset.preferences))
     write("sessions", (
         f"{s.query_id}\t{s.rater_id}\t{s.variant.value}\t{s.start_ts}\t{s.end_ts}\t"
-        f"{'-' if s.satisfied is None else 'true' if s.satisfied else 'false'}\n"
+        f"{_FLAGS[s.satisfied]}\n"
         for s in dataset.sessions))
     write("clicks", (f"{s.query_id}\t{s.rater_id}\t{s.variant.value}\t{c.rank}\t{c.ts}\n"
                      for s in dataset.sessions for c in s.clicks))

@@ -3,22 +3,22 @@
 A dataset bundles, per query, the two competing ranked result lists
 (variants A and B), six-point relevance judgments for individual results,
 per-rater preference verdicts between the variants, and single-list
-interaction sessions.  Datasets are treated as immutable once built;
-validation reports rather than mutates, except that a dataset that
-passes keeps the grade index built while checking it.  The six record
-types build through their slots' descriptors (``record``): a frozen
-dataclass ``__init__`` pays an ``object.__setattr__`` call per field.
+interaction sessions.  Judgments are held once, as the grade index every
+analysis reads: ``(query_id, result_id) -> {rater_id: grade}``, with the
+snippet flags a file gives in a map of the same shape.  Datasets are
+treated as immutable once built; validation reports rather than mutates,
+except that a dataset that passes keeps its judgments as its ``grades``.
 """
 
 from __future__ import annotations
 
 import gc
-import inspect
 from collections import Counter
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, wraps
-from operator import attrgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, Optional
 
 from .scales import GRADE_BEST, GRADE_WORST, check_grade
@@ -31,8 +31,8 @@ def gc_paused(fn: Callable) -> Callable:
     """Run ``fn`` with the cyclic garbage collector off, as the caller had it after.
 
     Generating, loading, validating and writing a dataset build or walk
-    hundreds of thousands of tracked objects (records, split lines, index
-    entries) and no reference cycles, so a collection there frees nothing, while
+    hundreds of thousands of tracked objects (split lines, rater maps, session
+    records) and no reference cycles, so a collection there frees nothing, while
     each one that runs as the generations fill traverses them all again.
     Nested calls keep it off, and a caller that turned the collector off
     finds it off; objects made meanwhile are collected as usual once it
@@ -49,31 +49,6 @@ def gc_paused(fn: Callable) -> Callable:
         finally:
             gc.enable()
     return paused
-
-
-def record(cls: type) -> type:
-    """``dataclass(frozen=True, slots=True)``, built by an ``__init__`` that sets the slots.
-
-    The generated ``__init__`` stores each argument through its slot's
-    member descriptor, bound when the class is made, and does nothing
-    else; so a class whose ``__init__`` must do more (``__post_init__``,
-    a ``default_factory``, an ``InitVar``) raises ``TypeError``.
-    """
-    cls = dataclass(frozen=True, slots=True)(cls)
-    declared = fields(cls)
-    names = [f.name for f in declared]
-    # An InitVar or an init=False field makes the dataclass __init__'s parameters differ.
-    if (hasattr(cls, "__post_init__") or any(f.default_factory is not MISSING for f in declared)
-            or list(inspect.signature(cls.__init__).parameters)[1:] != names):
-        raise TypeError(f"record {cls.__name__}: __init__ may only store the fields")
-    ns = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
-    ns.update({f"_default_{f.name}": f.default for f in declared if f.default is not MISSING})
-    params = ", ".join(f.name if f.default is MISSING else f"{f.name}=_default_{f.name}"
-                       for f in declared)
-    exec(f"def __init__(self, {params}):\n" + "".join(f"    _set_{n}(self, {n})\n" for n in names), ns)
-    ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = ns["__init__"]
-    return cls
 
 
 class QueryType(str, Enum):
@@ -105,7 +80,7 @@ class ValidationMode(str, Enum):
     LENIENT = "lenient"
 
 
-@record
+@dataclass(frozen=True, slots=True)
 class Query:
     id: str
     text: str
@@ -114,18 +89,7 @@ class Query:
     query_type: QueryType
 
 
-@record
-class GradedJudgment:
-    """One rater's six-point grade (1 best) for one (query, result) pair."""
-
-    query_id: str
-    result_id: str
-    rater_id: str
-    grade: int
-    snippet_relevant: Optional[bool] = None
-
-
-@record
+@dataclass(frozen=True, slots=True)
 class RankedListPair:
     """The two competing ranked result lists for one query."""
 
@@ -137,7 +101,7 @@ class RankedListPair:
         return self.variant_a if which is Variant.A else self.variant_b
 
 
-@record
+@dataclass(frozen=True, slots=True)
 class PreferenceJudgment:
     """One rater's verdict for one query: variant A better, B better, or equal."""
 
@@ -146,7 +110,7 @@ class PreferenceJudgment:
     verdict: Verdict
 
 
-@record
+@dataclass(frozen=True, slots=True)
 class Click:
     rank: int
     ts: int
@@ -156,7 +120,7 @@ class Click:
 CLICK_ORDER = attrgetter("ts", "rank")
 
 
-@record
+@dataclass(frozen=True, slots=True)
 class Session:
     """One rater's interaction log with a single result-list variant."""
 
@@ -171,11 +135,16 @@ class Session:
 
 @dataclass(frozen=True)
 class EvaluationDataset:
+    """``judgments`` maps (query_id, result_id) to {rater_id: six-point grade, 1 best},
+    and ``snippets`` to the snippet-relevant flags given, in the order given.  Equality
+    compares the maps, not their order, and a dataset has no hash."""
+
     queries: tuple[Query, ...]
-    judgments: tuple[GradedJudgment, ...]
+    judgments: Mapping[tuple[str, str], Mapping[str, int]]
     list_pairs: tuple[RankedListPair, ...]
     preferences: tuple[PreferenceJudgment, ...] = ()
     sessions: tuple[Session, ...] = ()
+    snippets: Mapping[tuple[str, str], Mapping[str, bool]] = field(default_factory=dict)
 
     @cached_property
     def query_by_id(self) -> Mapping[str, Query]:
@@ -187,7 +156,7 @@ class EvaluationDataset:
 
     @cached_property
     def grades(self) -> Mapping[tuple[str, str], Mapping[str, int]]:
-        """(query_id, result_id) -> {rater_id: grade}, as validation left it (lenient if none ran)."""
+        """``judgments``, once a validation has passed it (lenient if none ran)."""
         report = validate(self, ValidationMode.LENIENT, max_cutoff=0)
         if not report.ok:
             raise ValidationError(report)
@@ -254,16 +223,16 @@ def field_fault(value: object) -> Optional[str]:
 def record_faults(dataset: EvaluationDataset) -> list[tuple[str, str]]:
     """``(kind, message)`` for each field of ``dataset`` that a record file cannot hold.
 
-    First ``bad-field``: each query text or information need :func:`field_fault` refuses,
-    then each enum, int or optional bool field holding another type (a bool is no int), naming
-    the first.  Then ``bad-id``, once per kind of id (query, result, rater) naming its smallest
-    offender: an id is a string, non-empty, holds no tab, LF or CR and encodes as UTF-8.
+    First ``bad-field``: each query text or information need :func:`field_fault` refuses, then
+    each enum, int or bool field of another type (a bool is no int), empty rater map and snippet
+    flag without its judgment, naming the first.  Then ``bad-id``, once per kind of id (query,
+    result, rater) naming its smallest: an id is a non-empty UTF-8 string with no tab, LF or CR.
     """
     faults = [("bad-field", f"query {q.id!r} {name} {fault}, which a record file cannot hold")
               for q in dataset.queries for name in ("text", "info_need")
               if (fault := field_fault(getattr(q, name)))]
-    get = attrgetter
-    clicks, flag = [c for s in dataset.sessions for c in s.clicks], {bool, type(None)}
+    get, judgments = attrgetter, dataset.judgments
+    clicks = [c for s in dataset.sessions for c in s.clicks]
     for records, name, types, what in (
             (dataset.queries, "query_type", {QueryType}, "a QueryType"),
             (dataset.queries, "language", {Language}, "a Language"),
@@ -271,15 +240,28 @@ def record_faults(dataset: EvaluationDataset) -> list[tuple[str, str]]:
             (dataset.sessions, "variant", {Variant}, "a Variant"),
             (dataset.sessions, "start_ts", {int}, "an int"), (dataset.sessions, "end_ts", {int}, "an int"),
             (clicks, "rank", {int}, "an int"), (clicks, "ts", {int}, "an int"),
-            (dataset.sessions, "satisfied", flag, "a bool or None"),
-            (dataset.judgments, "snippet_relevant", flag, "a bool or None")):
+            (dataset.sessions, "satisfied", {bool, type(None)}, "a bool or None")):
         if set(map(type, map(get(name), records))) - types:  # one pass in C per field
             bad = next(v for v in map(get(name), records) if type(v) not in types)
             faults.append(("bad-field", f"{name} {bad!r} is not {what}"))
+    flags = [f for raters in dataset.snippets.values() for f in raters.values()]
+    if set(map(type, flags)) - {bool}:
+        bad = next(f for f in flags if type(f) is not bool)
+        faults.append(("bad-field", f"snippet_relevant {bad!r} is not a bool"))
+    if not all(judgments.values()):
+        key = next(key for key, raters in judgments.items() if not raters)
+        faults.append(("bad-field", f"judgment {key!r} has no rater, which a record file cannot hold"))
+    for key, raters in dataset.snippets.items():
+        judged = judgments.get(key, {})
+        if not raters.keys() <= judged.keys():
+            rater = next(r for r in raters if r not in judged)
+            faults.append(("bad-field", f"snippet flag {(*key, rater)!r} has no judgment,"
+                                        " which a record file cannot hold"))
+            break
     for kind, sources in _ids(dataset).items():
         try:
             ids = set().union(*sources)
-        except TypeError:  # an unhashable id, which no set holds
+        except TypeError:  # an unhashable id in a record, which no set holds
             ids = [i for source in _ids(dataset)[kind] for i in source]
         strings = set(map(type, ids)) <= {str}
         if strings and "" in ids:
@@ -291,14 +273,15 @@ def record_faults(dataset: EvaluationDataset) -> list[tuple[str, str]]:
 
 
 def _ids(dataset: EvaluationDataset) -> dict[str, tuple[Iterable, ...]]:
-    """The iterables over each kind of id (query, result, rater) that ``dataset``'s records hold."""
-    get, pairs = attrgetter, dataset.list_pairs
-    holders = (dataset.judgments, dataset.preferences, dataset.sessions)
-    return {"query": (map(get("id"), dataset.queries), map(get("query_id"), pairs),
+    """The iterables over each kind of id (query, result, rater) that ``dataset`` holds."""
+    get, pairs, judged = attrgetter, dataset.list_pairs, dataset.judgments
+    holders = (dataset.preferences, dataset.sessions)
+    return {"query": (map(get("id"), dataset.queries), map(get("query_id"), pairs), map(itemgetter(0), judged),
                       *(map(get("query_id"), records) for records in holders)),
-            "result": (map(get("result_id"), dataset.judgments),
+            "result": (map(itemgetter(1), judged),
                        *map(get("variant_a"), pairs), *map(get("variant_b"), pairs)),
-            "rater": tuple(map(get("rater_id"), records) for records in holders)}
+            "rater": (chain.from_iterable(judged.values()),
+                      *(map(get("rater_id"), records) for records in holders))}
 
 
 @gc_paused
@@ -309,31 +292,29 @@ def validate(
 ) -> ValidationReport:
     """Check every schema invariant and return the full report.
 
-    Malformed records (bad grades, click ranks below 1, inverted
-    timestamps, duplicates, dangling references, a verdict on a query
-    without a list pair) are errors in both modes, and so, last, is each
-    :func:`record_faults` fault (``bad-field``, ``bad-id``).  A listed
-    result at rank <= ``max_cutoff`` without any judgment is an error in
-    strict mode and a warning in lenient mode, where downstream scoring
-    substitutes relevance 0 for it.  A mistyped field that a check cannot compare or key on
-    leaves the record faults as the only errors.  When the report has no error, the grade index
-    built while checking is kept as the dataset's ``grades``.
+    Malformed records (bad grades, click ranks below 1, inverted timestamps, duplicates,
+    dangling references, a verdict on a query without a list pair) are errors in both modes,
+    and so, last, is each :func:`record_faults` fault (``bad-field``, ``bad-id``).  A listed
+    result at rank <= ``max_cutoff`` without any judgment is an error in strict mode and a
+    warning in lenient mode, where downstream scoring substitutes relevance 0 for it.  A
+    mistyped field that a check cannot compare or key on leaves the record faults as the only
+    errors.  A report with no error makes ``judgments`` the dataset's ``grades``.
     """
-    faults = record_faults(dataset)  # before the grade index, so its sets add nothing to the peak
+    faults = record_faults(dataset)
     try:
-        issues, grades = _check_records(dataset, mode, max_cutoff)
+        issues = _check_records(dataset, mode, max_cutoff)
     except TypeError:  # a mistyped field, which the faults name
         if not faults:
             raise
-        issues, grades = [], None
+        issues = []
     report = ValidationReport(mode, tuple(issues + [ValidationIssue("error", *f) for f in faults]))
     if report.ok:
-        dataset.__dict__["grades"] = grades
+        dataset.__dict__["grades"] = dataset.judgments
     return report
 
 
-def _check_records(dataset: EvaluationDataset, mode: ValidationMode, max_cutoff: int) -> tuple:
-    """:func:`validate`'s checks but the record rule: the issues, and the grade index."""
+def _check_records(dataset: EvaluationDataset, mode: ValidationMode, max_cutoff: int) -> list:
+    """:func:`validate`'s checks but the record rule."""
     issues: list[ValidationIssue] = []
 
     def error(kind: str, message: str) -> None:
@@ -370,34 +351,25 @@ def _check_records(dataset: EvaluationDataset, mode: ValidationMode, max_cutoff:
                 )
         ranked[pair.query_id] = set(pair.variant_a).union(pair.variant_b)
 
-    grades: dict[tuple[str, str], dict[str, int]] = {}
-    for j in dataset.judgments:
-        if j.query_id not in known:
-            error("dangling-query", f"judgment references unknown query {j.query_id!r}")
-        elif j.query_id in ranked and j.result_id not in ranked[j.query_id]:
-            error(
-                "dangling-result",
-                f"judgment for query {j.query_id!r} references result {j.result_id!r}"
-                " absent from both variants",
-            )
-        g = j.grade
-        if not (type(g) is int and GRADE_BEST <= g <= GRADE_WORST):
-            try:
-                check_grade(g)
-            except ValueError as exc:
-                error("grade-range",
-                      f"judgment ({j.query_id!r}, {j.result_id!r}, {j.rater_id!r}): {exc}")
-        raters = grades.setdefault((j.query_id, j.result_id), {})
-        if j.rater_id in raters:
-            error(
-                "duplicate-judgment",
-                f"rater {j.rater_id!r} judged ({j.query_id!r}, {j.result_id!r}) twice",
-            )
-        raters[j.rater_id] = j.grade
+    for (qid, rid), raters in dataset.judgments.items():  # one message per (query, result, rater)
+        dangling = None
+        if qid not in known:
+            dangling = ("dangling-query", f"judgment references unknown query {qid!r}")
+        elif qid in ranked and rid not in ranked[qid]:
+            dangling = ("dangling-result", f"judgment for query {qid!r} references result"
+                                           f" {rid!r} absent from both variants")
+        for rater, g in raters.items():
+            if dangling:
+                error(*dangling)
+            if not (type(g) is int and GRADE_BEST <= g <= GRADE_WORST):
+                try:
+                    check_grade(g)
+                except ValueError as exc:
+                    error("grade-range", f"judgment ({qid!r}, {rid!r}, {rater!r}): {exc}")
 
     for qid, pair in dataset.pair_by_query.items():  # key=str sorts a bad-id non-string too
         for result_id in sorted({*pair.variant_a[:max_cutoff], *pair.variant_b[:max_cutoff]}, key=str):
-            if (qid, result_id) not in grades:
+            if not dataset.judgments.get((qid, result_id)):  # an empty rater map is a bad-field
                 missing = (
                     f"result {result_id!r} of query {qid!r} appears at rank"
                     f" <= {max_cutoff} but has no judgment"
@@ -443,4 +415,4 @@ def _check_records(dataset: EvaluationDataset, mode: ValidationMode, max_cutoff:
             error("duplicate-session", f"rater {rater!r} has more than one"
                   f" {getattr(variant, 'value', variant)} session for query {qid!r}")
 
-    return issues, grades
+    return issues

@@ -10,6 +10,7 @@ machinery (``implicit_pir``).  Thresholds are in the measure's own unit
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -177,7 +178,7 @@ def _variant_stats(dataset: EvaluationDataset, variant: Variant) -> VariantStats
         clicks_by_rank=dict(sorted(clicks_by_rank.items())),
         mean_satisfaction=mean_satisfaction,
         mean_relevance_by_rank={
-            rank: sum(vals) / len(vals) for rank, vals in sorted(rel_by_rank.items())
+            rank: math.fsum(vals) / len(vals) for rank, vals in sorted(rel_by_rank.items())
         },
         grade_counts_by_rank={
             rank: dict(sorted(counter.items()))
@@ -190,7 +191,7 @@ def descriptive_stats(dataset: EvaluationDataset) -> DescriptiveStats:
     """Interaction and relevance summary per variant, plus the query-type mix.
 
     Per-rank relevance averages each result over its raters first, then
-    averages those result means across queries.
+    averages those result means across queries, summed exactly (``math.fsum``).
     """
     variants = {v: _variant_stats(dataset, v) for v in (Variant.A, Variant.B)}  # validates first
     by_type: dict[str, list[int]] = {}

@@ -4,8 +4,8 @@ Individual results are graded on a six-point school scale (1 best, 6
 worst).  Metrics consume unit relevance in [0, 1]; this module owns the
 one grade-to-unit table per scale, ``UNIT_NUMERATORS``: integer
 numerators over one denominator, so a mean of units is an integer sum
-divided once (``UNITS`` holds the same units as doubles).  Both are read
-unchecked once validation's :func:`check_grade` has passed each grade.
+divided once.  It is read unchecked once validation's :func:`check_grade`
+has passed each grade.
 It also holds the catalog of rank discount functions shared by all list
 metrics.  A discount is a plain value; click-weight tables are read from
 files by ``data_io``.
@@ -66,13 +66,6 @@ UNIT_NUMERATORS: Mapping[RelevanceScale, tuple[tuple[int, ...], int]] = {
     RelevanceScale.R2_5: ((1, 1, 1, 1, 1, 0), 1),
     RelevanceScale.R3_2: ((2, 2, 1, 1, 0, 0), 2),
     RelevanceScale.R3_1: ((2, 1, 1, 1, 1, 0), 2),
-}
-
-# The same units as doubles, unchecked: ``UNITS[scale][grade - 1]``.  Each is one
-# correctly rounded division, so 4 / 5 is the double the literal 0.8 reads.
-UNITS: Mapping[RelevanceScale, tuple[float, ...]] = {
-    scale: tuple(k / denominator for k in numerators)
-    for scale, (numerators, denominator) in UNIT_NUMERATORS.items()
 }
 
 

@@ -31,7 +31,6 @@ from typing import Optional, Sequence
 from .dataset import (
     Click,
     EvaluationDataset,
-    GradedJudgment,
     Language,
     PreferenceJudgment,
     Query,
@@ -190,7 +189,7 @@ def generate_synthetic(spec: SynthSpec) -> EvaluationDataset:
     n_pref = spec.n_preferences if spec.n_preferences is not None else spec.n_queries
     base_pref, extra_pref = divmod(n_pref, spec.n_queries)
 
-    blocks = []  # per query: (id, query, pair, judgments, verdicts, sessions)
+    blocks = []  # per query: (id, query, pair, judgments, verdicts, sessions, snippets)
     for qi in range(spec.n_queries):
         qid = f"q{qi + 1:03d}"
         terms = rng.sample(_WORDS, randint(2, 3))
@@ -222,9 +221,10 @@ def generate_synthetic(spec: SynthSpec) -> EvaluationDataset:
         graded = [[min(6, max(1, g + choice((-1, 1)))) if noise and draw() < noise else g
                    for g in base] for _ in judges]
         rels = [[(6 - g) / 5 for g in grades] for grades in graded]
-        judgments = [GradedJudgment(qid, rid, judges[j], g, g <= 3)
-                     for rid, column in zip(results, zip(*(graded[j] for j in by_id)))
-                     for j, g in zip(by_id, column)]
+        judgments = {(qid, rid): {judges[j]: g for j, g in zip(by_id, column)}
+                     for rid, column in zip(results, zip(*(graded[j] for j in by_id)))}
+        snippets = {key: {rater: g <= 3 for rater, g in raters.items()}
+                    for key, raters in judgments.items()}
 
         verdicts = []
         for j in by_id:
@@ -254,14 +254,15 @@ def generate_synthetic(spec: SynthSpec) -> EvaluationDataset:
             judge_sessions.append(both)
         sessions = [s for j in by_id for s in judge_sessions[j]]
 
-        blocks.append((qid, query, pair, judgments, verdicts, sessions))
+        blocks.append((qid, query, pair, judgments, verdicts, sessions, snippets))
 
     blocks.sort(key=itemgetter(0))  # q1000 sorts between q100 and q101
-    _, queries, pairs, judgments, verdicts, sessions = zip(*blocks)
+    _, queries, pairs, judgments, verdicts, sessions, snippets = zip(*blocks)
     return EvaluationDataset(
         queries=queries,
-        judgments=tuple(chain.from_iterable(judgments)),
+        judgments=dict(chain.from_iterable(map(dict.items, judgments))),
         list_pairs=pairs,
         preferences=tuple(chain.from_iterable(verdicts)),
         sessions=tuple(chain.from_iterable(sessions)),
+        snippets=dict(chain.from_iterable(map(dict.items, snippets))),
     )

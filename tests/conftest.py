@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 from prefeval.dataset import (
     Click,
     EvaluationDataset,
-    GradedJudgment,
     Language,
     PreferenceJudgment,
     Query,
@@ -69,6 +70,25 @@ def count_grade_reads(dataset, calls):
     return dataset
 
 
+def judgment_rows(dataset) -> list[tuple]:
+    """``dataset``'s judgments as (query_id, result_id, rater_id, grade) rows, in order."""
+    return [(qid, rid, rater, grade) for (qid, rid), raters in dataset.judgments.items()
+            for rater, grade in raters.items()]
+
+
+def with_judgments(dataset, rows):
+    """``dataset`` judged by the (query_id, result_id, rater_id, grade) ``rows``.
+
+    Its snippet flags are kept where their judgment still is.
+    """
+    index = {}
+    for qid, rid, rater, grade in rows:
+        index.setdefault((qid, rid), {})[rater] = grade
+    snippets = {key: kept for key, flags in dataset.snippets.items()
+                if (kept := {r: f for r, f in flags.items() if r in index.get(key, {})})}
+    return dataclasses.replace(dataset, judgments=index, snippets=snippets)
+
+
 def make_query(qid: str, query_type: QueryType = QueryType.INFORMATIONAL) -> Query:
     return Query(
         id=qid,
@@ -87,7 +107,7 @@ def binary_pair_dataset(rows, list_len=10, shared_results=False):
     With ``shared_results`` both variants rank the same result ids
     (variant B reversed); otherwise the variants are disjoint.
     """
-    queries, pairs, judgments, preferences = [], [], [], []
+    queries, pairs, judgments, preferences = [], [], {}, []
     for qid, ones_a, ones_b, verdict in rows:
         queries.append(make_query(qid))
         ids_a = tuple(f"{qid}-a{r:02d}" for r in range(1, list_len + 1))
@@ -103,16 +123,14 @@ def binary_pair_dataset(rows, list_len=10, shared_results=False):
             for i, rid in enumerate(ids_b):
                 graded[rid] = 1 if i < ones_b else 6
         for rid, grade in graded.items():
-            judgments.append(
-                GradedJudgment(query_id=qid, result_id=rid, rater_id=RATER, grade=grade)
-            )
+            judgments[qid, rid] = {RATER: grade}
         if verdict is not None:
             preferences.append(
                 PreferenceJudgment(query_id=qid, rater_id=RATER, verdict=verdict)
             )
     return EvaluationDataset(
         queries=tuple(queries),
-        judgments=tuple(judgments),
+        judgments=judgments,
         list_pairs=tuple(pairs),
         preferences=tuple(preferences),
     )
@@ -144,7 +162,7 @@ def two_query_map_dataset() -> EvaluationDataset:
     ranks the same results in reverse order.
     """
     graded = {"qa": (1, 1, 0, 1, 0), "qb": (0, 0, 1, 1, 1)}
-    queries, pairs, judgments = [], [], []
+    queries, pairs, judgments = [], [], {}
     for qid, bits in graded.items():
         queries.append(make_query(qid))
         ids = tuple(f"{qid}-d{r}" for r in range(1, 6))
@@ -152,13 +170,10 @@ def two_query_map_dataset() -> EvaluationDataset:
             RankedListPair(query_id=qid, variant_a=ids, variant_b=tuple(reversed(ids)))
         )
         for rid, bit in zip(ids, bits):
-            judgments.append(
-                GradedJudgment(query_id=qid, result_id=rid, rater_id=RATER,
-                               grade=1 if bit else 6)
-            )
+            judgments[qid, rid] = {RATER: 1 if bit else 6}
     return EvaluationDataset(
         queries=tuple(queries),
-        judgments=tuple(judgments),
+        judgments=judgments,
         list_pairs=tuple(pairs),
     )
 

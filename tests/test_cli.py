@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import prefeval
-from conftest import count_grade_reads, make_session
+from conftest import count_grade_reads, judgment_rows, make_session, with_judgments
 from prefeval import cli, data_io
 from prefeval.cli import main
 from prefeval.config import Metric, MetricConfig
@@ -61,6 +61,22 @@ class TestValidateCommand:
         assert main(["validate", str(synth_dir)]) == 0
         out = capsys.readouterr().out
         assert "errors=0" in out
+
+    def test_counts_one_judgment_per_rater(self, synth_dir, capsys):
+        # the grade index holds a rater map per (query, result); the count is of its raters
+        lines = (synth_dir / FILE_NAMES["judgments"]).read_text().splitlines()
+        assert main(["validate", str(synth_dir)]) == 0
+        assert f" judgments={len(lines) - 1} " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["validate", "stats"])
+    def test_duplicate_judgment_line_exits_one_with_location(self, synth_dir, capsys, command):
+        path = synth_dir / FILE_NAMES["judgments"]
+        lines = path.read_text().splitlines()
+        qid, rid, rater = lines[1].split("\t")[:3]
+        path.write_text("\n".join([*lines, lines[1]]) + "\n")
+        assert main([command, str(synth_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"{path}:{len(lines) + 1}: rater {rater!r} judged ({qid!r}, {rid!r}) twice\n")
 
     def test_grade_out_of_range_exits_one_with_location(self, synth_dir, capsys):
         path = synth_dir / FILE_NAMES["judgments"]
@@ -364,8 +380,7 @@ class TestSweepCommand:
         # a sweep resolves its lists only as deep as its deepest cut-off
         ds = generate_synthetic(SynthSpec(n_queries=6, n_raters=3, seed=11, n_preferences=12))
         top5 = {p.query_id: {*p.variant_a[:5], *p.variant_b[:5]} for p in ds.list_pairs}
-        shallow = dataclasses.replace(ds, judgments=tuple(
-            j for j in ds.judgments if j.result_id in top5[j.query_id]))
+        shallow = with_judgments(ds, [row for row in judgment_rows(ds) if row[1] in top5[row[0]]])
         assert len(shallow.judgments) < len(ds.judgments)
         data = tmp_path / "data"
         write_dataset(shallow, data)
@@ -396,10 +411,8 @@ class TestSweepCommand:
         # relevant result) and stay in the cut-off 7 rows
         pair = ds.list_pairs[0]
         top3 = {*pair.variant_a[:3], *pair.variant_b[:3]}
-        ds = dataclasses.replace(ds, judgments=tuple(
-            dataclasses.replace(j, grade=6)
-            if j.query_id == pair.query_id and j.result_id in top3 else j
-            for j in ds.judgments))
+        ds = with_judgments(ds, [(qid, rid, rater, 6 if qid == pair.query_id and rid in top3 else g)
+                                 for qid, rid, rater, g in judgment_rows(ds)])
         write_dataset(ds, tmp_path / "data")
         out = tmp_path / "sweep"
         assert main(["sweep", str(tmp_path / "data"), "--out", str(out), "--plot",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conftest import binary_pair_dataset, make_session, scored_pairs
+from conftest import binary_pair_dataset, judgment_rows, make_session, scored_pairs, with_judgments
 from prefeval import data_io
 from prefeval.data_io import (
     FILE_NAMES,
@@ -81,13 +81,39 @@ class TestRoundTrip:
     def test_writer_is_the_readers_inverse_for_records_out_of_canonical_order(self, tmp_path):
         """Records are written in the order the dataset holds them, so they load back in it."""
         ds = generate_synthetic(SynthSpec(6, 3, 3, n_preferences=12))
+
+        def reverse(held):  # a tuple of records, or a (query, result) -> {rater: value} map
+            if isinstance(held, tuple):
+                return held[::-1]
+            return {key: dict(reversed(raters.items())) for key, raters in reversed(held.items())}
+
         ds = dataclasses.replace(ds, **{
-            field.name: getattr(ds, field.name)[::-1] for field in dataclasses.fields(ds)})
+            field.name: reverse(getattr(ds, field.name)) for field in dataclasses.fields(ds)})
         assert ds.sessions and ds.queries[0].id > ds.queries[-1].id
+        assert judgment_rows(ds)[0][:3] > judgment_rows(ds)[1][:3] > judgment_rows(ds)[-1][:3]
         write_dataset(ds, tmp_path / "one")
         loaded = load_dataset(tmp_path / "one")
         assert loaded == ds
         write_dataset(loaded, tmp_path / "two")
+        for name in FILE_NAMES.values():
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+    def test_interleaved_judgments_are_regrouped_once(self, tmp_path, round_trip_dataset):
+        # The grade index holds one rater map per (query, result), so lines that interleave
+        # (query, result) groups load grouped; the first write groups them, and later ones
+        # write the same bytes.
+        write_dataset(round_trip_dataset, tmp_path / "in")
+        path = tmp_path / "in" / FILE_NAMES["judgments"]
+        header, *lines = path.read_text().splitlines(keepends=True)
+        raters = len(round_trip_dataset.judgments[next(iter(round_trip_dataset.judgments))])
+        assert raters > 1
+        interleaved = lines[::raters] + [line for i, line in enumerate(lines) if i % raters]
+        path.write_text(header + "".join(interleaved))
+        loaded = load_dataset(tmp_path / "in")
+        assert loaded == round_trip_dataset
+        write_dataset(loaded, tmp_path / "one")
+        assert (tmp_path / "one" / FILE_NAMES["judgments"]).read_text() == header + "".join(lines)
+        write_dataset(load_dataset(tmp_path / "one"), tmp_path / "two")
         for name in FILE_NAMES.values():
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
@@ -274,6 +300,20 @@ class TestAlternateIngest:
         assert loaded.judgments == ds.judgments
 
 
+    def test_absent_snippet_flags_are_not_held(self, tmp_path, round_trip_dataset):
+        # four fields, '-' and '' give no flag; the snippet map holds only those a line gives
+        write_dataset(round_trip_dataset, tmp_path)
+        path = tmp_path / FILE_NAMES["judgments"]
+        header, *lines = path.read_text().splitlines()
+        spellings = ["{}", "{}\t-", "{}\t"]
+        path.write_text("\n".join([header, *(spellings[i % 3].format(line.rsplit("\t", 1)[0])
+                                             for i, line in enumerate(lines))]) + "\n")
+        loaded = load_dataset(tmp_path)
+        assert loaded.judgments == round_trip_dataset.judgments
+        assert loaded.snippets == {}
+        assert loaded == dataclasses.replace(round_trip_dataset, snippets={})
+
+
 class TestLoadBehavior:
     def test_empty_preferences_file_loads(self, tmp_path):
         ds = binary_pair_dataset([("q1", 2, 1, None)], list_len=3)
@@ -312,12 +352,12 @@ class TestLoadBehavior:
 
     def test_strict_validation_failure_raises(self, tmp_path):
         ds = binary_pair_dataset([("q1", 2, 1, Verdict.A)], list_len=3)
-        ds = dataclasses.replace(ds, judgments=ds.judgments[:-1])
+        ds = with_judgments(ds, judgment_rows(ds)[:-1])
         write_dataset(ds, tmp_path)
         with pytest.raises(ValidationError):
             load_dataset(tmp_path, max_cutoff=3)
         loaded = load_dataset(tmp_path, mode=ValidationMode.LENIENT, max_cutoff=3)
-        assert len(loaded.judgments) == 5
+        assert len(judgment_rows(loaded)) == 5
 
 
 class TestStreamingReader:
@@ -331,11 +371,11 @@ class TestStreamingReader:
     def test_reading_takes_less_memory_than_the_file(self, judgments):
         tracemalloc.start()
         try:
-            records = read_judgments(judgments)
+            grades, snippets = read_judgments(judgments)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(records) > 5000
+        assert sum(map(len, grades.values())) > 5000 and snippets
         assert peak - kept < judgments.stat().st_size
 
     def test_non_utf8_byte_past_the_first_block_reports_its_line(self, judgments):
@@ -408,10 +448,14 @@ class TestInternedIds:
         assert ds == round_trip_dataset
         assert ds.preferences and ds.sessions and any(s.clicks for s in ds.sessions)
         results, raters = {}, {}
-        for j in ds.judgments:
-            assert j.query_id is ds.query_by_id[j.query_id].id
-            assert results.setdefault(j.result_id, j.result_id) is j.result_id
-            assert raters.setdefault(j.rater_id, j.rater_id) is j.rater_id
+        for qid, rid, rater, _ in judgment_rows(ds):
+            assert qid is ds.query_by_id[qid].id
+            assert results.setdefault(rid, rid) is rid
+            assert raters.setdefault(rater, rater) is rater
+        keys = {key: key for key in ds.judgments}  # the snippet flags share the index's keys
+        assert ds.snippets and all(keys[key] is key for key in ds.snippets)
+        for (qid, rid), flags in ds.snippets.items():
+            assert all(rater is raters[rater] for rater in flags)
         for pair in ds.list_pairs:
             assert pair.query_id is ds.query_by_id[pair.query_id].id
             assert all(rid is results[rid] for rid in pair.variant_a + pair.variant_b)
@@ -530,9 +574,8 @@ def _reference_files(ds) -> dict[str, bytes]:
     rows = {
         "queries": [(q.id, q.query_type.value, q.language.value, q.text, q.info_need)
                     for q in sorted(ds.queries, key=lambda q: q.id)],
-        "judgments": [(j.query_id, j.result_id, j.rater_id, j.grade, _flag(j.snippet_relevant))
-                      for j in sorted(ds.judgments,
-                                      key=lambda j: (j.query_id, j.result_id, j.rater_id))],
+        "judgments": [(qid, rid, rater, grade, _flag(ds.snippets.get((qid, rid), {}).get(rater)))
+                      for qid, rid, rater, grade in sorted(judgment_rows(ds))],
         "lists": [(p.query_id, v.value, rank, rid)
                   for p in sorted(ds.list_pairs, key=lambda p: p.query_id)
                   for v in (Variant.A, Variant.B)
@@ -561,8 +604,10 @@ class TestWriterBytes:
     def test_optional_booleans_clicks_and_tied_timestamps(self, tmp_path, round_trip_dataset):
         ds = round_trip_dataset
         flags = (None, True, False)
-        judgments = tuple(dataclasses.replace(j, snippet_relevant=flags[i % 3])
-                          for i, j in enumerate(ds.judgments))
+        snippets = {}
+        for i, (qid, rid, rater, _) in enumerate(judgment_rows(ds)):
+            if flags[i % 3] is not None:  # the map holds only the flags a judgment gives
+                snippets.setdefault((qid, rid), {})[rater] = flags[i % 3]
         sessions = []
         for i, s in enumerate(ds.sessions):
             clicks = s.clicks
@@ -572,9 +617,9 @@ class TestWriterBytes:
                 first = clicks[0]
                 clicks = (first, Click(first.rank + 1, first.ts), *clicks[1:])
             sessions.append(dataclasses.replace(s, satisfied=flags[i % 3], clicks=clicks))
-        ds = dataclasses.replace(ds, judgments=judgments, sessions=tuple(sessions))
+        ds = dataclasses.replace(ds, snippets=snippets, sessions=tuple(sessions))
         assert validate(ds).ok
-        assert {j.snippet_relevant for j in ds.judgments} == set(flags)
+        assert {ds.snippets.get(row[:2], {}).get(row[2]) for row in judgment_rows(ds)} == set(flags)
         assert {s.satisfied for s in ds.sessions} == set(flags)
         assert any(not s.clicks for s in ds.sessions)
         assert any(len({c.ts for c in s.clicks}) < len(s.clicks) for s in ds.sessions)
@@ -640,7 +685,8 @@ class TestWriterBytes:
         # With rater u01 renamed to the int 7 in every record, this dataset validated and was
         # written, and loaded back with rater '7'; with result q002-b03 renamed 7, validate
         # raised TypeError sorting the list's result ids.  Renamed ['u', '01'], an id no set
-        # can hold, validate raised TypeError building its id sets.
+        # can hold, validate raised TypeError building its id sets (the grade index, keyed
+        # by its ids, cannot hold it and keeps the old one).
         ds = _rename_id(generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6)), kind, old, new)
         assert _refused_alike(ds, tmp_path / "out", "bad-id") == (
             f"{kind} id {new!r} is not a string, which a record file cannot hold")
@@ -669,15 +715,16 @@ class TestWriterBytes:
         ("clicks", "rank", lambda v: "1", "rank '1' is not an int"),
         ("clicks", "ts", float, "ts {!r} is not an int"),
         ("sessions", "satisfied", lambda v: "yes", "satisfied 'yes' is not a bool or None"),
-        ("judgments", "snippet_relevant", lambda v: "yes",
-         "snippet_relevant 'yes' is not a bool or None"),
+        ("snippets", "snippet_relevant", lambda v: "yes", "snippet_relevant 'yes' is not a bool"),
+        ("snippets", "snippet_relevant", lambda v: None, "snippet_relevant None is not a bool"),
     ], ids=["end-float", "end-text", "start-bool", "rank-text", "ts-float", "satisfied-text",
-            "snippet-text"])
+            "snippet-text", "snippet-none"])
     def test_int_or_bool_field_of_another_type_is_refused_before_any_file(
             self, tmp_path, records, field, change, message):
         # With the first session's end_ts raised by 0.5, this dataset validated and was
         # written, and then failed to load; with end_ts '17', validate raised TypeError
-        # comparing it; with snippet_relevant 'yes', it was written as true.
+        # comparing it; with snippet_relevant 'yes', it was written as true.  A None flag
+        # would be written as '-', which loads as no flag.
         ds = generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6))
         if records == "clicks":
             i, session = next((i, s) for i, s in enumerate(ds.sessions) if s.clicks)
@@ -685,12 +732,39 @@ class TestWriterBytes:
             bad = dataclasses.replace(first, **{field: change(getattr(first, field))})
             session = dataclasses.replace(session, clicks=(bad, *rest))
             ds = dataclasses.replace(ds, sessions=(*ds.sessions[:i], session, *ds.sessions[i + 1:]))
+        elif records == "snippets":
+            key, flags = next(iter(ds.snippets.items()))
+            rater = next(iter(flags))
+            bad = change(flags[rater])
+            ds = dataclasses.replace(ds, snippets={**ds.snippets, key: {**flags, rater: bad}})
         else:
             first, *rest = getattr(ds, records)
             bad = dataclasses.replace(first, **{field: change(getattr(first, field))})
             ds = dataclasses.replace(ds, **{records: (bad, *rest)})
+        value = bad if records == "snippets" else getattr(bad, field)
+        assert _refused_alike(ds, tmp_path / "out", "bad-field") == message.format(value)
+
+    @pytest.mark.parametrize("judged_pair", [True, False], ids=["other-rater", "unjudged-pair"])
+    def test_snippet_flag_without_its_judgment_is_refused_before_any_file(
+            self, tmp_path, judged_pair):
+        # the writer writes one line per judgment, so it would drop this flag
+        ds = generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6))
+        key = next(iter(ds.snippets)) if judged_pair else ("q001", "q001-x01")
+        assert "u09" not in ds.judgments.get(key, {})
+        ds = dataclasses.replace(ds, snippets={**ds.snippets,
+                                               key: {**ds.snippets.get(key, {}), "u09": True}})
         assert _refused_alike(ds, tmp_path / "out", "bad-field") == (
-            message.format(getattr(bad, field)))
+            f"snippet flag {(*key, 'u09')!r} has no judgment, which a record file cannot hold")
+
+    def test_empty_rater_map_is_refused_before_any_file(self, tmp_path):
+        # a (query, result) with no rater has no line to write; ranked past the cut-off,
+        # the coverage check does not ask for it
+        ds = generate_synthetic(SynthSpec(3, 2, 1, list_len=12, n_preferences=6))
+        key = ("q001", ds.pair_by_query["q001"].variant_a[11])
+        ds = with_judgments(ds, [row for row in judgment_rows(ds) if row[:2] != key])
+        ds = dataclasses.replace(ds, judgments={**ds.judgments, key: {}})
+        assert _refused_alike(ds, tmp_path / "out", "bad-field") == (
+            f"judgment {key!r} has no rater, which a record file cannot hold")
 
     def test_a_text_fault_comes_before_an_id_fault(self, tmp_path):
         # the writer checked texts before ids, so its first message stays the text's
@@ -728,11 +802,16 @@ class TestWriterBytes:
     def test_an_id_in_any_record_is_checked(self, tmp_path, records, field, kind):
         # one more record whose id breaks the rule, whatever else it breaks
         ds = generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6))
-        first = getattr(ds, records)[0]
         new = "x\ty"
-        extra = dataclasses.replace(
-            first, **{field: (new, *first.variant_a[1:]) if field == "variant_a" else new})
-        ds = dataclasses.replace(ds, **{records: (*getattr(ds, records), extra)})
+        if records == "judgments":
+            extra = list(judgment_rows(ds)[0])
+            extra[("query_id", "result_id", "rater_id").index(field)] = new
+            ds = with_judgments(ds, [*judgment_rows(ds), tuple(extra)])
+        else:
+            first = getattr(ds, records)[0]
+            extra = dataclasses.replace(
+                first, **{field: (new, *first.variant_a[1:]) if field == "variant_a" else new})
+            ds = dataclasses.replace(ds, **{records: (*getattr(ds, records), extra)})
         reported = [i.message for i in validate(ds).errors if i.kind == "bad-id"]
         with pytest.raises(ValueError) as exc:
             write_dataset(ds, tmp_path / "out")
@@ -745,8 +824,9 @@ class TestWriterBytes:
     @example(query="#prefeval", result=" r\x0b ", rater="#prefeval\x0b1")
     def test_every_id_validate_accepts_round_trips(self, query, result, rater):
         ds = generate_synthetic(SynthSpec(3, 2, 1, n_preferences=6))
-        assume(query not in ds.query_by_id and rater not in {j.rater_id for j in ds.judgments}
-               and result not in {j.result_id for j in ds.judgments})
+        rows = judgment_rows(ds)
+        assume(query not in ds.query_by_id and rater not in {row[2] for row in rows}
+               and result not in {row[1] for row in rows})
         for kind, old, new in (("query", "q002", query), ("result", "q002-b03", result),
                                ("rater", "u01", rater)):
             ds = _rename_id(ds, kind, old, new)
@@ -810,10 +890,16 @@ def _rename_id(ds, kind, old, new):
                                                for f in fields if hasattr(r, f)})
                      for r in records)
 
+    def renamed_index(index):  # keyed by its ids, so an unhashable id is not held
+        if new.__hash__ is None:
+            return index
+        return {(swap(qid), swap(rid)): {swap(rater): v for rater, v in raters.items()}
+                for (qid, rid), raters in index.items()}
+
     ds = dataclasses.replace(
-        ds, queries=renamed(ds.queries), judgments=renamed(ds.judgments),
+        ds, queries=renamed(ds.queries), judgments=renamed_index(ds.judgments),
         list_pairs=renamed(ds.list_pairs), preferences=renamed(ds.preferences),
-        sessions=renamed(ds.sessions))
+        sessions=renamed(ds.sessions), snippets=renamed_index(ds.snippets))
     if kind == "result":
         ds = dataclasses.replace(ds, list_pairs=tuple(
             dataclasses.replace(p, variant_a=tuple(map(swap, p.variant_a)),

@@ -5,12 +5,10 @@ import pickle
 
 import pytest
 
-from conftest import binary_pair_dataset, make_query, make_session
-from prefeval import dataset
-from prefeval.data_io import load_dataset, write_dataset
+from conftest import binary_pair_dataset, judgment_rows, make_query, make_session, with_judgments
+from prefeval.data_io import FILE_NAMES, ParseError, load_dataset, write_dataset
 from prefeval.dataset import (
     Click,
-    GradedJudgment,
     PreferenceJudgment,
     RankedListPair,
     ValidationError,
@@ -72,11 +70,8 @@ class TestJudgmentCoverage:
     def test_unjudged_listed_result_is_strict_error(self, well_formed):
         # drop the judgment of the result at rank 3 of q1 variant A
         victim = well_formed.pair_by_query["q1"].variant_a[2]
-        remaining = tuple(
-            j for j in well_formed.judgments
-            if not (j.query_id == "q1" and j.result_id == victim)
-        )
-        ds = dataclasses.replace(well_formed, judgments=remaining)
+        ds = with_judgments(well_formed, [row for row in judgment_rows(well_formed)
+                                          if row[:2] != ("q1", victim)])
         report = validate(ds, STRICT)
         assert "missing-judgment" in kinds(report)
         assert not report.ok
@@ -90,11 +85,8 @@ class TestJudgmentCoverage:
         # drop the judgment of variant A's rank-10 result: a violation at
         # cut-off 10, out of scope at cut-off 9
         victim = well_formed.pair_by_query["q1"].variant_a[9]
-        remaining = tuple(
-            j for j in well_formed.judgments
-            if not (j.query_id == "q1" and j.result_id == victim)
-        )
-        ds = dataclasses.replace(well_formed, judgments=remaining)
+        ds = with_judgments(well_formed, [row for row in judgment_rows(well_formed)
+                                          if row[:2] != ("q1", victim)])
         assert not validate(ds, STRICT, max_cutoff=10).ok
         assert validate(ds, STRICT, max_cutoff=9).ok
 
@@ -106,18 +98,14 @@ class TestReferences:
         assert "dangling-query" in kinds(validate(ds, LENIENT))
 
     def test_judgment_for_unlisted_result(self, well_formed):
-        extra = GradedJudgment(query_id="q1", result_id="nowhere", rater_id="r1", grade=2)
-        ds = dataclasses.replace(well_formed, judgments=well_formed.judgments + (extra,))
+        ds = with_judgments(well_formed, [*judgment_rows(well_formed), ("q1", "nowhere", "r1", 2)])
         assert "dangling-result" in kinds(validate(ds, STRICT))
 
     def test_grade_out_of_range(self, well_formed):
         # the grade rule conflation applies: an int, not a bool, in 1..6
         for grade in (7, 0, "3", True, 3.0):
-            extra = GradedJudgment(
-                query_id="q1", result_id=well_formed.pair_by_query["q1"].variant_a[0],
-                rater_id="r9", grade=grade,
-            )
-            ds = dataclasses.replace(well_formed, judgments=well_formed.judgments + (extra,))
+            extra = ("q1", well_formed.pair_by_query["q1"].variant_a[0], "r9", grade)
+            ds = with_judgments(well_formed, [*judgment_rows(well_formed), extra])
             assert "grade-range" in kinds(validate(ds, STRICT)), grade
 
     def test_grade_and_session_messages(self, well_formed):
@@ -125,11 +113,11 @@ class TestReferences:
             pass
 
         rid = well_formed.pair_by_query["q1"].variant_a[0]
-        extra = tuple(GradedJudgment("q1", rid, f"r{9 + i}", grade)
-                      for i, grade in enumerate((7, 0, "3", True, 3.0, Grade(2))))
+        extra = [("q1", rid, f"r{9 + i}", grade)
+                 for i, grade in enumerate((7, 0, "3", True, 3.0, Grade(2)))]
         bad = make_session(qid="ghost", rater="r2", variant=Variant.B, start=50, end=40,
                            click_ranks_ts=((0, 45), (2, 60)))
-        ds = dataclasses.replace(well_formed, judgments=well_formed.judgments + extra,
+        ds = dataclasses.replace(with_judgments(well_formed, [*judgment_rows(well_formed), *extra]),
                                  sessions=well_formed.sessions + (bad,))
         judgment = f"error: grade-range: judgment ('q1', '{rid}', "
         session = "session ('ghost', 'r2', B)"
@@ -161,19 +149,39 @@ class TestGradeIndex:
         validate(well_formed, STRICT)
         index = well_formed.__dict__["grades"]
         assert index[("q1", well_formed.list_pairs[0].variant_a[0])] == {"r1": 1}
-        assert len(index) == len(well_formed.judgments)
+        assert index is well_formed.judgments
 
     def test_validation_that_fails_leaves_none(self, well_formed):
-        ds = dataclasses.replace(
-            well_formed, judgments=well_formed.judgments + (well_formed.judgments[0],))
+        ds = with_judgments(well_formed, [*judgment_rows(well_formed), ("q1", "q1-a01", "r2", 7)])
         assert not validate(ds, LENIENT).ok
         assert "grades" not in ds.__dict__
-        with pytest.raises(ValidationError, match="duplicate-judgment"):
+        with pytest.raises(ValidationError, match="grade-range"):
             ds.grades
+
+    @pytest.mark.parametrize("mode, severity", [(STRICT, "error"), (LENIENT, "warning")])
+    def test_an_empty_rater_map_is_not_judged(self, well_formed, mode, severity):
+        # a file cannot hold it: a bad-field, and the listed result it keys has no judgment
+        rid = well_formed.pair_by_query["q1"].variant_a[0]
+        ds = dataclasses.replace(well_formed, judgments={**well_formed.judgments, ("q1", rid): {}})
+        assert [(i.severity, i.kind) for i in validate(ds, mode).issues] == [
+            (severity, "missing-judgment"), ("error", "bad-field")]
+
+    def test_equality_compares_the_maps_not_their_order(self, well_formed):
+        reordered = {key: dict(reversed(raters.items()))
+                     for key, raters in reversed(well_formed.judgments.items())}
+        assert list(reordered) != list(well_formed.judgments)
+        assert dataclasses.replace(well_formed, judgments=reordered) == well_formed
+        changed = with_judgments(well_formed, [(*row[:3], 7 - row[3])
+                                               for row in judgment_rows(well_formed)])
+        assert changed != well_formed
+
+    def test_a_dataset_has_no_hash(self, well_formed):
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(well_formed)
 
     def test_unvalidated_dataset_is_validated_leniently_once(self, well_formed, monkeypatch):
         # a missing judgment is no error in lenient mode, at any cut-off
-        ds = dataclasses.replace(well_formed, judgments=well_formed.judgments[1:])
+        ds = with_judgments(well_formed, judgment_rows(well_formed)[1:])
         calls = []
 
         def counted(*args, **kwargs):
@@ -186,11 +194,23 @@ class TestGradeIndex:
 
 
 class TestDuplicates:
-    def test_duplicate_judgment(self, well_formed):
-        ds = dataclasses.replace(
-            well_formed, judgments=well_formed.judgments + (well_formed.judgments[0],)
-        )
-        assert "duplicate-judgment" in kinds(validate(ds, STRICT))
+    @pytest.mark.parametrize("placement", ["adjacent", "last", "headerless"])
+    def test_duplicate_judgment(self, well_formed, tmp_path, placement):
+        # the grade index holds one grade per (query, result, rater), so a second line for
+        # one is malformed, wherever it stands and however the file is spelled
+        write_dataset(well_formed, tmp_path)
+        path = tmp_path / FILE_NAMES["judgments"]
+        lines = path.read_text().splitlines(keepends=True)
+        again = lines[1].replace("\t1\t", "\t2\t")
+        at = 2 if placement == "adjacent" else len(lines)
+        lines.insert(at, again)
+        if placement == "headerless":
+            lines = [line.replace("\t", " ") for line in lines[1:]]
+            at -= 1
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError) as exc:
+            load_dataset(tmp_path)
+        assert str(exc.value) == f"{path}:{at + 1}: rater 'r1' judged ('q1', 'q1-a01') twice"
 
     def test_duplicate_preference(self, well_formed):
         ds = dataclasses.replace(
@@ -246,7 +266,6 @@ class TestListLength:
 
 RECORDS = [
     make_query("q1"),
-    GradedJudgment(query_id="q1", result_id="d1", rater_id="r1", grade=2, snippet_relevant=True),
     RankedListPair(query_id="q1", variant_a=("d1", "d2"), variant_b=("d2", "d1")),
     PreferenceJudgment(query_id="q1", rater_id="r1", verdict=Verdict.A),
     Click(rank=1, ts=110),
@@ -313,18 +332,6 @@ class TestRecordTypes:
             type(record)(**values, bogus=1)
         with pytest.raises(TypeError, match="positional arguments"):
             type(record)(*values.values(), 1)
-
-
-@pytest.mark.parametrize("annotations, attrs", [
-    ({}, {"__post_init__": lambda self: None}),
-    ({"b": list}, {"b": dataclasses.field(default_factory=list)}),
-    ({"b": dataclasses.InitVar[int]}, {}),
-], ids=["post-init", "default-factory", "init-var"])
-def test_record_refuses_what_its_init_would_skip(annotations, attrs):
-    namespace = {"__annotations__": {"a": int, **annotations}, **attrs}
-    with pytest.raises(TypeError, match="Throwaway: __init__ may only store the fields"):
-        dataset.record(type("Throwaway", (), namespace))
-    assert dataset.record(type("Throwaway", (), {"__annotations__": {"a": int}}))(a=1).a == 1
 
 
 def test_loaded_dataset_pickles_equal(tmp_path, well_formed):

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import RATER, binary_pair_dataset, make_query, scored_pairs
+from conftest import RATER, binary_pair_dataset, judgment_rows, make_query, scored_pairs, with_judgments
 from prefeval.config import ApNorm, Metric, MetricConfig, RatingSource
 from prefeval.dataset import (
     EvaluationDataset,
-    GradedJudgment,
     PreferenceJudgment,
     RankedListPair,
     Verdict,
@@ -361,8 +360,7 @@ def gapped_datasets(draw):
         rater_noise=draw(st.sampled_from([0.0, 0.1, 0.4])),
         overlap=draw(st.sampled_from([0.0, 0.4, 1.0]))))
     rng, drop = random.Random(draw(st.integers(0, 999))), draw(st.sampled_from([0.0, 0.1, 0.5]))
-    return dataclasses.replace(dataset, judgments=tuple(
-        j for j in dataset.judgments if rng.random() >= drop))
+    return with_judgments(dataset, [row for row in judgment_rows(dataset) if rng.random() >= drop])
 
 
 class TestCompanionConfigs:
@@ -490,8 +488,7 @@ class TestEqualGradeGaps:
             q = f"q{g}"
             dataset = EvaluationDataset(
                 queries=(make_query(q),),
-                judgments=(GradedJudgment(q, f"{q}-a", RATER, g),
-                           GradedJudgment(q, f"{q}-b", RATER, g + 1)),
+                judgments={(q, f"{q}-a"): {RATER: g}, (q, f"{q}-b"): {RATER: g + 1}},
                 list_pairs=(RankedListPair(q, (f"{q}-a",), (f"{q}-b",)),),
                 preferences=(PreferenceJudgment(q, RATER, Verdict.A),),
             )

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from prefeval.config import Metric, MetricConfig
 from prefeval.dataset import (
     EvaluationDataset,
-    GradedJudgment,
     PreferenceJudgment,
     RankedListPair,
     Verdict,
@@ -43,7 +42,7 @@ def graded_datasets(draw):
     """Small single-rater dataset: random grades per variant, random verdicts."""
     n_queries = draw(st.integers(1, 3))
     list_len = draw(st.integers(2, 4))
-    queries, pairs, judgments, preferences = [], [], [], []
+    queries, pairs, judgments, preferences = [], [], {}, []
     for qi in range(n_queries):
         qid = f"q{qi}"
         queries.append(make_query(qid))
@@ -51,16 +50,13 @@ def graded_datasets(draw):
         ids_b = tuple(f"{qid}b{r}" for r in range(list_len))
         pairs.append(RankedListPair(query_id=qid, variant_a=ids_a, variant_b=ids_b))
         for rid in (*ids_a, *ids_b):
-            grade = draw(st.integers(1, 6))
-            judgments.append(
-                GradedJudgment(query_id=qid, result_id=rid, rater_id="r1", grade=grade)
-            )
+            judgments[qid, rid] = {"r1": draw(st.integers(1, 6))}
         preferences.append(
             PreferenceJudgment(query_id=qid, rater_id="r1", verdict=draw(verdict))
         )
     ds = EvaluationDataset(
         queries=tuple(queries),
-        judgments=tuple(judgments),
+        judgments=judgments,
         list_pairs=tuple(pairs),
         preferences=tuple(preferences),
     )

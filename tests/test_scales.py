@@ -1,21 +1,26 @@
-import dataclasses
 import math
 
 import pytest
 
-from conftest import RATER, binary_pair_dataset
+from conftest import RATER, binary_pair_dataset, judgment_rows, with_judgments
 from prefeval.config import Metric, MetricConfig
 from prefeval.data_io import load_click_weights
 from prefeval.dataset import ValidationError, Verdict
 from prefeval.scales import (
     EXAMPLE_CLICK_WEIGHTS,
-    UNITS,
+    UNIT_NUMERATORS,
     DiscountFunction,
     DiscountKind,
     RelevanceScale,
     check_grade,
 )
 from prefeval.scoring import resolve_preferences
+
+def units(scale: RelevanceScale) -> tuple[float, ...]:
+    """Each grade's unit under ``scale``, ``k / den`` from its numerator table."""
+    numerators, den = UNIT_NUMERATORS[scale]
+    return tuple(k / den for k in numerators)
+
 
 ALL_KINDS = [
     DiscountFunction(DiscountKind.NONE),
@@ -33,7 +38,7 @@ class TestGradeToUnit:
 
     @pytest.mark.parametrize("grade,unit", [(1, 1.0), (2, 0.8), (3, 0.6), (4, 0.4), (5, 0.2), (6, 0.0)])
     def test_linear_mapping(self, grade, unit):
-        assert UNITS[RelevanceScale.SIX_POINT][grade - 1] == pytest.approx(unit)
+        assert units(RelevanceScale.SIX_POINT)[grade - 1] == pytest.approx(unit)
 
     @pytest.mark.parametrize("bad", [0, 7, -1, 2.5, "3", True])
     def test_rejects_out_of_range(self, bad):
@@ -42,11 +47,11 @@ class TestGradeToUnit:
 
 
 class TestConflate:
-    """Conflation onto each scale is that scale's row of UNITS."""
+    """Conflation onto each scale is that scale's row of unit numerators."""
 
     def test_six_point_matches_grade_to_unit(self):
         for g in range(1, 7):
-            assert UNITS[RelevanceScale.SIX_POINT][g - 1] == (6 - g) / 5
+            assert units(RelevanceScale.SIX_POINT)[g - 1] == (6 - g) / 5
 
     @pytest.mark.parametrize(
         "grade,scale,unit",
@@ -69,11 +74,11 @@ class TestConflate:
         ],
     )
     def test_conflation_table(self, grade, scale, unit):
-        assert UNITS[scale][grade - 1] == unit
+        assert units(scale)[grade - 1] == unit
 
     @pytest.mark.parametrize("scale", list(RelevanceScale))
     def test_monotone_non_increasing_in_grade(self, scale):
-        values = UNITS[scale]
+        values = units(scale)
         assert len(values) == 6
         assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -84,13 +89,13 @@ class TestConflate:
     @pytest.mark.parametrize("scale", list(RelevanceScale))
     @pytest.mark.parametrize("bad", [0, 7, -1, 2.5, "3", True])
     def test_rejects_bad_grade_on_every_scale(self, scale, bad):
-        # the tables are read unchecked (UNITS[scale][-1] is grade 6's unit), so a bad
+        # the tables are read unchecked (numerators[-1] is grade 6's), so a bad
         # grade must fail validation before the engine reads any scale's table
         with pytest.raises(ValueError):
             check_grade(bad)
         ds = binary_pair_dataset([("q1", 1, 1, Verdict.A)], list_len=1)
-        bad_judgment = dataclasses.replace(ds.judgments[0], grade=bad)
-        ds = dataclasses.replace(ds, judgments=(bad_judgment, *ds.judgments[1:]))
+        first, *rest = judgment_rows(ds)
+        ds = with_judgments(ds, [(*first[:3], bad), *rest])
         cfg = MetricConfig(Metric.PRECISION, DiscountFunction(DiscountKind.NONE), scale=scale)
         with pytest.raises(ValidationError, match="grade-range"):
             resolve_preferences(ds, cfg, (1,), readers=[("q1", RATER, None)])

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import binary_pair_dataset, count_grade_reads, make_query, score_pair
+from conftest import (binary_pair_dataset, count_grade_reads, judgment_rows, make_query, score_pair,
+                      with_judgments)
 from prefeval.config import Metric, MetricConfig, RatingSource
 from prefeval.data_io import load_dataset, write_dataset
 from prefeval.dataset import (
     EvaluationDataset,
-    GradedJudgment,
     PreferenceJudgment,
     QueryType,
     RankedListPair,
@@ -27,7 +27,7 @@ from prefeval.implicit import ImplicitMeasure, descriptive_stats, implicit_pir
 from prefeval.metrics import ApNorm
 from prefeval.oracle import judged_lists, metric_score
 from prefeval.pir import pir_sweep
-from prefeval.scales import UNITS, DiscountFunction, DiscountKind, RelevanceScale
+from prefeval.scales import UNIT_NUMERATORS, DiscountFunction, DiscountKind, RelevanceScale
 from prefeval.scoring import (
     JudgedLists,
     MissingJudgment,
@@ -40,16 +40,13 @@ from prefeval.synth import SynthSpec, generate_synthetic
 def multi_rater_dataset(grades_by_rater):
     """One query, two 2-result variants; every rater grades all four results."""
     ids_a, ids_b = ("a1", "a2"), ("b1", "b2")
-    judgments = []
+    judgments = {}
     for rater, grades in grades_by_rater.items():
         for rid in (*ids_a, *ids_b):
-            judgments.append(
-                GradedJudgment(query_id="q1", result_id=rid, rater_id=rater,
-                               grade=grades[rid])
-            )
+            judgments.setdefault(("q1", rid), {})[rater] = grades[rid]
     return EvaluationDataset(
         queries=(make_query("q1"),),
-        judgments=tuple(judgments),
+        judgments=judgments,
         list_pairs=(RankedListPair(query_id="q1", variant_a=ids_a, variant_b=ids_b),),
     )
 
@@ -177,8 +174,8 @@ class TestResolvePreferences:
     def test_pool_is_in_first_rank_order(self):
         ds = binary_pair_dataset([("q1", 2, 2, Verdict.A)], list_len=4, shared_results=True)
         # A = a01 a02 a03 a04, B = a04 a03 a02 a01; grade k tells a0k apart
-        ds = dataclasses.replace(ds, judgments=tuple(
-            dataclasses.replace(j, grade=int(j.result_id[-2:])) for j in ds.judgments))
+        ds = with_judgments(ds, [(qid, rid, rater, int(rid[-2:]))
+                                 for qid, rid, rater, _ in judgment_rows(ds)])
         _, _, pool = judged_lists(ds, "q1", "r1", config(cutoff=4))
         assert pool == [1.0, 0.4, 0.8, 0.6]  # a01, a04, a02, a03
         [(_, entry)] = resolve_preferences(ds, config(), (1, 2, 4))
@@ -293,7 +290,7 @@ def perturbed(spec, seed, drop, outsider, shuffle):
     """
     dataset = generate_synthetic(spec)
     rng = random.Random(seed)
-    judgments = tuple(j for j in dataset.judgments if rng.random() >= drop)
+    judgments = [row for row in judgment_rows(dataset) if rng.random() >= drop]
     preferences = list(dataset.preferences)
     if outsider:
         qid = rng.choice(dataset.queries).id
@@ -301,7 +298,7 @@ def perturbed(spec, seed, drop, outsider, shuffle):
                                               verdict=Verdict.B))
     if shuffle:
         rng.shuffle(preferences)
-    return dataclasses.replace(dataset, judgments=judgments, preferences=tuple(preferences))
+    return dataclasses.replace(with_judgments(dataset, judgments), preferences=tuple(preferences))
 
 
 @st.composite
@@ -395,9 +392,10 @@ class TestGradeIndex:
         loaded = load_dataset(tmp_path)
         assert "grades" in loaded.__dict__
         expected: dict = {}
-        for j in ds.judgments:
-            expected.setdefault((j.query_id, j.result_id), {})[j.rater_id] = j.grade
+        for qid, rid, rater, grade in judgment_rows(ds):
+            expected.setdefault((qid, rid), {})[rater] = grade
         assert loaded.grades == expected
+        assert loaded.grades is loaded.judgments
 
     def test_engine_checks_no_grade_after_loading(self, tmp_path, monkeypatch):
         write_dataset(generate_synthetic(SynthSpec(n_queries=4, n_raters=3, seed=2,
@@ -426,8 +424,8 @@ class TestGradeIndex:
     def test_bad_library_grade_is_a_validation_error(self, grade, run):
         # grade 0 would read the last unit table entry, 0.0, were it not checked
         ds = binary_pair_dataset([("q1", 3, 2, Verdict.A), ("q2", 1, 4, Verdict.B)])
-        first, *rest = ds.judgments
-        bad = dataclasses.replace(ds, judgments=(dataclasses.replace(first, grade=grade), *rest))
+        first, *rest = judgment_rows(ds)
+        bad = with_judgments(ds, [(*first[:3], grade), *rest])
         with pytest.raises(ValidationError) as info:
             run(bad, self.CONFIGS[0])
         assert [issue.kind for issue in info.value.report.errors] == ["grade-range"]
@@ -547,7 +545,7 @@ class TestConsensusLists:
 
     def test_missing_judgment_strict(self):
         ds = multi_rater_dataset({"r1": dict(a1=1, a2=1, b1=6, b2=6)})
-        trimmed = dataclasses.replace(ds, judgments=ds.judgments[:-1])
+        trimmed = with_judgments(ds, judgment_rows(ds)[:-1])
         for source in RatingSource:
             with pytest.raises(MissingJudgment, match=r"^\('q1', 'b2'\) has no judgment$"):
                 consensus(trimmed, config(source=source))
@@ -563,8 +561,7 @@ class TestConsensusLists:
             unit = EXACT_UNITS[scale]
 
             def mean(qid, rid):
-                values = [unit(j.grade) for j in dataset.judgments
-                          if (j.query_id, j.result_id) == (qid, rid)]
+                values = [unit(grade) for grade in dataset.judgments[qid, rid].values()]
                 return float(sum(values) / len(values)).hex()
 
             cfg = config(source=source, scale=scale, cutoff=10)
@@ -604,7 +601,8 @@ class TestMetricScoreDispatch:
             MetricConfig(metric=Metric.MAP, discount=DiscountFunction(DiscountKind.RANK), cutoff=0)
 
 
-SIX_POINT_UNITS = UNITS[RelevanceScale.SIX_POINT]
+SIX_POINT_NUMERATORS, SIX_POINT_DEN = UNIT_NUMERATORS[RelevanceScale.SIX_POINT]
+SIX_POINT_UNITS = tuple(k / SIX_POINT_DEN for k in SIX_POINT_NUMERATORS)
 CONFLATED_UNITS = (1.0, 0.5, 0.0)
 DISCOUNTS = [DiscountFunction.click_based() if kind is DiscountKind.CLICK_BASED
              else DiscountFunction(kind) for kind in DiscountKind]
@@ -747,7 +745,7 @@ class TestScoreGroup:
         # resolved tables, with lenient gaps where every other judgment is dropped
         dataset = generate_synthetic(SynthSpec(8, 3, 5, n_preferences=12, rater_noise=0.2))
         if lenient:
-            dataset = dataclasses.replace(dataset, judgments=dataset.judgments[::2])
+            dataset = with_judgments(dataset, judgment_rows(dataset)[::2])
         configs = [dataclasses.replace(base, discount=discount_instance(kind), scale=scale,
                                        rating_source=source)
                    for kind in DiscountKind for base in WALK_CONFIGS]
@@ -842,10 +840,9 @@ class TestLayering:
 
     def test_only_scoring_divides_to_make_a_relevance(self):
         # the unit tables are named only where they are written, read or handed to _relevance,
-        # and only scales (a numerator over its denominator) and scoring (the rule's mean)
-        # divide anything bound from a grade or a table, such as a count of graders: a second
-        # mean beside the one rule cannot come back unseen
-        tables = {"UNITS", "UNIT_NUMERATORS"}
+        # and only scoring (the rule's mean) divides anything bound from a grade or a table,
+        # such as a count of graders: a second mean beside the one rule cannot come back unseen
+        tables = {"UNIT_NUMERATORS"}
         namers, dividers = set(), set()
         for path in Path(scoring.__file__).parent.glob("*.py"):
             nodes = list(ast.walk(ast.parse(path.read_text())))
@@ -859,7 +856,8 @@ class TestLayering:
 
             def reads_grades(node):
                 return any(isinstance(n, ast.Name) and n.id in from_grades
-                           or isinstance(n, ast.Attribute) and n.attr in ("grade", "grades")
+                           or isinstance(n, ast.Attribute)
+                           and n.attr in ("grade", "grades", "judgments")
                            for n in ast.walk(node))
 
             while True:
@@ -873,7 +871,7 @@ class TestLayering:
                    for n in nodes):
                 dividers.add(path.stem)
         assert namers == {"scales", "scoring", "oracle", "implicit"}
-        assert dividers == {"scales", "scoring"}  # the scan sees both
+        assert dividers == {"scoring"}  # the scan sees the rule's mean
 
     def test_every_dataset_analysis_is_in_the_gate_test(self):
         # each public function that takes a dataset, but the gate and the writer, validates it

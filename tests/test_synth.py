@@ -68,7 +68,7 @@ class TestStrictValidity:
         spec = SynthSpec(n_queries=42, n_raters=31, seed=2010, n_preferences=147)
         ds = generate_synthetic(spec)
         assert len(ds.queries) == 42
-        assert len({j.rater_id for j in ds.judgments}) <= 31
+        assert len({rater for raters in ds.judgments.values() for rater in raters}) <= 31
         assert len(ds.preferences) == 147
         assert validate(ds, ValidationMode.STRICT).issues == ()
 
@@ -90,12 +90,8 @@ class TestGradeMarginals:
                          grade_weights_a=weights, grade_weights_b=weights)
         ds = generate_synthetic(spec)
         per_variant = {"a": Counter(), "b": Counter()}
-        seen = set()
-        for j in ds.judgments:
-            if j.result_id in seen:
-                continue
-            seen.add(j.result_id)
-            per_variant["a" if "-a" in j.result_id else "b"][j.grade] += 1
+        for (_, rid), raters in ds.judgments.items():  # each result's first grade
+            per_variant["a" if "-a" in rid else "b"][next(iter(raters.values()))] += 1
         for counter in per_variant.values():
             assert all(count == 10 for count in counter.values())  # 5 queries * 2 each
 
@@ -106,8 +102,10 @@ class TestGradeMarginals:
             grade_weights_b=(0.0, 0.0, 0.0, 0.2, 0.3, 0.5),
         )
         ds = generate_synthetic(spec)
-        grades_a = [j.grade for j in ds.judgments if "-a" in j.result_id]
-        grades_b = [j.grade for j in ds.judgments if "-b" in j.result_id]
+        grades_a = [g for (_, rid), raters in ds.judgments.items() if "-a" in rid
+                    for g in raters.values()]
+        grades_b = [g for (_, rid), raters in ds.judgments.items() if "-b" in rid
+                    for g in raters.values()]
         assert max(grades_a) <= 3 < min(grades_b)
 
 
