@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
-from math import isfinite
+from math import fsum, isfinite
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -241,7 +241,7 @@ def cmd_eval(args) -> int:
         print("no evaluable query", file=sys.stderr)
         return EXIT_EMPTY_PIR
     _, scores_a, scores_b = zip(*rows)
-    print(f"mean\t{_fmt(sum(scores_a) / len(rows))}\t{_fmt(sum(scores_b) / len(rows))}")
+    print(f"mean\t{_fmt(fsum(scores_a) / len(rows))}\t{_fmt(fsum(scores_b) / len(rows))}")
     return EXIT_OK
 
 

@@ -29,11 +29,6 @@ dataset, and write -> load -> write is byte-stable once a first write has
 grouped any interleaved (query, result) lines.  Files are canonical when the
 dataset's order is, as ``synth``'s is.  A field ``validate`` reports as
 ``bad-field`` or ``bad-id`` cannot be written.
-
-Reading, loading and writing run with the cyclic garbage collector
-paused (:func:`dataset.gc_paused`): they build hundreds of thousands of
-objects and no reference cycles, so a collection there would only
-traverse the new objects again and free nothing.
 """
 
 from __future__ import annotations
@@ -59,7 +54,6 @@ from .dataset import (
     Variant,
     Verdict,
     MAX_CUTOFF,
-    gc_paused,
     record_faults,
     validate,
 )
@@ -311,7 +305,6 @@ def read_sessions(sessions_path: Path, clicks_path: Path) -> list[Session]:
     return out
 
 
-@gc_paused
 def read_dataset(root: Union[str, Path], *, sessions: bool = True) -> EvaluationDataset:
     """Parse the dataset in directory ``root``, without validating it.
 
@@ -339,7 +332,6 @@ def read_dataset(root: Union[str, Path], *, sessions: bool = True) -> Evaluation
     )
 
 
-@gc_paused
 def load_dataset(
     root: Union[str, Path],
     *,
@@ -404,7 +396,6 @@ def write_tsv(path: Union[str, Path], header: Sequence[object],
         fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
 
 
-@gc_paused
 def write_dataset(dataset: EvaluationDataset, root: Union[str, Path]) -> None:
     """Write all record files under ``root``, records in the order the dataset holds them.
 

@@ -12,43 +12,18 @@ except that a dataset that passes keeps its judgments as its ``grades``.
 
 from __future__ import annotations
 
-import gc
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, wraps
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .scales import GRADE_BEST, GRADE_WORST, check_grade
 
 # The deepest cut-off any metric is evaluated at, and every command's default one.
 MAX_CUTOFF = 10
-
-
-def gc_paused(fn: Callable) -> Callable:
-    """Run ``fn`` with the cyclic garbage collector off, as the caller had it after.
-
-    Generating, loading, validating and writing a dataset build or walk
-    hundreds of thousands of tracked objects (split lines, rater maps, session
-    records) and no reference cycles, so a collection there frees nothing, while
-    each one that runs as the generations fill traverses them all again.
-    Nested calls keep it off, and a caller that turned the collector off
-    finds it off; objects made meanwhile are collected as usual once it
-    is back on.  The switch is process-wide, and the package starts no
-    threads that could find it off.
-    """
-    @wraps(fn)
-    def paused(*args, **kwargs):
-        if not gc.isenabled():
-            return fn(*args, **kwargs)
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            gc.enable()
-    return paused
 
 
 class QueryType(str, Enum):
@@ -284,7 +259,6 @@ def _ids(dataset: EvaluationDataset) -> dict[str, tuple[Iterable, ...]]:
                       *(map(get("rater_id"), records) for records in holders))}
 
 
-@gc_paused
 def validate(
     dataset: EvaluationDataset,
     mode: ValidationMode = ValidationMode.STRICT,

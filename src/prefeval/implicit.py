@@ -91,12 +91,14 @@ def implicit_pir(
 
     A variant scores a query by the mean of ``measure_session`` over all
     raters' sessions of that variant that have a value and, when ``band``
-    is given, whose value lies in [lo, hi] (bounds included).  A query
-    with no such session on either side is excluded: none of its
-    verdicts is compared, and it counts once in the row's ``excluded``.
-    LOWER_BETTER negates both means, so every query's difference A - B
-    feeds the standard higher-is-better PIR aggregation.  A dataset no
-    validation passed is validated leniently first, as scoring does.
+    is given, whose value lies in [lo, hi] (bounds included).  The values
+    are summed exactly (``math.fsum``), so session order cannot move a
+    cell.  A query with no such session on either side is excluded: none
+    of its verdicts is compared, and it counts once in the row's
+    ``excluded``.  LOWER_BETTER negates both means, so every query's
+    difference A - B feeds the standard higher-is-better PIR aggregation.
+    A dataset no validation passed is validated leniently first, as
+    scoring does.
     """
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLD_GRIDS[measure]
@@ -115,7 +117,7 @@ def implicit_pir(
                 values = [v for s in sessions.get((qid, variant), ())
                           if (v := measure_session(s, measure, endpoint)) is not None
                           and (band is None or band[0] <= v <= band[1])]
-                means.append(sign * (sum(values) / len(values)) if values else None)
+                means.append(sign * (math.fsum(values) / len(values)) if values else None)
             diff_by_query[qid] = None if None in means else means[0] - means[1]
         if diff_by_query[qid] is not None:
             differences.append(diff_by_query[qid])

@@ -17,16 +17,27 @@ writes from them are canonical: queries and list pairs by query id
 (``q1000`` sorts between ``q100`` and ``q101``), judgments by (query,
 result, rater), verdicts by (query, rater) and sessions by (query, rater,
 variant).
+
+Generation is the one call in the package that pauses the cyclic garbage
+collector.  It allocates a whole dataset's rater maps, records and tuples
+in one call, all of them kept and none in a cycle, so each collection the
+allocations trigger there walks the survivors again and frees nothing: on
+the benchmark's ``io`` spec, generating and writing without the pause took
+about 7% longer.  Reading, validating and writing leave the collector alone,
+since there the pause measured no gain end to end: the collection it put
+off ran once the collector was back on.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass
+from functools import wraps
 from itertools import chain
 from math import inf, isfinite
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .dataset import (
     Click,
@@ -39,7 +50,6 @@ from .dataset import (
     Session,
     Variant,
     Verdict,
-    gc_paused,
 )
 
 _WORDS = (
@@ -163,7 +173,25 @@ def _attention_mean(units: Sequence[float], ranked: Sequence[int],
     return sum(units[i] * w for i, w in zip(ranked, weights)) / total
 
 
-@gc_paused
+def _gc_paused(fn: Callable) -> Callable:
+    """Run ``fn`` with the cyclic garbage collector off, as the caller had it after.
+
+    A caller that turned the collector off finds it off.  The switch is
+    process-wide, and the package starts no threads that could find it off.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
+@_gc_paused
 def generate_synthetic(spec: SynthSpec) -> EvaluationDataset:
     """Build a strict-valid dataset from ``spec``; deterministic in (spec, seed).
 

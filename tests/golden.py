@@ -114,14 +114,18 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(command: str) -> dict:
-    """One command line's exit code and the digests of its stdout, stderr and written files."""
+def outputs(command: str, data: Path = DATA) -> tuple[int, str, str, dict[str, bytes]]:
+    """One command line's exit code, stdout, stderr and written files, over datasets in ``data``.
+
+    Paths in stdout and stderr read ``{data}`` and ``{out}``; files are keyed by
+    their path under the output directory.
+    """
     from prefeval.cli import main
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         out.mkdir()
-        argv = [word.format(data=DATA, out=out) for word in command.split()]
+        argv = [word.format(data=data, out=out) for word in command.split()]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
@@ -129,13 +133,19 @@ def run(command: str) -> dict:
             except SystemExit as exc:  # argparse's usage errors
                 code = exc.code
 
-        def digest(text: str) -> str:
-            return _sha(text.replace(str(out), "{out}").replace(str(DATA), "{data}").encode())
+        def placed(text: str) -> str:
+            return text.replace(str(out), "{out}").replace(str(data), "{data}")
 
-        files = {str(path.relative_to(out)): _sha(path.read_bytes())
+        files = {str(path.relative_to(out)): path.read_bytes()
                  for path in sorted(out.rglob("*")) if path.is_file()}
-        return {"exit": code, "stdout": digest(stdout.getvalue()),
-                "stderr": digest(stderr.getvalue()), "files": files}
+        return code, placed(stdout.getvalue()), placed(stderr.getvalue()), files
+
+
+def run(command: str) -> dict:
+    """One command line's exit code and the digests of its stdout, stderr and written files."""
+    code, stdout, stderr, files = outputs(command)
+    return {"exit": code, "stdout": _sha(stdout.encode()), "stderr": _sha(stderr.encode()),
+            "files": {name: _sha(data) for name, data in files.items()}}
 
 
 def run_all() -> dict:

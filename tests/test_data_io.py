@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -9,12 +8,10 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import binary_pair_dataset, judgment_rows, make_session, scored_pairs, with_judgments
-from prefeval import data_io
 from prefeval.data_io import (
     FILE_NAMES,
     ParseError,
     load_dataset,
-    read_dataset,
     read_judgments,
     read_queries,
     write_dataset,
@@ -906,101 +903,3 @@ def _rename_id(ds, kind, old, new):
                                 variant_b=tuple(map(swap, p.variant_b)))
             for p in ds.list_pairs))
     return ds
-
-
-class _SpyTuple(tuple):
-    """A tuple that records whether the collector was on whenever it is iterated."""
-
-    seen: list
-
-    def __iter__(self):
-        self.seen.append(gc.isenabled())
-        return super().__iter__()
-
-
-class TestGcPause:
-    """Loading, validating and writing run with the cyclic collector off, and restore it."""
-
-    @pytest.fixture(autouse=True)
-    def restore_gc(self):
-        enabled = gc.isenabled()
-        yield
-        (gc.enable if enabled else gc.disable)()
-
-    @pytest.fixture
-    def data(self, tmp_path, round_trip_dataset):
-        write_dataset(round_trip_dataset, tmp_path / "ok")
-        return tmp_path
-
-    @staticmethod
-    def _break(root: Path, kind: str, edit) -> Path:
-        _rewrite(root / FILE_NAMES[kind], edit)
-        return root
-
-    CALLS = {
-        "read": lambda d, ds: read_dataset(d / "ok"),
-        "read-parse-error": lambda d, ds: read_dataset(TestGcPause._break(
-            d / "ok", "judgments", lambda t: t.replace("\t3\t", "\t7\t", 1))),
-        "read-missing": lambda d, ds: read_dataset(d / "absent"),
-        "load": lambda d, ds: load_dataset(d / "ok"),
-        "load-parse-error": lambda d, ds: load_dataset(TestGcPause._break(
-            d / "ok", "preferences", lambda t: t.replace("\tA\n", "\tMAYBE\n", 1))),
-        "load-validation-error": lambda d, ds: load_dataset(TestGcPause._break(
-            d / "ok", "queries", lambda t: t.split("\n", 2)[0] + "\n" + t.split("\n", 2)[2])),
-        "load-missing": lambda d, ds: load_dataset(d / "absent"),
-        "validate": lambda d, ds: validate(ds),
-        "write": lambda d, ds: write_dataset(ds, d / "out"),
-        "write-refused": lambda d, ds: write_dataset(dataclasses.replace(
-            ds, queries=(dataclasses.replace(ds.queries[0], text="a\tb"),) + ds.queries[1:]),
-            d / "out"),
-    }
-    RAISES = {"read-parse-error": ParseError, "read-missing": FileNotFoundError,
-              "load-parse-error": ParseError, "load-validation-error": ValidationError,
-              "load-missing": FileNotFoundError, "write-refused": ValueError}
-
-    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-    @pytest.mark.parametrize("name", list(CALLS))
-    def test_collector_state_is_restored(self, data, round_trip_dataset, name, enabled):
-        (gc.enable if enabled else gc.disable)()
-        raises = self.RAISES.get(name)
-        if raises is None:
-            self.CALLS[name](data, round_trip_dataset)
-        else:
-            with pytest.raises(raises):
-                self.CALLS[name](data, round_trip_dataset)
-        assert gc.isenabled() is enabled
-
-    def test_collector_is_off_while_files_are_read_and_written(self, data, round_trip_dataset,
-                                                               monkeypatch):
-        seen = []
-
-        def spy_open(*args, **kwargs):
-            seen.append(gc.isenabled())
-            return open(*args, **kwargs)
-
-        monkeypatch.setattr(data_io, "open", spy_open, raising=False)
-        gc.enable()
-        load_dataset(data / "ok")
-        read_dataset(data / "ok")
-        write_dataset(round_trip_dataset, data / "out")
-        assert len(seen) == 3 * len(FILE_NAMES)
-        assert not any(seen)
-        assert gc.isenabled()
-
-    def test_collector_is_off_while_validating(self, round_trip_dataset):
-        queries = _SpyTuple(round_trip_dataset.queries)
-        queries.seen = []
-        gc.enable()
-        assert validate(dataclasses.replace(round_trip_dataset, queries=queries)).ok
-        assert queries.seen and not any(queries.seen)
-        assert gc.isenabled()
-
-    def test_paused_phases_leave_no_cycles(self, tmp_path):
-        """What the pause rests on: writing and loading create no garbage that only it frees."""
-        ds = generate_synthetic(SynthSpec(n_queries=300, n_raters=4, seed=11, n_preferences=600))
-        gc.collect()
-        write_dataset(ds, tmp_path)
-        assert gc.collect() == 0
-        loaded = load_dataset(tmp_path)
-        assert gc.collect() == 0
-        assert loaded == ds

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import binary_pair_dataset, make_session
+from prefeval.cli import main
 from prefeval.data_io import load_dataset, write_dataset
 from prefeval.dataset import Click, PreferenceJudgment, Variant, Verdict
 from prefeval.implicit import (
@@ -225,6 +226,21 @@ class TestImplicitPir:
             assert series.excluded == len(excluded), (endpoint, direction, measure)
             for cell in series.cells:
                 assert cell == pir(pairs, cell.threshold), (endpoint, direction, measure)
+
+    def test_session_file_order_cannot_move_a_cell(self, tmp_path, capsys):
+        # Summed in file order, float means printed 0.6451 at t = 3 here and 0.6420 shuffled.
+        write_dataset(generate_synthetic(SynthSpec(200, 10, 2, n_preferences=2000)), tmp_path)
+        outputs = []
+        for shuffled in (False, True):
+            if shuffled:
+                path = tmp_path / "sessions.tsv"
+                header, *records = path.read_text(encoding="utf-8").splitlines(keepends=True)
+                random.Random(2).shuffle(records)
+                path.write_text(header + "".join(records), encoding="utf-8")
+            assert main(["implicit", str(tmp_path), "--measure", "mean-click-rank"]) == 0
+            outputs.append(capsys.readouterr())
+        assert "3.0000\t0.6420\n" in outputs[0].out
+        assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("thresholds", [(3.0, 1.0, 2.0), (0.0, 1.0, 1.0)])
     def test_grid_must_increase_strictly(self, thresholds):

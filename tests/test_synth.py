@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import tempfile
 from collections import Counter
 
@@ -6,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import scored_pairs
+from prefeval import synth
 from prefeval.config import Metric, MetricConfig, RatingSource
 from prefeval.data_io import read_dataset, write_dataset
 from prefeval.dataset import ValidationMode, Verdict, validate
@@ -160,3 +163,46 @@ class TestSpecValidation:
     def test_infeasible_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SynthSpec(seed=1, **kwargs)
+
+
+class TestGcPause:
+    """Generation runs with the cyclic collector off, and gives the caller's state back."""
+
+    SPEC = SynthSpec(n_queries=6, n_raters=3, seed=4, n_preferences=12)
+
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_collector_is_off_while_generating(self, monkeypatch):
+        seen, place = [], synth._place_grades
+
+        def spy_place(*args):
+            seen.append(gc.isenabled())
+            return place(*args)
+
+        monkeypatch.setattr(synth, "_place_grades", spy_place)
+        gc.enable()
+        generate_synthetic(self.SPEC)
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_collector_state_is_restored(self, monkeypatch, enabled, raises):
+        if raises:
+            monkeypatch.setattr(synth, "_place_grades", lambda *args: 1 / 0)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(ZeroDivisionError) if raises else contextlib.nullcontext():
+            generate_synthetic(self.SPEC)
+        assert gc.isenabled() is enabled
+
+    def test_generation_leaves_no_cycles(self):
+        """What the pause rests on: generation makes no garbage that only a collection frees."""
+        gc.collect()
+        dataset = generate_synthetic(SynthSpec(n_queries=300, n_raters=4, seed=11,
+                                               n_preferences=600))
+        assert gc.collect() == 0
+        assert dataset.sessions
